@@ -5,10 +5,9 @@ truncated-polynomial extensions with exact arithmetic; no floats anywhere.
 """
 
 from .clifford import (CliffordElement, Membership, OrthogonalMatrix, SpinLift,
-                       bar, cl_mul, clifford_group_test, graded_tensor_check,
-                       parse_element, format_element, phi_gram, spin_lift,
-                       spinorial_norm, untwist_iso, volume_element)
-from .config import Caps, CapExceededError, DEFAULT_CAPS
+                       clifford_group_test, graded_tensor_check, parse_element,
+                       format_element, phi_gram, spin_lift, untwist_iso, volume_element)
+from .config import Caps, CapExceededError, DEFAULT_CAPS, caps_scope
 from .lambda_bott import (LambdaVector, LineExpr, SerreSqrt, adams_lines,
                           adams_newton, bott_cyclotomic, bott_lines, bott_virtual,
                           corrected_bott, format_line_expr, line_to_lambda,
@@ -23,10 +22,9 @@ from .quadforms import (BWTriple, INF, QuadraticForm, bw_class, diagonalize,
                         discriminant, hasse_witt, hilbert_symbol, hyperbolic,
                         is_orientable, orthogonal_sum, parse_form, format_form,
                         scale, square_free_part)
-from .rings import (Cyclotomic, TruncatedPoly, cyclotomic_descend, cyclotomic_mul,
-                    cyclotomic_polynomial, euler_phi, format_cyclotomic,
-                    format_rational, format_truncated, galois_act, parse_cyclotomic,
-                    parse_rational, parse_truncated, trunc_invert, trunc_mul)
+from .rings import (Cyclotomic, TruncatedPoly, cyclotomic_polynomial, euler_phi,
+                    format_cyclotomic, format_rational, format_truncated,
+                    parse_cyclotomic, parse_rational, parse_truncated)
 from .verify import VerificationReport, run_suite
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 All machine output is JSON (exact values as strings); human-readable
 summaries derive from it.  Exit codes: 0 all good, 1 verification
-failure, 2 usage or parse error.
+failure, 2 usage or parse error or an exceeded size cap.  The four cap
+flags hold for everything the command computes.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import sys
 from fractions import Fraction
 
 from .clifford import clifford_group_test, parse_element, spin_lift
-from .config import Caps
-from .lambda_bott import (LambdaVector, bott_lines, bott_virtual, format_line_expr,
-                          parse_line_expr, serre_sqrt, sphere_formula,
+from .config import DEFAULT_CAPS, Caps, caps_scope
+from .lambda_bott import (FormulaMismatchError, LambdaVector, bott_lines, bott_virtual,
+                          format_line_expr, parse_line_expr, serre_sqrt, sphere_formula,
                           bott_cyclotomic, line_to_lambda)
 from .modules import adams_module_report
 from .quadforms import (bw_class, discriminant, hasse_witt, is_orientable,
@@ -26,11 +27,6 @@ from .verify import run_suite, SUITES
 
 class UsageError(ValueError):
     pass
-
-
-def _caps_from(args) -> Caps:
-    return Caps(max_dim=args.max_dim, max_tensor=args.max_tensor,
-                max_vars=args.max_vars, max_k=args.max_k)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -64,11 +60,10 @@ def cmd_qf(args) -> int:
 
 
 def cmd_bott(args) -> int:
-    caps = _caps_from(args)
     if args.mode == "sphere":
         if args.r is None:
             raise UsageError("mode=sphere needs --r")
-        coeff = sphere_formula(args.r, args.k, caps=caps)
+        coeff = sphere_formula(args.r, args.k)
         _emit({"coefficient": format_rational(coeff), "r": args.r, "k": args.k,
                "ring": f"Q[x1..x{args.r}]/(xi^2)", "sign_ambiguous": False}, args.out)
         return 0
@@ -79,14 +74,14 @@ def cmd_bott(args) -> int:
             payload = {"value": format_line_expr(value), "ring": "line expressions",
                        "sign_ambiguous": False}
         else:
-            value = bott_virtual(expr, args.k, caps=caps)
+            value = bott_virtual(expr, args.k)
             payload = {"value": format_truncated(value),
                        "ring": f"Q[x1..x{value.nvars}]/(xi^2)",
                        "sign_ambiguous": False, "routed": "virtual"}
         _emit(payload, args.out)
         return 0
     if args.mode == "cyclotomic":
-        value = bott_cyclotomic(line_to_lambda(expr), args.k, caps=caps)
+        value = bott_cyclotomic(line_to_lambda(expr), args.k)
         text = value if isinstance(value, (int, Fraction)) else format_line_expr(value)
         _emit({"value": str(text), "ring": "descended from the cyclotomic extension",
                "sign_ambiguous": False}, args.out)
@@ -95,11 +90,10 @@ def cmd_bott(args) -> int:
 
 
 def cmd_serre_sqrt(args) -> int:
-    caps = _caps_from(args)
     lams = tuple(Fraction(p.strip()) for p in args.lams.split(","))
     v = LambdaVector(len(lams), lams)
-    root = serre_sqrt(v, args.k, caps=caps)
-    square = bott_cyclotomic(v, args.k, caps=caps)
+    root = serre_sqrt(v, args.k)
+    square = bott_cyclotomic(v, args.k)
     payload = {
         "value": str(root.value),
         "squares_to": str(square),
@@ -112,9 +106,8 @@ def cmd_serre_sqrt(args) -> int:
 
 
 def cmd_clifford_check(args) -> int:
-    caps = _caps_from(args)
     q = parse_form(args.form)
-    a = parse_element(args.element, q, caps=caps)
+    a = parse_element(args.element, q)
     res = clifford_group_test(a)
     payload = {"member": res.member}
     if res.member:
@@ -132,9 +125,8 @@ def cmd_clifford_check(args) -> int:
 
 
 def cmd_spin_lift(args) -> int:
-    caps = _caps_from(args)
     q = parse_form(args.form)
-    lift = spin_lift(q, args.copies, caps=caps)
+    lift = spin_lift(q, args.copies)
     payload = {
         "form": args.form,
         "copies": args.copies,
@@ -151,15 +143,13 @@ def cmd_spin_lift(args) -> int:
 
 
 def cmd_adams_module(args) -> int:
-    caps = _caps_from(args)
-    payload = adams_module_report(args.m, args.k, caps=caps)
+    payload = adams_module_report(args.m, args.k)
     _emit(payload, args.out)
     return 0 if payload["rho_k"] == payload["expected"] else 1
 
 
 def cmd_verify(args) -> int:
-    caps = _caps_from(args)
-    report = run_suite(args.suite, seed=args.seed, caps=caps, timings=args.timings)
+    report = run_suite(args.suite, seed=args.seed, timings=args.timings)
     _emit(report.to_json(), args.out)
     return 0 if report.all_pass else 1
 
@@ -169,10 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinbott",
         description="Exact Clifford-algebra, quadratic-form and Bott-class checks.",
         allow_abbrev=False)
-    parser.add_argument("--max-dim", type=int, default=12, help="blade rank cap")
-    parser.add_argument("--max-tensor", type=int, default=4096, help="tensor dimension cap")
-    parser.add_argument("--max-vars", type=int, default=8, help="truncated variable cap")
-    parser.add_argument("--max-k", type=int, default=32, help="cyclotomic order cap")
+    parser.add_argument("--max-dim", type=int, default=DEFAULT_CAPS.max_dim,
+                        help="blade rank cap")
+    parser.add_argument("--max-tensor", type=int, default=DEFAULT_CAPS.max_tensor,
+                        help="tensor dimension cap")
+    parser.add_argument("--max-vars", type=int, default=DEFAULT_CAPS.max_vars,
+                        help="truncated variable cap")
+    parser.add_argument("--max-k", type=int, default=DEFAULT_CAPS.max_k,
+                        help="cyclotomic order and Bott order cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("qf", help="invariants of a diagonal quadratic form")
@@ -230,8 +224,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    caps = Caps(max_dim=args.max_dim, max_tensor=args.max_tensor,
+                max_vars=args.max_vars, max_k=args.max_k)
     try:
-        return args.func(args)
+        with caps_scope(caps):
+            return args.func(args)
+    except FormulaMismatchError as exc:  # a failed check, not a usage error
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     except (ValueError, ArithmeticError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

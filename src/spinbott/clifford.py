@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .config import DEFAULT_CAPS, CapExceededError, Caps
+from .config import check_cap
 from .quadforms import QuadraticForm, format_form, is_orientable, scale
 from .rings import _format_terms, _split_terms
 
@@ -47,9 +47,8 @@ class CliffordElement:
 
     __slots__ = ("form", "coeffs")
 
-    def __init__(self, form: QuadraticForm, coeffs=None, caps: Caps = DEFAULT_CAPS):
-        if form.rank > caps.max_dim:
-            raise CapExceededError(f"rank {form.rank} exceeds blade cap {caps.max_dim}")
+    def __init__(self, form: QuadraticForm, coeffs=None):
+        check_cap("max_dim", form.rank, "Clifford rank")
         clean = {}
         top = 1 << form.rank
         for mask, c in (coeffs or {}).items():
@@ -238,21 +237,9 @@ class CliffordElement:
         return format_element(self)
 
 
-def cl_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    return a * b
-
-
-def bar(a: CliffordElement) -> CliffordElement:
-    return a.bar()
-
-
-def spinorial_norm(a: CliffordElement):
-    return a.spinorial_norm()
-
-
 # -- volume element ----------------------------------------------------------
 
-def volume_element(q: QuadraticForm, caps: Caps = DEFAULT_CAPS) -> CliffordElement:
+def volume_element(q: QuadraticForm) -> CliffordElement:
     """u = s e1...en with u^2 = 1, even, anticommuting with V.
 
     Exists exactly when the form is orientable; s is the orientation
@@ -261,7 +248,7 @@ def volume_element(q: QuadraticForm, caps: Caps = DEFAULT_CAPS) -> CliffordEleme
     ok, s = is_orientable(q)
     if not ok:
         raise NotOrientableError(f"<{format_form(q)}> has no volume element over Q")
-    return CliffordElement(q, {(1 << q.rank) - 1: s}, caps=caps)
+    return CliffordElement(q, {(1 << q.rank) - 1: s})
 
 
 # -- Clifford group membership ------------------------------------------------
@@ -362,8 +349,7 @@ def phi_gram(q: QuadraticForm, parity: int) -> list:
 
 # -- graded tensor decomposition ----------------------------------------------
 
-def graded_tensor_check(q1: QuadraticForm, q2: QuadraticForm,
-                        caps: Caps = DEFAULT_CAPS) -> bool:
+def graded_tensor_check(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     """Structure constants of C(V + W) match those of C(V) (x) C(W).
 
     The graded tensor multiplies with the Koszul sign
@@ -371,8 +357,6 @@ def graded_tensor_check(q1: QuadraticForm, q2: QuadraticForm,
     are identified with blade pairs, V factors first.
     """
     n1, n2 = q1.rank, q2.rank
-    if n1 + n2 > caps.max_dim:
-        raise CapExceededError(f"rank {n1 + n2} exceeds blade cap {caps.max_dim}")
     qsum = QuadraticForm(q1.diag + q2.diag)
     for a1 in range(1 << n1):
         for b1 in range(1 << n2):
@@ -412,7 +396,7 @@ class UntwistIso:
     bijective: bool
 
 
-def untwist_iso(q: QuadraticForm, r: int, caps: Caps = DEFAULT_CAPS) -> UntwistIso:
+def untwist_iso(q: QuadraticForm, r: int) -> UntwistIso:
     """Send v -> v (x) 1 and each new unit generator t -> u (x) t.
 
     The target multiplies without Koszul signs; u is the volume element,
@@ -423,9 +407,8 @@ def untwist_iso(q: QuadraticForm, r: int, caps: Caps = DEFAULT_CAPS) -> UntwistI
     if r < 1:
         raise ValueError("need at least one extra generator")
     n = q.rank
-    if n + r > caps.max_dim:
-        raise CapExceededError(f"rank {n + r} exceeds blade cap {caps.max_dim}")
-    u = volume_element(q, caps=caps)
+    check_cap("max_dim", n + r, "Clifford rank")  # C(V + <1>^r) is never built
+    u = volume_element(q)
     ones = QuadraticForm((Fraction(1),) * r)
 
     # elements of C(V) (x) C^{0,r} as {(maskV, maskR): coeff}, ungraded product
@@ -535,7 +518,7 @@ def braid_normalize(gens: list) -> tuple:
     return list(gens), Fraction(lam)
 
 
-def spin_lift(q: QuadraticForm, k: int, caps: Caps = DEFAULT_CAPS) -> SpinLift:
+def spin_lift(q: QuadraticForm, k: int) -> SpinLift:
     """Even square-one elements of C(V^k) inducing the adjacent swaps.
 
     Each generator is the volume element of the antidiagonal copy of
@@ -552,8 +535,6 @@ def spin_lift(q: QuadraticForm, k: int, caps: Caps = DEFAULT_CAPS) -> SpinLift:
     ok, _ = is_orientable(q)
     if not ok:
         raise NotOrientableError("the form must be orientable")
-    if n * k > caps.max_dim:
-        raise CapExceededError(f"rank {n * k} exceeds blade cap {caps.max_dim}")
 
     big = QuadraticForm(q.diag * k)
     ok2, s2 = is_orientable(scale(q, 2))
@@ -607,7 +588,7 @@ def format_element(a: CliffordElement) -> str:
 _BLADE_RE = re.compile(r"e(\d+)")
 
 
-def parse_element(s: str, form: QuadraticForm, caps: Caps = DEFAULT_CAPS) -> CliffordElement:
+def parse_element(s: str, form: QuadraticForm) -> CliffordElement:
     coeffs: dict[int, Fraction] = {}
     for sign, term in _split_terms(s):
         coeff = Fraction(sign)
@@ -631,4 +612,4 @@ def parse_element(s: str, form: QuadraticForm, caps: Caps = DEFAULT_CAPS) -> Cli
             else:
                 coeff *= Fraction(f)
         coeffs[mask] = coeffs.get(mask, Fraction(0)) + coeff
-    return CliffordElement(form, coeffs, caps=caps)
+    return CliffordElement(form, coeffs)

@@ -1,11 +1,18 @@
 """Size caps shared across the package.
 
 Every cap guards an exponential blow-up (2^n blades, (dim E)^k tensors,
-2^r truncated-polynomial terms, degree-phi(k) cyclotomic vectors).
+2^r truncated-polynomial terms, degree-phi(k) cyclotomic vectors, k-term
+Bott factors).  The caps in force live in one context-local scope, in the
+manner of ``decimal.localcontext``: everything computed inside
+``with caps_scope(Caps(max_k=64)):`` -- constructors and all the
+arithmetic that builds new values -- is checked against those caps, and
+leaving the block restores the caps that held before it.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 
@@ -18,7 +25,26 @@ class Caps:
     max_dim: int = 12       # Clifford algebra rank n (2^n blades)
     max_tensor: int = 4096  # (dim E)^k for tensor powers
     max_vars: int = 8       # truncated-polynomial variables
-    max_k: int = 32         # cyclotomic order
+    max_k: int = 32         # cyclotomic order and Bott order k
 
 
 DEFAULT_CAPS = Caps()
+
+_current: ContextVar[Caps] = ContextVar("spinbott_caps", default=DEFAULT_CAPS)
+
+
+@contextmanager
+def caps_scope(caps: Caps):
+    """Run the enclosed block under ``caps``; the previous caps return on exit."""
+    token = _current.set(caps)
+    try:
+        yield caps
+    finally:
+        _current.reset(token)
+
+
+def check_cap(field: str, value: int, what: str) -> None:
+    """Raise CapExceededError when ``value`` exceeds the cap ``field`` in force."""
+    limit = getattr(_current.get(), field)
+    if value > limit:
+        raise CapExceededError(f"{what} {value} exceeds cap {field}={limit}")

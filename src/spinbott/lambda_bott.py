@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT_CAPS, Caps
+from .config import check_cap
 from .rings import (Cyclotomic, NotAUnitError, TruncatedPoly, _format_terms,
                     _split_terms, euler_phi)
 
@@ -262,6 +262,7 @@ def bott_lines(x: LineExpr, k: int) -> LineExpr:
     """Multiplicative class with value 1 + M + ... + M^(k-1) on each line monomial."""
     if k < 1:
         raise ValueError("k must be positive")
+    check_cap("max_k", k, "Bott order")
     out = LineExpr.scalar(1)
     for exps, mult in x.monomials():
         m = LineExpr.monomial(exps)
@@ -273,7 +274,7 @@ def bott_lines(x: LineExpr, k: int) -> LineExpr:
 
 
 def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
-                 images: dict | None = None, caps: Caps = DEFAULT_CAPS) -> TruncatedPoly:
+                 images: dict | None = None) -> TruncatedPoly:
     """Bott class of a virtual line combination, in the truncated ring.
 
     Line symbols map to units of Q[x1..xr]/(xi^2) (default L_i -> 1 + x_i),
@@ -281,13 +282,14 @@ def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
     """
     if k < 1:
         raise ValueError("k must be positive")
+    check_cap("max_k", k, "Bott order")
     r = nvars if nvars is not None else max(x.nsymbols, 1)
     if images is None:
-        images = {i: TruncatedPoly.const(r, 1) + TruncatedPoly.var(r, i, caps=caps)
+        images = {i: TruncatedPoly.const(r, 1) + TruncatedPoly.var(r, i)
                   for i in range(1, r + 1)}
 
     def image_of(exps) -> TruncatedPoly:
-        out = TruncatedPoly.const(r, 1, caps=caps)
+        out = TruncatedPoly.const(r, 1)
         for i, e in enumerate(exps, start=1):
             if e:
                 if i not in images:
@@ -295,14 +297,14 @@ def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
                 out = out * images[i] ** e
         return out
 
-    result = TruncatedPoly.const(r, 1, caps=caps)
+    result = TruncatedPoly.const(r, 1)
     for exps, c in sorted(x.terms.items()):
         if c.denominator != 1:
             raise NotEffectiveError("virtual evaluation needs integer multiplicities")
         m = image_of(exps)
         if not m.is_unit():
             raise NotAUnitError("a line symbol maps to a non-unit of the ambient ring")
-        factor = TruncatedPoly.const(r, 0, caps=caps)
+        factor = TruncatedPoly.const(r, 0)
         for t in range(k):
             factor = factor + m ** t
         result = result * factor ** int(c)
@@ -316,7 +318,7 @@ def _ring_one(values):
     return Fraction(1)
 
 
-def _eval_at_minus_zeta(v: LambdaVector, k: int, r: int, caps: Caps):
+def _eval_at_minus_zeta(v: LambdaVector, k: int, r: int):
     """G(-z^r) = sum_j lam^j (-1)^j w^(rj), with ring coefficients."""
     phi = euler_phi(k)
     one = _ring_one(v.lams)
@@ -326,14 +328,14 @@ def _eval_at_minus_zeta(v: LambdaVector, k: int, r: int, caps: Caps):
         val = one if j == 0 else v.lam(j)
         if not val:
             continue
-        zvec = Cyclotomic.zeta(k, (r * j) % k, caps=caps).coeffs
+        zvec = Cyclotomic.zeta(k, (r * j) % k).coeffs
         for t, c in enumerate(zvec):
             if c:
                 acc[t] = acc[t] + (val * c if j % 2 == 0 else -(val * c))
-    return Cyclotomic(k, acc, caps=caps)
+    return Cyclotomic(k, acc)
 
 
-def bott_cyclotomic(v: LambdaVector, k: int, caps: Caps = DEFAULT_CAPS):
+def bott_cyclotomic(v: LambdaVector, k: int):
     """The Bott class as the product of G(-z^r) over r = 1..k-1, descended.
 
     The product is Galois-invariant, so the descent to the base ring must
@@ -341,9 +343,9 @@ def bott_cyclotomic(v: LambdaVector, k: int, caps: Caps = DEFAULT_CAPS):
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    prod = Cyclotomic.from_const(k, _ring_one(v.lams), caps=caps)
+    prod = Cyclotomic.from_const(k, _ring_one(v.lams))
     for r in range(1, k):
-        prod = prod * _eval_at_minus_zeta(v, k, r, caps)
+        prod = prod * _eval_at_minus_zeta(v, k, r)
     return prod.descend()
 
 
@@ -356,7 +358,7 @@ class SerreSqrt:
     sign_ambiguous: bool
 
 
-def serre_sqrt(v: LambdaVector, k: int, caps: Caps = DEFAULT_CAPS) -> SerreSqrt:
+def serre_sqrt(v: LambdaVector, k: int) -> SerreSqrt:
     """Galois-invariant square root of the Bott class of a self-dual class.
 
     value = (-1)^(n(k-1)/4) * prod_{r=1..(k-1)/2} G(-z^r) z^(-nr/2),
@@ -371,20 +373,20 @@ def serre_sqrt(v: LambdaVector, k: int, caps: Caps = DEFAULT_CAPS) -> SerreSqrt:
         raise ValueError("rank must be even")
     if not v.is_self_dual():
         raise ValueError("lambda vector is not self-dual")
-    prod = Cyclotomic.from_const(k, _ring_one(v.lams), caps=caps)
+    prod = Cyclotomic.from_const(k, _ring_one(v.lams))
     for r in range(1, (k - 1) // 2 + 1):
-        prod = prod * _eval_at_minus_zeta(v, k, r, caps)
-        prod = prod * Cyclotomic.zeta(k, (-n * r // 2) % k, caps=caps)
+        prod = prod * _eval_at_minus_zeta(v, k, r)
+        prod = prod * Cyclotomic.zeta(k, (-n * r // 2) % k)
     ambiguous = (n * (k - 1)) % 4 != 0
     if not ambiguous and (n * (k - 1) // 4) % 2 == 1:
         prod = -prod
     return SerreSqrt(prod.descend(), ambiguous)
 
 
-def corrected_bott(rho_k, v: LambdaVector, k: int, caps: Caps = DEFAULT_CAPS):
+def corrected_bott(rho_k, v: LambdaVector, k: int):
     """The corrected class rho_k / sqrt of the Bott class of the underlying
     module; its square is one on the classes where it is defined."""
-    root = serre_sqrt(v, k, caps=caps).value
+    root = serre_sqrt(v, k).value
     if isinstance(root, (int, Fraction)):
         if root == 0:
             raise NotAUnitError("square root vanishes")
@@ -398,7 +400,7 @@ def sum_of_powers(r: int, k: int) -> int:
     return sum(j ** r for j in range(1, k))
 
 
-def sphere_formula(r: int, k: int, caps: Caps = DEFAULT_CAPS) -> Fraction:
+def sphere_formula(r: int, k: int) -> Fraction:
     """Sphere coefficient: 1 + [1 + 2^r + ... + (k-1)^r] / k^r on the top class.
 
     Path one expands the Bott class of the product line symbol L1...Lr in
@@ -411,7 +413,7 @@ def sphere_formula(r: int, k: int, caps: Caps = DEFAULT_CAPS) -> Fraction:
         raise ValueError("r must be positive")
     if k < 2:
         raise ValueError("k must be at least 2")
-    f = bott_virtual(LineExpr.monomial((1,) * r), k, nvars=r, caps=caps)
+    f = bott_virtual(LineExpr.monomial((1,) * r), k, nvars=r)
     top = (1 << r) - 1
     coeff = f.coefficient(top) / Fraction(k) ** r
     expect = Fraction(sum_of_powers(r, k), k ** r)

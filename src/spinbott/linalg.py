@@ -1,7 +1,7 @@
 """Small exact linear algebra over Fraction matrices (lists of lists).
 
-Products, traces and Kronecker products are duck-typed and also work for
-matrices over other exact rings (cyclotomic entries); elimination-based
+Sums, products and traces are duck-typed and also work for matrices
+over other exact rings (cyclotomic entries); elimination-based
 routines (rank, solve, det) require field entries, i.e. Fractions.
 """
 
@@ -60,10 +60,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: list) -> list:
-    return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
@@ -82,18 +78,6 @@ def masked_trace(a: Matrix, keep) -> Fraction:
         if flag:
             acc = acc + a[i][i]
     return acc
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    ma, mb = len(a[0]), len(b[0])
-    out = []
-    for i in range(na * nb):
-        row = []
-        for j in range(ma * mb):
-            row.append(a[i // nb][j // mb] * b[i % nb][j % mb])
-        out.append(row)
-    return out
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:

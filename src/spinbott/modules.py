@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import linalg
 from .clifford import CliffordElement, volume_element
-from .config import DEFAULT_CAPS, CapExceededError, Caps
+from .config import check_cap
 from .quadforms import QuadraticForm, hyperbolic, scale
 from .rings import Cyclotomic
 
@@ -101,7 +101,7 @@ def clifford_action_matrix(elem, gen_mats, dim):
     return acc
 
 
-def spinor_rep(m: int, caps: Caps = DEFAULT_CAPS) -> GradedModule:
+def spinor_rep(m: int) -> GradedModule:
     """C(H(Q^m)) acting on the exterior algebra of Q^m.
 
     Basis vectors are subsets of the m modes; the +1 generator of the
@@ -111,8 +111,7 @@ def spinor_rep(m: int, caps: Caps = DEFAULT_CAPS) -> GradedModule:
     if m < 1:
         raise ValueError("need at least one hyperbolic pair")
     dim = 1 << m
-    if dim > caps.max_tensor:
-        raise CapExceededError(f"dimension {dim} exceeds cap {caps.max_tensor}")
+    check_cap("max_tensor", dim, "spinor dimension")
 
     def sign_below(state, i):
         return -1 if bin(state & ((1 << i) - 1)).count("1") % 2 else 1
@@ -223,7 +222,7 @@ class TensorPower:
         return clifford_action_matrix(u, list(self.diag_gens), self.dim)
 
 
-def tensor_power(module: GradedModule, k: int, caps: Caps = DEFAULT_CAPS) -> TensorPower:
+def tensor_power(module: GradedModule, k: int) -> TensorPower:
     """Build E^(x)k and verify the twisted-action identities exactly.
 
     The copy generators anticommute across copies via grading signs on the
@@ -235,8 +234,7 @@ def tensor_power(module: GradedModule, k: int, caps: Caps = DEFAULT_CAPS) -> Ten
         raise ValueError("k must be positive")
     d = module.dim
     dim = d ** k
-    if dim > caps.max_tensor:
-        raise CapExceededError(f"tensor dimension {dim} exceeds cap {caps.max_tensor}")
+    check_cap("max_tensor", dim, "tensor dimension")
     n = module.form.rank
     basis = list(itertools.product(range(d), repeat=k))
     index = {t: i for i, t in enumerate(basis)}
@@ -413,7 +411,7 @@ def _as_integer(x) -> int:
     return x.numerator
 
 
-def cycle_eigen_projectors(tp: TensorPower, caps: Caps = DEFAULT_CAPS):
+def cycle_eigen_projectors(tp: TensorPower):
     """Exact eigenprojectors (1/k) sum_l w^(-jl) T^l of the cycle operator.
 
     Verified idempotent, mutually orthogonal and resolving the identity.
@@ -427,12 +425,12 @@ def cycle_eigen_projectors(tp: TensorPower, caps: Caps = DEFAULT_CAPS):
     if not linalg.mat_eq(linalg.mat_mul(t_pows[-1], cyc), linalg.identity(dim)):
         raise PresentationError("cycle operator order is not k")
 
-    zero = Cyclotomic.from_const(k, 0, caps=caps)
+    zero = Cyclotomic.from_const(k, 0)
     projectors = []
     for j in range(k):
         acc = [[zero] * dim for _ in range(dim)]
         for l in range(k):
-            scalar = Cyclotomic.zeta(k, (-j * l) % k, caps=caps) * Fraction(1, k)
+            scalar = Cyclotomic.zeta(k, (-j * l) % k) * Fraction(1, k)
             acc = _cyc_add(acc, _cyc_scaled(k, t_pows[l], scalar))
         projectors.append(acc)
 
@@ -456,14 +454,14 @@ def _cyc_mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def adams_bar(module: GradedModule, k: int, caps: Caps = DEFAULT_CAPS) -> VirtualCyclotomicModule:
+def adams_bar(module: GradedModule, k: int) -> VirtualCyclotomicModule:
     """Graded eigenmodule dimensions of the cycle operator on E^(x)k."""
-    tp = tensor_power(module, k, caps=caps)
-    return adams_bar_of(tp, caps=caps)
+    tp = tensor_power(module, k)
+    return adams_bar_of(tp)
 
 
-def adams_bar_of(tp: TensorPower, caps: Caps = DEFAULT_CAPS) -> VirtualCyclotomicModule:
-    projectors = cycle_eigen_projectors(tp, caps=caps)
+def adams_bar_of(tp: TensorPower) -> VirtualCyclotomicModule:
+    projectors = cycle_eigen_projectors(tp)
     keep0 = [g == 0 for g in tp.grading]
     keep1 = [g == 1 for g in tp.grading]
     dims = []
@@ -523,9 +521,9 @@ def isotypic_projectors(tp: TensorPower):
     return out
 
 
-def adams_character(module: GradedModule, k: int, caps: Caps = DEFAULT_CAPS) -> AdamsCharacter:
+def adams_character(module: GradedModule, k: int) -> AdamsCharacter:
     """Character-weighted isotypic decomposition of E^(x)k, per graded block."""
-    tp = tensor_power(module, k, caps=caps)
+    tp = tensor_power(module, k)
     return adams_character_of(tp)
 
 
@@ -609,9 +607,9 @@ def morita_reduce(grading, u_matrix, presentation: GradedModule,
 
 # -- the module-level Bott class ------------------------------------------------
 
-def hermitian_bott_of(module: GradedModule, k: int, caps: Caps = DEFAULT_CAPS) -> Fraction:
+def hermitian_bott_of(module: GradedModule, k: int) -> Fraction:
     """Bott class of a presented module: power, Adams weights, reduction."""
-    tp = tensor_power(module, k, caps=caps)
+    tp = tensor_power(module, k)
     twist = twist_rep(module, k)
     if not is_end_iso(twist):
         raise PresentationError("twisted structure map is not bijective")
@@ -625,30 +623,29 @@ def hermitian_bott_of(module: GradedModule, k: int, caps: Caps = DEFAULT_CAPS) -
     return Fraction(rho)
 
 
-def hermitian_bott(m: int, k: int, caps: Caps = DEFAULT_CAPS) -> Fraction:
+def hermitian_bott(m: int, k: int) -> Fraction:
     """The Bott class of m hyperbolic planes; equals k^m."""
-    return hermitian_bott_of(spinor_rep(m, caps=caps), k, caps=caps)
+    return hermitian_bott_of(spinor_rep(m), k)
 
 
-def opposite_form_check(m: int, k: int, caps: Caps = DEFAULT_CAPS) -> bool:
+def opposite_form_check(m: int, k: int) -> bool:
     """The class is insensitive to negating the quadratic form."""
-    module = spinor_rep(m, caps=caps)
-    return (hermitian_bott_of(module, k, caps=caps)
-            == hermitian_bott_of(opposite_module(module), k, caps=caps))
+    module = spinor_rep(m)
+    return hermitian_bott_of(module, k) == hermitian_bott_of(opposite_module(module), k)
 
 
-def psi_bar_graded(module: GradedModule, k: int, caps: Caps = DEFAULT_CAPS) -> tuple:
+def psi_bar_graded(module: GradedModule, k: int) -> tuple:
     """(block-0, block-1) integers of the eigenmodule Adams operation."""
-    vcm = adams_bar(module, k, caps=caps)
+    vcm = adams_bar(module, k)
     return tuple(_as_integer(vcm.value(block)) for block in (0, 1)), vcm
 
 
-def adams_module_report(m: int, k: int, caps: Caps = DEFAULT_CAPS) -> dict:
+def adams_module_report(m: int, k: int) -> dict:
     """One-run summary for a hyperbolic module: both Adams routes and the class."""
-    module = spinor_rep(m, caps=caps)
-    psi_bar, vcm = psi_bar_graded(module, k, caps=caps)
-    char = adams_character(module, k, caps=caps)
-    rho = hermitian_bott_of(module, k, caps=caps)
+    module = spinor_rep(m)
+    psi_bar, vcm = psi_bar_graded(module, k)
+    char = adams_character(module, k)
+    rho = hermitian_bott_of(module, k)
     return {
         "m": m,
         "k": k,

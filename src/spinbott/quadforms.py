@@ -76,26 +76,31 @@ def discriminant(q: QuadraticForm) -> Fraction:
 
 # -- square classes ---------------------------------------------------------
 
+def _factorize(n: int) -> dict:
+    """{prime: exponent} of an integer n >= 1, by trial division."""
+    out: dict = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def square_free_part(x) -> int:
     """The square-free integer representing the square class of x != 0."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("zero has no square class")
     n = x.numerator * x.denominator  # same class as x
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                out *= d
-        d += 1 if d == 2 else 2
-    return sign * out * n
+    out = -1 if n < 0 else 1
+    for p, e in _factorize(abs(n)).items():
+        if e % 2:
+            out *= p
+    return out
 
 
 def is_square(x) -> bool:
@@ -289,16 +294,7 @@ def bw_class(q: QuadraticForm, prime_bound: int) -> BWTriple:
     """
     support = set()
     for a in q.diag:
-        for n in (abs(a.numerator), a.denominator):
-            d = 2
-            while d * d <= n:
-                if n % d == 0:
-                    support.add(d)
-                    while n % d == 0:
-                        n //= d
-                d += 1 if d == 2 else 2
-            if n > 1:
-                support.add(n)
+        support.update(_factorize(abs(a.numerator)), _factorize(a.denominator))
     missing = [p for p in support if p > prime_bound]
     if missing:
         raise IncompleteScanError(

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .config import DEFAULT_CAPS, CapExceededError, Caps
+from .config import check_cap
 
 
 class RingMismatchError(ValueError):
@@ -115,11 +115,10 @@ class Cyclotomic:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order, coeffs, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, order, coeffs):
         if order < 1:
             raise ValueError("order must be positive")
-        if order > caps.max_k:
-            raise CapExceededError(f"cyclotomic order {order} exceeds cap {caps.max_k}")
+        check_cap("max_k", order, "cyclotomic order")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(_reduce_mod_phi(order, list(coeffs))))
 
@@ -127,14 +126,14 @@ class Cyclotomic:
         raise AttributeError("Cyclotomic values are immutable")
 
     @classmethod
-    def from_const(cls, order: int, c, caps: Caps = DEFAULT_CAPS) -> "Cyclotomic":
-        return cls(order, [c], caps=caps)
+    def from_const(cls, order: int, c) -> "Cyclotomic":
+        return cls(order, [c])
 
     @classmethod
-    def zeta(cls, order: int, power: int = 1, caps: Caps = DEFAULT_CAPS) -> "Cyclotomic":
+    def zeta(cls, order: int, power: int = 1) -> "Cyclotomic":
         """w^power, reduced."""
         power %= order
-        return cls(order, [0] * power + [1], caps=caps)
+        return cls(order, [0] * power + [1])
 
     # -- ring structure ---------------------------------------------------
 
@@ -255,18 +254,6 @@ class Cyclotomic:
         return format_cyclotomic(self)
 
 
-def cyclotomic_mul(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    return a * b
-
-
-def galois_act(a: Cyclotomic, j: int) -> Cyclotomic:
-    return a.galois(j)
-
-
-def cyclotomic_descend(a: Cyclotomic):
-    return a.descend()
-
-
 # -- text format: "1 - 2*w + w^2@3" ---------------------------------------
 
 def format_rational(x: Fraction) -> str:
@@ -339,7 +326,7 @@ def format_cyclotomic(a: Cyclotomic) -> str:
     return f"{body}@{a.order}"
 
 
-def parse_cyclotomic(s: str, caps: Caps = DEFAULT_CAPS) -> Cyclotomic:
+def parse_cyclotomic(s: str) -> Cyclotomic:
     if "@" not in s:
         raise ValueError(f"missing '@order' in cyclotomic literal: {s!r}")
     body, order_s = s.rsplit("@", 1)
@@ -357,7 +344,7 @@ def parse_cyclotomic(s: str, caps: Caps = DEFAULT_CAPS) -> Cyclotomic:
         coeffs[power] = coeffs.get(power, Fraction(0)) + coeff
     top = max(coeffs, default=0)
     dense = [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
-    return Cyclotomic(order, dense, caps=caps)
+    return Cyclotomic(order, dense)
 
 
 class TruncatedPoly:
@@ -365,11 +352,10 @@ class TruncatedPoly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms=None, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, nvars: int, terms=None):
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
-        if nvars > caps.max_vars:
-            raise CapExceededError(f"{nvars} variables exceeds cap {caps.max_vars}")
+        check_cap("max_vars", nvars, "variable count")
         clean: dict[int, Fraction] = {}
         for mask, c in (terms or {}).items():
             if mask >> nvars:
@@ -384,15 +370,15 @@ class TruncatedPoly:
         raise AttributeError("TruncatedPoly values are immutable")
 
     @classmethod
-    def const(cls, nvars: int, c, caps: Caps = DEFAULT_CAPS) -> "TruncatedPoly":
-        return cls(nvars, {0: Fraction(c)}, caps=caps)
+    def const(cls, nvars: int, c) -> "TruncatedPoly":
+        return cls(nvars, {0: Fraction(c)})
 
     @classmethod
-    def var(cls, nvars: int, i: int, caps: Caps = DEFAULT_CAPS) -> "TruncatedPoly":
+    def var(cls, nvars: int, i: int) -> "TruncatedPoly":
         """x_i, 1-based."""
         if not 1 <= i <= nvars:
             raise ValueError(f"x{i} out of range for {nvars} variables")
-        return cls(nvars, {1 << (i - 1): Fraction(1)}, caps=caps)
+        return cls(nvars, {1 << (i - 1): Fraction(1)})
 
     def _match(self, other) -> "TruncatedPoly":
         if isinstance(other, TruncatedPoly):
@@ -503,14 +489,6 @@ class TruncatedPoly:
         return format_truncated(self)
 
 
-def trunc_mul(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
-    return a * b
-
-
-def trunc_invert(a: TruncatedPoly) -> TruncatedPoly:
-    return a.invert()
-
-
 def format_truncated(a: TruncatedPoly) -> str:
     def var_of(mask):
         return "*".join(f"x{i + 1}" for i in range(a.nvars) if mask >> i & 1)
@@ -522,7 +500,7 @@ def format_truncated(a: TruncatedPoly) -> str:
 _VAR_RE = re.compile(r"^x(\d+)$")
 
 
-def parse_truncated(s: str, nvars: int, caps: Caps = DEFAULT_CAPS) -> TruncatedPoly:
+def parse_truncated(s: str, nvars: int) -> TruncatedPoly:
     terms: dict[int, Fraction] = {}
     for sign, term in _split_terms(s):
         coeff = Fraction(sign)
@@ -540,4 +518,4 @@ def parse_truncated(s: str, nvars: int, caps: Caps = DEFAULT_CAPS) -> TruncatedP
             else:
                 coeff *= Fraction(f)
         terms[mask] = terms.get(mask, Fraction(0)) + coeff
-    return TruncatedPoly(nvars, terms, caps=caps)
+    return TruncatedPoly(nvars, terms)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import linalg
 from .clifford import (CliffordElement, clifford_group_test, graded_tensor_check,
                        phi_gram, spin_lift, untwist_iso, volume_element)
-from .config import DEFAULT_CAPS, Caps
 from .lambda_bott import (LineExpr, bott_cyclotomic, bott_lines, corrected_bott,
                           line_to_lambda, serre_sqrt, sphere_formula, sum_of_powers,
                           trivial_lambda_vector)
@@ -85,7 +84,7 @@ def _random_effective(rng: random.Random, nsyms: int = 3) -> LineExpr:
     return out
 
 
-def suite_spheres(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
+def suite_spheres(seed: int) -> list:
     cases = []
     for r in range(1, 5):
         for k in range(2, 8):
@@ -94,7 +93,7 @@ def suite_spheres(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
                 "top Bott coefficient equals [1 + 2^r + ... + (k-1)^r]/k^r",
                 {"r": r, "k": k},
                 Fraction(sum_of_powers(r, k), k ** r),
-                lambda r=r, k=k: sphere_formula(r, k, caps=caps)))
+                lambda r=r, k=k: sphere_formula(r, k)))
     rng = random.Random(seed)
     for k in (2, 3, 5):
         expect = LineExpr.scalar(0)
@@ -216,7 +215,7 @@ def _random_rational(rng: random.Random, primes) -> Fraction:
     return Fraction(num, den)
 
 
-def suite_symbols(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
+def suite_symbols(seed: int) -> list:
     cases = []
     rng = random.Random(seed)
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -271,11 +270,11 @@ _CLIFFORD_FORMS = (QuadraticForm((1, -1)), QuadraticForm((1, -1, 1, -1)),
                    QuadraticForm((2, -2)))
 
 
-def suite_clifford(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
+def suite_clifford(seed: int) -> list:
     cases = []
     for q in _CLIFFORD_FORMS:
         name = str(q).replace(",", "_")
-        u = volume_element(q, caps=caps)
+        u = volume_element(q)
         cases.append(_case(f"volume-square-{name}", "u^2 = 1", {"form": str(q)},
                            CliffordElement.scalar(q, 1), u * u))
         anti = all((u * CliffordElement.generator(q, i)
@@ -304,7 +303,7 @@ def suite_clifford(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
             f"gram-hyperbolic-{name}",
             "Gram determinant square class matches the hyperbolic one",
             {"form": str(q)}, 1, dclass))
-        untwist = untwist_iso(q, 1, caps=caps)
+        untwist = untwist_iso(q, 1)
         cases.append(_case(
             f"untwist-{name}",
             "v -> v (x) 1, t -> u (x) t is an isomorphism onto the plain tensor",
@@ -320,7 +319,7 @@ def suite_clifford(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
                 f"graded-tensor-{r1}-{r2}",
                 "structure constants of C(V + W) match the graded tensor product",
                 {"q1": str(q1), "q2": str(q2)}, True,
-                graded_tensor_check(q1, q2, caps=caps)))
+                graded_tensor_check(q1, q2)))
     return cases
 
 
@@ -330,11 +329,11 @@ _LIFT_CONFIGS = ((QuadraticForm((1, -1)), 2), (QuadraticForm((1, -1)), 3),
                  (QuadraticForm((1, -1, 1, -1)), 2))
 
 
-def suite_spin_lift(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
+def suite_spin_lift(seed: int) -> list:
     cases = []
     for q, k in _LIFT_CONFIGS:
         name = f"{str(q).replace(',', '_')}-k{k}"
-        lift = spin_lift(q, k, caps=caps)
+        lift = spin_lift(q, k)
         cases.append(_case(f"lift-squares-{name}", "each lifted swap squares to one",
                            {"form": str(q), "copies": k}, True, lift.squares_ok))
         cases.append(_case(f"lift-braid-{name}", "lifted swaps satisfy the braid relation",
@@ -353,21 +352,21 @@ def suite_spin_lift(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
 
 # -- serre ----------------------------------------------------------------------
 
-def suite_serre(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
+def suite_serre(seed: int) -> list:
     cases = []
     for k in (3, 5):
         for m in (1, 2, 3):
             v = trivial_lambda_vector(2 * m)
             name = f"rank{2 * m}-k{k}"
-            root = serre_sqrt(v, k, caps=caps)
-            rho = bott_cyclotomic(v, k, caps=caps)
+            root = serre_sqrt(v, k)
+            rho = bott_cyclotomic(v, k)
             cases.append(_case(f"serre-square-{name}",
                                "the square root squares to the Bott class",
                                {"rank": 2 * m, "k": k}, rho, root.value ** 2))
             cases.append(_case(f"serre-hyperbolic-{name}",
                                "sqrt on m hyperbolic planes equals k^m",
                                {"rank": 2 * m, "k": k}, Fraction(k) ** m, root.value))
-            rbar = corrected_bott(Fraction(k) ** m, v, k, caps=caps)
+            rbar = corrected_bott(Fraction(k) ** m, v, k)
             cases.append(_case(f"corrected-trivial-{name}",
                                "corrected class is one on hyperbolic classes",
                                {"rank": 2 * m, "k": k}, Fraction(1), rbar))
@@ -384,7 +383,7 @@ def suite_serre(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
             f"serre-line-hyperbolic-k{k}",
             "sqrt on a line hyperbolic plane is sigma^((k-1)/2) times bott(L)",
             {"k": k}, sigma * bott_lines(LineExpr.symbol(1), k),
-            serre_sqrt(hl, k, caps=caps).value))
+            serre_sqrt(hl, k).value))
     return cases
 
 
@@ -393,10 +392,10 @@ def suite_serre(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
 _ADAMS_CONFIGS = ((1, 2), (1, 3), (2, 2))
 
 
-def suite_adams(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
+def suite_adams(seed: int) -> list:
     cases = []
     for m, k in _ADAMS_CONFIGS:
-        rep = adams_module_report(m, k, caps=caps)
+        rep = adams_module_report(m, k)
         name = f"m{m}-k{k}"
         cases.append(_case(f"adams-agreement-{name}",
                            "eigenmodule and character Adams operations agree",
@@ -415,12 +414,11 @@ def suite_adams(seed: int, caps: Caps = DEFAULT_CAPS) -> list:
                            {"m": m, "k": k}, str(k ** m), rep["rho_k"]))
         cases.append(_case(f"bott-opposite-{name}",
                            "Bott class is insensitive to negating the form",
-                           {"m": m, "k": k}, True, opposite_form_check(m, k, caps=caps)))
+                           {"m": m, "k": k}, True, opposite_form_check(m, k)))
     cases.append(_case("bott-multiplicative",
                        "Bott class of a sum is the product of the classes",
                        {"pairs": "(1,2)+(1,2) vs (2,2)"}, True,
-                       hermitian_bott(2, 2, caps=caps)
-                       == hermitian_bott(1, 2, caps=caps) ** 2))
+                       hermitian_bott(2, 2) == hermitian_bott(1, 2) ** 2))
     return cases
 
 
@@ -438,8 +436,7 @@ _RUNNERS = {
 }
 
 
-def run_suite(name: str, seed: int = 0, caps: Caps = DEFAULT_CAPS,
-              timings: bool = False) -> VerificationReport:
+def run_suite(name: str, seed: int = 0, timings: bool = False) -> VerificationReport:
     """Run one named suite (or 'all'), cases sorted by id."""
     if name == "all":
         names = list(SUITES)
@@ -450,7 +447,7 @@ def run_suite(name: str, seed: int = 0, caps: Caps = DEFAULT_CAPS,
     start = time.perf_counter()
     cases = []
     for n in names:
-        cases.extend(_RUNNERS[n](seed, caps))
+        cases.extend(_RUNNERS[n](seed))
     cases.sort(key=lambda c: c["id"])
     report = VerificationReport(suite=name, seed=seed, cases=cases)
     if timings:

@@ -126,3 +126,52 @@ def test_verify_report_fields(capsys, tmp_path):
 
 def test_verify_bad_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["--max-vars", "10", "bott", "--mode", "sphere", "--r", "9", "--k", "3"],
+     "coefficient", "19/729"),
+    (["--max-k", "64", "serre-sqrt", "--lams", "2,1", "--k", "41"], "value", "41"),
+    (["--max-dim", "14", "spin-lift", "--form", "1,-1", "--copies", "7"], "braid_ok", True),
+])
+def test_raised_caps_hold_through_the_whole_command(capsys, argv, key, value):
+    code, payload = run(capsys, *argv)
+    assert code == 0
+    assert payload[key] == value
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-vars", "1", "bott", "--mode", "sphere", "--r", "2", "--k", "3"],
+    ["--max-k", "4", "serre-sqrt", "--lams", "2,1", "--k", "5"],
+    ["--max-dim", "4", "spin-lift", "--form", "1,-1", "--copies", "3"],
+    ["--max-dim", "2", "clifford-check", "--form", "1,-1,1", "--element", "e1"],
+    ["--max-tensor", "8", "adams-module", "--m", "1", "--k", "4"],
+])
+def test_lowered_caps_refuse(capsys, argv):
+    assert main(argv) == 2
+    assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_caps_do_not_leak_into_the_next_call(capsys):
+    assert main(["--max-k", "64", "serre-sqrt", "--lams", "2,1", "--k", "41"]) == 0
+    assert main(["serre-sqrt", "--lams", "2,1", "--k", "41"]) == 2
+    assert "max_k=32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bott", "--expr", "3*L1", "--k", "33"],
+    ["bott", "--expr", "L1 - 1", "--k", "33"],
+    ["bott", "--mode", "sphere", "--r", "2", "--k", "33"],
+    ["bott", "--mode", "cyclotomic", "--expr", "L1", "--k", "33"],
+])
+def test_bott_order_is_capped_in_every_mode(capsys, argv):
+    assert main(argv) == 2
+    assert "exceeds cap max_k=32" in capsys.readouterr().err
+
+
+def test_sphere_mismatch_is_a_failed_check(capsys, monkeypatch):
+    from spinbott import lambda_bott
+    real = lambda_bott.sum_of_powers
+    monkeypatch.setattr(lambda_bott, "sum_of_powers", lambda r, k: real(r, k) + 1)
+    assert main(["bott", "--mode", "sphere", "--r", "2", "--k", "3"]) == 1
+    assert "differs from closed form" in capsys.readouterr().err

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbott.config import CapExceededError, Caps
+from spinbott.config import CapExceededError, Caps, caps_scope
 from spinbott.rings import (Cyclotomic, DescentError, GaloisActionError,
                             NotAUnitError, RingMismatchError, TruncatedPoly,
-                            cyclotomic_descend, cyclotomic_mul, cyclotomic_polynomial,
-                            euler_phi, format_cyclotomic, format_truncated,
-                            galois_act, parse_cyclotomic, parse_truncated,
-                            trunc_invert, trunc_mul)
+                            cyclotomic_polynomial, euler_phi, format_cyclotomic,
+                            format_truncated, parse_cyclotomic, parse_truncated)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 orders = st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
@@ -43,33 +41,33 @@ def test_cyclotomic_polynomials():
 
 def test_cyclotomic_mul_examples():
     w3 = Cyclotomic.zeta(3)
-    assert cyclotomic_mul(w3, w3) == Cyclotomic(3, [-1, -1])
+    assert w3 * w3 == Cyclotomic(3, [-1, -1])
     w4 = Cyclotomic.zeta(4)
-    assert cyclotomic_mul(w4, w4) == -1
+    assert w4 * w4 == -1
     one = Cyclotomic.from_const(3, 1)
     assert (one - w3) * (one - w3 * w3) == 3
 
 
 def test_cyclotomic_order_mismatch():
     with pytest.raises(RingMismatchError):
-        cyclotomic_mul(Cyclotomic.zeta(3), Cyclotomic.zeta(4))
+        Cyclotomic.zeta(3) * Cyclotomic.zeta(4)
 
 
 def test_galois_examples():
     a = Cyclotomic(3, [2, 1])  # 2 + w
-    assert galois_act(a, 2) == Cyclotomic(3, [1, -1])  # 1 - w
-    assert galois_act(a, 1) == a
-    assert galois_act(Cyclotomic.from_const(3, 3), 2) == 3
+    assert a.galois(2) == Cyclotomic(3, [1, -1])  # 1 - w
+    assert a.galois(1) == a
+    assert Cyclotomic.from_const(3, 3).galois(2) == 3
     with pytest.raises(GaloisActionError):
-        galois_act(Cyclotomic.zeta(6), 3)
+        Cyclotomic.zeta(6).galois(3)
 
 
 def test_descend_examples():
     w = Cyclotomic.zeta(3)
-    assert cyclotomic_descend(w * (-3) * w * w) == -3
-    assert cyclotomic_descend(Cyclotomic.from_const(5, 5)) == 5
+    assert (w * (-3) * w * w).descend() == -3
+    assert Cyclotomic.from_const(5, 5).descend() == 5
     with pytest.raises(DescentError) as err:
-        cyclotomic_descend(w)
+        w.descend()
     assert err.value.violating == 2
 
 
@@ -79,7 +77,7 @@ def test_galois_composition(a, j1, j2):
     from math import gcd
     if gcd(j1, 5) != 1 or gcd(j2, 5) != 1:
         return
-    assert galois_act(galois_act(a, j2), j1) == galois_act(a, (j1 * j2) % 5)
+    assert a.galois(j2).galois(j1) == a.galois((j1 * j2) % 5)
 
 
 @given(st.data())
@@ -88,13 +86,13 @@ def test_descend_iff_invariant(data):
     from math import gcd
     a = data.draw(cyclotomics())
     k = a.order
-    invariant = all(galois_act(a, j) == a for j in range(2, k) if gcd(j, k) == 1)
+    invariant = all(a.galois(j) == a for j in range(2, k) if gcd(j, k) == 1)
     if invariant:
-        back = Cyclotomic.from_const(k, cyclotomic_descend(a))
+        back = Cyclotomic.from_const(k, a.descend())
         assert back == a
     else:
         with pytest.raises(DescentError):
-            cyclotomic_descend(a)
+            a.descend()
 
 
 @given(cyclotomics(order=7), cyclotomics(order=7), cyclotomics(order=7))
@@ -108,25 +106,25 @@ def test_cyclotomic_ring_axioms(a, b, c):
 
 def test_trunc_examples():
     one_x1 = TruncatedPoly(2, {0: 1, 1: 1})
-    assert trunc_mul(one_x1, one_x1) == TruncatedPoly(2, {0: 1, 1: 2})
+    assert one_x1 * one_x1 == TruncatedPoly(2, {0: 1, 1: 2})
     one_x2 = TruncatedPoly(2, {0: 1, 2: 1})
-    assert trunc_mul(one_x1, one_x2) == TruncatedPoly(2, {0: 1, 1: 1, 2: 1, 3: 1})
+    assert one_x1 * one_x2 == TruncatedPoly(2, {0: 1, 1: 1, 2: 1, 3: 1})
     x1x2 = TruncatedPoly(2, {3: 1})
     x1 = TruncatedPoly(2, {1: 1})
-    assert trunc_mul(x1x2, x1) == TruncatedPoly(2, {})
+    assert x1x2 * x1 == TruncatedPoly(2, {})
 
 
 def test_trunc_arity_mismatch():
     with pytest.raises(RingMismatchError):
-        trunc_mul(TruncatedPoly(2, {0: 1}), TruncatedPoly(3, {0: 1}))
+        TruncatedPoly(2, {0: 1}) * TruncatedPoly(3, {0: 1})
 
 
 def test_trunc_invert_examples():
     a = TruncatedPoly(1, {0: 2, 1: 1})
-    assert trunc_invert(a) == TruncatedPoly(1, {0: Fraction(1, 2), 1: Fraction(-1, 4)})
-    assert trunc_invert(TruncatedPoly(1, {0: 1})) == 1
+    assert a.invert() == TruncatedPoly(1, {0: Fraction(1, 2), 1: Fraction(-1, 4)})
+    assert TruncatedPoly(1, {0: 1}).invert() == 1
     b = TruncatedPoly(2, {0: 4, 1: 2, 2: 2, 3: 1})
-    inv = trunc_invert(b)
+    inv = b.invert()
     assert inv == TruncatedPoly(2, {0: Fraction(1, 4), 1: Fraction(-1, 8),
                                     2: Fraction(-1, 8), 3: Fraction(1, 16)})
     assert b * inv == 1
@@ -134,7 +132,7 @@ def test_trunc_invert_examples():
 
 def test_trunc_invert_non_unit():
     with pytest.raises(NotAUnitError):
-        trunc_invert(TruncatedPoly(2, {1: 1}))
+        TruncatedPoly(2, {1: 1}).invert()
 
 
 @given(truncateds(), truncateds(), truncateds())
@@ -150,7 +148,7 @@ def test_trunc_ring_axioms(a, b, c):
 def test_trunc_invert_roundtrip(a):
     if not a.is_unit():
         return
-    assert a * trunc_invert(a) == 1
+    assert a * a.invert() == 1
 
 
 def test_caps():
@@ -158,7 +156,26 @@ def test_caps():
         Cyclotomic.zeta(33)
     with pytest.raises(CapExceededError):
         TruncatedPoly(9, {})
-    Cyclotomic.zeta(33, caps=Caps(max_k=64))  # raised cap admits it
+    with caps_scope(Caps(max_k=64)):
+        Cyclotomic.zeta(33)  # raised cap admits it
+
+
+def test_raised_cap_holds_through_arithmetic():
+    with caps_scope(Caps(max_k=64, max_vars=10)):
+        w = Cyclotomic.zeta(41)
+        assert (w ** 2).galois(2) == Cyclotomic.zeta(41, 4)
+        assert (w + 1) * (w - 1) == w ** 2 - 1
+        x = TruncatedPoly.const(10, 2) + TruncatedPoly.var(10, 10)
+        assert x * x.invert() == 1
+
+
+def test_caps_scope_restored_after_exception():
+    with pytest.raises(ZeroDivisionError):
+        with caps_scope(Caps(max_k=64)):
+            Cyclotomic.zeta(41)
+            raise ZeroDivisionError
+    with pytest.raises(CapExceededError):
+        Cyclotomic.zeta(41)
 
 
 @given(cyclotomics())
