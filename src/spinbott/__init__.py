@@ -7,7 +7,7 @@ truncated-polynomial extensions with exact arithmetic; no floats anywhere.
 from .clifford import (CliffordElement, Membership, OrthogonalMatrix, SpinLift,
                        clifford_group_test, graded_tensor_check, parse_element,
                        format_element, phi_gram, spin_lift, untwist_iso, volume_element)
-from .config import Caps, CapExceededError, DEFAULT_CAPS, caps_scope
+from .config import Caps, CapExceededError, DEFAULT_CAPS, FailedCheckError, caps_scope
 from .lambda_bott import (LambdaVector, LineExpr, SerreSqrt, adams_lines,
                           adams_newton, bott_cyclotomic, bott_lines, bott_virtual,
                           corrected_bott, format_line_expr, line_to_lambda,

@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 
 from .clifford import clifford_group_test, parse_element, spin_lift
-from .config import DEFAULT_CAPS, Caps, caps_scope
-from .lambda_bott import (FormulaMismatchError, LambdaVector, bott_lines, bott_virtual,
+from .config import DEFAULT_CAPS, Caps, FailedCheckError, caps_scope
+from .lambda_bott import (LambdaVector, bott_lines, bott_virtual,
                           format_line_expr, parse_line_expr, serre_sqrt, sphere_formula,
                           bott_cyclotomic, line_to_lambda)
 from .modules import adams_module_report
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
     try:
         with caps_scope(caps):
             return args.func(args)
-    except FormulaMismatchError as exc:  # a failed check, not a usage error
+    except FailedCheckError as exc:  # a failed check, not a usage error
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (ValueError, ArithmeticError, KeyError) as exc:

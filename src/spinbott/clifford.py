@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .config import check_cap
+from .config import FailedCheckError, check_cap
 from .quadforms import QuadraticForm, format_form, is_orientable, scale
 from .rings import _format_terms, _split_terms
 
@@ -512,7 +512,7 @@ def braid_normalize(gens: list) -> tuple:
     mask, c = next(iter(y.coeffs.items()))
     lam = x.coefficient(mask) / c
     if x != y * lam or lam not in (1, -1):
-        raise ArithmeticError("braid words are not proportional by a sign")
+        raise FailedCheckError("braid words are not proportional by a sign")
     if lam != 1:
         gens = [g * lam if (i + 1) % 2 == 0 else g for i, g in enumerate(gens)]
     return list(gens), Fraction(lam)

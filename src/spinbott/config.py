@@ -1,4 +1,4 @@
-"""Size caps shared across the package.
+"""Size caps and the failed-check error, shared across the package.
 
 Every cap guards an exponential blow-up (2^n blades, (dim E)^k tensors,
 2^r truncated-polynomial terms, degree-phi(k) cyclotomic vectors, k-term
@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 class CapExceededError(ValueError):
     """A requested computation exceeds the configured size caps."""
+
+
+class FailedCheckError(Exception):
+    """An exact identity that a computation checks does not hold."""
 
 
 @dataclass(frozen=True)

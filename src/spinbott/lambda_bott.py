@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import check_cap
+from .config import FailedCheckError, check_cap
 from .rings import (Cyclotomic, NotAUnitError, TruncatedPoly, _format_terms,
                     _split_terms, euler_phi)
 
@@ -31,7 +31,7 @@ class NotEffectiveError(ValueError):
     through the virtual (truncated-ring) evaluation instead."""
 
 
-class FormulaMismatchError(ArithmeticError):
+class FormulaMismatchError(FailedCheckError):
     """The two sphere-computation paths disagree."""
 
 

@@ -1,8 +1,10 @@
-"""Small exact linear algebra over Fraction matrices (lists of lists).
+"""Small exact linear algebra: dense Fraction matrices and sparse operators.
 
-Sums, products and traces are duck-typed and also work for matrices
-over other exact rings (cyclotomic entries); elimination-based
-routines (rank, solve, det) require field entries, i.e. Fractions.
+Dense matrices are lists of lists; elimination-based routines (rank,
+solve, det) require field entries, i.e. Fractions.  ``SparseOp`` holds a
+square operator by columns, for the large signed-permutation and
+monomial-sum operators on tensor powers, where a dense product would cost
+dim^3 and a sparse one costs the nonzeros touched.
 """
 
 from __future__ import annotations
@@ -62,22 +64,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
-
-
-def trace(a: Matrix):
-    acc = a[0][0]
-    for i in range(1, len(a)):
-        acc = acc + a[i][i]
-    return acc
-
-
-def masked_trace(a: Matrix, keep) -> Fraction:
-    """Trace over the rows/columns selected by the boolean list ``keep``."""
-    acc = Fraction(0)
-    for i, flag in enumerate(keep):
-        if flag:
-            acc = acc + a[i][i]
-    return acc
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -144,3 +130,88 @@ def det(a: Matrix) -> Fraction:
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return out
+
+
+class SparseOp:
+    """A square operator stored by columns: ``cols[j]`` is ``{row: coeff}``.
+
+    Coefficients are exact and no stored coefficient is zero, so two
+    operators are equal exactly when their column dicts are.  Integral
+    Fractions enter as ints, which keeps integer operators on int
+    arithmetic.
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols):
+        self.cols = tuple(cols)
+
+    @classmethod
+    def identity(cls, n: int) -> "SparseOp":
+        return cls({j: 1} for j in range(n))
+
+    @classmethod
+    def from_dense(cls, a: Matrix) -> "SparseOp":
+        return cls({i: _exact(a[i][j]) for i in range(len(a)) if a[i][j]}
+                   for j in range(len(a)))
+
+    def to_dense(self) -> Matrix:
+        out = zeros(len(self.cols))
+        for j, col in enumerate(self.cols):
+            for i, x in col.items():
+                out[i][j] = Fraction(x)
+        return out
+
+    def compose(self, other: "SparseOp") -> "SparseOp":
+        """self o other: column j is self applied to column j of other."""
+        mine = self.cols
+        out = []
+        for col in other.cols:
+            acc = {}
+            for r, x in col.items():
+                for i, y in mine[r].items():
+                    acc[i] = acc.get(i, 0) + y * x
+            out.append({i: v for i, v in acc.items() if v})
+        return SparseOp(out)
+
+    def __add__(self, other: "SparseOp") -> "SparseOp":
+        out = []
+        for a, b in zip(self.cols, other.cols):
+            acc = dict(a)
+            for i, x in b.items():
+                acc[i] = acc.get(i, 0) + x
+            out.append({i: v for i, v in acc.items() if v})
+        return SparseOp(out)
+
+    def scale(self, c) -> "SparseOp":
+        if not c:
+            return SparseOp({} for _ in self.cols)
+        c = _exact(c)
+        return SparseOp({i: x * c for i, x in col.items()} for col in self.cols)
+
+    def __eq__(self, other):
+        return isinstance(other, SparseOp) and self.cols == other.cols
+
+    __hash__ = None
+
+    def trace(self, keep, right: "SparseOp | None" = None):
+        """Trace of self, or of self o right, over the basis vectors selected
+        by the boolean list ``keep``.
+
+        The product is never formed: its diagonal entries are read off the
+        nonzeros of self, so a signed permutation costs dim lookups.
+        """
+        acc = Fraction(0)
+        for r, col in enumerate(self.cols):
+            for j, x in col.items():
+                if keep[j]:
+                    if right is None:
+                        if j == r:
+                            acc = acc + x
+                    elif r in right.cols[j]:
+                        acc = acc + x * right.cols[j][r]
+        return acc
+
+
+def _exact(x):
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x

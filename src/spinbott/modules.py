@@ -14,18 +14,20 @@ module-level Bott class.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .linalg import SparseOp
 from .clifford import CliffordElement, volume_element
-from .config import check_cap
+from .config import FailedCheckError, check_cap
 from .quadforms import QuadraticForm, hyperbolic, scale
 from .rings import Cyclotomic
 
 
-class PresentationError(ValueError):
+class PresentationError(FailedCheckError):
     """Module dimensions are inconsistent with the supplied presentation."""
 
 
@@ -193,7 +195,12 @@ def opposite_module(module: GradedModule) -> GradedModule:
 
 @dataclass
 class TensorPower:
-    """E^(x)k with diagonal Clifford generators and graded transpositions."""
+    """E^(x)k with diagonal Clifford generators and graded transpositions.
+
+    Every operator is a ``linalg.SparseOp``: the swaps are signed
+    permutations and each generator has at most k nonzeros per column when
+    the base generators are monomial.
+    """
 
     base: GradedModule
     k: int
@@ -206,29 +213,34 @@ class TensorPower:
     def dim(self) -> int:
         return len(self.grading)
 
-    def perm_matrix(self, word):
-        out = linalg.identity(self.dim)
+    def perm_op(self, word):
+        out = SparseOp.identity(self.dim)
         for c in word:
-            out = linalg.mat_mul(out, self.adjacents[c])
+            out = out.compose(self.adjacents[c])
         return out
 
-    def cycle_matrix(self):
+    def cycle_op(self):
         """The graded action of a k-cycle (word tau_1 tau_2 ... tau_{k-1})."""
-        return self.perm_matrix(range(self.k - 1))
+        return self.perm_op(range(self.k - 1))
 
-    def u_matrix(self):
-        """The volume element of the k-scaled form, acting diagonally."""
+    def u_op(self):
+        """The volume element s Delta_1 ... Delta_n of the k-scaled form."""
         u = volume_element(scale(self.base.form, self.k))
-        return clifford_action_matrix(u, list(self.diag_gens), self.dim)
+        (mask, s), = u.coeffs.items()
+        out = SparseOp.identity(self.dim)
+        for i, gen in enumerate(self.diag_gens):
+            if mask >> i & 1:
+                out = out.compose(gen)
+        return out.scale(s)  # last: the products stay on int arithmetic
 
 
 def tensor_power(module: GradedModule, k: int) -> TensorPower:
     """Build E^(x)k and verify the twisted-action identities exactly.
 
     The copy generators anticommute across copies via grading signs on the
-    earlier slots, the diagonal generators square to k q, and the graded
-    transpositions square to one, satisfy the braid relation, commute at
-    distance and commute with the diagonal action.
+    earlier slots, the diagonal generators square to k q and anticommute,
+    and the graded transpositions square to one, satisfy the braid
+    relation, commute at distance and commute with the diagonal action.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -240,65 +252,56 @@ def tensor_power(module: GradedModule, k: int) -> TensorPower:
     index = {t: i for i, t in enumerate(basis)}
     g = module.grading
     grading = tuple(sum(g[i] for i in t) % 2 for t in basis)
+    gen_cols = [SparseOp.from_dense(gen).cols for gen in module.gens]
 
     def copy_generator(c, j):
-        gen = module.gens[j]
-        out = linalg.zeros(dim)
+        cols = []
         for t in basis:
-            sign = Fraction(-1) ** sum(g[t[a]] for a in range(c))
-            col = index[t]
-            for r in range(d):
-                x = gen[r][t[c]]
-                if x:
-                    u = t[:c] + (r,) + t[c + 1:]
-                    out[index[u]][col] = x * sign
-        return out
+            sign = -1 if sum(g[t[a]] for a in range(c)) % 2 else 1
+            cols.append({index[t[:c] + (r,) + t[c + 1:]]: x * sign
+                         for r, x in gen_cols[j][t[c]].items()})
+        return SparseOp(cols)
 
     copy_gens = tuple(tuple(copy_generator(c, j) for j in range(n)) for c in range(k))
     diag_gens = []
     for j in range(n):
         acc = copy_gens[0][j]
         for c in range(1, k):
-            acc = linalg.mat_add(acc, copy_gens[c][j])
+            acc = acc + copy_gens[c][j]
         diag_gens.append(acc)
 
     def adjacent(c):
-        out = linalg.zeros(dim)
-        for t in basis:
-            u = t[:c] + (t[c + 1], t[c]) + t[c + 2:]
-            out[index[u]][index[t]] = Fraction(-1) ** (g[t[c]] * g[t[c + 1]])
-        return out
+        return SparseOp({index[t[:c] + (t[c + 1], t[c]) + t[c + 2:]]:
+                         -1 if g[t[c]] and g[t[c + 1]] else 1} for t in basis)
 
     adjacents = tuple(adjacent(c) for c in range(k - 1))
     tp = TensorPower(module, k, grading, tuple(diag_gens), copy_gens, adjacents)
 
-    ident = linalg.identity(dim)
+    ident = SparseOp.identity(dim)
     for j in range(n):
-        if not linalg.mat_eq(linalg.mat_mul(diag_gens[j], diag_gens[j]),
-                             linalg.mat_scale(ident, k * module.form.diag[j])):
+        if diag_gens[j].compose(diag_gens[j]) != ident.scale(k * module.form.diag[j]):
             raise PresentationError("diagonal generator does not square to k q")
     for i in range(n):
         for j in range(i + 1, n):
-            anti = linalg.mat_add(linalg.mat_mul(diag_gens[i], diag_gens[j]),
-                                  linalg.mat_mul(diag_gens[j], diag_gens[i]))
-            if any(any(x for x in row) for row in anti):
+            if (diag_gens[i].compose(diag_gens[j])
+                    != diag_gens[j].compose(diag_gens[i]).scale(-1)):
                 raise PresentationError("diagonal generators do not anticommute")
     for s in adjacents:
-        if not linalg.mat_eq(linalg.mat_mul(s, s), ident):
+        if s.compose(s) != ident:
             raise PresentationError("graded swap does not square to one")
     for c in range(k - 2):
-        lhs = linalg.mat_mul(linalg.mat_mul(adjacents[c], adjacents[c + 1]), adjacents[c])
-        rhs = linalg.mat_mul(linalg.mat_mul(adjacents[c + 1], adjacents[c]), adjacents[c + 1])
-        if not linalg.mat_eq(lhs, rhs):
+        lhs = adjacents[c].compose(adjacents[c + 1]).compose(adjacents[c])
+        rhs = adjacents[c + 1].compose(adjacents[c]).compose(adjacents[c + 1])
+        if lhs != rhs:
             raise PresentationError("graded swaps fail the braid relation")
     for c1 in range(k - 1):
         for c2 in range(c1 + 2, k - 1):
-            if not linalg.mat_eq(linalg.mat_mul(adjacents[c1], adjacents[c2]),
-                                 linalg.mat_mul(adjacents[c2], adjacents[c1])):
+            if (adjacents[c1].compose(adjacents[c2])
+                    != adjacents[c2].compose(adjacents[c1])):
                 raise PresentationError("distant graded swaps do not commute")
     for s in adjacents:
-        for gmat in diag_gens:
-            if not linalg.mat_eq(linalg.mat_mul(s, gmat), linalg.mat_mul(gmat, s)):
+        for gen in diag_gens:
+            if s.compose(gen) != gen.compose(s):
                 raise PresentationError("swaps do not commute with the diagonal action")
     return tp
 
@@ -339,34 +342,33 @@ def sym_character(lam: tuple, mu: tuple) -> int:
     return total
 
 
-def cycle_type(perm: tuple) -> tuple:
-    seen = [False] * len(perm)
-    lengths = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        ln, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        lengths.append(ln)
-    return tuple(sorted(lengths, reverse=True))
+def _class_word(mu: tuple) -> list:
+    """Adjacent-swap word of a permutation of cycle type mu.
 
-
-def _adjacent_word(perm: tuple) -> list:
-    # bubble-sort word; composing the adjacents in word order realizes perm
-    arr = list(perm)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(arr) - 1):
-            if arr[j] > arr[j + 1]:
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                word.append(j)
-                changed = True
+    tau_s tau_(s+1) ... tau_(s+l-2) is an l-cycle on the slots s..s+l-1,
+    one such word per part on consecutive slots.
+    """
+    word, start = [], 0
+    for part in mu:
+        word.extend(range(start, start + part - 1))
+        start += part
     return word
+
+
+def _class_size(mu: tuple) -> int:
+    """|C_mu| = k! / prod_i i^(m_i) m_i!, m_i the number of parts equal to i."""
+    z = 1
+    for part in set(mu):
+        z *= part ** mu.count(part) * math.factorial(mu.count(part))
+    return math.factorial(sum(mu)) // z
+
+
+def _combo_trace(combo, keep, right=None):
+    """Block trace of sum_i c_i A_i (composed with ``right``) from (c_i, A_i) pairs."""
+    acc = Fraction(0)
+    for coeff, op in combo:
+        acc = acc + coeff * op.trace(keep, right)
+    return acc
 
 
 # -- Adams via eigenmodules of the cycle --------------------------------------
@@ -394,14 +396,6 @@ class VirtualCyclotomicModule:
         return acc
 
 
-def _cyc_scaled(order, mat, scalar: Cyclotomic):
-    return [[scalar * x for x in row] for row in mat]
-
-
-def _cyc_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _as_integer(x) -> int:
     if isinstance(x, Cyclotomic):
         x = x.descend()
@@ -412,46 +406,40 @@ def _as_integer(x) -> int:
 
 
 def cycle_eigen_projectors(tp: TensorPower):
-    """Exact eigenprojectors (1/k) sum_l w^(-jl) T^l of the cycle operator.
+    """Eigenprojectors (1/k) sum_l w^(-jl) T^l of the cycle operator T.
 
-    Verified idempotent, mutually orthogonal and resolving the identity.
+    Each is returned as its (coefficient, T^l) pairs, an element of the
+    group algebra of <T> = Z/k.  T^k = 1 is checked on the operator, so T
+    satisfies every relation of that group algebra; idempotence, mutual
+    orthogonality and the resolution of 1 are checked there.
     """
     k = tp.k
-    dim = tp.dim
-    t_pows = [linalg.identity(dim)]
-    cyc = tp.cycle_matrix()
+    cyc = tp.cycle_op()
+    t_pows = [SparseOp.identity(tp.dim)]
     for _ in range(k - 1):
-        t_pows.append(linalg.mat_mul(t_pows[-1], cyc))
-    if not linalg.mat_eq(linalg.mat_mul(t_pows[-1], cyc), linalg.identity(dim)):
+        t_pows.append(t_pows[-1].compose(cyc))
+    if t_pows[-1].compose(cyc) != t_pows[0]:
         raise PresentationError("cycle operator order is not k")
 
-    zero = Cyclotomic.from_const(k, 0)
-    projectors = []
-    for j in range(k):
-        acc = [[zero] * dim for _ in range(dim)]
-        for l in range(k):
-            scalar = Cyclotomic.zeta(k, (-j * l) % k) * Fraction(1, k)
-            acc = _cyc_add(acc, _cyc_scaled(k, t_pows[l], scalar))
-        projectors.append(acc)
+    def convolve(a, b):
+        out = [Cyclotomic.from_const(k, 0)] * k
+        for x, ax in enumerate(a):
+            for y, by in enumerate(b):
+                out[(x + y) % k] = out[(x + y) % k] + ax * by
+        return out
 
-    for i, p in enumerate(projectors):
-        if not _cyc_mat_eq(linalg.mat_mul(p, p), p):
+    coeffs = [[Cyclotomic.zeta(k, (-j * l) % k) * Fraction(1, k) for l in range(k)]
+              for j in range(k)]
+    for i, p in enumerate(coeffs):
+        if convolve(p, p) != p:
             raise PresentationError("eigenprojector is not idempotent")
-        for j in range(i + 1, k):
-            prod = linalg.mat_mul(p, projectors[j])
-            if any(any(bool(x) for x in row) for row in prod):
+        for q in coeffs[i + 1:]:
+            if any(convolve(p, q)):
                 raise PresentationError("eigenprojectors are not orthogonal")
-    total = projectors[0]
-    for p in projectors[1:]:
-        total = _cyc_add(total, p)
-    if not _cyc_mat_eq(total, [[Cyclotomic.from_const(k, 1 if r == c else 0)
-                                for c in range(dim)] for r in range(dim)]):
+    total = [sum(column, Cyclotomic.from_const(k, 0)) for column in zip(*coeffs)]
+    if total != [1] + [0] * (k - 1):
         raise PresentationError("eigenprojectors do not resolve the identity")
-    return projectors
-
-
-def _cyc_mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return [list(zip(p, t_pows)) for p in coeffs]
 
 
 def adams_bar(module: GradedModule, k: int) -> VirtualCyclotomicModule:
@@ -461,13 +449,14 @@ def adams_bar(module: GradedModule, k: int) -> VirtualCyclotomicModule:
 
 
 def adams_bar_of(tp: TensorPower) -> VirtualCyclotomicModule:
+    """Eigen dimensions from the block traces tr(T^l | block)."""
     projectors = cycle_eigen_projectors(tp)
     keep0 = [g == 0 for g in tp.grading]
     keep1 = [g == 1 for g in tp.grading]
     dims = []
     for p in projectors:
-        d0 = _as_integer(linalg.masked_trace(p, keep0))
-        d1 = _as_integer(linalg.masked_trace(p, keep1))
+        d0 = _as_integer(_combo_trace(p, keep0))
+        d1 = _as_integer(_combo_trace(p, keep1))
         if d0 < 0 or d1 < 0:
             raise PresentationError("negative eigenmodule dimension")
         dims.append((d0, d1))
@@ -495,28 +484,32 @@ class AdamsCharacter:
 
 
 def isotypic_projectors(tp: TensorPower):
-    """(partition, dim, chi at the k-cycle, projector) for each irreducible."""
+    """(partition, dim, chi at the k-cycle, central idempotent) per irreducible.
+
+    The idempotent (dim/k!) sum_g chi(g) g is kept as a class function: one
+    (dim |C_mu| chi(mu) / k!, sigma_mu) pair per cycle type mu, sigma_mu a
+    permutation of that type composed from the graded adjacents.  Block
+    traces of the idempotent, also against operators that commute with the
+    action, equal those of the class sum.  Idempotence is checked as the
+    row orthogonality sum_mu |C_mu| chi_lam(mu) chi_lam'(mu) = k! delta.
+    """
     k = tp.k
-    perms = list(itertools.permutations(range(k)))
-    mats = {}
-    for perm in perms:
-        mats[perm] = tp.perm_matrix(_adjacent_word(perm))
-    cycle_class = tuple([k])
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
+    fact = math.factorial(k)
+    classes = list(partitions(k))
+    sizes = {mu: _class_size(mu) for mu in classes}
+    for lam in classes:
+        for lam2 in classes:
+            inner = sum(sizes[mu] * sym_character(lam, mu) * sym_character(lam2, mu)
+                        for mu in classes)
+            if inner != (fact if lam == lam2 else 0):
+                raise PresentationError("isotypic idempotents are not orthogonal")
+    reps = {mu: tp.perm_op(_class_word(mu)) for mu in classes}
     out = []
-    for lam in partitions(k):
+    for lam in classes:
         dim_pi = sym_character(lam, (1,) * k)
-        chi_c = sym_character(lam, cycle_class)
-        acc = linalg.zeros(tp.dim)
-        for perm in perms:
-            chi = sym_character(lam, cycle_type(perm))
-            if chi:
-                acc = linalg.mat_add(acc, linalg.mat_scale(mats[perm], Fraction(chi)))
-        proj = linalg.mat_scale(acc, Fraction(dim_pi, fact))
-        if not linalg.mat_eq(linalg.mat_mul(proj, proj), proj):
-            raise PresentationError("isotypic projector is not idempotent")
+        chi_c = sym_character(lam, (k,))
+        proj = [(Fraction(dim_pi * sizes[mu] * sym_character(lam, mu), fact), reps[mu])
+                for mu in classes if sym_character(lam, mu)]
         out.append((lam, dim_pi, chi_c, proj))
     return out
 
@@ -534,9 +527,10 @@ def adams_character_of(tp: TensorPower) -> AdamsCharacter:
     psi0 = psi1 = 0
     check0 = check1 = 0
     for lam, dim_pi, chi_c, proj in isotypic_projectors(tp):
-        h0 = linalg.masked_trace(proj, keep0) / dim_pi
-        h1 = linalg.masked_trace(proj, keep1) / dim_pi
-        h0, h1 = _as_integer(h0), _as_integer(h1)
+        h0 = _as_integer(_combo_trace(proj, keep0) / dim_pi)
+        h1 = _as_integer(_combo_trace(proj, keep1) / dim_pi)
+        if h0 < 0 or h1 < 0:
+            raise PresentationError("negative isotypic multiplicity")
         pieces.append(IsotypicPiece(lam, dim_pi, chi_c, (h0, h1)))
         psi0 += chi_c * h0
         psi1 += chi_c * h1
@@ -568,30 +562,29 @@ class MoritaResult:
         return self.multiplicity
 
 
-def morita_reduce(grading, u_matrix, presentation: GradedModule,
+def morita_reduce(grading, u: SparseOp, presentation: GradedModule,
                   projector=None, isotypic_dim: int = 1) -> MoritaResult:
     """Multiplicity of the standard graded module E in (the image of) N.
 
-    Writing N = E (x) W with the algebra element of square one acting as
+    Writing N = E (x) W with the algebra element u of square one acting as
     +1 on E0 and -1 on E1, the graded multiplicities of W are recovered
-    from traces of commuting projectors; all four consistency equations
-    and the dimension arithmetic are checked.
+    from the block traces of P Q+- with Q+- = (1 +- u)/2, where the
+    projector P commutes with u and is given as (coefficient, operator)
+    pairs (default: the identity); all four consistency equations and the
+    dimension arithmetic are checked.
     """
     e0, e1 = presentation.dims
-    dim = len(grading)
-    half = Fraction(1, 2)
-    ident = linalg.identity(dim)
-    proj = projector if projector is not None else ident
-    q_plus = linalg.mat_scale(linalg.mat_add(ident, u_matrix), half)
-    q_minus = linalg.mat_scale(linalg.mat_sub(ident, u_matrix), half)
-    a = linalg.mat_mul(proj, q_plus)
-    b = linalg.mat_mul(proj, q_minus)
+    proj = projector if projector is not None else [(1, SparseOp.identity(len(grading)))]
     keep0 = [g == 0 for g in grading]
     keep1 = [g == 1 for g in grading]
-    t0p = linalg.masked_trace(a, keep0) / isotypic_dim
-    t0m = linalg.masked_trace(b, keep0) / isotypic_dim
-    t1p = linalg.masked_trace(a, keep1) / isotypic_dim
-    t1m = linalg.masked_trace(b, keep1) / isotypic_dim
+
+    def q_trace(keep, sign):
+        # tr(P Q | block) / isotypic_dim for Q = (1 + sign u)/2, by linearity
+        return ((_combo_trace(proj, keep) + sign * _combo_trace(proj, keep, u))
+                / (2 * isotypic_dim))
+
+    t0p, t0m = q_trace(keep0, 1), q_trace(keep0, -1)
+    t1p, t1m = q_trace(keep1, 1), q_trace(keep1, -1)
 
     def ratio(x, y):
         if y == 0 or x % y:
@@ -613,7 +606,7 @@ def hermitian_bott_of(module: GradedModule, k: int) -> Fraction:
     twist = twist_rep(module, k)
     if not is_end_iso(twist):
         raise PresentationError("twisted structure map is not bijective")
-    u_n = tp.u_matrix()
+    u_n = tp.u_op()
     rho = 0
     for lam, dim_pi, chi_c, proj in isotypic_projectors(tp):
         if chi_c == 0:

@@ -175,3 +175,29 @@ def test_sphere_mismatch_is_a_failed_check(capsys, monkeypatch):
     monkeypatch.setattr(lambda_bott, "sum_of_powers", lambda r, k: real(r, k) + 1)
     assert main(["bott", "--mode", "sphere", "--r", "2", "--k", "3"]) == 1
     assert "differs from closed form" in capsys.readouterr().err
+
+
+def test_failed_module_identity_is_a_failed_check(capsys, monkeypatch):
+    from spinbott import modules
+    monkeypatch.setattr(modules, "is_end_iso", lambda module: False)
+    assert main(["adams-module", "--m", "1", "--k", "2"]) == 1
+    assert "structure map is not bijective" in capsys.readouterr().err
+
+
+def test_failed_braid_normalization_is_a_failed_check(capsys, monkeypatch):
+    from spinbott import clifford
+    real = clifford.braid_normalize
+    # doubling one lift leaves its braid words proportional by 2, not by a sign
+    monkeypatch.setattr(clifford, "braid_normalize",
+                        lambda gens: real([gens[0] * 2] + list(gens[1:])))
+    assert main(["spin-lift", "--form", "1,-1", "--copies", "3"]) == 1
+    assert "not proportional by a sign" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m, k", [(2, 4), (1, 5)])
+def test_adams_module_beyond_the_dense_sizes(capsys, m, k):
+    code, payload = run(capsys, "adams-module", "--m", str(m), "--k", str(k))
+    assert code == 0
+    assert payload["rho_k"] == payload["expected"] == str(k ** m)
+    assert payload["psi_bar"] == payload["psi_char"]
+    assert sum(d0 + d1 for d0, d1 in payload["eigen_dims"]) == 2 ** (m * k)

@@ -1,15 +1,19 @@
 """Graded Clifford modules, tensor powers, both Adams routes, the reduction."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from spinbott import linalg
+import dense_modules
+from spinbott import linalg, modules
+from spinbott.linalg import SparseOp
 from spinbott.modules import (GradedModule, PresentationError, adams_bar,
-                              adams_character, adams_module_report, cycle_type,
-                              hermitian_bott, is_end_iso, morita_reduce,
-                              opposite_form_check, opposite_module, partitions,
-                              spinor_rep, sym_character, tensor_power, twist_rep)
+                              adams_character, adams_module_report,
+                              hermitian_bott, hermitian_bott_of, is_end_iso,
+                              morita_reduce, opposite_form_check, opposite_module,
+                              partitions, spinor_rep, sym_character, tensor_power,
+                              twist_rep)
 from spinbott.quadforms import QuadraticForm, scale
 
 
@@ -58,22 +62,23 @@ def test_tensor_power_invariants():
     m1 = spinor_rep(1)
     tp = tensor_power(m1, 2)
     assert tp.dim == 4
-    swap = tp.adjacents[0]
+    swap = tp.adjacents[0].to_dense()
     assert linalg.mat_mul(swap, swap) == linalg.identity(4)
     # graded swap fixes 00, exchanges 01/10, negates 11
     assert swap[3][3] == -1 and swap[0][0] == 1
     for j, q in enumerate(m1.form.diag):
-        sq = linalg.mat_mul(tp.diag_gens[j], tp.diag_gens[j])
+        gen = tp.diag_gens[j].to_dense()
+        sq = linalg.mat_mul(gen, gen)
         assert sq == linalg.mat_scale(linalg.identity(4), 2 * q)
 
 
 def test_tensor_power_braid():
     tp = tensor_power(spinor_rep(1), 3)
-    s1, s2 = tp.adjacents
+    s1, s2 = (s.to_dense() for s in tp.adjacents)
     lhs = linalg.mat_mul(linalg.mat_mul(s1, s2), s1)
     rhs = linalg.mat_mul(linalg.mat_mul(s2, s1), s2)
     assert lhs == rhs
-    cyc = tp.cycle_matrix()
+    cyc = tp.cycle_op().to_dense()
     assert linalg.mat_mul(linalg.mat_mul(cyc, cyc), cyc) == linalg.identity(8)
 
 
@@ -83,7 +88,7 @@ def test_characters():
     assert sym_character((2, 1), (1, 1, 1)) == 2
     assert sym_character((2, 1), (3,)) == -1
     assert list(partitions(3)) == [(3,), (2, 1), (1, 1, 1)]
-    assert cycle_type((1, 2, 0, 3)) == (3, 1)
+    assert dense_modules.cycle_type((1, 2, 0, 3)) == (3, 1)
     # column orthogonality at the identity: sum of squared dimensions = k!
     assert sum(sym_character(lam, (1,) * 4) ** 2 for lam in partitions(4)) == 24
 
@@ -108,7 +113,7 @@ def test_adams_character_total_dimension():
 
 def test_morita_examples():
     m1 = spinor_rep(1)
-    u = m1.volume_matrix()
+    u = SparseOp.from_dense(m1.volume_matrix())
     r = morita_reduce(m1.grading, u, m1)
     assert r.multiplicity == 1 and int(r) == 1
 
@@ -116,18 +121,18 @@ def test_morita_examples():
                           tuple([[g[r % 2][c % 2] if (r // 2 == c // 2) else 0
                                   for c in range(4)] for r in range(4)]
                                 for g in m1.gens))
-    r2 = morita_reduce(double.grading, double.volume_matrix(), m1)
+    r2 = morita_reduce(double.grading, SparseOp.from_dense(double.volume_matrix()), m1)
     assert r2.multiplicity == 2
 
     tp = tensor_power(m1, 2)
-    r3 = morita_reduce(tp.grading, tp.u_matrix(), twist_rep(m1, 2))
+    r3 = morita_reduce(tp.grading, tp.u_op(), twist_rep(m1, 2))
     assert r3.multiplicity == m1.dim  # dimension count: 4 = mult * 2
 
 
 def test_morita_mismatch():
     m1 = spinor_rep(1)
     with pytest.raises(PresentationError):
-        morita_reduce((0, 0, 1), linalg.diag([1, 1, -1]), m1)
+        morita_reduce((0, 0, 1), SparseOp.from_dense(linalg.diag([1, 1, -1])), m1)
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (3, 2)])
@@ -184,3 +189,49 @@ def test_adams_agreement_full_grid():
     dims = rep["eigen_dims"]
     assert dims[1] == dims[2]
     assert sum(d0 + d1 for d0, d1 in dims) == 64
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3)])
+def test_sparse_report_matches_dense_oracle(m, k):
+    assert adams_module_report(m, k) == dense_modules.adams_module_report(m, k)
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2)])
+def test_opposite_module_bott_matches_dense_oracle(m, k):
+    opp = opposite_module(spinor_rep(m))
+    assert hermitian_bott_of(opp, k) == dense_modules.hermitian_bott_of(opp, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_class_words_realize_their_cycle_types(k):
+    for mu in partitions(k):
+        perm = list(range(k))
+        for c in modules._class_word(mu):
+            perm[c], perm[c + 1] = perm[c + 1], perm[c]
+        assert dense_modules.cycle_type(tuple(perm)) == mu
+    assert sum(modules._class_size(mu) for mu in partitions(k)) == math.factorial(k)
+
+
+def test_sparse_operator_matches_dense_products():
+    tp = tensor_power(spinor_rep(1), 3)
+    dense = dense_modules.tensor_power(spinor_rep(1), 3)
+    for sparse_gen, dense_gen in zip(tp.diag_gens, dense.diag_gens):
+        assert sparse_gen.to_dense() == dense_gen
+    assert tp.cycle_op().to_dense() == dense.cycle_matrix()
+    assert tp.u_op().to_dense() == dense.u_matrix()
+    a, b = tp.diag_gens
+    assert a.compose(b).to_dense() == linalg.mat_mul(a.to_dense(), b.to_dense())
+    assert (a + b).to_dense() == linalg.mat_add(a.to_dense(), b.to_dense())
+    assert SparseOp.from_dense(a.to_dense()) == a
+    assert a.scale(Fraction(3, 2)).to_dense() == linalg.mat_scale(a.to_dense(), Fraction(3, 2))
+    cyc, u = tp.cycle_op(), tp.u_op()
+    x = SparseOp.from_dense([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(-1, 3)]])
+    y = SparseOp.from_dense([[Fraction(5), Fraction(0)], [Fraction(7), Fraction(8)]])
+    assert x.trace([True, False], y) == 19 and x.trace([False, True], y) == Fraction(-8, 3)
+    for left, right in ((a, cyc), (cyc, b), (cyc, cyc), (cyc, u),
+                        (tp.adjacents[0], cyc.compose(a))):
+        prod = linalg.mat_mul(left.to_dense(), right.to_dense())
+        for block in (0, 1):
+            keep = [g == block for g in tp.grading]
+            assert left.trace(keep, right) == dense_modules.masked_trace(prod, keep)
+            assert left.trace(keep) == dense_modules.masked_trace(left.to_dense(), keep)
