@@ -19,12 +19,12 @@ from fractions import Fraction
 from . import linalg
 from .config import FailedCheckError, check_cap
 from .quadforms import QuadraticForm, format_form, is_orientable, scale
-from .rings import _format_terms, _split_terms
+from .rings import RingElement, RingMismatchError, _format_terms, _split_terms
 
 _popcount = int.bit_count
 
 
-class FormMismatchError(ValueError):
+class FormMismatchError(RingMismatchError):
     """Operands live over different quadratic forms."""
 
 
@@ -42,10 +42,11 @@ def _blade_sign(a: int, b: int) -> int:
     return -1 if s & 1 else 1
 
 
-class CliffordElement:
+class CliffordElement(RingElement):
     """Sparse element of C(V, q): map from blade bitmask to coefficient."""
 
     __slots__ = ("form", "coeffs")
+    _mismatch = FormMismatchError
 
     def __init__(self, form: QuadraticForm, coeffs=None):
         check_cap("max_dim", form.rank, "Clifford rank")
@@ -59,9 +60,6 @@ class CliffordElement:
                 clean[mask] = c
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CliffordElement values are immutable")
 
     @classmethod
     def scalar(cls, form: QuadraticForm, c) -> "CliffordElement":
@@ -80,41 +78,14 @@ class CliffordElement:
 
     # -- ring structure ----------------------------------------------------
 
-    def _match(self, other) -> "CliffordElement":
-        if isinstance(other, CliffordElement):
-            if other.form != self.form:
-                raise FormMismatchError("elements live over different forms")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CliffordElement.scalar(self.form, other)
-        return NotImplemented
+    _ring = property(lambda self: self.form)
 
-    def __add__(self, other):
-        o = self._match(other)
-        if o is NotImplemented:
-            return NotImplemented
-        coeffs = dict(self.coeffs)
-        for m, c in o.coeffs.items():
-            coeffs[m] = coeffs.get(m, Fraction(0)) + c
+    def _new(self, coeffs) -> "CliffordElement":
         return CliffordElement(self.form, coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._match(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return CliffordElement(self.form, {m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CliffordElement(self.form, {m: c * other for m, c in self.coeffs.items()})
+            return self._scale(other)
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
@@ -133,33 +104,9 @@ class CliffordElement:
                 m = m1 ^ m2
                 acc = coeffs.get(m)
                 coeffs[m] = c if acc is None else acc + c
-        return CliffordElement(self.form, coeffs)
+        return self._new(coeffs)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("use inverse() for negative powers")
-        out = CliffordElement.scalar(self.form, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CliffordElement.scalar(self.form, other)
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        return self.form == other.form and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     # -- grading and involution ---------------------------------------------
 
@@ -172,9 +119,6 @@ class CliffordElement:
             return None
         return parities.pop()
 
-    def is_homogeneous(self) -> bool:
-        return self.degree() is not None
-
     def bar(self) -> "CliffordElement":
         """The reversal involution: fixes V, reverses blade factors."""
         out = {}
@@ -183,21 +127,15 @@ class CliffordElement:
             out[m] = -c if (r * (r - 1) // 2) & 1 else c
         return CliffordElement(self.form, out)
 
-    def scalar_part(self):
-        return self.coeffs.get(0, Fraction(0))
-
     def is_scalar(self) -> bool:
         return not any(m for m in self.coeffs)
-
-    def coefficient(self, mask: int):
-        return self.coeffs.get(mask, Fraction(0))
 
     def spinorial_norm(self):
         """N(a) = a * bar(a); raises if the product is not a scalar."""
         prod = self * self.bar()
         if not prod.is_scalar():
             raise ValueError("a * bar(a) is not a scalar: not a Clifford-group element")
-        return prod.scalar_part()
+        return prod.coefficient(0)
 
     def inverse(self) -> "CliffordElement | None":
         """Two-sided inverse, or None when the element is not a unit.
@@ -210,7 +148,7 @@ class CliffordElement:
             return None
         nbar = self * self.bar()
         if nbar.is_scalar():
-            s = nbar.scalar_part()
+            s = nbar.coefficient(0)
             if s:
                 cand = self.bar() * (1 / Fraction(s))
                 if (self * cand).coeffs == {0: Fraction(1)}:
@@ -605,6 +543,7 @@ def parse_element(s: str, form: QuadraticForm) -> CliffordElement:
                     bit = 1 << (i - 1)
                     if mask & bit:
                         raise ValueError(f"repeated generator e{i}")
+                    coeff *= _blade_sign(mask, bit)  # e_i moves left past higher generators
                     mask |= bit
                     last = m.end()
                 if last != len(f):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import FailedCheckError, check_cap
-from .rings import (Cyclotomic, NotAUnitError, TruncatedPoly, _format_terms,
-                    _split_terms, euler_phi)
+from .rings import (Cyclotomic, NotAUnitError, RingElement, TruncatedPoly,
+                    _format_terms, _split_terms, euler_phi)
 
 
 class NotEffectiveError(ValueError):
@@ -42,21 +42,19 @@ def _strip(exps) -> tuple:
     return tuple(exps)
 
 
-class LineExpr:
+class LineExpr(RingElement):
     """Linear combination of Laurent monomials in line symbols L1, L2, ..."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("coeffs",)
+    _ONE = ()
 
-    def __init__(self, terms=None):
+    def __init__(self, coeffs=None):
         clean = {}
-        for exps, c in (terms or {}).items():
+        for exps, c in (coeffs or {}).items():
             c = Fraction(c)
             if c:
                 clean[_strip(exps)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LineExpr values are immutable")
+        object.__setattr__(self, "coeffs", clean)
 
     @classmethod
     def scalar(cls, c) -> "LineExpr":
@@ -73,95 +71,46 @@ class LineExpr:
     def monomial(cls, exps, c=1) -> "LineExpr":
         return cls({tuple(exps): c})
 
-    def _match(self, other):
-        if isinstance(other, LineExpr):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LineExpr.scalar(other)
-        return NotImplemented
+    _ring = None  # one ring: every line symbol is available to every expression
 
-    def __add__(self, other):
-        o = self._match(other)
-        if o is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return LineExpr(terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._match(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return LineExpr({e: -c for e, c in self.terms.items()})
+    def _new(self, coeffs) -> "LineExpr":
+        return LineExpr(coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LineExpr({e: c * other for e, c in self.terms.items()})
+            return self._scale(other)
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
         n = max(self.nsymbols, o.nsymbols)
-        left = [(e + (0,) * (n - len(e)), c) for e, c in self.terms.items()]
-        right = [(e + (0,) * (n - len(e)), c) for e, c in o.terms.items()]
-        terms: dict = {}
+        left = [(e + (0,) * (n - len(e)), c) for e, c in self.coeffs.items()]
+        right = [(e + (0,) * (n - len(e)), c) for e, c in o.coeffs.items()]
+        coeffs: dict = {}
         for e1, c1 in left:
             for e2, c2 in right:
                 e = tuple(map(int.__add__, e1, e2))
-                acc = terms.get(e)
-                terms[e] = c1 * c2 if acc is None else acc + c1 * c2
-        return LineExpr(terms)
+                acc = coeffs.get(e)
+                coeffs[e] = c1 * c2 if acc is None else acc + c1 * c2
+        return self._new(coeffs)
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers of general expressions")
-        out = LineExpr.scalar(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LineExpr.scalar(other)
-        if not isinstance(other, LineExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
-
     @property
     def nsymbols(self) -> int:
-        return max((len(e) for e in self.terms), default=0)
+        return max((len(e) for e in self.coeffs), default=0)
 
     def is_effective(self) -> bool:
-        return all(c > 0 and c.denominator == 1 for c in self.terms.values())
+        return all(c > 0 and c.denominator == 1 for c in self.coeffs.values())
 
     def monomials(self):
         """(exponent tuple, multiplicity) pairs; effective input only."""
         if not self.is_effective():
             raise NotEffectiveError("expression has negative or fractional coefficients")
-        return [(e, int(c)) for e, c in sorted(self.terms.items())]
+        return [(e, int(c)) for e, c in sorted(self.coeffs.items())]
 
     def rank(self) -> Fraction:
         """Sum of coefficients (virtual rank after L_i -> 1)."""
-        return sum(self.terms.values(), Fraction(0))
+        return sum(self.coeffs.values(), Fraction(0))
 
     def __repr__(self):
         return f"LineExpr({format_line_expr(self)!r})"
@@ -230,7 +179,7 @@ def adams_lines(x: LineExpr, k: int) -> LineExpr:
     if k < 1:
         raise ValueError("k must be positive")
     return LineExpr({_strip(tuple(e * k for e in exps)): c
-                     for exps, c in x.terms.items()})
+                     for exps, c in x.coeffs.items()})
 
 
 def adams_newton(v: LambdaVector, k: int):
@@ -298,7 +247,7 @@ def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
         return out
 
     result = TruncatedPoly.const(r, 1)
-    for exps, c in sorted(x.terms.items()):
+    for exps, c in sorted(x.coeffs.items()):
         if c.denominator != 1:
             raise NotEffectiveError("virtual evaluation needs integer multiplicities")
         m = image_of(exps)
@@ -417,7 +366,7 @@ def sphere_formula(r: int, k: int) -> Fraction:
     top = (1 << r) - 1
     coeff = f.coefficient(top) / Fraction(k) ** r
     expect = Fraction(sum_of_powers(r, k), k ** r)
-    if coeff != expect or f.constant_term() != k:
+    if coeff != expect or f.coefficient(0) != k:
         raise FormulaMismatchError(
             f"truncated-ring coefficient {coeff} differs from closed form {expect}")
     return coeff
@@ -434,8 +383,8 @@ def format_line_expr(x: LineExpr) -> str:
             parts.append(f"L{i}" if e == 1 else f"L{i}^{e}")
         return "*".join(parts)
 
-    keys = sorted(x.terms)
-    return _format_terms([(e, x.terms[e]) for e in keys], var_of)
+    keys = sorted(x.coeffs)
+    return _format_terms([(e, x.coeffs[e]) for e in keys], var_of)
 
 
 _LINE_RE = re.compile(r"^L(\d+)(?:\^(-?\d+))?$")

@@ -363,12 +363,16 @@ def _class_size(mu: tuple) -> int:
     return math.factorial(sum(mu)) // z
 
 
-def _combo_trace(combo, keep, right=None):
-    """Block trace of sum_i c_i A_i (composed with ``right``) from (c_i, A_i) pairs."""
-    acc = Fraction(0)
-    for coeff, op in combo:
-        acc = acc + coeff * op.trace(keep, right)
-    return acc
+def _block_traces(ops, grading, right=None) -> list:
+    """[tr(op o right | block 0), tr(op o right | block 1)] for each operator."""
+    keeps = [[g == b for g in grading] for b in (0, 1)]
+    return [[op.trace(keep, right) for keep in keeps] for op in ops]
+
+
+def _weigh(weights, traces) -> list:
+    """[sum_i c_i tr(A_i | block) for blocks 0, 1] from the c_i and the A_i's block traces."""
+    return [sum((c * t[block] for c, t in zip(weights, traces) if c), Fraction(0))
+            for block in (0, 1)]
 
 
 # -- Adams via eigenmodules of the cycle --------------------------------------
@@ -379,10 +383,6 @@ class VirtualCyclotomicModule:
 
     order: int
     graded_dims: tuple  # ((d0, d1), ...) for eigenvalues w^0 .. w^(k-1)
-
-    @property
-    def virtual_dims(self) -> tuple:
-        return tuple(d0 - d1 for d0, d1 in self.graded_dims)
 
     def total(self) -> int:
         return sum(d0 + d1 for d0, d1 in self.graded_dims)
@@ -408,8 +408,9 @@ def _as_integer(x) -> int:
 def cycle_eigen_projectors(tp: TensorPower):
     """Eigenprojectors (1/k) sum_l w^(-jl) T^l of the cycle operator T.
 
-    Each is returned as its (coefficient, T^l) pairs, an element of the
-    group algebra of <T> = Z/k.  T^k = 1 is checked on the operator, so T
+    Returns the powers T^0..T^(k-1) and, per eigenvalue w^j, the
+    coefficients of its projector over them, an element of the group
+    algebra of <T> = Z/k.  T^k = 1 is checked on the operator, so T
     satisfies every relation of that group algebra; idempotence, mutual
     orthogonality and the resolution of 1 are checked there.
     """
@@ -439,7 +440,7 @@ def cycle_eigen_projectors(tp: TensorPower):
     total = [sum(column, Cyclotomic.from_const(k, 0)) for column in zip(*coeffs)]
     if total != [1] + [0] * (k - 1):
         raise PresentationError("eigenprojectors do not resolve the identity")
-    return [list(zip(p, t_pows)) for p in coeffs]
+    return t_pows, coeffs
 
 
 def adams_bar(module: GradedModule, k: int) -> VirtualCyclotomicModule:
@@ -449,14 +450,12 @@ def adams_bar(module: GradedModule, k: int) -> VirtualCyclotomicModule:
 
 
 def adams_bar_of(tp: TensorPower) -> VirtualCyclotomicModule:
-    """Eigen dimensions from the block traces tr(T^l | block)."""
-    projectors = cycle_eigen_projectors(tp)
-    keep0 = [g == 0 for g in tp.grading]
-    keep1 = [g == 1 for g in tp.grading]
+    """Eigen dimensions from the block traces tr(T^l | block), each taken once."""
+    t_pows, projectors = cycle_eigen_projectors(tp)
+    traces = _block_traces(t_pows, tp.grading)
     dims = []
     for p in projectors:
-        d0 = _as_integer(_combo_trace(p, keep0))
-        d1 = _as_integer(_combo_trace(p, keep1))
+        d0, d1 = (_as_integer(x) for x in _weigh(p, traces))
         if d0 < 0 or d1 < 0:
             raise PresentationError("negative eigenmodule dimension")
         dims.append((d0, d1))
@@ -484,14 +483,17 @@ class AdamsCharacter:
 
 
 def isotypic_projectors(tp: TensorPower):
-    """(partition, dim, chi at the k-cycle, central idempotent) per irreducible.
+    """Class representatives and, per irreducible, (partition, dim, chi at
+    the k-cycle, central idempotent).
 
-    The idempotent (dim/k!) sum_g chi(g) g is kept as a class function: one
-    (dim |C_mu| chi(mu) / k!, sigma_mu) pair per cycle type mu, sigma_mu a
-    permutation of that type composed from the graded adjacents.  Block
-    traces of the idempotent, also against operators that commute with the
-    action, equal those of the class sum.  Idempotence is checked as the
-    row orthogonality sum_mu |C_mu| chi_lam(mu) chi_lam'(mu) = k! delta.
+    The idempotent (dim/k!) sum_g chi(g) g is kept as a class function: its
+    weights dim |C_mu| chi(mu) / k!, one per cycle type mu, on the
+    representatives sigma_mu, permutations of those types composed from the
+    graded adjacents.  Block traces of the idempotent, also against
+    operators that commute with the action, equal those of the class sum,
+    so one trace of each sigma_mu serves every irreducible.  Idempotence is
+    checked as the row orthogonality
+    sum_mu |C_mu| chi_lam(mu) chi_lam'(mu) = k! delta.
     """
     k = tp.k
     fact = math.factorial(k)
@@ -503,15 +505,15 @@ def isotypic_projectors(tp: TensorPower):
                         for mu in classes)
             if inner != (fact if lam == lam2 else 0):
                 raise PresentationError("isotypic idempotents are not orthogonal")
-    reps = {mu: tp.perm_op(_class_word(mu)) for mu in classes}
-    out = []
+    reps = [tp.perm_op(_class_word(mu)) for mu in classes]
+    pieces = []
     for lam in classes:
         dim_pi = sym_character(lam, (1,) * k)
         chi_c = sym_character(lam, (k,))
-        proj = [(Fraction(dim_pi * sizes[mu] * sym_character(lam, mu), fact), reps[mu])
-                for mu in classes if sym_character(lam, mu)]
-        out.append((lam, dim_pi, chi_c, proj))
-    return out
+        weights = [Fraction(dim_pi * sizes[mu] * sym_character(lam, mu), fact)
+                   for mu in classes]
+        pieces.append((lam, dim_pi, chi_c, weights))
+    return reps, pieces
 
 
 def adams_character(module: GradedModule, k: int) -> AdamsCharacter:
@@ -521,14 +523,13 @@ def adams_character(module: GradedModule, k: int) -> AdamsCharacter:
 
 
 def adams_character_of(tp: TensorPower) -> AdamsCharacter:
-    keep0 = [g == 0 for g in tp.grading]
-    keep1 = [g == 1 for g in tp.grading]
+    reps, isotypic = isotypic_projectors(tp)
+    traces = _block_traces(reps, tp.grading)
     pieces = []
     psi0 = psi1 = 0
     check0 = check1 = 0
-    for lam, dim_pi, chi_c, proj in isotypic_projectors(tp):
-        h0 = _as_integer(_combo_trace(proj, keep0) / dim_pi)
-        h1 = _as_integer(_combo_trace(proj, keep1) / dim_pi)
+    for lam, dim_pi, chi_c, weights in isotypic:
+        h0, h1 = (_as_integer(x / dim_pi) for x in _weigh(weights, traces))
         if h0 < 0 or h1 < 0:
             raise PresentationError("negative isotypic multiplicity")
         pieces.append(IsotypicPiece(lam, dim_pi, chi_c, (h0, h1)))
@@ -536,7 +537,7 @@ def adams_character_of(tp: TensorPower) -> AdamsCharacter:
         psi1 += chi_c * h1
         check0 += dim_pi * h0
         check1 += dim_pi * h1
-    if check0 != sum(keep0) or check1 != sum(keep1):
+    if check0 != tp.grading.count(0) or check1 != tp.grading.count(1):
         raise PresentationError("isotypic decomposition does not preserve dimension")
     return AdamsCharacter(tp.k, tuple(pieces), (psi0, psi1))
 
@@ -562,38 +563,39 @@ class MoritaResult:
         return self.multiplicity
 
 
-def morita_reduce(grading, u: SparseOp, presentation: GradedModule,
-                  projector=None, isotypic_dim: int = 1) -> MoritaResult:
-    """Multiplicity of the standard graded module E in (the image of) N.
+def morita_reduce(grading, u: SparseOp, presentation: GradedModule) -> MoritaResult:
+    """Multiplicity of the standard graded module E in N.
 
     Writing N = E (x) W with the algebra element u of square one acting as
     +1 on E0 and -1 on E1, the graded multiplicities of W are recovered
-    from the block traces of P Q+- with Q+- = (1 +- u)/2, where the
-    projector P commutes with u and is given as (coefficient, operator)
-    pairs (default: the identity); all four consistency equations and the
+    from the block traces of Q+- = (1 +- u)/2.
+    """
+    traces, u_traces = _block_traces([SparseOp.identity(len(grading)), u], grading)
+    return _morita_weights(traces, u_traces, presentation)
+
+
+def _morita_weights(traces, u_traces, presentation: GradedModule,
+                    isotypic_dim: int = 1) -> MoritaResult:
+    """(w0, w1) from tr(P | block) and tr(P u | block), P a projector commuting with u.
+
+    By linearity tr(P Q+- | block) = (tr(P | block) +- tr(P u | block)) / 2;
+    divided by ``isotypic_dim`` these are w0 e0 and w1 e0 for Q+ on blocks 0
+    and 1, and w1 e1 and w0 e1 for Q-.  All four equations and the
     dimension arithmetic are checked.
     """
     e0, e1 = presentation.dims
-    proj = projector if projector is not None else [(1, SparseOp.identity(len(grading)))]
-    keep0 = [g == 0 for g in grading]
-    keep1 = [g == 1 for g in grading]
 
-    def q_trace(keep, sign):
-        # tr(P Q | block) / isotypic_dim for Q = (1 + sign u)/2, by linearity
-        return ((_combo_trace(proj, keep) + sign * _combo_trace(proj, keep, u))
-                / (2 * isotypic_dim))
-
-    t0p, t0m = q_trace(keep0, 1), q_trace(keep0, -1)
-    t1p, t1m = q_trace(keep1, 1), q_trace(keep1, -1)
+    def q_trace(block, sign):
+        return _as_integer((traces[block] + sign * u_traces[block]) / (2 * isotypic_dim))
 
     def ratio(x, y):
         if y == 0 or x % y:
             raise PresentationError("module dimension is not a multiple of dim E")
         return x // y
 
-    w0 = ratio(_as_integer(t0p), e0)
-    w1 = ratio(_as_integer(t1p), e0)
-    if w0 != ratio(_as_integer(t1m), e1) or w1 != ratio(_as_integer(t0m), e1):
+    w0 = ratio(q_trace(0, 1), e0)
+    w1 = ratio(q_trace(1, 1), e0)
+    if w0 != ratio(q_trace(1, -1), e1) or w1 != ratio(q_trace(0, -1), e1):
         raise PresentationError("graded blocks disagree with the presentation")
     return MoritaResult(w0, w1)
 
@@ -606,12 +608,14 @@ def hermitian_bott_of(module: GradedModule, k: int) -> Fraction:
     twist = twist_rep(module, k)
     if not is_end_iso(twist):
         raise PresentationError("twisted structure map is not bijective")
-    u_n = tp.u_op()
+    reps, isotypic = isotypic_projectors(tp)
+    traces = _block_traces(reps, tp.grading)
+    u_traces = _block_traces(reps, tp.grading, tp.u_op())
     rho = 0
-    for lam, dim_pi, chi_c, proj in isotypic_projectors(tp):
+    for lam, dim_pi, chi_c, weights in isotypic:
         if chi_c == 0:
             continue
-        w = morita_reduce(tp.grading, u_n, twist, projector=proj, isotypic_dim=dim_pi)
+        w = _morita_weights(_weigh(weights, traces), _weigh(weights, u_traces), twist, dim_pi)
         rho += chi_c * w.virtual_rank
     return Fraction(rho)
 

@@ -8,7 +8,9 @@ denominator).  The two structured domains live here:
 * ``TruncatedPoly`` -- Q[x1..xr]/(xi^2), the nilpotent ring where virtual
   Bott classes are evaluated.
 
-Both are immutable; every operation is a pure function.  Cyclotomic
+Both, like ``LineExpr`` and ``CliffordElement``, are ``RingElement``
+subclasses: immutable, with sums, differences, powers and comparisons
+written once there; every operation is a pure function.  Cyclotomic
 coefficients are Fractions by default but may be elements of any exact
 commutative ring implementing +, -, * (with int and with each other),
 since reduction mod the monic integer polynomial Phi_k only ever scales
@@ -26,7 +28,7 @@ from .config import check_cap
 
 
 class RingMismatchError(ValueError):
-    """Operands belong to distinct rings (order or arity disagrees)."""
+    """Operands belong to distinct rings (order, arity or form disagrees)."""
 
 
 class NotAUnitError(ZeroDivisionError):
@@ -47,6 +49,95 @@ class DescentError(ValueError):
         super().__init__(f"not fixed by w -> w^{violating} in order {order}")
         self.order = order
         self.violating = violating
+
+
+class RingElement:
+    """The ring structure shared by every exact ring element of the package.
+
+    A subclass keeps its coefficients in ``coeffs`` -- a ``{monomial:
+    coeff}`` dict with no zero entries -- and supplies four things: a
+    checking constructor, ``_ring`` (what two operands must share: an
+    order, a variable count, a form), ``_new`` (an element of the same
+    ring from coefficients) and its own ``__mul__``/``__rmul__``.  Ints and
+    Fractions coerce to constants; an operand from another ring raises the
+    subclass's ``_mismatch`` error.  Values are immutable.  ``Cyclotomic``
+    stores a dense vector instead and replaces every method here that
+    reads the dict.
+    """
+
+    __slots__ = ()
+    _mismatch = RingMismatchError
+    _ONE = 0  # the monomial of the constants
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def _const(self, c):
+        return self._new({self._ONE: c})
+
+    def _match(self, other):
+        if isinstance(other, type(self)):
+            if other._ring != self._ring:
+                raise self._mismatch(f"{type(self).__name__} operands over different "
+                                     f"rings: {self._ring} vs {other._ring}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._const(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._match(other)
+        if o is NotImplemented:
+            return NotImplemented
+        coeffs = dict(self.coeffs)
+        for m, c in o.coeffs.items():
+            acc = coeffs.get(m)
+            coeffs[m] = c if acc is None else acc + c
+        return self._new(coeffs)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._match(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self.coeffs.items()})
+
+    def _scale(self, c):
+        return self._new({m: x * c for m, x in self.coeffs.items()})
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError(f"negative powers of {type(self).__name__} values "
+                             "are not supported")
+        out, base = self._const(1), self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._const(other)
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        return self._ring == other._ring and self.coeffs == other.coeffs
+
+    __hash__ = None
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def coefficient(self, monomial):
+        return self.coeffs.get(monomial, Fraction(0))
 
 
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
@@ -107,10 +198,13 @@ def _reduce_mod_phi(order: int, dense: list) -> list:
     return dense
 
 
-class Cyclotomic:
+class Cyclotomic(RingElement):
     """An element of Omega_k (x) R, reduced mod Phi_k.
 
     ``coeffs`` always has length phi(k); entry i is the coordinate of w^i.
+    The vector is dense because it carries the zero of the coefficient
+    ring, which need not be Q, so addition, negation, scaling, truth and
+    coefficients are its own rather than the dict ones of RingElement.
     """
 
     __slots__ = ("order", "coeffs")
@@ -121,9 +215,6 @@ class Cyclotomic:
         check_cap("max_k", order, "cyclotomic order")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(_reduce_mod_phi(order, list(coeffs))))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Cyclotomic values are immutable")
 
     @classmethod
     def from_const(cls, order: int, c) -> "Cyclotomic":
@@ -137,39 +228,31 @@ class Cyclotomic:
 
     # -- ring structure ---------------------------------------------------
 
-    def _match(self, other) -> "Cyclotomic":
-        if isinstance(other, Cyclotomic):
-            if other.order != self.order:
-                raise RingMismatchError(
-                    f"cyclotomic orders differ: {self.order} vs {other.order}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_const(self.order, other)
-        return NotImplemented
+    _ring = property(lambda self: self.order)
+
+    def _new(self, coeffs) -> "Cyclotomic":
+        return Cyclotomic(self.order, coeffs)
+
+    def _const(self, c) -> "Cyclotomic":
+        return self._new([c])
 
     def __add__(self, other):
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._new([a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._match(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Cyclotomic(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __neg__(self):
-        return Cyclotomic(self.order, [-a for a in self.coeffs])
+        return self._new([-a for a in self.coeffs])
+
+    def _scale(self, c) -> "Cyclotomic":
+        return self._new([a * c for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [a * other for a in self.coeffs])
+            return self._scale(other)
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
@@ -180,33 +263,16 @@ class Cyclotomic:
                 for j, b in enumerate(o.coeffs):
                     if b:
                         dense[i + j] = dense[i + j] + a * b
-        return Cyclotomic(self.order, dense)
+        return self._new(dense)
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise NotAUnitError("negative cyclotomic powers are not supported")
-        out = Cyclotomic.from_const(self.order, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_const(self.order, other)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    __hash__ = None
-
     def __bool__(self):
         return any(bool(c) for c in self.coeffs)
+
+    def coefficient(self, i: int):
+        """The coordinate of w^i, 0 <= i < phi(k)."""
+        return self.coeffs[i]
 
     # -- Galois structure --------------------------------------------------
 
@@ -226,11 +292,6 @@ class Cyclotomic:
 
     def is_constant(self) -> bool:
         return not any(bool(c) for c in self.coeffs[1:])
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.coeffs[0]
 
     def descend(self):
         """The rational (base-ring) value of a Galois-invariant element.
@@ -331,6 +392,8 @@ def parse_cyclotomic(s: str) -> Cyclotomic:
         raise ValueError(f"missing '@order' in cyclotomic literal: {s!r}")
     body, order_s = s.rsplit("@", 1)
     order = int(order_s)
+    if order < 1:
+        raise ValueError("order must be positive")
     coeffs: dict[int, Fraction] = {}
     for sign, term in _split_terms(body):
         factors = [f.strip() for f in term.split("*")]
@@ -341,33 +404,31 @@ def parse_cyclotomic(s: str) -> Cyclotomic:
                 power += int(f[2:]) if f.startswith("w^") else 1
             else:
                 coeff *= Fraction(f)
+        power %= order  # w^order = 1, so negative powers are positive ones
         coeffs[power] = coeffs.get(power, Fraction(0)) + coeff
     top = max(coeffs, default=0)
     dense = [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
     return Cyclotomic(order, dense)
 
 
-class TruncatedPoly:
+class TruncatedPoly(RingElement):
     """Element of Q[x1..xr]/(xi^2): sparse map variable-bitmask -> Fraction."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "coeffs")
 
-    def __init__(self, nvars: int, terms=None):
+    def __init__(self, nvars: int, coeffs=None):
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
         check_cap("max_vars", nvars, "variable count")
         clean: dict[int, Fraction] = {}
-        for mask, c in (terms or {}).items():
+        for mask, c in (coeffs or {}).items():
             if mask >> nvars:
                 raise ValueError(f"term mask {mask:#x} outside {nvars} variables")
             c = Fraction(c)
             if c:
                 clean[mask] = c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TruncatedPoly values are immutable")
+        object.__setattr__(self, "coeffs", clean)
 
     @classmethod
     def const(cls, nvars: int, c) -> "TruncatedPoly":
@@ -380,88 +441,35 @@ class TruncatedPoly:
             raise ValueError(f"x{i} out of range for {nvars} variables")
         return cls(nvars, {1 << (i - 1): Fraction(1)})
 
-    def _match(self, other) -> "TruncatedPoly":
-        if isinstance(other, TruncatedPoly):
-            if other.nvars != self.nvars:
-                raise RingMismatchError(
-                    f"variable counts differ: {self.nvars} vs {other.nvars}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TruncatedPoly.const(self.nvars, other)
-        return NotImplemented
+    _ring = property(lambda self: self.nvars)
 
-    def __add__(self, other):
-        o = self._match(other)
-        if o is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for mask, c in o.terms.items():
-            terms[mask] = terms.get(mask, Fraction(0)) + c
-        return TruncatedPoly(self.nvars, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._match(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return TruncatedPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+    def _new(self, coeffs) -> "TruncatedPoly":
+        return TruncatedPoly(self.nvars, coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncatedPoly(self.nvars, {m: c * other for m, c in self.terms.items()})
+            return self._scale(other)
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
+        coeffs: dict[int, Fraction] = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in o.coeffs.items():
                 if m1 & m2:
                     continue  # repeated variable: xi^2 = 0
                 m = m1 | m2
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return TruncatedPoly(self.nvars, terms)
+                coeffs[m] = coeffs.get(m, Fraction(0)) + c1 * c2
+        return self._new(coeffs)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
-            return self.invert() ** (-e)
-        out = TruncatedPoly.const(self.nvars, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedPoly.const(self.nvars, other)
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get(0, Fraction(0))
-
-    def coefficient(self, mask: int) -> Fraction:
-        return self.terms.get(mask, Fraction(0))
+            return self.invert() ** -e
+        return super().__pow__(e)
 
     def is_unit(self) -> bool:
-        return bool(self.constant_term())
+        return bool(self.coefficient(0))
 
     def invert(self) -> "TruncatedPoly":
         """Exact inverse via the finite geometric series.
@@ -469,7 +477,7 @@ class TruncatedPoly:
         Valid exactly when the constant term is nonzero: the rest is
         nilpotent with vanishing (nvars+1)-st power.
         """
-        c = self.constant_term()
+        c = self.coefficient(0)
         if not c:
             raise NotAUnitError("zero constant term has no inverse")
         n = self - c  # nilpotent part
@@ -493,8 +501,8 @@ def format_truncated(a: TruncatedPoly) -> str:
     def var_of(mask):
         return "*".join(f"x{i + 1}" for i in range(a.nvars) if mask >> i & 1)
 
-    keys = sorted(a.terms, key=lambda m: (bin(m).count("1"), m))
-    return _format_terms([(m, a.terms[m]) for m in keys], var_of)
+    keys = sorted(a.coeffs, key=lambda m: (bin(m).count("1"), m))
+    return _format_terms([(m, a.coeffs[m]) for m in keys], var_of)
 
 
 _VAR_RE = re.compile(r"^x(\d+)$")

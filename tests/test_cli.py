@@ -201,3 +201,10 @@ def test_adams_module_beyond_the_dense_sizes(capsys, m, k):
     assert payload["rho_k"] == payload["expected"] == str(k ** m)
     assert payload["psi_bar"] == payload["psi_char"]
     assert sum(d0 + d1 for d0, d1 in payload["eigen_dims"]) == 2 ** (m * k)
+
+
+def test_clifford_check_reads_generators_in_any_order(capsys):
+    # e2e1 = -e1e2, so this element is zero
+    code, payload = run(capsys, "clifford-check", "--form", "1,-1", "--element", "e1e2 + e2e1")
+    assert code == 0
+    assert payload == {"member": False, "reason": "zero is not invertible"}

@@ -1,5 +1,6 @@
 """Blade arithmetic, the Clifford group, volume elements and the liftings."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -315,3 +316,35 @@ def test_cyclotomic_coefficients():
     prod = a * b
     assert prod.coefficient(0b11) == w * w
     assert (a * a).coefficient(0) == w * w  # contraction by q_1 = 1
+
+
+@pytest.mark.parametrize("text, expect", [
+    ("e2e1", "-e1e2"),
+    ("e3*e1e2", "e1e2e3"),
+    ("e3e2e1", "-e1e2e3"),
+    ("e1e3e2 + 2*e2e1e3", "-3*e1e2e3"),
+    ("e1e2 + e2e1", "0"),
+])
+def test_parse_element_applies_the_generator_order_sign(text, expect):
+    q = QuadraticForm((1, -1, 2))
+    assert format_element(parse_element(text, q)) == expect
+
+
+def test_parse_element_matches_the_product_of_its_generators():
+    q = QuadraticForm((1, -1, 2))
+    for order in itertools.permutations((1, 2, 3)):
+        text = "".join(f"e{i}" for i in order)
+        assert parse_element(text, q) == gen(q, order[0]) * gen(q, order[1]) * gen(q, order[2])
+
+
+def test_parse_element_refuses_a_repeated_generator():
+    with pytest.raises(ValueError, match="repeated generator e1"):
+        parse_element("e1e2e1", QuadraticForm((1, -1)))
+
+
+@given(*[elements(form=QuadraticForm((1, -1, 2)))] * 3)
+@settings(max_examples=50)
+def test_clifford_distributive(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a * (b - c) == a * b - a * c

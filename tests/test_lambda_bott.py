@@ -232,3 +232,11 @@ def test_line_expr_text_roundtrip():
 @settings(max_examples=60)
 def test_line_expr_roundtrip_random(x):
     assert parse_line_expr(format_line_expr(x)) == x
+
+
+@given(line_exprs(), line_exprs(), line_exprs())
+@settings(max_examples=60)
+def test_line_expr_distributive(x, y, z):
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert x * (y - z) == x * y - x * z

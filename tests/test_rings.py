@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbott.clifford import CliffordElement, FormMismatchError
 from spinbott.config import CapExceededError, Caps, caps_scope
+from spinbott.lambda_bott import LineExpr
+from spinbott.quadforms import QuadraticForm
 from spinbott.rings import (Cyclotomic, DescentError, GaloisActionError,
-                            NotAUnitError, RingMismatchError, TruncatedPoly,
+                            NotAUnitError, RingElement, RingMismatchError, TruncatedPoly,
                             cyclotomic_polynomial, euler_phi, format_cyclotomic,
                             format_truncated, parse_cyclotomic, parse_truncated)
 
@@ -193,3 +196,86 @@ def test_truncated_text_roundtrip(a):
 def test_parse_unreduced_literal():
     # inputs may be unreduced; storage is canonical mod the cyclotomic polynomial
     assert parse_cyclotomic("1 - 2*w + w^2@3") == Cyclotomic(3, [0, -3])
+
+
+def test_parse_cyclotomic_negative_powers():
+    # w^-1 = w^(k-1), reduced mod Phi_k
+    assert parse_cyclotomic("w^-1@3") == Cyclotomic(3, [-1, -1])
+    assert format_cyclotomic(parse_cyclotomic("w^-1@3")) == "-1 - w@3"
+    assert format_cyclotomic(parse_cyclotomic("1 + w^-1@3")) == "-w@3"
+    assert parse_cyclotomic("w^-3@4") == Cyclotomic.zeta(4)
+    assert parse_cyclotomic("w*w^-1@5") == 1
+    assert parse_cyclotomic("w^7@3") == Cyclotomic.zeta(3)
+
+
+@pytest.mark.parametrize("text", ["w@0", "1 + w^-1@0", "w@-3"])
+def test_parse_cyclotomic_refuses_nonpositive_order(text):
+    with pytest.raises(ValueError, match="order must be positive"):
+        parse_cyclotomic(text)
+
+
+# Per ring type: a non-constant element, an element of another ring of the
+# same type (None: the type is one ring), the mismatch error, the constant
+# monomial.
+RING_CASES = {
+    "LineExpr": (lambda: LineExpr.symbol(1) + 2, lambda: None, RingMismatchError, ()),
+    "TruncatedPoly": (lambda: TruncatedPoly(2, {0: 2, 1: 1}),
+                      lambda: TruncatedPoly(3, {0: 1}), RingMismatchError, 0),
+    "CliffordElement": (lambda: CliffordElement(QuadraticForm((1, -1)), {0: 2, 0b11: 1}),
+                        lambda: CliffordElement(QuadraticForm((1, 1)), {0: 1}),
+                        FormMismatchError, 0),
+    "Cyclotomic": (lambda: Cyclotomic(3, [2, 1]), lambda: Cyclotomic(4, [1]),
+                   RingMismatchError, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_CASES))
+def test_shared_ring_structure(name):
+    make, make_other, mismatch, one = RING_CASES[name]
+    x, other = make(), make_other()
+    assert isinstance(x, RingElement) and type(x).__name__ == name
+
+    with pytest.raises(AttributeError, match="immutable"):
+        x.coeffs = {}
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    with pytest.raises(TypeError):
+        hash(x)
+
+    if other is not None:
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(mismatch):
+                op(x, other)
+        assert x != other
+    with pytest.raises(TypeError):
+        x + "1"
+    assert (x == "1") is False
+
+    # a scalar on either side of +, - and *
+    assert 2 + x == x + 2 and (2 + x).coefficient(one) == x.coefficient(one) + 2
+    assert x - 2 == -(2 - x) and (x - 2) + 2 == x
+    assert Fraction(1, 2) - x == -(x - Fraction(1, 2))
+    assert 3 * x == x * 3 == x + x + x
+    assert Fraction(1, 2) * x + x * Fraction(1, 2) == x
+    assert x - x == 0 and not (x - x) and bool(x)
+
+    # a scalar compares as a constant
+    assert x * 0 + 2 == 2 and 2 == x * 0 + 2
+    assert x != 2 and (x == 2) is False
+
+    assert x ** 0 == 1 and x ** 1 == x and x ** 3 == x * x * x
+    if isinstance(x, TruncatedPoly):
+        assert x ** -1 * x == 1 and x ** -2 == (x ** -1) ** 2
+    else:
+        with pytest.raises(ValueError, match="negative powers"):
+            x ** -1
+
+
+def test_cyclotomic_over_line_expressions():
+    # the dense vector carries the zero of its coefficient ring
+    L1 = LineExpr.symbol(1)
+    a = Cyclotomic(3, [L1, 1])
+    assert not (a - a) and bool(a)
+    assert a * 0 == 0 and a - a == 0
+    assert (a + 1).coefficient(0) == L1 + 1
+    assert a * a == Cyclotomic(3, [L1 * L1 - 1, 2 * L1 - 1])
