@@ -32,8 +32,11 @@ class UsageError(ValueError):
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -67,6 +70,8 @@ def cmd_bott(args) -> int:
         _emit({"coefficient": format_rational(coeff), "r": args.r, "k": args.k,
                "ring": f"Q[x1..x{args.r}]/(xi^2)", "sign_ambiguous": False}, args.out)
         return 0
+    if args.expr is None:
+        raise UsageError(f"mode={args.mode} needs --expr")
     expr = parse_line_expr(args.expr)
     if args.mode == "lines":
         if expr.is_effective():

@@ -350,7 +350,7 @@ def sum_of_powers(r: int, k: int) -> int:
 
 
 def sphere_formula(r: int, k: int) -> Fraction:
-    """Sphere coefficient: 1 + [1 + 2^r + ... + (k-1)^r] / k^r on the top class.
+    """Sphere coefficient: [1 + 2^r + ... + (k-1)^r] / k^r on the top class.
 
     Path one expands the Bott class of the product line symbol L1...Lr in
     the truncated ring (a k-term geometric series of binomial products)

@@ -1,10 +1,12 @@
 """Small exact linear algebra: dense Fraction matrices and sparse operators.
 
-Dense matrices are lists of lists; elimination-based routines (rank,
-solve, det) require field entries, i.e. Fractions.  ``SparseOp`` holds a
-square operator by columns, for the large signed-permutation and
-monomial-sum operators on tensor powers, where a dense product would cost
-dim^3 and a sparse one costs the nonzeros touched.
+Dense matrices are lists of lists, kept for the checks that need
+elimination: rank, solve and det (field entries, i.e. Fractions) in
+``clifford``, ``quadforms`` and ``verify``.  There is no dense product.
+``SparseOp`` holds a square operator by columns; every module operator is
+one, from the monomial base generators to the signed permutations and
+monomial sums on tensor powers, where a sparse product costs the nonzeros
+touched instead of dim^3.
 """
 
 from __future__ import annotations
@@ -26,40 +28,8 @@ def identity(n: int) -> Matrix:
     return out
 
 
-def diag(entries) -> Matrix:
-    n = len(entries)
-    out = zeros(n)
-    for i, e in enumerate(entries):
-        out[i][i] = Fraction(e) if isinstance(e, int) else e
-    return out
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: Matrix, c) -> Matrix:
     return [[x * c for x in row] for row in a]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    bt = [[b[t][j] for t in range(k)] for j in range(m)]
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = row[0] * col[0]
-            for t in range(1, k):
-                if row[t] and col[t]:
-                    acc = acc + row[t] * col[t]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
 
 
 def transpose(a: Matrix) -> Matrix:

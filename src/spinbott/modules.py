@@ -2,13 +2,14 @@
 
 The hyperbolic Clifford algebra acts on the exterior algebra by creation
 and annihilation operators; twisting the top-right blocks by k turns the
-same space into a module over the k-scaled form.  Tensor powers carry the
-sign-twisted symmetric-group action (signs always derived from the
-grading operators, never from tables), from which two Adams operations
-are computed and compared: the eigenmodule decomposition of the cycle
-operator over a cyclotomic extension, and the character-weighted isotypic
-decomposition.  Reducing through the endomorphism presentation yields the
-module-level Bott class.
+same space into a module over the k-scaled form.  Every operator, from
+the base generators on, is a sparse ``linalg.SparseOp``.  Tensor powers
+carry the sign-twisted symmetric-group action (signs always derived from
+the grading operators, never from tables), from which two Adams
+operations are computed and compared: the eigenmodule decomposition of
+the cycle operator over a cyclotomic extension, and the character-weighted
+isotypic decomposition.  Reducing through the endomorphism presentation
+yields the module-level Bott class.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 from .linalg import SparseOp
 from .clifford import CliffordElement, volume_element
 from .config import FailedCheckError, check_cap
@@ -33,12 +33,12 @@ class PresentationError(FailedCheckError):
 
 @dataclass(frozen=True)
 class GradedModule:
-    """A graded space E with odd generator matrices for a diagonal form.
+    """A graded space E with odd generators for a diagonal form.
 
     ``grading[i]`` is the degree (0 or 1) of the i-th basis vector; each
-    generator exchanges the two blocks and squares to its diagonal
-    coefficient.  The volume element must act as +1 on the even block and
-    -1 on the odd block (the normalized choice of E).
+    generator is a ``SparseOp`` that exchanges the two blocks and squares
+    to its diagonal coefficient.  The volume element must act as +1 on the
+    even block and -1 on the odd block (the normalized choice of E).
     """
 
     form: QuadraticForm
@@ -53,54 +53,57 @@ class GradedModule:
     def dims(self) -> tuple:
         return (self.grading.count(0), self.grading.count(1))
 
-    def grading_matrix(self):
-        return linalg.diag([Fraction(-1) ** g for g in self.grading])
+    def grading_op(self) -> SparseOp:
+        return SparseOp({j: -1 if g else 1} for j, g in enumerate(self.grading))
 
-    def volume_matrix(self):
+    def volume_op(self) -> SparseOp:
         """s gamma_1 ... gamma_n for the orientation witness s."""
-        u = volume_element(self.form)
-        return clifford_action_matrix(u, list(self.gens), self.dim)
+        return clifford_action(volume_element(self.form), self.gens, self.dim)
 
     def validate(self) -> None:
-        n = self.form.rank
-        if len(self.gens) != n:
+        if len(self.gens) != self.form.rank:
             raise PresentationError("need one generator per form entry")
-        d = self.dim
         if self.dims[0] == 0 or self.dims[1] == 0:
             raise PresentationError("both graded blocks must be nonzero")
-        ident = linalg.identity(d)
-        for i, g in enumerate(self.gens):
-            for r in range(d):
-                for c in range(d):
-                    if self.grading[r] == self.grading[c] and g[r][c]:
-                        raise PresentationError(f"generator {i + 1} is not odd")
-            if not linalg.mat_eq(linalg.mat_mul(g, g),
-                                 linalg.mat_scale(ident, self.form.diag[i])):
-                raise PresentationError(f"generator {i + 1} does not square to q_{i + 1}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                anti = linalg.mat_add(linalg.mat_mul(self.gens[i], self.gens[j]),
-                                      linalg.mat_mul(self.gens[j], self.gens[i]))
-                if any(any(x for x in row) for row in anti):
-                    raise PresentationError(f"generators {i + 1},{j + 1} do not anticommute")
-        if not linalg.mat_eq(self.volume_matrix(), self.grading_matrix()):
+        g = self.grading
+        for i, gen in enumerate(self.gens):
+            if any(g[r] == g[c] for c, col in enumerate(gen.cols) for r in col):
+                raise PresentationError(f"generator {i + 1} is not odd")
+        failure = _relation_failure(self.gens, self.form.diag, self.dim)
+        if failure:
+            raise PresentationError(failure)
+        if self.volume_op() != self.grading_op():
             raise PresentationError("volume element is not diag(1,-1) on E0+E1")
 
 
-def clifford_action_matrix(elem, gen_mats, dim):
-    """Image of a Clifford element under e_i -> gen_mats[i-1]."""
-    acc = linalg.zeros(dim)
+def clifford_action(elem, gens, dim) -> SparseOp:
+    """Image of a Clifford element under e_i -> gens[i-1].
+
+    Each blade is composed from the generators before its coefficient
+    scales it, so integer generators keep the products on int arithmetic.
+    """
+    acc = SparseOp({} for _ in range(dim))
     for mask, coeff in elem.coeffs.items():
-        m = linalg.identity(dim)
-        i = 0
-        mm = mask
-        while mm:
-            if mm & 1:
-                m = linalg.mat_mul(m, gen_mats[i])
-            mm >>= 1
-            i += 1
-        acc = linalg.mat_add(acc, linalg.mat_scale(m, coeff))
+        blade = SparseOp.identity(dim)
+        for i, gen in enumerate(gens):
+            if mask >> i & 1:
+                blade = blade.compose(gen)
+        acc = acc + blade.scale(coeff)
     return acc
+
+
+def _relation_failure(gens, diag, dim) -> str | None:
+    """The first Clifford relation g_j^2 = q_j, g_i g_j = -g_j g_i that
+    ``gens`` break for the form ``diag``, or None when all hold."""
+    ident = SparseOp.identity(dim)
+    for j, (gen, q) in enumerate(zip(gens, diag)):
+        if gen.compose(gen) != ident.scale(q):
+            return f"generator {j + 1} does not square to q_{j + 1}"
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if gens[i].compose(gens[j]) != gens[j].compose(gens[i]).scale(-1):
+                return f"generators {i + 1},{j + 1} do not anticommute"
+    return None
 
 
 def spinor_rep(m: int) -> GradedModule:
@@ -108,38 +111,25 @@ def spinor_rep(m: int) -> GradedModule:
 
     Basis vectors are subsets of the m modes; the +1 generator of the
     i-th hyperbolic pair acts as creation + annihilation, the -1 generator
-    as creation - annihilation.
+    as creation - annihilation.  Either way column s has the one entry
+    +-1 in row s ^ 2^i, signed by the modes below i that s occupies.
     """
     if m < 1:
         raise ValueError("need at least one hyperbolic pair")
     dim = 1 << m
     check_cap("max_tensor", dim, "spinor dimension")
 
-    def sign_below(state, i):
-        return -1 if bin(state & ((1 << i) - 1)).count("1") % 2 else 1
-
-    def creation(i):
-        g = linalg.zeros(dim)
+    def generator(i, minus):
+        bit = 1 << i
+        cols = []
         for s in range(dim):
-            if not s >> i & 1:
-                g[s | (1 << i)][s] = Fraction(sign_below(s, i))
-        return g
+            sign = -1 if bin(s & (bit - 1)).count("1") % 2 else 1
+            cols.append({s ^ bit: -sign if minus and s & bit else sign})
+        return SparseOp(cols)
 
-    def annihilation(i):
-        g = linalg.zeros(dim)
-        for s in range(dim):
-            if s >> i & 1:
-                g[s ^ (1 << i)][s] = Fraction(sign_below(s, i))
-        return g
-
-    gens = []
-    for i in range(m):
-        a_dag, a = creation(i), annihilation(i)
-        gens.append(linalg.mat_add(a_dag, a))
-        gens.append(linalg.mat_sub(a_dag, a))
+    gens = tuple(generator(i, minus) for i in range(m) for minus in (False, True))
     module = GradedModule(hyperbolic(m),
-                          tuple(bin(s).count("1") % 2 for s in range(dim)),
-                          tuple(gens))
+                          tuple(bin(s).count("1") % 2 for s in range(dim)), gens)
     module.validate()
     if not is_end_iso(module):
         raise PresentationError("structure map is not bijective")
@@ -147,17 +137,28 @@ def spinor_rep(m: int) -> GradedModule:
 
 
 def is_end_iso(module: GradedModule) -> bool:
-    """Blade images span the full endomorphism algebra (bijectivity)."""
-    n = module.form.rank
-    d = module.dim
-    if (1 << n) != d * d:
+    """The blade images B_S of the generators form a basis of End(E).
+
+    True exactly when 2^n = d^2 (d = dim E), the Clifford relations hold,
+    and tr(B_U) = 0 for every blade U other than the empty one.  This is
+    sound: under the relations B_S B_T = c B_(S xor T) with
+    c = +-prod_(i in S and T) q_i, never zero, so the trace pairing
+    tr(B_S B_T) = c tr(B_(S xor T)) vanishes for S != T and is c d for
+    S = T.  A diagonal pairing with nonzero diagonal makes the 2^n images
+    independent, hence a basis of the d^2-dimensional End(E).  (For even
+    n the traces vanish under the relations anyway, which is why C(V) is
+    central simple; Lam, Introduction to Quadratic Forms over Fields,
+    ch. V.)
+    """
+    n, d = module.form.rank, module.dim
+    if (1 << n) != d * d or _relation_failure(module.gens, module.form.diag, d):
         return False
-    rows = []
-    for mask in range(1 << n):
-        mat = clifford_action_matrix(CliffordElement(module.form, {mask: 1}),
-                                     list(module.gens), d)
-        rows.append([mat[r][c] for r in range(d) for c in range(d)])
-    return linalg.rank(rows) == d * d
+    everything = [True] * d
+    for mask in range(1, 1 << n):
+        blade = clifford_action(CliffordElement(module.form, {mask: 1}), module.gens, d)
+        if blade.trace(everything):
+            return False
+    return True
 
 
 def twist_rep(module: GradedModule, k: int) -> GradedModule:
@@ -166,8 +167,8 @@ def twist_rep(module: GradedModule, k: int) -> GradedModule:
         raise ValueError("k must be positive")
     g = module.grading
     gens = tuple(
-        [[x * k if (g[r], g[c]) == (0, 1) else x for c, x in enumerate(row)]
-         for r, row in enumerate(gen)]
+        SparseOp({r: x * k if (g[r], g[c]) == (0, 1) else x for r, x in col.items()}
+                 for c, col in enumerate(gen.cols))
         for gen in module.gens)
     out = GradedModule(scale(module.form, k), g, gens)
     out.validate()
@@ -180,12 +181,12 @@ def opposite_module(module: GradedModule) -> GradedModule:
     The grading is flipped when needed so that the new volume element is
     again +1 on the even block.
     """
-    eps = module.grading_matrix()
-    gens = tuple(linalg.mat_mul(eps, g) for g in module.gens)
+    eps = module.grading_op()
+    gens = tuple(eps.compose(g) for g in module.gens)
     form = scale(module.form, -1)
     for grading in (module.grading, tuple(1 - g for g in module.grading)):
         cand = GradedModule(form, grading, gens)
-        if linalg.mat_eq(cand.volume_matrix(), cand.grading_matrix()):
+        if cand.volume_op() == cand.grading_op():
             cand.validate()
             return cand
     raise PresentationError("volume element of the opposite module is not diagonal")
@@ -225,13 +226,8 @@ class TensorPower:
 
     def u_op(self):
         """The volume element s Delta_1 ... Delta_n of the k-scaled form."""
-        u = volume_element(scale(self.base.form, self.k))
-        (mask, s), = u.coeffs.items()
-        out = SparseOp.identity(self.dim)
-        for i, gen in enumerate(self.diag_gens):
-            if mask >> i & 1:
-                out = out.compose(gen)
-        return out.scale(s)  # last: the products stay on int arithmetic
+        return clifford_action(volume_element(scale(self.base.form, self.k)),
+                               self.diag_gens, self.dim)
 
 
 def tensor_power(module: GradedModule, k: int) -> TensorPower:
@@ -252,7 +248,7 @@ def tensor_power(module: GradedModule, k: int) -> TensorPower:
     index = {t: i for i, t in enumerate(basis)}
     g = module.grading
     grading = tuple(sum(g[i] for i in t) % 2 for t in basis)
-    gen_cols = [SparseOp.from_dense(gen).cols for gen in module.gens]
+    gen_cols = [gen.cols for gen in module.gens]
 
     def copy_generator(c, j):
         cols = []
@@ -277,15 +273,10 @@ def tensor_power(module: GradedModule, k: int) -> TensorPower:
     adjacents = tuple(adjacent(c) for c in range(k - 1))
     tp = TensorPower(module, k, grading, tuple(diag_gens), copy_gens, adjacents)
 
+    failure = _relation_failure(diag_gens, [k * q for q in module.form.diag], dim)
+    if failure:
+        raise PresentationError(f"diagonal {failure} (k-scaled form)")
     ident = SparseOp.identity(dim)
-    for j in range(n):
-        if diag_gens[j].compose(diag_gens[j]) != ident.scale(k * module.form.diag[j]):
-            raise PresentationError("diagonal generator does not square to k q")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (diag_gens[i].compose(diag_gens[j])
-                    != diag_gens[j].compose(diag_gens[i]).scale(-1)):
-                raise PresentationError("diagonal generators do not anticommute")
     for s in adjacents:
         if s.compose(s) != ident:
             raise PresentationError("graded swap does not square to one")

@@ -1,11 +1,14 @@
 """The dense module path, kept as an independent oracle for small tensor powers.
 
-This is the tensor-power half of ``spinbott.modules`` as it stood before the
-sparse operators replaced it: every operator on E^(x)k is a dense Fraction
-(or Cyclotomic) matrix, the projectors are formed and multiplied in full,
-and every trace is taken of a full product.  Nothing here imports the
-sparse tensor-power code, so a bug in that code cannot be shared with its
-oracle.  It costs k!·dim^3 and is meant for dim <= 64 only.
+This is ``spinbott.modules`` as it stood before the sparse operators
+replaced it: the base generators are read as dense matrices, every operator
+on E^(x)k is a dense Fraction (or Cyclotomic) matrix, the projectors are
+formed and multiplied in full, every trace is taken of a full product, and
+bijectivity of the structure map is a rank.  Nothing here imports the
+sparse code past the base module's constructors, and the dense products
+live here rather than in ``spinbott.linalg``, so a bug in that code cannot
+be shared with its oracle.  It costs k!·dim^3 and is meant for dim <= 64
+only.
 """
 
 from __future__ import annotations
@@ -15,12 +18,43 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from spinbott import linalg
-from spinbott.clifford import volume_element
+from spinbott.clifford import CliffordElement, volume_element
 from spinbott.modules import (GradedModule, PresentationError, VirtualCyclotomicModule,
-                              is_end_iso, partitions, spinor_rep, sym_character,
-                              twist_rep)
+                              partitions, spinor_rep, sym_character, twist_rep)
 from spinbott.quadforms import scale
 from spinbott.rings import Cyclotomic
+
+
+def diag(entries):
+    n = len(entries)
+    out = linalg.zeros(n)
+    for i, e in enumerate(entries):
+        out[i][i] = Fraction(e) if isinstance(e, int) else e
+    return out
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_mul(a, b):
+    k, m = len(b), len(b[0])
+    bt = [[b[t][j] for t in range(k)] for j in range(m)]
+    out = []
+    for row in a:
+        out_row = []
+        for col in bt:
+            acc = row[0] * col[0]
+            for t in range(1, k):
+                if row[t] and col[t]:
+                    acc = acc + row[t] * col[t]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 def masked_trace(a, keep) -> Fraction:
@@ -41,11 +75,25 @@ def clifford_action_matrix(elem, gen_mats, dim):
         mm = mask
         while mm:
             if mm & 1:
-                m = linalg.mat_mul(m, gen_mats[i])
+                m = mat_mul(m, gen_mats[i])
             mm >>= 1
             i += 1
-        acc = linalg.mat_add(acc, linalg.mat_scale(m, coeff))
+        acc = mat_add(acc, linalg.mat_scale(m, coeff))
     return acc
+
+
+def is_end_iso(module: GradedModule) -> bool:
+    """Blade images span the full endomorphism algebra (bijectivity), by rank."""
+    n = module.form.rank
+    d = module.dim
+    if (1 << n) != d * d:
+        return False
+    gens = [gen.to_dense() for gen in module.gens]
+    rows = []
+    for mask in range(1 << n):
+        mat = clifford_action_matrix(CliffordElement(module.form, {mask: 1}), gens, d)
+        rows.append([mat[r][c] for r in range(d) for c in range(d)])
+    return linalg.rank(rows) == d * d
 
 
 def cycle_type(perm: tuple) -> tuple:
@@ -96,7 +144,7 @@ class TensorPower:
     def perm_matrix(self, word):
         out = linalg.identity(self.dim)
         for c in word:
-            out = linalg.mat_mul(out, self.adjacents[c])
+            out = mat_mul(out, self.adjacents[c])
         return out
 
     def cycle_matrix(self):
@@ -117,7 +165,7 @@ def tensor_power(module: GradedModule, k: int) -> TensorPower:
     grading = tuple(sum(g[i] for i in t) % 2 for t in basis)
 
     def copy_generator(c, j):
-        gen = module.gens[j]
+        gen = module.gens[j].to_dense()
         out = linalg.zeros(dim)
         for t in basis:
             sign = Fraction(-1) ** sum(g[t[a]] for a in range(c))
@@ -134,7 +182,7 @@ def tensor_power(module: GradedModule, k: int) -> TensorPower:
     for j in range(n):
         acc = copy_gens[0][j]
         for c in range(1, k):
-            acc = linalg.mat_add(acc, copy_gens[c][j])
+            acc = mat_add(acc, copy_gens[c][j])
         diag_gens.append(acc)
 
     def adjacent(c):
@@ -149,31 +197,31 @@ def tensor_power(module: GradedModule, k: int) -> TensorPower:
 
     ident = linalg.identity(dim)
     for j in range(n):
-        if not linalg.mat_eq(linalg.mat_mul(diag_gens[j], diag_gens[j]),
+        if not linalg.mat_eq(mat_mul(diag_gens[j], diag_gens[j]),
                              linalg.mat_scale(ident, k * module.form.diag[j])):
             raise PresentationError("diagonal generator does not square to k q")
     for i in range(n):
         for j in range(i + 1, n):
-            anti = linalg.mat_add(linalg.mat_mul(diag_gens[i], diag_gens[j]),
-                                  linalg.mat_mul(diag_gens[j], diag_gens[i]))
+            anti = mat_add(mat_mul(diag_gens[i], diag_gens[j]),
+                           mat_mul(diag_gens[j], diag_gens[i]))
             if any(any(x for x in row) for row in anti):
                 raise PresentationError("diagonal generators do not anticommute")
     for s in adjacents:
-        if not linalg.mat_eq(linalg.mat_mul(s, s), ident):
+        if not linalg.mat_eq(mat_mul(s, s), ident):
             raise PresentationError("graded swap does not square to one")
     for c in range(k - 2):
-        lhs = linalg.mat_mul(linalg.mat_mul(adjacents[c], adjacents[c + 1]), adjacents[c])
-        rhs = linalg.mat_mul(linalg.mat_mul(adjacents[c + 1], adjacents[c]), adjacents[c + 1])
+        lhs = mat_mul(mat_mul(adjacents[c], adjacents[c + 1]), adjacents[c])
+        rhs = mat_mul(mat_mul(adjacents[c + 1], adjacents[c]), adjacents[c + 1])
         if not linalg.mat_eq(lhs, rhs):
             raise PresentationError("graded swaps fail the braid relation")
     for c1 in range(k - 1):
         for c2 in range(c1 + 2, k - 1):
-            if not linalg.mat_eq(linalg.mat_mul(adjacents[c1], adjacents[c2]),
-                                 linalg.mat_mul(adjacents[c2], adjacents[c1])):
+            if not linalg.mat_eq(mat_mul(adjacents[c1], adjacents[c2]),
+                                 mat_mul(adjacents[c2], adjacents[c1])):
                 raise PresentationError("distant graded swaps do not commute")
     for s in adjacents:
         for gmat in diag_gens:
-            if not linalg.mat_eq(linalg.mat_mul(s, gmat), linalg.mat_mul(gmat, s)):
+            if not linalg.mat_eq(mat_mul(s, gmat), mat_mul(gmat, s)):
                 raise PresentationError("swaps do not commute with the diagonal action")
     return tp
 
@@ -205,8 +253,8 @@ def cycle_eigen_projectors(tp: TensorPower):
     t_pows = [linalg.identity(dim)]
     cyc = tp.cycle_matrix()
     for _ in range(k - 1):
-        t_pows.append(linalg.mat_mul(t_pows[-1], cyc))
-    if not linalg.mat_eq(linalg.mat_mul(t_pows[-1], cyc), linalg.identity(dim)):
+        t_pows.append(mat_mul(t_pows[-1], cyc))
+    if not linalg.mat_eq(mat_mul(t_pows[-1], cyc), linalg.identity(dim)):
         raise PresentationError("cycle operator order is not k")
 
     zero = Cyclotomic.from_const(k, 0)
@@ -219,10 +267,10 @@ def cycle_eigen_projectors(tp: TensorPower):
         projectors.append(acc)
 
     for i, p in enumerate(projectors):
-        if not _cyc_mat_eq(linalg.mat_mul(p, p), p):
+        if not _cyc_mat_eq(mat_mul(p, p), p):
             raise PresentationError("eigenprojector is not idempotent")
         for j in range(i + 1, k):
-            prod = linalg.mat_mul(p, projectors[j])
+            prod = mat_mul(p, projectors[j])
             if any(any(bool(x) for x in row) for row in prod):
                 raise PresentationError("eigenprojectors are not orthogonal")
     total = projectors[0]
@@ -266,9 +314,9 @@ def isotypic_projectors(tp: TensorPower):
         for perm in perms:
             chi = sym_character(lam, cycle_type(perm))
             if chi:
-                acc = linalg.mat_add(acc, linalg.mat_scale(mats[perm], Fraction(chi)))
+                acc = mat_add(acc, linalg.mat_scale(mats[perm], Fraction(chi)))
         proj = linalg.mat_scale(acc, Fraction(dim_pi, fact))
-        if not linalg.mat_eq(linalg.mat_mul(proj, proj), proj):
+        if not linalg.mat_eq(mat_mul(proj, proj), proj):
             raise PresentationError("isotypic projector is not idempotent")
         out.append((lam, dim_pi, chi_c, proj))
     return out
@@ -297,10 +345,10 @@ def morita_virtual_rank(grading, u_matrix, presentation: GradedModule,
     dim = len(grading)
     half = Fraction(1, 2)
     ident = linalg.identity(dim)
-    q_plus = linalg.mat_scale(linalg.mat_add(ident, u_matrix), half)
-    q_minus = linalg.mat_scale(linalg.mat_sub(ident, u_matrix), half)
-    a = linalg.mat_mul(projector, q_plus)
-    b = linalg.mat_mul(projector, q_minus)
+    q_plus = linalg.mat_scale(mat_add(ident, u_matrix), half)
+    q_minus = linalg.mat_scale(mat_sub(ident, u_matrix), half)
+    a = mat_mul(projector, q_plus)
+    b = mat_mul(projector, q_minus)
     keep0 = [g == 0 for g in grading]
     keep1 = [g == 1 for g in grading]
     t0p = masked_trace(a, keep0) / isotypic_dim

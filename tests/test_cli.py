@@ -63,6 +63,21 @@ def test_bott_missing_r(capsys):
     assert main(["bott", "--mode", "sphere", "--k", "3"]) == 2
 
 
+@pytest.mark.parametrize("mode", ["lines", "cyclotomic"])
+def test_bott_missing_expr(capsys, mode):
+    assert main(["bott", "--mode", mode, "--k", "3"]) == 2
+    assert capsys.readouterr().err == f"error: mode={mode} needs --expr\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "serre"],
+                                  ["adams-module", "--m", "1", "--k", "2"]])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "r.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write --out ")
+    assert not out.exists()
+
+
 def test_serre_sqrt(capsys):
     code, payload = run(capsys, "serre-sqrt", "--lams", "2,1", "--k", "3")
     assert code == 0
@@ -194,7 +209,7 @@ def test_failed_braid_normalization_is_a_failed_check(capsys, monkeypatch):
     assert "not proportional by a sign" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("m, k", [(2, 4), (1, 5)])
+@pytest.mark.parametrize("m, k", [(2, 4), (1, 5), (4, 2)])
 def test_adams_module_beyond_the_dense_sizes(capsys, m, k):
     code, payload = run(capsys, "adams-module", "--m", str(m), "--k", str(k))
     assert code == 0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_modules import mat_mul
 from spinbott import linalg
 from spinbott.clifford import (CliffordElement, FormMismatchError, NotOrientableError,
                                clifford_group_test, format_element, graded_tensor_check,
@@ -207,8 +208,8 @@ def test_phi_homomorphism_on_members():
         a, b = vectors[i], vectors[i + 1]
         ra, rb, rab = (clifford_group_test(x) for x in (a, b, a * b))
         assert ra.member and rb.member and rab.member
-        prod = linalg.mat_mul([list(r) for r in ra.matrix.entries],
-                              [list(r) for r in rb.matrix.entries])
+        prod = mat_mul([list(r) for r in ra.matrix.entries],
+                       [list(r) for r in rb.matrix.entries])
         assert prod == [list(r) for r in rab.matrix.entries]
 
 

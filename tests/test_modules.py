@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import dense_modules
+from dense_modules import diag, mat_add, mat_mul
 from spinbott import linalg, modules
 from spinbott.linalg import SparseOp
 from spinbott.modules import (GradedModule, PresentationError, adams_bar,
@@ -21,10 +22,10 @@ def test_spinor_rep_small():
     m1 = spinor_rep(1)
     assert m1.dims == (1, 1)
     # the two generators in 2x2 form
-    assert m1.gens[0] == [[0, 1], [1, 0]]
-    assert m1.gens[1] == [[0, -1], [1, 0]]
+    assert m1.gens[0].to_dense() == [[0, 1], [1, 0]]
+    assert m1.gens[1].to_dense() == [[0, -1], [1, 0]]
     # volume element acts as +1 on evens, -1 on odds
-    assert m1.volume_matrix() == linalg.diag([1, -1])
+    assert m1.volume_op().to_dense() == diag([1, -1])
 
 
 def test_spinor_rep_surjective():
@@ -35,7 +36,8 @@ def test_spinor_rep_surjective():
 
 def test_graded_module_validation():
     bad = GradedModule(QuadraticForm((1, -1)), (0, 1),
-                       ([[0, 1], [1, 0]], [[0, 1], [1, 0]]))
+                       (SparseOp.from_dense([[0, 1], [1, 0]]),
+                        SparseOp.from_dense([[0, 1], [1, 0]])))
     with pytest.raises(PresentationError):
         bad.validate()  # second generator squares to +1, not -1
 
@@ -47,7 +49,7 @@ def test_twist_rep():
     t2 = twist_rep(m1, 2)
     assert t2.form == scale(m1.form, 2)
     for gen, q in zip(t2.gens, t2.form.diag):
-        assert linalg.mat_mul(gen, gen) == linalg.mat_scale(linalg.identity(2), q)
+        assert mat_mul(gen.to_dense(), gen.to_dense()) == linalg.mat_scale(linalg.identity(2), q)
     assert is_end_iso(t2)
 
 
@@ -63,23 +65,23 @@ def test_tensor_power_invariants():
     tp = tensor_power(m1, 2)
     assert tp.dim == 4
     swap = tp.adjacents[0].to_dense()
-    assert linalg.mat_mul(swap, swap) == linalg.identity(4)
+    assert mat_mul(swap, swap) == linalg.identity(4)
     # graded swap fixes 00, exchanges 01/10, negates 11
     assert swap[3][3] == -1 and swap[0][0] == 1
     for j, q in enumerate(m1.form.diag):
         gen = tp.diag_gens[j].to_dense()
-        sq = linalg.mat_mul(gen, gen)
+        sq = mat_mul(gen, gen)
         assert sq == linalg.mat_scale(linalg.identity(4), 2 * q)
 
 
 def test_tensor_power_braid():
     tp = tensor_power(spinor_rep(1), 3)
     s1, s2 = (s.to_dense() for s in tp.adjacents)
-    lhs = linalg.mat_mul(linalg.mat_mul(s1, s2), s1)
-    rhs = linalg.mat_mul(linalg.mat_mul(s2, s1), s2)
+    lhs = mat_mul(mat_mul(s1, s2), s1)
+    rhs = mat_mul(mat_mul(s2, s1), s2)
     assert lhs == rhs
     cyc = tp.cycle_op().to_dense()
-    assert linalg.mat_mul(linalg.mat_mul(cyc, cyc), cyc) == linalg.identity(8)
+    assert mat_mul(mat_mul(cyc, cyc), cyc) == linalg.identity(8)
 
 
 def test_characters():
@@ -111,17 +113,43 @@ def test_adams_character_total_dimension():
     assert weights == {(2,): 1, (1, 1): -1}
 
 
+def doubled(module):
+    """E + E, with each generator repeated block-diagonally."""
+    d = module.dim
+    return GradedModule(module.form, module.grading * 2,
+                        tuple(SparseOp(gen.cols + tuple({r + d: x for r, x in col.items()}
+                                                        for col in gen.cols))
+                              for gen in module.gens))
+
+
+def _end_iso_module(case):
+    if case == "doubled":
+        return doubled(spinor_rep(1))  # 2^n = 4 != d^2 = 16
+    if case == "relations fail":
+        gen = SparseOp.from_dense([[0, 1], [1, 0]])  # squares to +1, not -1: rank 2 < 4
+        return GradedModule(QuadraticForm((1, -1)), (0, 1), (gen, gen))
+    m, k, opposite = case
+    module = twist_rep(spinor_rep(m), k)  # k = 1 is spinor_rep(m) itself
+    return opposite_module(module) if opposite else module
+
+
+@pytest.mark.parametrize("case", [(m, k, opposite) for m in (1, 2, 3) for k in (1, 2, 3)
+                                  for opposite in (False, True)]
+                         + ["doubled", "relations fail"], ids=str)
+def test_is_end_iso_matches_dense_rank(case):
+    module = _end_iso_module(case)
+    expected = isinstance(case, tuple)
+    assert is_end_iso(module) == dense_modules.is_end_iso(module) == expected
+
+
 def test_morita_examples():
     m1 = spinor_rep(1)
-    u = SparseOp.from_dense(m1.volume_matrix())
+    u = m1.volume_op()
     r = morita_reduce(m1.grading, u, m1)
     assert r.multiplicity == 1 and int(r) == 1
 
-    double = GradedModule(m1.form, m1.grading * 2,
-                          tuple([[g[r % 2][c % 2] if (r // 2 == c // 2) else 0
-                                  for c in range(4)] for r in range(4)]
-                                for g in m1.gens))
-    r2 = morita_reduce(double.grading, SparseOp.from_dense(double.volume_matrix()), m1)
+    double = doubled(m1)
+    r2 = morita_reduce(double.grading, double.volume_op(), m1)
     assert r2.multiplicity == 2
 
     tp = tensor_power(m1, 2)
@@ -132,7 +160,7 @@ def test_morita_examples():
 def test_morita_mismatch():
     m1 = spinor_rep(1)
     with pytest.raises(PresentationError):
-        morita_reduce((0, 0, 1), SparseOp.from_dense(linalg.diag([1, 1, -1])), m1)
+        morita_reduce((0, 0, 1), SparseOp.from_dense(diag([1, 1, -1])), m1)
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (3, 2)])
@@ -166,9 +194,9 @@ def test_twist_squares_on_random_vectors():
         coords = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
         fv = linalg.zeros(m2.dim)
         for c, gen in zip(coords, t3.gens):
-            fv = linalg.mat_add(fv, linalg.mat_scale(gen, c))
+            fv = mat_add(fv, linalg.mat_scale(gen.to_dense(), c))
         qv = sum(c * c * q for c, q in zip(coords, m2.form.diag))
-        assert linalg.mat_mul(fv, fv) == linalg.mat_scale(linalg.identity(m2.dim), 3 * qv)
+        assert mat_mul(fv, fv) == linalg.mat_scale(linalg.identity(m2.dim), 3 * qv)
 
 
 def test_prime_reduction_to_two_eigenmodules():
@@ -220,8 +248,8 @@ def test_sparse_operator_matches_dense_products():
     assert tp.cycle_op().to_dense() == dense.cycle_matrix()
     assert tp.u_op().to_dense() == dense.u_matrix()
     a, b = tp.diag_gens
-    assert a.compose(b).to_dense() == linalg.mat_mul(a.to_dense(), b.to_dense())
-    assert (a + b).to_dense() == linalg.mat_add(a.to_dense(), b.to_dense())
+    assert a.compose(b).to_dense() == mat_mul(a.to_dense(), b.to_dense())
+    assert (a + b).to_dense() == mat_add(a.to_dense(), b.to_dense())
     assert SparseOp.from_dense(a.to_dense()) == a
     assert a.scale(Fraction(3, 2)).to_dense() == linalg.mat_scale(a.to_dense(), Fraction(3, 2))
     cyc, u = tp.cycle_op(), tp.u_op()
@@ -230,7 +258,7 @@ def test_sparse_operator_matches_dense_products():
     assert x.trace([True, False], y) == 19 and x.trace([False, True], y) == Fraction(-8, 3)
     for left, right in ((a, cyc), (cyc, b), (cyc, cyc), (cyc, u),
                         (tp.adjacents[0], cyc.compose(a))):
-        prod = linalg.mat_mul(left.to_dense(), right.to_dense())
+        prod = mat_mul(left.to_dense(), right.to_dense())
         for block in (0, 1):
             keep = [g == block for g in tp.grading]
             assert left.trace(keep, right) == dense_modules.masked_trace(prod, keep)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_modules import diag, mat_mul
 from spinbott import linalg
 from spinbott.quadforms import (INF, BWTriple, DegenerateFormError,
                                 IncompleteScanError, InvalidPlaceError,
@@ -40,8 +41,8 @@ def test_diagonalize_examples():
     form, basis = diagonalize([[0, half], [half, 0]], want_basis=True)
     assert sorted(square_free_part(a) for a in form.diag) == [-1, 1]
     gram = [[0, half], [half, 0]]
-    check = linalg.mat_mul(linalg.transpose(basis), linalg.mat_mul(gram, basis))
-    assert check == linalg.diag(list(form.diag))
+    check = mat_mul(linalg.transpose(basis), mat_mul(gram, basis))
+    assert check == diag(list(form.diag))
 
     assert diagonalize([[1, 0], [0, 1]]).diag == (1, 1)
     assert diagonalize([[2, 1], [1, 2]]).diag == (2, Fraction(3, 2))
@@ -126,11 +127,10 @@ def test_invariance_under_congruence():
             m = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
             if linalg.det(m) != 0:
                 break
-        gram = linalg.mat_mul(linalg.transpose(m),
-                              linalg.mat_mul(linalg.diag(list(q.diag)), m))
+        gram = mat_mul(linalg.transpose(m), mat_mul(diag(list(q.diag)), m))
         q2, basis = diagonalize(gram, want_basis=True)
-        check = linalg.mat_mul(linalg.transpose(basis), linalg.mat_mul(gram, basis))
-        assert check == linalg.diag(list(q2.diag))
+        check = mat_mul(linalg.transpose(basis), mat_mul(gram, basis))
+        assert check == diag(list(q2.diag))
         assert square_free_part(discriminant(q2)) == square_free_part(discriminant(q))
         for p in places:
             assert hasse_witt(q2, p) == hasse_witt(q, p)
