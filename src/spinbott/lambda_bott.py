@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .config import FailedCheckError, check_cap
 from .rings import (Cyclotomic, NotAUnitError, RingElement, TruncatedPoly,
-                    _format_terms, _split_terms, euler_phi)
+                    _exact, _format_terms, _split_terms, euler_phi)
 
 
 class NotEffectiveError(ValueError):
@@ -51,7 +51,8 @@ class LineExpr(RingElement):
     def __init__(self, coeffs=None):
         clean = {}
         for exps, c in (coeffs or {}).items():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = _exact(Fraction(c))
             if c:
                 clean[_strip(exps)] = c
         object.__setattr__(self, "coeffs", clean)
@@ -215,9 +216,9 @@ def bott_lines(x: LineExpr, k: int) -> LineExpr:
     out = LineExpr.scalar(1)
     for exps, mult in x.monomials():
         m = LineExpr.monomial(exps)
-        factor = LineExpr.scalar(0)
-        for t in range(k):
-            factor = factor + m ** t
+        factor = LineExpr.scalar(1)
+        for _ in range(k - 1):  # Horner: 1 + m (1 + m (1 + ...))
+            factor = factor * m + 1
         out = out * factor ** mult
     return out
 
@@ -253,9 +254,9 @@ def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
         m = image_of(exps)
         if not m.is_unit():
             raise NotAUnitError("a line symbol maps to a non-unit of the ambient ring")
-        factor = TruncatedPoly.const(r, 0)
-        for t in range(k):
-            factor = factor + m ** t
+        factor = TruncatedPoly.const(r, 1)
+        for _ in range(k - 1):  # Horner, as in bott_lines
+            factor = factor * m + 1
         result = result * factor ** int(c)
     return result
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .rings import _exact
+
 Matrix = list
 
 
@@ -181,7 +183,3 @@ class SparseOp:
                     elif r in right.cols[j]:
                         acc = acc + x * right.cols[j][r]
         return acc
-
-
-def _exact(x):
-    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x

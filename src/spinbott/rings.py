@@ -1,7 +1,11 @@
 """Exact coefficient domains: rationals, cyclotomic integers, truncated polynomials.
 
-Rationals are `fractions.Fraction` throughout (always reduced, positive
-denominator).  The two structured domains live here:
+Rationals are stored as `int` when integral and as `fractions.Fraction`
+(always reduced, positive denominator) otherwise, so integer data stays on
+int arithmetic; ``_exact`` is the one place that decides, for
+``LineExpr``, ``TruncatedPoly``, ``Cyclotomic`` and ``linalg.SparseOp``
+(``CliffordElement`` keeps Fractions).  The two structured domains live
+here:
 
 * ``Cyclotomic`` -- the ring Z(w) = Z[x]/(Phi_k(x)) and its rational
   extension, stored reduced mod Phi_k so equality is syntactic.
@@ -11,7 +15,7 @@ denominator).  The two structured domains live here:
 Both, like ``LineExpr`` and ``CliffordElement``, are ``RingElement``
 subclasses: immutable, with sums, differences, powers and comparisons
 written once there; every operation is a pure function.  Cyclotomic
-coefficients are Fractions by default but may be elements of any exact
+coefficients are rationals by default but may be elements of any exact
 commutative ring implementing +, -, * (with int and with each other),
 since reduction mod the monic integer polynomial Phi_k only ever scales
 coefficients by integers.
@@ -174,14 +178,18 @@ def euler_phi(k: int) -> int:
     return len(cyclotomic_polynomial(k)) - 1
 
 
-def _coerce(c):
-    return Fraction(c) if isinstance(c, int) else c
+def _exact(c):
+    """The stored form of a coefficient: an integral Fraction becomes its
+    numerator; an int, a proper Fraction or a ring element used as a
+    coefficient (a Cyclotomic entry may be one) is returned as it is."""
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def _reduce_mod_phi(order: int, dense: list) -> list:
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    dense = [_coerce(c) for c in dense]
     while len(dense) > deg:
         top = dense.pop()
         if top:
@@ -189,13 +197,10 @@ def _reduce_mod_phi(order: int, dense: list) -> list:
             for t in range(deg):
                 if phi[t]:
                     dense[base + t] = dense[base + t] - top * phi[t]
-    if dense:
-        zero = dense[0] * 0
-    else:
-        zero = Fraction(0)
+    zero = dense[0] * 0 if dense else 0
     while len(dense) < deg:
         dense.append(zero)
-    return dense
+    return [_exact(c) for c in dense]
 
 
 class Cyclotomic(RingElement):
@@ -412,7 +417,7 @@ def parse_cyclotomic(s: str) -> Cyclotomic:
 
 
 class TruncatedPoly(RingElement):
-    """Element of Q[x1..xr]/(xi^2): sparse map variable-bitmask -> Fraction."""
+    """Element of Q[x1..xr]/(xi^2): sparse map variable-bitmask -> rational."""
 
     __slots__ = ("nvars", "coeffs")
 
@@ -420,11 +425,12 @@ class TruncatedPoly(RingElement):
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
         check_cap("max_vars", nvars, "variable count")
-        clean: dict[int, Fraction] = {}
+        clean: dict = {}
         for mask, c in (coeffs or {}).items():
             if mask >> nvars:
                 raise ValueError(f"term mask {mask:#x} outside {nvars} variables")
-            c = Fraction(c)
+            if type(c) is not int:
+                c = _exact(Fraction(c))
             if c:
                 clean[mask] = c
         object.__setattr__(self, "nvars", nvars)
@@ -432,14 +438,14 @@ class TruncatedPoly(RingElement):
 
     @classmethod
     def const(cls, nvars: int, c) -> "TruncatedPoly":
-        return cls(nvars, {0: Fraction(c)})
+        return cls(nvars, {0: c})
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "TruncatedPoly":
         """x_i, 1-based."""
         if not 1 <= i <= nvars:
             raise ValueError(f"x{i} out of range for {nvars} variables")
-        return cls(nvars, {1 << (i - 1): Fraction(1)})
+        return cls(nvars, {1 << (i - 1): 1})
 
     _ring = property(lambda self: self.nvars)
 
@@ -452,13 +458,13 @@ class TruncatedPoly(RingElement):
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in o.coeffs.items():
                 if m1 & m2:
                     continue  # repeated variable: xi^2 = 0
                 m = m1 | m2
-                coeffs[m] = coeffs.get(m, Fraction(0)) + c1 * c2
+                coeffs[m] = coeffs.get(m, 0) + c1 * c2
         return self._new(coeffs)
 
     __rmul__ = __mul__
@@ -474,20 +480,19 @@ class TruncatedPoly(RingElement):
     def invert(self) -> "TruncatedPoly":
         """Exact inverse via the finite geometric series.
 
-        Valid exactly when the constant term is nonzero: the rest is
-        nilpotent with vanishing (nvars+1)-st power.
+        Valid exactly when the constant term c is nonzero: then self =
+        c (1 + n/c) with n nilpotent, (nvars+1)-st power zero, and the
+        inverse is (1/c) sum_i (-n/c)^i, summed by a running term.
         """
         c = self.coefficient(0)
         if not c:
             raise NotAUnitError("zero constant term has no inverse")
-        n = self - c  # nilpotent part
-        out = TruncatedPoly.const(self.nvars, 0)
-        power = TruncatedPoly.const(self.nvars, 1)
-        for i in range(self.nvars + 1):
-            out = out + power * (Fraction(-1) ** i / c ** (i + 1))
-            power = power * n
-            if not power:
-                break
+        inv_c = 1 / Fraction(c)
+        step = (self - c) * -inv_c
+        out = term = TruncatedPoly.const(self.nvars, inv_c)
+        while term:
+            term = term * step
+            out = out + term
         return out
 
     def __repr__(self):

@@ -346,7 +346,8 @@ def suite_spin_lift(seed: int) -> list:
         if q.rank % 4 == 0:
             cases.append(_case(f"lift-norm-{name}", "lifted swaps have spinorial norm one",
                                {"form": str(q), "copies": k},
-                               [Fraction(1)] * (k - 1), lift.norms))
+                               [Fraction(1)] * (k - 1),
+                               [Fraction(x) for x in lift.norms]))
     return cases
 
 

@@ -37,6 +37,13 @@ def test_criterion_1_sphere_formulas():
     _report("1 sphere formulas", started, 1.0)
 
 
+def test_criterion_1_sphere_formula_at_the_cap():
+    # r = 8 variables and order k = 32 are the default max_vars and max_k
+    started = time.perf_counter()
+    assert sphere_formula(8, 32) == Fraction(sum_of_powers(8, 32), 32 ** 8)
+    _report("1 sphere formula at the cap (r=8, k=32)", started, 3.0)
+
+
 def test_criterion_2_bott_class_axioms():
     started = time.perf_counter()
     rng = random.Random(2024)

@@ -1,5 +1,6 @@
 """Command-line surface: JSON payloads, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -124,6 +125,17 @@ def test_verify_deterministic(capsys, suite):
     text2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert text1 == text2  # byte-identical for a fixed seed
+
+
+# sha256 of the full default report; any change to its bytes, from the
+# values or from how they are printed, is a change of the published output
+VERIFY_ALL_SEED0_SHA256 = "095e6a884acbed7e670a809b243c409351de35c11296765ea266b2d5a8ce96b8"
+
+
+def test_verify_all_report_is_pinned(capsys):
+    assert main(["verify", "--suite", "all", "--seed", "0"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_SEED0_SHA256
 
 
 def test_verify_report_fields(capsys, tmp_path):

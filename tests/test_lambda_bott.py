@@ -122,6 +122,41 @@ def test_bott_cyclotomic_examples():
         assert bott_cyclotomic(trivial_lambda_vector(m), 2) == 2 ** m
 
 
+def _geometric(m, k):
+    """1 + m + ... + m^(k-1), each power taken from scratch."""
+    out = m * 0
+    for t in range(k):
+        out = out + m ** t
+    return out
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=3), st.integers(1, 7),
+       st.integers(1, 2))
+@settings(max_examples=40, deadline=None)
+def test_bott_lines_factor_is_geometric_sum(exps, k, mult):
+    m = LineExpr.monomial(exps)
+    assert bott_lines(LineExpr.monomial(exps, mult), k) == _geometric(m, k) ** mult
+
+
+# units of Q[x1..x3]/(xi^2) with positive constant terms, so every
+# geometric sum of their powers is a unit too
+_UNITS = {1: TruncatedPoly(3, {0: 1, 1: 1}),
+          2: TruncatedPoly(3, {0: 2, 1: -1, 2: 1}),
+          3: TruncatedPoly(3, {0: Fraction(1, 2), 4: 3, 5: Fraction(1, 3)})}
+
+
+@given(st.lists(st.integers(-2, 2), min_size=1, max_size=3), st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_bott_virtual_factor_is_geometric_sum(exps, k):
+    m = TruncatedPoly.const(3, 1)
+    for i, e in enumerate(exps, start=1):
+        m = m * _UNITS[i] ** e  # a negative exponent is an inverse image
+    factor = _geometric(m, k)
+    x = LineExpr.monomial(exps)
+    assert bott_virtual(x, k, nvars=3, images=_UNITS) == factor
+    assert bott_virtual(-x, k, nvars=3, images=_UNITS) * factor == 1
+
+
 @given(effective_exprs(max_monomials=2), st.sampled_from([2, 3, 5]))
 @settings(max_examples=30, deadline=None)
 def test_bott_cyclotomic_matches_lines(x, k):

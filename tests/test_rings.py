@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from spinbott.clifford import CliffordElement, FormMismatchError
 from spinbott.config import CapExceededError, Caps, caps_scope
-from spinbott.lambda_bott import LineExpr
+from spinbott.lambda_bott import LineExpr, format_line_expr, parse_line_expr
+from spinbott.linalg import SparseOp
 from spinbott.quadforms import QuadraticForm
 from spinbott.rings import (Cyclotomic, DescentError, GaloisActionError,
                             NotAUnitError, RingElement, RingMismatchError, TruncatedPoly,
-                            cyclotomic_polynomial, euler_phi, format_cyclotomic,
+                            _exact, cyclotomic_polynomial, euler_phi, format_cyclotomic,
                             format_truncated, parse_cyclotomic, parse_truncated)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -279,3 +280,63 @@ def test_cyclotomic_over_line_expressions():
     assert a * 0 == 0 and a - a == 0
     assert (a + 1).coefficient(0) == L1 + 1
     assert a * a == Cyclotomic(3, [L1 * L1 - 1, 2 * L1 - 1])
+
+
+# -- coefficient storage: integral values as int, the rest as Fraction --------
+
+def test_exact_rules():
+    assert _exact(3) == 3 and type(_exact(3)) is int
+    assert _exact(Fraction(6, 3)) == 2 and type(_exact(Fraction(6, 3))) is int
+    assert type(_exact(Fraction(1, 2))) is Fraction
+    line = LineExpr.symbol(1)
+    assert _exact(line) is line  # a ring element used as a coefficient
+
+
+# Per storage: build from one coefficient c, and read the stored c back.
+STORES = {
+    "LineExpr": (lambda c: LineExpr({(1,): c}), lambda a: a.coeffs[(1,)]),
+    "TruncatedPoly": (lambda c: TruncatedPoly(2, {3: c}), lambda a: a.coeffs[3]),
+    "Cyclotomic": (lambda c: Cyclotomic(5, [0, c]), lambda a: a.coeffs[1]),
+    "SparseOp": (lambda c: SparseOp.from_dense([[0, c], [1, 0]]), lambda a: a.cols[1][0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STORES))
+@given(x=fractions.filter(bool))
+@settings(max_examples=30)
+def test_integral_coefficients_are_stored_as_int(name, x):
+    make, stored = STORES[name]
+    for c in [x] + ([x.numerator] if x.denominator == 1 else []):
+        value = stored(make(c))
+        assert value == x
+        assert type(value) is (int if x.denominator == 1 else Fraction)
+
+
+def test_integral_results_are_stored_as_int():
+    half = Fraction(1, 2)
+    cases = [((LineExpr({(1,): half}) * 2).coeffs, {(1,): 1}),
+             ((TruncatedPoly(1, {1: half}) + TruncatedPoly(1, {1: half})).coeffs, {1: 1}),
+             (TruncatedPoly(2, {0: 1, 1: 1}).invert().coeffs, {0: 1, 1: -1}),
+             ((Cyclotomic(3, [half, half]) * 2).coeffs, (1, 1)),
+             (parse_cyclotomic("1/2 + 1/2*w^3@3").coeffs, (1, 0)),
+             (SparseOp.identity(2).scale(Fraction(4, 2)).cols[1], {1: 2})]
+    for stored, expected in cases:
+        assert stored == expected
+        values = stored.values() if isinstance(stored, dict) else stored
+        assert all(type(c) is int for c in values)
+
+
+@given(st.integers(-5, 5).filter(bool), st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+@settings(max_examples=30)
+def test_storage_type_is_invisible(n, exps):
+    # the same value given as an int and as a Fraction: equal, same text, same parse
+    pairs = [(LineExpr({tuple(exps): n}), LineExpr({tuple(exps): Fraction(n)}),
+              format_line_expr, parse_line_expr),
+             (TruncatedPoly(2, {1: n}), TruncatedPoly(2, {1: Fraction(n)}),
+              format_truncated, lambda t: parse_truncated(t, 2)),
+             (Cyclotomic(5, [0, n]), Cyclotomic(5, [0, Fraction(n)]),
+              format_cyclotomic, parse_cyclotomic)]
+    for a, b, fmt, parse in pairs:
+        assert a == b and b == a
+        assert fmt(a) == fmt(b) and str(a) == str(b) and repr(a) == repr(b)
+        assert parse(fmt(a)) == a
