@@ -8,6 +8,10 @@ Clifford-group membership with the induced orthogonal matrix, volume
 elements, the top-coefficient bilinear forms on the even/odd parts, the
 graded-tensor and untwisting isomorphism checks, and the lifting of
 symmetric-group transpositions to even elements of square one.
+
+No dense matrix is eliminated here: inverses outside the Clifford group
+come from Shirokov's characteristic-polynomial recursion (2021), and the
+untwisting map is certified by a permutation check on blade pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .config import FailedCheckError, check_cap
 from .quadforms import QuadraticForm, format_form, is_orientable, scale
 from .rings import RingElement, RingMismatchError, _format_terms, _split_terms
@@ -141,8 +144,14 @@ class CliffordElement(RingElement):
         """Two-sided inverse, or None when the element is not a unit.
 
         Clifford-group elements always have scalar a*bar(a), giving the
-        cheap path; otherwise solve a x = 1 in the regular representation
-        on the 2^n blade basis.
+        cheap path.  Otherwise the characteristic-polynomial recursion of
+        Shirokov (Comput. Appl. Math. 40, 173 (2021)) runs in the algebra:
+        with N = 2^ceil(n/2), U_1 = a, C_j = (N/j) <U_j>_0 and
+        U_(j+1) = a (U_j - C_j), the scalar part scaled by N is the trace
+        of an N-dimensional faithful representation, so Cayley-Hamilton
+        makes U_N the scalar C_N.  Then a is a unit iff C_N != 0, and
+        a^-1 = (U_(N-1) - C_(N-1)) / C_N, at the cost of N - 1 sparse
+        products.
         """
         if not self.coeffs:
             return None
@@ -153,19 +162,19 @@ class CliffordElement(RingElement):
                 cand = self.bar() * (1 / Fraction(s))
                 if (self * cand).coeffs == {0: Fraction(1)}:
                     return cand
-        dim = 1 << self.form.rank
-        cols = []
-        for j in range(dim):
-            img = self * CliffordElement(self.form, {j: 1})
-            cols.append([img.coefficient(i) for i in range(dim)])
-        mat = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (dim - 1)
-        x = linalg.solve(mat, rhs)
-        if x is None:
+        size = 1 << (self.form.rank + 1) // 2
+        u, rest = self, CliffordElement.scalar(self.form, 1)  # U_j, U_(j-1) - C_(j-1)
+        for j in range(1, size):
+            rest = u - Fraction(size, j) * u.coefficient(0)
+            u = self * rest
+        if not u.is_scalar():
+            raise FailedCheckError("Cayley-Hamilton failed: U_N is not a scalar")
+        det = u.coefficient(0)
+        if not det:
             return None
-        cand = CliffordElement(self.form, {j: c for j, c in enumerate(x)})
+        cand = rest * (1 / Fraction(det))
         if (self * cand).coeffs != {0: Fraction(1)} or (cand * self).coeffs != {0: Fraction(1)}:
-            return None
+            raise FailedCheckError("the Cayley-Hamilton inverse does not invert")
         return cand
 
     def __repr__(self):
@@ -339,8 +348,11 @@ def untwist_iso(q: QuadraticForm, r: int) -> UntwistIso:
 
     The target multiplies without Koszul signs; u is the volume element,
     so the images anticommute as required and the map extends to an
-    algebra isomorphism (checked on all generator relations and by a rank
-    computation on the blade-pair basis).
+    algebra homomorphism, checked on all generator relations.  As u is
+    one signed blade, so is every blade image: the map has one nonzero
+    entry per column of the blade-pair basis, and it is bijective exactly
+    when the 2^(n+r) blade images are single terms with pairwise distinct
+    keys, i.e. the blade index map is a permutation.  No matrix is formed.
     """
     if r < 1:
         raise ValueError("need at least one extra generator")
@@ -381,20 +393,13 @@ def untwist_iso(q: QuadraticForm, r: int) -> UntwistIso:
             if prod != expect:
                 relations_ok = False
 
-    # image of every source blade, as a vector over the blade-pair basis
-    dim = 1 << (n + r)
-    index = {(mv, mr): mv | (mr << n) for mv in range(1 << n) for mr in range(1 << r)}
-    mat = []
-    for mask in range(dim):
-        img = {(0, 0): Fraction(1)}
-        for i in range(n + r):
-            if mask >> i & 1:
-                img = tensor_mul(img, gen_images[i])
-        col = [Fraction(0)] * dim
-        for key, c in img.items():
-            col[index[key]] = c
-        mat.append(col)
-    bijective = linalg.rank(mat) == dim
+    # image of every source blade, built from its prefix blade: the image of
+    # mask + 2^i (all bits of mask below i) is image(mask) * gen_images[i]
+    images = [{(0, 0): Fraction(1)}]
+    for g in gen_images:
+        images += [tensor_mul(img, g) for img in images]
+    keys = {key for img in images for key in img}
+    bijective = all(len(img) == 1 for img in images) and len(keys) == len(images)
     return UntwistIso(q, r, tuple(gen_images), relations_ok, bijective)
 
 
@@ -418,21 +423,6 @@ class SpinLift:
     @property
     def all_ok(self) -> bool:
         return self.squares_ok and self.braid_ok and self.commutation_ok and self.matrices_ok
-
-
-def _swap_block_matrix(n: int, k: int, c: int) -> list:
-    """Permutation matrix on V^k swapping coordinate blocks c and c+1 (0-based)."""
-    size = n * k
-    m = linalg.zeros(size, size)
-    for t in range(size):
-        blk, off = divmod(t, n)
-        if blk == c:
-            m[(c + 1) * n + off][t] = Fraction(1)
-        elif blk == c + 1:
-            m[c * n + off][t] = Fraction(1)
-        else:
-            m[t][t] = Fraction(1)
-    return m
 
 
 def braid_normalize(gens: list) -> tuple:
@@ -502,13 +492,17 @@ def spin_lift(q: QuadraticForm, k: int) -> SpinLift:
         for i in range(len(gens)) for j in range(i + 2, len(gens)))
 
     lift.matrices_ok = True
+    size = n * k
     for c, g in enumerate(gens):
         res = clifford_group_test(g)
         lift.norms.append(res.norm)
         lift.in_spin.append(res.in_spin)
-        expect = _swap_block_matrix(n, k, c)
+        # the swap of coordinate blocks c and c+1 (0-based) sends e_t to e_swap[t]
+        swap = [t + n if t // n == c else t - n if t // n == c + 1 else t
+                for t in range(size)]
         if not (res.member and res.degree == 0
-                and linalg.mat_eq([list(r) for r in res.matrix.entries], expect)):
+                and all(res.matrix.entries[i][t] == (1 if i == swap[t] else 0)
+                        for t in range(size) for i in range(size))):
             lift.matrices_ok = False
     return lift
 

@@ -1,12 +1,11 @@
 """Small exact linear algebra: dense Fraction matrices and sparse operators.
 
-Dense matrices are lists of lists, kept for the checks that need
-elimination: rank, solve and det (field entries, i.e. Fractions) in
-``clifford``, ``quadforms`` and ``verify``.  There is no dense product.
-``SparseOp`` holds a square operator by columns; every module operator is
-one, from the monomial base generators to the signed permutations and
-monomial sums on tensor powers, where a sparse product costs the nonzeros
-touched instead of dim^3.
+Dense matrices are lists of lists.  The only elimination left is ``det``
+(field entries, i.e. Fractions), in ``quadforms`` and ``verify``; there is
+no dense product, rank or solve.  ``SparseOp`` holds a square operator by
+columns; every module operator is one, from the monomial base generators
+to the signed permutations and monomial sums on tensor powers, where a
+sparse product costs the nonzeros touched instead of dim^3.
 """
 
 from __future__ import annotations
@@ -42,46 +41,6 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return len(a) == len(b) and all(
         len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
         for ra, rb in zip(a, b))
-
-
-def rank(a: Matrix) -> int:
-    """Row rank via exact Gaussian elimination."""
-    m = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in a]
-    rows, cols = len(m), len(m[0]) if m else 0
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def solve(a: Matrix, b: list) -> list | None:
-    """Solve a x = b exactly; None if the system is singular/inconsistent."""
-    n = len(a)
-    m = [list(row) + [bv] for row, bv in zip(a, b)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
 
 
 def det(a: Matrix) -> Fraction:

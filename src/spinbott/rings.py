@@ -357,17 +357,21 @@ def _format_terms(pairs, var_of) -> str:
 
 
 def _split_terms(s: str):
-    # split into (sign, term) pairs; a sign right after '^' is an exponent
+    # split into (sign, term) pairs; a sign right after '^' is an exponent.
+    # Only a leading sign may stand without a term before it, and every
+    # sign needs a term after it: "e1--e2" and "e1 +" are refused.
     s = s.strip()
     if not s:
         raise ValueError("empty expression")
     out = []
     sign, buf, prev = 1, [], ""
-    for ch in s:
+    for i, ch in enumerate(s):
         if ch in "+-" and prev != "^":
             body = "".join(buf).strip()
             if body:
                 out.append((sign, body))
+            elif i:
+                raise ValueError(f"empty term before {ch!r} in {s!r}")
             sign = -1 if ch == "-" else 1
             buf = []
         else:
@@ -375,10 +379,9 @@ def _split_terms(s: str):
         if not ch.isspace():
             prev = ch
     body = "".join(buf).strip()
-    if body:
-        out.append((sign, body))
-    if not out:
-        raise ValueError("empty expression")
+    if not body:
+        raise ValueError(f"empty term at the end of {s!r}")
+    out.append((sign, body))
     return out
 
 

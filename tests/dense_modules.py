@@ -6,8 +6,9 @@ on E^(x)k is a dense Fraction (or Cyclotomic) matrix, the projectors are
 formed and multiplied in full, every trace is taken of a full product, and
 bijectivity of the structure map is a rank.  Nothing here imports the
 sparse code past the base module's constructors, and the dense products
-live here rather than in ``spinbott.linalg``, so a bug in that code cannot
-be shared with its oracle.  It costs k!·dim^3 and is meant for dim <= 64
+and the rank (``dense_clifford.rank``) live in the test oracles rather
+than in ``spinbott.linalg``, so a bug in that code cannot be shared with
+its oracle.  It costs k!·dim^3 and is meant for dim <= 64
 only.
 """
 
@@ -17,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from dense_clifford import rank
 from spinbott import linalg
 from spinbott.clifford import CliffordElement, volume_element
 from spinbott.modules import (GradedModule, PresentationError, VirtualCyclotomicModule,
@@ -93,7 +95,7 @@ def is_end_iso(module: GradedModule) -> bool:
     for mask in range(1 << n):
         mat = clifford_action_matrix(CliffordElement(module.form, {mask: 1}), gens, d)
         rows.append([mat[r][c] for r in range(d) for c in range(d)])
-    return linalg.rank(rows) == d * d
+    return rank(rows) == d * d
 
 
 def cycle_type(perm: tuple) -> tuple:

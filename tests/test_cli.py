@@ -105,6 +105,30 @@ def test_clifford_check_non_member(capsys):
     assert payload["reason"]
 
 
+def test_clifford_check_refuses_a_doubled_sign(capsys):
+    # "e1--e2" once parsed as e1 - e2 and was reported as a reflection
+    assert main(["clifford-check", "--form=1,1", "--element=e1--e2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty term" in captured.err
+
+
+@pytest.mark.parametrize("rank", [4, 6, 8])
+def test_clifford_check_non_unit_is_not_invertible(capsys, rank):
+    # 1 + e1e2 over <1,-1>^m squares to 2(1 + e1e2): a zero divisor
+    form = ",".join(["1,-1"] * (rank // 2))
+    code, payload = run(capsys, "clifford-check", f"--form={form}", "--element=1 + e1e2")
+    assert code == 0
+    assert payload == {"member": False, "reason": "not invertible"}
+
+
+def test_failed_cayley_hamilton_is_a_failed_check(capsys, monkeypatch):
+    from spinbott.clifford import CliffordElement
+    # no product is ever a scalar: the recursion's U_N check must fail
+    monkeypatch.setattr(CliffordElement, "is_scalar", lambda self: False)
+    assert main(["clifford-check", "--form=1,1,1,1", "--element=2 + e1e2e3e4"]) == 1
+    assert "Cayley-Hamilton" in capsys.readouterr().err
+
+
 def test_spin_lift(capsys):
     code, payload = run(capsys, "spin-lift", "--form", "1,-1", "--copies", "3")
     assert code == 0

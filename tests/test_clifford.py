@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_clifford import dense_inverse, dense_untwist_bijective
 from dense_modules import mat_mul
 from spinbott import linalg
 from spinbott.clifford import (CliffordElement, FormMismatchError, NotOrientableError,
@@ -184,8 +185,9 @@ def test_group_test_rejections():
 
 def test_group_test_solve_fallback():
     # 2 + e1e2e3e4 is even and invertible, but a*bar(a) = 5 + 4u is not a
-    # scalar, so the inverse comes from the regular-representation solve;
-    # conjugation then leaves V, so it is still not a group element
+    # scalar, so the inverse comes from the characteristic-polynomial
+    # recursion instead of the Clifford-group path; conjugation then leaves
+    # V, so it is still not a group element
     q = QuadraticForm((1, 1, 1, 1))
     a = CliffordElement.scalar(q, 2) + volume_element(q)
     inv = a.inverse()
@@ -193,6 +195,45 @@ def test_group_test_solve_fallback():
     assert inv == (CliffordElement.scalar(q, 2) - volume_element(q)) * Fraction(1, 3)
     res = clifford_group_test(a)
     assert not res.member and "outside V" in res.reason
+
+
+@st.composite
+def inverse_cases(draw):
+    # odd and even n <= 5, proper-fraction entries; mixed, even or odd
+    # elements, and zero divisors b (1 + w) with w a blade of square one
+    n = draw(st.integers(0, 5))
+    q = QuadraticForm(tuple(draw(st.lists(
+        st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3)]),
+        min_size=n, max_size=n))))
+    parity = draw(st.sampled_from([None, 0, 1]))
+    masks = [m for m in range(1 << n) if parity is None or bin(m).count("1") % 2 == parity]
+    if not masks:
+        masks = [0]
+    coeffs = draw(st.dictionaries(st.sampled_from(masks),
+                                  st.fractions(-3, 3, max_denominator=2),
+                                  min_size=1, max_size=6))
+    a = CliffordElement(q, coeffs)
+    ones = [w for w in range(1, 1 << n)
+            if (CliffordElement(q, {w: 1}) * CliffordElement(q, {w: 1})) == 1]
+    if ones and draw(st.booleans()):
+        a = a * (CliffordElement(q, {draw(st.sampled_from(ones)): 1}) + 1)
+    return a
+
+
+@given(inverse_cases())
+@settings(max_examples=150, deadline=None)
+def test_inverse_matches_the_dense_solve(a):
+    assert a.inverse() == dense_inverse(a)
+
+
+def test_inverse_finds_non_units_and_units():
+    q = hyperbolic(4)
+    one = CliffordElement.scalar(q, 1)
+    assert (one + gen(q, 1) * gen(q, 2)).inverse() is None
+    assert (one + gen(q, 1)).inverse() is None
+    a = one * 2 + gen(q, 1) * gen(q, 3) + gen(q, 2) * gen(q, 4) * gen(q, 5) * gen(q, 6)
+    inv = a.inverse()
+    assert inv == dense_inverse(a) and a * inv == 1
 
 
 def test_phi_homomorphism_on_members():
@@ -245,6 +286,15 @@ def test_untwist_examples():
 def test_untwist_rank_four():
     res = untwist_iso(hyperbolic(2), 1)
     assert res.relations_ok and res.bijective
+
+
+@pytest.mark.parametrize("q, r", [
+    (H, 1), (H, 2), (hyperbolic(2), 1), (QuadraticForm((2, -2)), 1),
+    (QuadraticForm((2, -2)), 3), (hyperbolic(3), 1), (hyperbolic(3), 2)])
+def test_untwist_bijective_matches_the_dense_rank(q, r):
+    res = untwist_iso(q, r)
+    assert res.bijective == dense_untwist_bijective(q, r, res.gen_images)
+    assert res.bijective
 
 
 def test_spin_lift_two_copies():

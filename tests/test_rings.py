@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbott.clifford import CliffordElement, FormMismatchError
+from spinbott.clifford import CliffordElement, FormMismatchError, parse_element
 from spinbott.config import CapExceededError, Caps, caps_scope
 from spinbott.lambda_bott import LineExpr, format_line_expr, parse_line_expr
 from spinbott.linalg import SparseOp
@@ -213,6 +213,40 @@ def test_parse_cyclotomic_negative_powers():
 def test_parse_cyclotomic_refuses_nonpositive_order(text):
     with pytest.raises(ValueError, match="order must be positive"):
         parse_cyclotomic(text)
+
+
+PARSERS = {
+    "element": lambda s: parse_element(s, QuadraticForm((1, 1))),
+    "line_expr": parse_line_expr,
+    "truncated": lambda s: parse_truncated(s, 2),
+    "cyclotomic": lambda s: parse_cyclotomic(s + "@5"),
+}
+PARSER_TERMS = {"element": ("e1", "e2"), "line_expr": ("L1", "L2"),
+                "truncated": ("x1", "x2"), "cyclotomic": ("w", "w^2")}
+
+
+@pytest.mark.parametrize("parser", sorted(PARSERS))
+@pytest.mark.parametrize("shape", ["{a}--{b}", "{a} -+ {b}", "{a} + - {b}", "{a}+",
+                                   "{a} - ", "--{a}", "+-{a}", "-"])
+def test_parsers_refuse_a_sign_without_a_term(parser, shape):
+    # "e1--e2" once parsed as e1 - e2 and "e1+" as e1: the last sign won
+    a, b = PARSER_TERMS[parser]
+    with pytest.raises(ValueError, match="empty term"):
+        PARSERS[parser](shape.format(a=a, b=b))
+
+
+@pytest.mark.parametrize("parser", sorted(PARSERS))
+def test_parsers_keep_one_leading_sign(parser):
+    a, b = PARSER_TERMS[parser]
+    parse = PARSERS[parser]
+    assert parse(f"-{a} + {b}") == parse(f"{b} - {a}")
+    assert parse(f" + {a}") == parse(a)
+    assert parse(f"-{a}") == -parse(a)
+
+
+def test_parsers_keep_the_negative_exponent():
+    assert parse_line_expr("-L1^-1 + L2") == LineExpr.symbol(2) - LineExpr.monomial((-1,))
+    assert parse_cyclotomic("-w^-1@3") == -Cyclotomic.zeta(3) ** 2
 
 
 # Per ring type: a non-constant element, an element of another ring of the
