@@ -2,12 +2,16 @@
 
 Basis blades are indexed by bitmasks over the orthogonal basis e1..en;
 the product sign is computed by popcount-based transposition counting and
-contractions multiply by the diagonal coefficients.  On top of the ring
-structure this module provides the reversal involution, spinorial norms,
-Clifford-group membership with the induced orthogonal matrix, volume
-elements, the top-coefficient bilinear forms on the even/odd parts, the
-graded-tensor and untwisting isomorphism checks, and the lifting of
-symmetric-group transpositions to even elements of square one.
+contractions multiply by the diagonal coefficients.  Integral coefficients
+are stored as ints (``rings._exact``) and the contractions use the form's
+``exact_diag``, so integral forms keep products on int arithmetic; a
+coefficient from another exact ring (a ``Cyclotomic``) passes through
+unchanged.  On top of the ring structure this module provides the
+reversal involution, spinorial norms, Clifford-group membership with the
+induced orthogonal matrix, volume elements, the top-coefficient bilinear
+forms on the even/odd parts, the graded-tensor and untwisting isomorphism
+checks, and the lifting of symmetric-group transpositions to even
+elements of square one.
 
 No dense matrix is eliminated here: inverses outside the Clifford group
 come from Shirokov's characteristic-polynomial recursion (2021), and the
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 from .config import FailedCheckError, check_cap
 from .quadforms import QuadraticForm, format_form, is_orientable, scale
-from .rings import RingElement, RingMismatchError, _format_terms, _split_terms
+from .rings import RingElement, RingMismatchError, _exact, _format_terms, _split_terms
 
 _popcount = int.bit_count
 
@@ -58,7 +62,8 @@ class CliffordElement(RingElement):
         for mask, c in (coeffs or {}).items():
             if not 0 <= mask < top:
                 raise ValueError(f"blade mask {mask:#x} outside rank {form.rank}")
-            c = Fraction(c) if isinstance(c, int) else c
+            if type(c) is not int:
+                c = _exact(c)
             if c:
                 clean[mask] = c
         object.__setattr__(self, "form", form)
@@ -92,7 +97,7 @@ class CliffordElement(RingElement):
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
-        diag = self.form.diag
+        diag = self.form.exact_diag
         coeffs: dict = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in o.coeffs.items():
@@ -107,7 +112,7 @@ class CliffordElement(RingElement):
                 m = m1 ^ m2
                 acc = coeffs.get(m)
                 coeffs[m] = c if acc is None else acc + c
-        return self._new(coeffs)
+        return self._trusted(coeffs)
 
     __rmul__ = __mul__
 
@@ -438,12 +443,12 @@ def braid_normalize(gens: list) -> tuple:
     x = gens[0] * gens[1] * gens[0]
     y = gens[1] * gens[0] * gens[1]
     mask, c = next(iter(y.coeffs.items()))
-    lam = x.coefficient(mask) / c
+    lam = Fraction(x.coefficient(mask), c)
     if x != y * lam or lam not in (1, -1):
         raise FailedCheckError("braid words are not proportional by a sign")
     if lam != 1:
         gens = [g * lam if (i + 1) % 2 == 0 else g for i, g in enumerate(gens)]
-    return list(gens), Fraction(lam)
+    return list(gens), lam
 
 
 def spin_lift(q: QuadraticForm, k: int) -> SpinLift:

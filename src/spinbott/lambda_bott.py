@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add
 
 from .config import FailedCheckError, check_cap
 from .rings import (Cyclotomic, NotAUnitError, RingElement, TruncatedPoly,
@@ -83,16 +84,23 @@ class LineExpr(RingElement):
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
-        n = max(self.nsymbols, o.nsymbols)
-        left = [(e + (0,) * (n - len(e)), c) for e, c in self.coeffs.items()]
-        right = [(e + (0,) * (n - len(e)), c) for e, c in o.coeffs.items()]
+        # Keys are stripped, so the longer key's tail is copied as it is and
+        # only a sum of two keys of equal length can end in a cancelled 0.
+        right = [(e2, len(e2), c2) for e2, c2 in o.coeffs.items()]
         coeffs: dict = {}
-        for e1, c1 in left:
-            for e2, c2 in right:
-                e = tuple(map(int.__add__, e1, e2))
-                acc = coeffs.get(e)
-                coeffs[e] = c1 * c2 if acc is None else acc + c1 * c2
-        return self._new(coeffs)
+        get = coeffs.get
+        for e1, c1 in self.coeffs.items():
+            n1 = len(e1)
+            for e2, n2, c2 in right:
+                e = tuple(map(_add, e1, e2))
+                if n1 > n2:
+                    e += e1[n2:]
+                elif n1 < n2:
+                    e += e2[n1:]
+                elif e and not e[-1]:
+                    e = _strip(e)
+                coeffs[e] = get(e, 0) + c1 * c2
+        return self._trusted(coeffs)
 
     __rmul__ = __mul__
 
@@ -215,10 +223,10 @@ def bott_lines(x: LineExpr, k: int) -> LineExpr:
     check_cap("max_k", k, "Bott order")
     out = LineExpr.scalar(1)
     for exps, mult in x.monomials():
-        m = LineExpr.monomial(exps)
-        factor = LineExpr.scalar(1)
-        for _ in range(k - 1):  # Horner: 1 + m (1 + m (1 + ...))
-            factor = factor * m + 1
+        # the factor's keys are t * exps, t < k; on the trivial line all k
+        # of them are (), so its factor is the constant k
+        factor = (LineExpr({tuple(t * e for e in exps): 1 for t in range(k)}) if exps
+                  else LineExpr.scalar(k))
         out = out * factor ** mult
     return out
 
@@ -255,7 +263,7 @@ def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
         if not m.is_unit():
             raise NotAUnitError("a line symbol maps to a non-unit of the ambient ring")
         factor = TruncatedPoly.const(r, 1)
-        for _ in range(k - 1):  # Horner, as in bott_lines
+        for _ in range(k - 1):  # Horner: 1 + m (1 + m (1 + ...))
             factor = factor * m + 1
         result = result * factor ** int(c)
     return result

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from . import linalg
+from .rings import _exact
 
 INF = "inf"  # the real place
 
@@ -44,6 +46,12 @@ class QuadraticForm:
     @property
     def rank(self) -> int:
         return len(self.diag)
+
+    @cached_property
+    def exact_diag(self) -> tuple:
+        """The entries with integral ones as ints, computed once per form:
+        the factors Clifford products contract with."""
+        return tuple(_exact(a) for a in self.diag)
 
     def __str__(self):
         return format_form(self)

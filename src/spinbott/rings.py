@@ -3,9 +3,8 @@
 Rationals are stored as `int` when integral and as `fractions.Fraction`
 (always reduced, positive denominator) otherwise, so integer data stays on
 int arithmetic; ``_exact`` is the one place that decides, for
-``LineExpr``, ``TruncatedPoly``, ``Cyclotomic`` and ``linalg.SparseOp``
-(``CliffordElement`` keeps Fractions).  The two structured domains live
-here:
+``LineExpr``, ``TruncatedPoly``, ``CliffordElement``, ``Cyclotomic`` and
+``linalg.SparseOp``.  The two structured domains live here:
 
 * ``Cyclotomic`` -- the ring Z(w) = Z[x]/(Phi_k(x)) and its rational
   extension, stored reduced mod Phi_k so equality is syntactic.
@@ -64,9 +63,10 @@ class RingElement:
     order, a variable count, a form), ``_new`` (an element of the same
     ring from coefficients) and its own ``__mul__``/``__rmul__``.  Ints and
     Fractions coerce to constants; an operand from another ring raises the
-    subclass's ``_mismatch`` error.  Values are immutable.  ``Cyclotomic``
-    stores a dense vector instead and replaces every method here that
-    reads the dict.
+    subclass's ``_mismatch`` error.  Values are immutable.  Arithmetic on
+    elements of one ring builds its result with ``_trusted``, which skips
+    the checking constructor.  ``Cyclotomic`` stores a dense vector
+    instead and replaces every method here that reads the dict.
     """
 
     __slots__ = ()
@@ -79,9 +79,24 @@ class RingElement:
     def _const(self, c):
         return self._new({self._ONE: c})
 
+    def _trusted(self, coeffs):
+        """An element of this ring from coefficients computed out of
+        operands of this ring: zeros are dropped and integral Fractions
+        become ints, but no key is re-checked, because the operands' keys
+        passed the checking constructor (in range, caps held, stripped)
+        and sums, scalings and products keep them so."""
+        out = object.__new__(type(self))
+        for name in self.__slots__:
+            if name != "coeffs":
+                object.__setattr__(out, name, getattr(self, name))
+        object.__setattr__(out, "coeffs", {m: c if type(c) is int else _exact(c)
+                                           for m, c in coeffs.items() if c})
+        return out
+
     def _match(self, other):
         if isinstance(other, type(self)):
-            if other._ring != self._ring:
+            ring = self._ring
+            if other._ring is not ring and other._ring != ring:
                 raise self._mismatch(f"{type(self).__name__} operands over different "
                                      f"rings: {self._ring} vs {other._ring}")
             return other
@@ -97,7 +112,7 @@ class RingElement:
         for m, c in o.coeffs.items():
             acc = coeffs.get(m)
             coeffs[m] = c if acc is None else acc + c
-        return self._new(coeffs)
+        return self._trusted(coeffs)
 
     __radd__ = __add__
 
@@ -111,22 +126,25 @@ class RingElement:
         return (-self) + other
 
     def __neg__(self):
-        return self._new({m: -c for m, c in self.coeffs.items()})
+        return self._trusted({m: -c for m, c in self.coeffs.items()})
 
     def _scale(self, c):
-        return self._new({m: x * c for m, x in self.coeffs.items()})
+        return self._trusted({m: x * c for m, x in self.coeffs.items()})
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError(f"negative powers of {type(self).__name__} values "
                              "are not supported")
-        out, base = self._const(1), self
-        while e:
+        if not e:
+            return self._const(1)
+        out, base = None, self  # square only while bits are left
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -468,7 +486,7 @@ class TruncatedPoly(RingElement):
                     continue  # repeated variable: xi^2 = 0
                 m = m1 | m2
                 coeffs[m] = coeffs.get(m, 0) + c1 * c2
-        return self._new(coeffs)
+        return self._trusted(coeffs)
 
     __rmul__ = __mul__
 

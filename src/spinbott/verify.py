@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .clifford import (CliffordElement, clifford_group_test, graded_tensor_check,
@@ -142,6 +143,7 @@ def _squarefree_int(n: int) -> int:
     return sign * out * n
 
 
+@lru_cache(maxsize=None)  # four distinct (p, e) in the symbols suite
 def _bitmask_tables(p: int, e: int):
     mod = p ** e
     sq = unit_sq = 0

@@ -50,8 +50,12 @@ def test_mul_examples():
 def test_blade_product_against_merge_oracle():
     # independent oracle: multiply blades as index lists, bubbling the
     # right factor into place and applying e_i e_i = q_i on collisions
-    q = QuadraticForm((1, -1, 2, -2, 3, -3))
+    for q in (QuadraticForm((1, -1, 2, -2, 3, -3)),
+              QuadraticForm((Fraction(1, 2), -3, Fraction(-2, 3), 2, Fraction(5, 4), -1))):
+        _check_blade_products(q)
 
+
+def _check_blade_products(q):
     def oracle(m1, m2):
         seq = [i for i in range(6) if m1 >> i & 1] + [i for i in range(6) if m2 >> i & 1]
         coeff = Fraction(1)
@@ -79,6 +83,45 @@ def test_blade_product_against_merge_oracle():
         prod = CliffordElement(q, {m1: 1}) * CliffordElement(q, {m2: 1})
         mask, coeff = oracle(m1, m2)
         assert prod == CliffordElement(q, {mask: coeff})
+
+
+# -- coefficient storage: integral values as int, the rest as Fraction --------
+
+STORAGE_FORMS = (QuadraticForm((Fraction(1, 2), 3, -5)), QuadraticForm((2, -2)))
+
+
+def _assert_stored_exactly(a):
+    for c in a.coeffs.values():
+        assert c and type(c) is (int if c.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("q", STORAGE_FORMS, ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_clifford_results_store_integral_values_as_int(q, data):
+    values = st.fractions(-3, 3, max_denominator=4)
+    masks = st.integers(0, (1 << q.rank) - 1)
+    a, b = (CliffordElement(q, data.draw(st.dictionaries(masks, values, max_size=4)))
+            for _ in range(2))
+    results = [a, b, a * b, b * a, a + b, a - b, -a, a * Fraction(4, 2), a * Fraction(1, 3),
+               a.bar(), a * a.bar()]
+    inv = a.inverse()
+    if inv is not None:
+        results.append(inv)
+    for x in results:
+        _assert_stored_exactly(x)
+
+
+def test_clifford_storage_examples():
+    half = QuadraticForm((Fraction(1, 2), 3, -5))
+    e1, e2 = gen(half, 1), gen(half, 2)
+    assert (e1 * e1).coeffs == {0: Fraction(1, 2)} and type((e1 * e1).coeffs[0]) is Fraction
+    assert (e2 * e2).coeffs == {0: 3} and type((e2 * e2).coeffs[0]) is int
+    q = QuadraticForm((2, -2))
+    f1, f2 = gen(q, 1), gen(q, 2)
+    blade = f1 * f2
+    assert (blade * blade).coeffs == {0: 4} and type((blade * blade).coeffs[0]) is int
+    assert type(clifford_group_test(blade).norm) is int
 
 
 def test_mul_form_mismatch():
@@ -328,6 +371,25 @@ def test_spin_lift_rank_four():
     assert lift.all_ok
     assert lift.norms == [Fraction(1)]
     assert lift.in_spin == [True]
+
+
+@pytest.mark.parametrize("q, k", [(H, 2), (H, 3), (hyperbolic(2), 2)], ids=str)
+def test_spin_lift_values_are_int_or_fraction(q, k):
+    # integral Clifford coefficients are ints; no division may make a float
+    lift = spin_lift(q, k)
+    values = [lift.lambda_sign, *lift.norms]
+    values += [c for g in lift.generators for c in g.coeffs.values()]
+    assert all(type(v) in (int, Fraction) for v in values)
+    gens = lift.generators
+    if len(gens) > 1:
+        # scaled by 4 every coefficient is an int, so the sign is int / int
+        from spinbott.clifford import braid_normalize
+        for sign in (1, -1):
+            scaled = [g * 4 if i % 2 == 0 else g * (4 * sign) for i, g in enumerate(gens)]
+            assert all(type(c) is int for g in scaled for c in g.coeffs.values())
+            fixed, lam = braid_normalize(scaled)
+            assert lam == sign and type(lam) is Fraction
+            assert all(type(c) is int for g in fixed for c in g.coeffs.values())
 
 
 def test_spin_lift_preconditions():

@@ -28,11 +28,11 @@ def effective_exprs(draw, nsyms=3, max_monomials=3):
 
 
 @st.composite
-def line_exprs(draw, nsyms=3):
+def line_exprs(draw, nsyms=3, coeffs=st.integers(-3, 3)):
     terms = {}
     for _ in range(draw(st.integers(1, 3))):
         exps = tuple(draw(st.lists(st.integers(-2, 2), min_size=0, max_size=nsyms)))
-        terms[exps] = draw(st.integers(-3, 3))
+        terms[exps] = draw(coeffs)
     return LineExpr(terms)
 
 
@@ -57,6 +57,58 @@ def test_adams_lines_additive(x, y, k):
 @settings(max_examples=60)
 def test_adams_lines_multiplicative(x, y, k):
     assert adams_lines(x * y, k) == adams_lines(x, k) * adams_lines(y, k)
+
+
+# -- the product against the padded product it replaced -------------------------
+
+def padded_product(x, y):
+    """Independent oracle: pad both operands' exponent tuples to one length,
+    add them entrywise and let the checking constructor strip the keys."""
+    n = max(x.nsymbols, y.nsymbols)
+    coeffs: dict = {}
+    for e1, c1 in x.coeffs.items():
+        for e2, c2 in y.coeffs.items():
+            e = tuple(a + b for a, b in zip(e1 + (0,) * (n - len(e1)),
+                                            e2 + (0,) * (n - len(e2))))
+            coeffs[e] = coeffs.get(e, 0) + c1 * c2
+    return LineExpr(coeffs)
+
+
+def _assert_stored_form(x):
+    # keys stripped, integral coefficients stored as int
+    for e, c in x.coeffs.items():
+        assert not e or e[-1] != 0
+        assert c and type(c) is (int if c.denominator == 1 else Fraction)
+
+
+@given(line_exprs(), line_exprs(coeffs=st.fractions(-2, 2, max_denominator=3)))
+@settings(max_examples=150)
+def test_product_matches_the_padded_product(x, y):
+    for a, b in ((x, y), (y, x), (x, x)):
+        prod = a * b
+        assert prod.coeffs == padded_product(a, b).coeffs
+        _assert_stored_form(prod)
+
+
+def test_product_pinned_cases():
+    L2_inv = LineExpr.monomial((0, -1))
+    short, long = 2 * L1 + 1, LineExpr.monomial((0, 1, -2), 3)
+    half = LineExpr({(1,): Fraction(1, 2)})
+    cases = [
+        ((L1 * L2, L2_inv), {(1,): 1}),  # the trailing entry cancels to 0
+        ((L1 * L2 * L3, LineExpr.monomial((0, -1, -1))), {(1,): 1}),
+        ((L1 * L2, LineExpr.monomial((-1, -1))), {(): 1}),
+        ((L1 - L2, LineExpr.scalar(0)), {}),  # a zero product
+        ((L1 + L2, L1 - L1), {}),
+        ((L1 - L2, L1 + L2), {(2,): 1, (0, 2): -1}),  # cross terms cancel
+        ((short, long), {(1, 1, -2): 6, (0, 1, -2): 3}),  # unequal lengths
+        ((long, short), {(1, 1, -2): 6, (0, 1, -2): 3}),
+        ((half, 2 * L2), {(1, 1): 1}),  # an integral Fraction product
+    ]
+    for (a, b), expect in cases:
+        prod = a * b
+        assert prod.coeffs == expect == padded_product(a, b).coeffs
+        _assert_stored_form(prod)
 
 
 def test_newton_recursion_identities():
@@ -106,6 +158,18 @@ def test_bott_lines_examples():
 @settings(max_examples=40, deadline=None)
 def test_bott_multiplicative(x, y, k):
     assert bott_lines(x + y, k) == bott_lines(x, k) * bott_lines(y, k)
+
+
+def test_bott_lines_with_a_trivial_line_summand():
+    # the closed-form factor of the trivial line is the constant k, not 1
+    three = LineExpr.scalar(3)
+    assert bott_lines(three, 4) == 64
+    x = 1 + L1 ** 2 * L3
+    m = L1 ** 2 * L3
+    assert bott_lines(x, 3) == 3 * (1 + m + m ** 2)
+    assert bott_lines(x + 2, 3) == 27 * (1 + m + m ** 2)
+    for y, k in ((three, 4), (x, 3), (x + 2, 3)):
+        assert bott_cyclotomic(line_to_lambda(y), k) == bott_lines(y, k)
 
 
 def test_bott_virtual_examples():

@@ -147,3 +147,17 @@ def test_parse_format_roundtrip():
     q = parse_form("1,-1,2/3")
     assert q.diag == (1, -1, Fraction(2, 3))
     assert parse_form(format_form(q)) == q
+
+
+def test_verify_oracle_builds_each_table_once():
+    # the exhaustive oracle's residue tables depend only on (p, e)
+    from spinbott import verify
+    verify._oracle_cache.clear()
+    verify._bitmask_tables.cache_clear()
+    for p in (2, 3, 5, 7):
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                if a and b:
+                    assert verify.hilbert_oracle(a, b, p) == hilbert_symbol(a, b, p)
+    info = verify._bitmask_tables.cache_info()
+    assert info.misses == info.currsize == 4

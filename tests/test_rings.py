@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbott.clifford import CliffordElement, FormMismatchError, parse_element
+from spinbott.clifford import (CliffordElement, FormMismatchError, format_element,
+                               parse_element)
 from spinbott.config import CapExceededError, Caps, caps_scope
 from spinbott.lambda_bott import LineExpr, format_line_expr, parse_line_expr
 from spinbott.linalg import SparseOp
@@ -332,6 +333,8 @@ STORES = {
     "TruncatedPoly": (lambda c: TruncatedPoly(2, {3: c}), lambda a: a.coeffs[3]),
     "Cyclotomic": (lambda c: Cyclotomic(5, [0, c]), lambda a: a.coeffs[1]),
     "SparseOp": (lambda c: SparseOp.from_dense([[0, c], [1, 0]]), lambda a: a.cols[1][0]),
+    "CliffordElement": (lambda c: CliffordElement(QuadraticForm((Fraction(1, 2), 3)), {3: c}),
+                        lambda a: a.coeffs[3]),
 }
 
 
@@ -353,7 +356,9 @@ def test_integral_results_are_stored_as_int():
              (TruncatedPoly(2, {0: 1, 1: 1}).invert().coeffs, {0: 1, 1: -1}),
              ((Cyclotomic(3, [half, half]) * 2).coeffs, (1, 1)),
              (parse_cyclotomic("1/2 + 1/2*w^3@3").coeffs, (1, 0)),
-             (SparseOp.identity(2).scale(Fraction(4, 2)).cols[1], {1: 2})]
+             (SparseOp.identity(2).scale(Fraction(4, 2)).cols[1], {1: 2}),
+             ((CliffordElement(QuadraticForm((Fraction(1, 2), 2)), {1: 2}) ** 2).coeffs, {0: 2}),
+             ((CliffordElement(QuadraticForm((1, -1)), {3: half}) * 4).coeffs, {3: 2})]
     for stored, expected in cases:
         assert stored == expected
         values = stored.values() if isinstance(stored, dict) else stored
@@ -369,7 +374,10 @@ def test_storage_type_is_invisible(n, exps):
              (TruncatedPoly(2, {1: n}), TruncatedPoly(2, {1: Fraction(n)}),
               format_truncated, lambda t: parse_truncated(t, 2)),
              (Cyclotomic(5, [0, n]), Cyclotomic(5, [0, Fraction(n)]),
-              format_cyclotomic, parse_cyclotomic)]
+              format_cyclotomic, parse_cyclotomic),
+             (CliffordElement(QuadraticForm((1, -2)), {3: n}),
+              CliffordElement(QuadraticForm((1, -2)), {3: Fraction(n)}),
+              format_element, lambda t: parse_element(t, QuadraticForm((1, -2))))]
     for a, b, fmt, parse in pairs:
         assert a == b and b == a
         assert fmt(a) == fmt(b) and str(a) == str(b) and repr(a) == repr(b)
