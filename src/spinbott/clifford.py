@@ -1,17 +1,18 @@
 """Exact blade arithmetic in the Clifford algebra of a diagonal rational form.
 
-Basis blades are indexed by bitmasks over the orthogonal basis e1..en;
-the product sign is computed by popcount-based transposition counting and
-contractions multiply by the diagonal coefficients.  Integral coefficients
-are stored as ints (``rings._exact``) and the contractions use the form's
-``exact_diag``, so integral forms keep products on int arithmetic; a
-coefficient from another exact ring (a ``Cyclotomic``) passes through
-unchanged.  On top of the ring structure this module provides the
-reversal involution, spinorial norms, Clifford-group membership with the
-induced orthogonal matrix, volume elements, the top-coefficient bilinear
-forms on the even/odd parts, the graded-tensor and untwisting isomorphism
-checks, and the lifting of symmetric-group transpositions to even
-elements of square one.
+Basis blades are indexed by bitmasks over the orthogonal basis e1..en.
+One kernel, ``_blade_product``, states e_a e_b = c e_(a xor b), c the
+merge sign times q_i for each shared index; every blade product here,
+every check of one and the spinor signs of ``modules`` call it.  Integral
+coefficients are stored as ints (``rings._exact``) and the contractions
+use the form's ``exact_diag``, so integral forms keep products on int
+arithmetic; a coefficient from another exact ring (a ``Cyclotomic``)
+passes through unchanged.  On top of the ring structure this module
+provides the reversal involution, spinorial norms, Clifford-group
+membership with the induced orthogonal matrix, volume elements, the
+top-coefficient bilinear forms on the even/odd parts, the graded-tensor
+and untwisting isomorphism checks, and the lifting of symmetric-group
+transpositions to even elements of square one.
 
 No dense matrix is eliminated here: inverses outside the Clifford group
 come from Shirokov's characteristic-polynomial recursion (2021), and the
@@ -39,14 +40,24 @@ class NotOrientableError(ValueError):
     """The form has no volume element of square one over Q."""
 
 
-def _blade_sign(a: int, b: int) -> int:
-    # (-1)^(number of index crossings when merging blade a with blade b)
-    s = 0
-    a >>= 1
-    while a:
-        s += _popcount(a & b)
-        a >>= 1
-    return -1 if s & 1 else 1
+def _blade_product(a: int, b: int, diag, c=1):
+    """c times the structure constant of e_a e_b = x e_(a xor b): the sign of
+    the index crossings merging a with b, times diag[i] for each i in a and b."""
+    # bit j of x becomes the parity of the indices of a above j (suffix xor
+    # by doubling); the crossings are those with j in b
+    x = a >> 1
+    shift = 1
+    while x >> shift:
+        x ^= x >> shift
+        shift <<= 1
+    if _popcount(x & b) & 1:
+        c = -c
+    common = a & b
+    while common:
+        low = common & -common
+        c = c * diag[low.bit_length() - 1]
+        common ^= low
+    return c
 
 
 class CliffordElement(RingElement):
@@ -101,14 +112,7 @@ class CliffordElement(RingElement):
         coeffs: dict = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in o.coeffs.items():
-                c = c1 * c2
-                if _blade_sign(m1, m2) < 0:
-                    c = -c
-                common = m1 & m2
-                while common:
-                    low = common & -common
-                    c = c * diag[low.bit_length() - 1]
-                    common ^= low
+                c = _blade_product(m1, m2, diag, c1 * c2)
                 m = m1 ^ m2
                 acc = coeffs.get(m)
                 coeffs[m] = c if acc is None else acc + c
@@ -287,16 +291,12 @@ def phi_gram(q: QuadraticForm, parity: int) -> list:
     ok, s = is_orientable(q)
     if not ok:
         raise NotOrientableError("the top power is only trivialized for orientable forms")
+    check_cap("max_dim", q.rank, "Clifford rank")
     basis = parity_basis(q, parity)
     top = (1 << q.rank) - 1
-    out = []
-    for m1 in basis:
-        row = []
-        for m2 in basis:
-            prod = (CliffordElement(q, {m1: 1}) * CliffordElement(q, {m2: 1}))
-            row.append(s * prod.coefficient(top))
-        out.append(row)
-    return out
+    diag = q.exact_diag
+    return [[_blade_product(m1, m2, diag, s) if m1 ^ m2 == top else 0 for m2 in basis]
+            for m1 in basis]
 
 
 # -- graded tensor decomposition ----------------------------------------------
@@ -306,26 +306,24 @@ def graded_tensor_check(q1: QuadraticForm, q2: QuadraticForm) -> bool:
 
     The graded tensor multiplies with the Koszul sign
     (a (x) b)(c (x) d) = (-1)^(deg b deg c) (ac (x) bd); blades of the sum
-    are identified with blade pairs, V factors first.
+    are identified with blade pairs, V factors first.  Both sides of a
+    blade product land on the same pair (a xor c, b xor d), so only the
+    structure constants are compared.
     """
     n1, n2 = q1.rank, q2.rank
-    qsum = QuadraticForm(q1.diag + q2.diag)
+    check_cap("max_dim", n1 + n2, "Clifford rank")
+    d1, d2 = q1.exact_diag, q2.exact_diag
+    dsum = d1 + d2
     for a1 in range(1 << n1):
         for b1 in range(1 << n2):
-            left = CliffordElement(qsum, {a1 | (b1 << n1): 1})
+            left = a1 | (b1 << n1)
             for a2 in range(1 << n1):
+                # Koszul sign of moving b1 past a2
+                koszul = -1 if (_popcount(b1) & _popcount(a2) & 1) else 1
+                pa = _blade_product(a1, a2, d1, koszul)
                 for b2 in range(1 << n2):
-                    right = CliffordElement(qsum, {a2 | (b2 << n1): 1})
-                    prod = left * right
-                    # Koszul product of (a1 (x) b1)(a2 (x) b2)
-                    pa = CliffordElement(q1, {a1: 1}) * CliffordElement(q1, {a2: 1})
-                    pb = CliffordElement(q2, {b1: 1}) * CliffordElement(q2, {b2: 1})
-                    koszul = -1 if (_popcount(b1) & _popcount(a2) & 1) else 1
-                    expect: dict = {}
-                    for ma, ca in pa.coeffs.items():
-                        for mb, cb in pb.coeffs.items():
-                            expect[ma | (mb << n1)] = ca * cb * koszul
-                    if prod.coeffs != {m: c for m, c in expect.items() if c}:
+                    if (_blade_product(left, a2 | (b2 << n1), dsum)
+                            != _blade_product(b1, b2, d2, pa)):
                         return False
     return True
 
@@ -364,23 +362,20 @@ def untwist_iso(q: QuadraticForm, r: int) -> UntwistIso:
     n = q.rank
     check_cap("max_dim", n + r, "Clifford rank")  # C(V + <1>^r) is never built
     u = volume_element(q)
-    ones = QuadraticForm((Fraction(1),) * r)
+    diag, ones = q.exact_diag, (1,) * r
+    src = diag + ones  # the diagonal of V + <1>^r
 
     # elements of C(V) (x) C^{0,r} as {(maskV, maskR): coeff}, ungraded product
     def tensor_mul(x, y):
         out: dict = {}
         for (mv1, mr1), c1 in x.items():
             for (mv2, mr2), c2 in y.items():
-                pv = CliffordElement(q, {mv1: 1}) * CliffordElement(q, {mv2: 1})
-                pr = CliffordElement(ones, {mr1: 1}) * CliffordElement(ones, {mr2: 1})
-                for mv, cv in pv.coeffs.items():
-                    for mr, cr in pr.coeffs.items():
-                        key = (mv, mr)
-                        out[key] = out.get(key, Fraction(0)) + c1 * c2 * cv * cr
+                key = (mv1 ^ mv2, mr1 ^ mr2)
+                c = _blade_product(mr1, mr2, ones, _blade_product(mv1, mv2, diag, c1 * c2))
+                out[key] = out.get(key, 0) + c
         return {k: c for k, c in out.items() if c}
 
     gen_images = []
-    src = QuadraticForm(q.diag + ones.diag)
     for i in range(n):
         gen_images.append({(1 << i, 0): Fraction(1)})
     for j in range(r):
@@ -391,7 +386,7 @@ def untwist_iso(q: QuadraticForm, r: int) -> UntwistIso:
         for j in range(n + r):
             prod = tensor_mul(gen_images[i], gen_images[j])
             if i == j:
-                expect = {(0, 0): Fraction(src.diag[i])}
+                expect = {(0, 0): src[i]}
             else:
                 back = tensor_mul(gen_images[j], gen_images[i])
                 expect = {k: -c for k, c in back.items()}
@@ -542,7 +537,8 @@ def parse_element(s: str, form: QuadraticForm) -> CliffordElement:
                     bit = 1 << (i - 1)
                     if mask & bit:
                         raise ValueError(f"repeated generator e{i}")
-                    coeff *= _blade_sign(mask, bit)  # e_i moves left past higher generators
+                    # e_i moves left past the higher generators already read
+                    coeff = _blade_product(mask, bit, form.exact_diag, coeff)
                     mask |= bit
                     last = m.end()
                 if last != len(f):

@@ -3,9 +3,11 @@
 The hyperbolic Clifford algebra acts on the exterior algebra by creation
 and annihilation operators; twisting the top-right blocks by k turns the
 same space into a module over the k-scaled form.  Every operator, from
-the base generators on, is a sparse ``linalg.SparseOp``.  Tensor powers
-carry the sign-twisted symmetric-group action (signs always derived from
-the grading operators, never from tables), from which two Adams
+the base generators on, is a sparse ``linalg.SparseOp``, and the blade
+images of the bijectivity check are built from their prefixes, one
+compose each.  Tensor powers carry the sign-twisted symmetric-group
+action (signs always derived from the grading operators, never from
+tables), from which two Adams
 operations are computed and compared: the eigenmodule decomposition of
 the cycle operator over a cyclotomic extension, and the character-weighted
 isotypic decomposition.  Reducing through the endomorphism presentation
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import SparseOp
-from .clifford import CliffordElement, volume_element
+from .clifford import _blade_product, volume_element
 from .config import FailedCheckError, check_cap
 from .quadforms import QuadraticForm, hyperbolic, scale
 from .rings import Cyclotomic
@@ -118,12 +120,13 @@ def spinor_rep(m: int) -> GradedModule:
         raise ValueError("need at least one hyperbolic pair")
     dim = 1 << m
     check_cap("max_tensor", dim, "spinor dimension")
+    ones = (1,) * m
 
     def generator(i, minus):
         bit = 1 << i
         cols = []
         for s in range(dim):
-            sign = -1 if bin(s & (bit - 1)).count("1") % 2 else 1
+            sign = _blade_product(bit, s, ones)
             cols.append({s ^ bit: -sign if minus and s & bit else sign})
         return SparseOp(cols)
 
@@ -148,17 +151,23 @@ def is_end_iso(module: GradedModule) -> bool:
     independent, hence a basis of the d^2-dimensional End(E).  (For even
     n the traces vanish under the relations anyway, which is why C(V) is
     central simple; Lam, Introduction to Quadratic Forms over Fields,
-    ch. V.)
+    ch. V.)  The images are built depth first, B_(S+i) = B_S o g_i for i
+    above every index in S: one compose each, n + 1 images held at once.
     """
     n, d = module.form.rank, module.dim
     if (1 << n) != d * d or _relation_failure(module.gens, module.form.diag, d):
         return False
     everything = [True] * d
-    for mask in range(1, 1 << n):
-        blade = clifford_action(CliffordElement(module.form, {mask: 1}), module.gens, d)
-        if blade.trace(everything):
-            return False
-    return True
+
+    def traceless_from(blade, low):
+        # B_S o g_i for each i >= low, and every blade extending it, is traceless
+        for i in range(low, n):
+            ext = blade.compose(module.gens[i])
+            if ext.trace(everything) or not traceless_from(ext, i + 1):
+                return False
+        return True
+
+    return traceless_from(SparseOp.identity(d), 0)
 
 
 def twist_rep(module: GradedModule, k: int) -> GradedModule:

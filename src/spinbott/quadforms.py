@@ -14,7 +14,8 @@ from functools import cached_property
 from math import isqrt
 
 from . import linalg
-from .rings import _exact
+from .config import FailedCheckError
+from .rings import _exact, format_rational
 
 INF = "inf"  # the real place
 
@@ -282,23 +283,13 @@ class BWTriple:
         }
 
 
-def _primes_upto(n: int):
-    sieve = bytearray([1]) * (n + 1) if n >= 0 else bytearray()
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for t in range(p * p, n + 1, p):
-                sieve[t] = 0
-    return out
-
-
 def bw_class(q: QuadraticForm, prime_bound: int) -> BWTriple:
     """The (rank mod 2, disc class, Hasse-minus places) invariant triple.
 
-    Scans the real place and every prime up to ``prime_bound``; the bound
-    must cover all primes dividing any diagonal entry (checked), since the
-    Hasse-Witt invariant is +1 at any other place.
+    Evaluates the real place, 2 and the primes dividing an entry, which
+    ``prime_bound`` must cover (checked): at any other prime the entries
+    are units and every (a_i, a_j)_p is 1 (Serre, A Course in Arithmetic,
+    III Thm. 1).  The count of -1 places is checked even (reciprocity).
     """
     support = set()
     for a in q.diag:
@@ -307,10 +298,11 @@ def bw_class(q: QuadraticForm, prime_bound: int) -> BWTriple:
     if missing:
         raise IncompleteScanError(
             f"prime_bound {prime_bound} misses primes {sorted(missing)}")
-    places = _primes_upto(max(prime_bound, 2))
-    minus = [p for p in places if hasse_witt(q, p) == -1]
+    minus = [p for p in sorted(support | {2}) if hasse_witt(q, p) == -1]
     if hasse_witt(q, INF) == -1:
         minus.append(INF)
+    if len(minus) % 2:
+        raise FailedCheckError(f"Hasse-Witt is -1 at an odd number of places {minus}")
     return BWTriple(q.rank % 2, square_free_part(discriminant(q)), tuple(minus))
 
 
@@ -337,10 +329,7 @@ def is_orientable(q: QuadraticForm):
 # -- textual form ------------------------------------------------------------
 
 def format_form(q: QuadraticForm) -> str:
-    def fr(x):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-    return ",".join(fr(a) for a in q.diag)
+    return ",".join(format_rational(a) for a in q.diag)
 
 
 def parse_form(s: str) -> QuadraticForm:

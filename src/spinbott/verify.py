@@ -21,7 +21,7 @@ from .lambda_bott import (LineExpr, bott_cyclotomic, bott_lines, corrected_bott,
                           line_to_lambda, serre_sqrt, sphere_formula, sum_of_powers,
                           trivial_lambda_vector)
 from .modules import adams_module_report, hermitian_bott, opposite_form_check
-from .quadforms import INF, QuadraticForm, hilbert_symbol, square_free_part
+from .quadforms import INF, QuadraticForm, _is_prime, hilbert_symbol, square_free_part
 
 SUITES = ("clifford", "spin-lift", "adams", "serre", "spheres", "symbols")
 
@@ -423,10 +423,6 @@ def suite_adams(seed: int) -> list:
                        {"pairs": "(1,2)+(1,2) vs (2,2)"}, True,
                        hermitian_bott(2, 2) == hermitian_bott(1, 2) ** 2))
     return cases
-
-
-def _is_prime(k: int) -> bool:
-    return k > 1 and all(k % d for d in range(2, k))
 
 
 _RUNNERS = {

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -35,6 +36,19 @@ def test_qf_negative_plane(capsys):
     code, payload = run(capsys, "qf", "--", "-1,-1")
     assert code == 0
     assert payload["hasse_minus"] == [2, "inf"]
+
+
+def test_qf_prime_bound_far_above_the_support(capsys):
+    # only the support primes, 2 and the real place are evaluated
+    start = time.perf_counter()
+    code, payload = run(capsys, "qf", "1,1", "--prime-bound", "5000000")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and payload["hasse_minus"] == []
+
+
+def test_qf_prime_bound_missing_a_support_prime_is_refused(capsys):
+    assert main(["qf", "--prime-bound", "5", "1,13"]) == 2
+    assert "prime_bound 5 misses primes [13]" in capsys.readouterr().err
 
 
 def test_qf_parse_error(capsys):

@@ -12,9 +12,10 @@ from dense_clifford import dense_inverse, dense_untwist_bijective
 from dense_modules import mat_mul
 from spinbott import linalg
 from spinbott.clifford import (CliffordElement, FormMismatchError, NotOrientableError,
-                               clifford_group_test, format_element, graded_tensor_check,
-                               parse_element, phi_gram, spin_lift, untwist_iso,
-                               volume_element)
+                               _blade_product, clifford_group_test, format_element,
+                               graded_tensor_check, parse_element, phi_gram, spin_lift,
+                               untwist_iso, volume_element)
+from spinbott.config import CapExceededError, Caps, caps_scope
 from spinbott.quadforms import QuadraticForm, hyperbolic, square_free_part
 
 H = hyperbolic(1)
@@ -49,7 +50,9 @@ def test_mul_examples():
 
 def test_blade_product_against_merge_oracle():
     # independent oracle: multiply blades as index lists, bubbling the
-    # right factor into place and applying e_i e_i = q_i on collisions
+    # right factor into place and applying e_i e_i = q_i on collisions;
+    # checked on the structure-constant kernel and on the element product,
+    # over an integral form and a form with proper-fraction entries
     for q in (QuadraticForm((1, -1, 2, -2, 3, -3)),
               QuadraticForm((Fraction(1, 2), -3, Fraction(-2, 3), 2, Fraction(5, 4), -1))):
         _check_blade_products(q)
@@ -80,8 +83,11 @@ def _check_blade_products(q):
     rng = random.Random(13)
     for _ in range(300):
         m1, m2 = rng.randrange(64), rng.randrange(64)
-        prod = CliffordElement(q, {m1: 1}) * CliffordElement(q, {m2: 1})
         mask, coeff = oracle(m1, m2)
+        assert mask == m1 ^ m2
+        assert _blade_product(m1, m2, q.exact_diag) == coeff
+        assert _blade_product(m1, m2, q.exact_diag, Fraction(-2, 3)) == Fraction(-2, 3) * coeff
+        prod = CliffordElement(q, {m1: 1}) * CliffordElement(q, {m2: 1})
         assert prod == CliffordElement(q, {mask: coeff})
 
 
@@ -338,6 +344,20 @@ def test_untwist_bijective_matches_the_dense_rank(q, r):
     res = untwist_iso(q, r)
     assert res.bijective == dense_untwist_bijective(q, r, res.gen_images)
     assert res.bijective
+
+
+@pytest.mark.parametrize("build, rank", [
+    (lambda: phi_gram(hyperbolic(2), 0), 4),
+    (lambda: graded_tensor_check(H, hyperbolic(2)), 6),
+    (lambda: untwist_iso(hyperbolic(2), 2), 6),
+], ids=["phi_gram", "graded_tensor_check", "untwist_iso"])
+def test_blade_checks_honour_the_rank_cap(build, rank):
+    # none of these builds an element of the full rank, so each checks the cap itself
+    with caps_scope(Caps(max_dim=rank - 1)):
+        with pytest.raises(CapExceededError, match=f"Clifford rank {rank} exceeds"):
+            build()
+    with caps_scope(Caps(max_dim=rank)):
+        build()
 
 
 def test_spin_lift_two_copies():

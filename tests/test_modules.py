@@ -8,6 +8,7 @@ import pytest
 import dense_modules
 from dense_modules import diag, mat_add, mat_mul
 from spinbott import linalg, modules
+from spinbott.clifford import CliffordElement
 from spinbott.linalg import SparseOp
 from spinbott.modules import (GradedModule, PresentationError, adams_bar,
                               adams_character, adams_module_report,
@@ -140,6 +141,29 @@ def test_is_end_iso_matches_dense_rank(case):
     module = _end_iso_module(case)
     expected = isinstance(case, tuple)
     assert is_end_iso(module) == dense_modules.is_end_iso(module) == expected
+
+
+@pytest.mark.parametrize("case", [(1, 1, False), (3, 1, False), (2, 3, False), (2, 1, True)],
+                         ids=str)
+def test_is_end_iso_traces_every_blade_image(monkeypatch, case):
+    # the prefix-built images are exactly the blades that clifford_action
+    # builds from the identity, each traced once
+    module = _end_iso_module(case)
+    traced = []
+    real_trace = SparseOp.trace
+
+    def spy(op, keep, right=None):
+        traced.append(op)
+        return real_trace(op, keep, right)
+
+    monkeypatch.setattr(SparseOp, "trace", spy)
+    assert is_end_iso(module)
+    monkeypatch.undo()
+    blades = [modules.clifford_action(CliffordElement(module.form, {mask: 1}),
+                                      module.gens, module.dim)
+              for mask in range(1, 1 << module.form.rank)]
+    assert len(traced) == len(blades)
+    assert all(blade in traced for blade in blades)
 
 
 def test_morita_examples():

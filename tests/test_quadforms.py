@@ -82,6 +82,35 @@ def test_bw_even_minus_count():
         assert len(bw_class(q, 50).hasse_minus) % 2 == 0  # product formula
 
 
+def _primes_by_sieve(n):
+    flags = [True] * (n + 1)
+    for p in range(2, int(n ** 0.5) + 1):
+        if flags[p]:
+            flags[p * p::p] = [False] * len(range(p * p, n + 1, p))
+    return [p for p in range(2, n + 1) if flags[p]]
+
+
+def test_bw_class_matches_a_full_prime_scan():
+    # the support places give the same Hasse-minus list as every prime up to the bound
+    rng = random.Random(11)
+    entries = [1, -1, 2, -3, 5, -6, 7, Fraction(1, 3), Fraction(-2, 5), Fraction(7, 11), 13]
+    for _ in range(40):
+        q = QuadraticForm(tuple(rng.choice(entries) for _ in range(rng.randint(1, 5))))
+        bound = rng.randint(13, 60)
+        scan = [p for p in _primes_by_sieve(bound) + [INF] if hasse_witt(q, p) == -1]
+        assert bw_class(q, bound).hasse_minus == tuple(scan)
+
+
+def test_bw_class_checks_the_product_formula(monkeypatch):
+    from spinbott import quadforms
+    from spinbott.config import FailedCheckError
+    real = quadforms.hasse_witt
+    monkeypatch.setattr(quadforms, "hasse_witt",
+                        lambda q, p: -real(q, p) if p == INF else real(q, p))
+    with pytest.raises(FailedCheckError, match="odd number of places"):
+        bw_class(QuadraticForm((-1, -1)), 10)
+
+
 def test_orientability():
     for m in (1, 2, 3):
         ok, s = is_orientable(hyperbolic(m))
