@@ -24,7 +24,7 @@ from .quadforms import (BWTriple, INF, QuadraticForm, bw_class, diagonalize,
                         scale, square_free_part)
 from .rings import (Cyclotomic, TruncatedPoly, cyclotomic_polynomial, euler_phi,
                     format_cyclotomic, format_rational, format_truncated,
-                    parse_cyclotomic, parse_rational, parse_truncated)
+                    parse_cyclotomic, parse_truncated)
 from .verify import VerificationReport, run_suite
 
 __version__ = "0.1.0"

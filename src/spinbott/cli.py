@@ -19,8 +19,7 @@ from .lambda_bott import (LambdaVector, bott_lines, bott_virtual,
                           format_line_expr, parse_line_expr, serre_sqrt, sphere_formula,
                           bott_cyclotomic, line_to_lambda)
 from .modules import adams_module_report
-from .quadforms import (bw_class, discriminant, hasse_witt, is_orientable,
-                        parse_form, square_free_part, INF)
+from .quadforms import bw_class, hasse_witt, is_orientable, parse_form, INF
 from .rings import format_rational, format_truncated
 from .verify import run_suite, SUITES
 
@@ -48,7 +47,7 @@ def cmd_qf(args) -> int:
     triple = bw_class(q, bound)
     payload = {
         "rank": q.rank,
-        "disc": square_free_part(discriminant(q)),
+        "disc": triple.disc_class,
         "hasse_minus": list(triple.hasse_minus),
         "orientable": orientable,
         "bw": triple.to_json(),

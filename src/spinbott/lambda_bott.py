@@ -24,7 +24,7 @@ from operator import add as _add
 
 from .config import FailedCheckError, check_cap
 from .rings import (Cyclotomic, NotAUnitError, RingElement, TruncatedPoly,
-                    _exact, _format_terms, _split_terms, euler_phi)
+                    _exact, _format_terms, _split_terms)
 
 
 class NotEffectiveError(ValueError):
@@ -269,28 +269,15 @@ def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
     return result
 
 
-def _ring_one(values):
-    for v in values:
-        if not isinstance(v, (int, Fraction)):
-            return v * 0 + 1
-    return Fraction(1)
-
-
 def _eval_at_minus_zeta(v: LambdaVector, k: int, r: int):
     """G(-z^r) = sum_j lam^j (-1)^j w^(rj), with ring coefficients."""
-    phi = euler_phi(k)
-    one = _ring_one(v.lams)
-    zero = one * 0
-    acc = [zero] * phi
-    for j in range(v.rank + 1):
-        val = one if j == 0 else v.lam(j)
-        if not val:
-            continue
-        zvec = Cyclotomic.zeta(k, (r * j) % k).coeffs
-        for t, c in enumerate(zvec):
-            if c:
-                acc[t] = acc[t] + (val * c if j % 2 == 0 else -(val * c))
-    return Cyclotomic(k, acc)
+    coeffs = {0: 1}
+    for j in range(1, v.rank + 1):
+        val = v.lam(j)
+        if val:
+            p = r * j % k
+            coeffs[p] = coeffs.get(p, 0) + (val if j % 2 == 0 else -val)
+    return Cyclotomic(k, coeffs)
 
 
 def bott_cyclotomic(v: LambdaVector, k: int):
@@ -301,7 +288,7 @@ def bott_cyclotomic(v: LambdaVector, k: int):
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    prod = Cyclotomic.from_const(k, _ring_one(v.lams))
+    prod = Cyclotomic.from_const(k, 1)
     for r in range(1, k):
         prod = prod * _eval_at_minus_zeta(v, k, r)
     return prod.descend()
@@ -331,7 +318,7 @@ def serre_sqrt(v: LambdaVector, k: int) -> SerreSqrt:
         raise ValueError("rank must be even")
     if not v.is_self_dual():
         raise ValueError("lambda vector is not self-dual")
-    prod = Cyclotomic.from_const(k, _ring_one(v.lams))
+    prod = Cyclotomic.from_const(k, 1)
     for r in range(1, (k - 1) // 2 + 1):
         prod = prod * _eval_at_minus_zeta(v, k, r)
         prod = prod * Cyclotomic.zeta(k, (-n * r // 2) % k)

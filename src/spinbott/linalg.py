@@ -1,8 +1,8 @@
 """Small exact linear algebra: dense Fraction matrices and sparse operators.
 
 Dense matrices are lists of lists.  The only elimination left is ``det``
-(field entries, i.e. Fractions), in ``quadforms`` and ``verify``; there is
-no dense product, rank or solve.  ``SparseOp`` holds a square operator by
+(field entries, i.e. Fractions), for the Gram checks of ``verify``; there
+is no dense product, rank or solve.  ``SparseOp`` holds a square operator by
 columns; every module operator is one, from the monomial base generators
 to the signed permutations and monomial sums on tensor powers, where a
 sparse product costs the nonzeros touched instead of dim^3.

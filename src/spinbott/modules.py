@@ -389,11 +389,8 @@ class VirtualCyclotomicModule:
 
     def value(self, block: int) -> Cyclotomic:
         """sum_j dims[j][block] w^j as a cyclotomic integer."""
-        k = self.order
-        acc = Cyclotomic.from_const(k, 0)
-        for j, pair in enumerate(self.graded_dims):
-            acc = acc + Cyclotomic.zeta(k, j) * Fraction(pair[block])
-        return acc
+        return Cyclotomic(self.order,
+                          {j: pair[block] for j, pair in enumerate(self.graded_dims)})
 
 
 def _as_integer(x) -> int:
@@ -429,7 +426,7 @@ def cycle_eigen_projectors(tp: TensorPower):
                 out[(x + y) % k] = out[(x + y) % k] + ax * by
         return out
 
-    coeffs = [[Cyclotomic.zeta(k, (-j * l) % k) * Fraction(1, k) for l in range(k)]
+    coeffs = [[Cyclotomic(k, {-j * l % k: Fraction(1, k)}) for l in range(k)]
               for j in range(k)]
     for i, p in enumerate(coeffs):
         if convolve(p, p) != p:
@@ -444,13 +441,9 @@ def cycle_eigen_projectors(tp: TensorPower):
 
 
 def adams_bar(module: GradedModule, k: int) -> VirtualCyclotomicModule:
-    """Graded eigenmodule dimensions of the cycle operator on E^(x)k."""
+    """Graded eigenmodule dimensions of the cycle operator on E^(x)k, from
+    the block traces tr(T^l | block), each taken once."""
     tp = tensor_power(module, k)
-    return adams_bar_of(tp)
-
-
-def adams_bar_of(tp: TensorPower) -> VirtualCyclotomicModule:
-    """Eigen dimensions from the block traces tr(T^l | block), each taken once."""
     t_pows, projectors = cycle_eigen_projectors(tp)
     traces = _block_traces(t_pows, tp.grading)
     dims = []
@@ -519,10 +512,6 @@ def isotypic_projectors(tp: TensorPower):
 def adams_character(module: GradedModule, k: int) -> AdamsCharacter:
     """Character-weighted isotypic decomposition of E^(x)k, per graded block."""
     tp = tensor_power(module, k)
-    return adams_character_of(tp)
-
-
-def adams_character_of(tp: TensorPower) -> AdamsCharacter:
     reps, isotypic = isotypic_projectors(tp)
     traces = _block_traces(reps, tp.grading)
     pieces = []
@@ -631,23 +620,17 @@ def opposite_form_check(m: int, k: int) -> bool:
     return hermitian_bott_of(module, k) == hermitian_bott_of(opposite_module(module), k)
 
 
-def psi_bar_graded(module: GradedModule, k: int) -> tuple:
-    """(block-0, block-1) integers of the eigenmodule Adams operation."""
-    vcm = adams_bar(module, k)
-    return tuple(_as_integer(vcm.value(block)) for block in (0, 1)), vcm
-
-
 def adams_module_report(m: int, k: int) -> dict:
     """One-run summary for a hyperbolic module: both Adams routes and the class."""
     module = spinor_rep(m)
-    psi_bar, vcm = psi_bar_graded(module, k)
+    vcm = adams_bar(module, k)
     char = adams_character(module, k)
     rho = hermitian_bott_of(module, k)
     return {
         "m": m,
         "k": k,
         "eigen_dims": [list(p) for p in vcm.graded_dims],
-        "psi_bar": list(psi_bar),
+        "psi_bar": [_as_integer(vcm.value(block)) for block in (0, 1)],
         "psi_char": list(char.psi_graded),
         "rho_k": str(rho),
         "expected": str(k ** m),

@@ -143,8 +143,6 @@ def diagonalize(gram, want_basis: bool = False):
         for j in range(i + 1, n):
             if a[i][j] != a[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
-    if linalg.det(a) == 0:
-        raise DegenerateFormError("singular Gram matrix")
 
     basis = linalg.identity(n)
 
@@ -171,8 +169,11 @@ def diagonalize(gram, want_basis: bool = False):
             if j is not None:
                 swap_col(i, j)
             else:
-                # all remaining diagonal zero; some off-diagonal is not
-                j = next(t for t in range(i + 1, n) if a[i][t] != 0)
+                # all remaining diagonal zero; rows and columns before i are
+                # cleared, so a zero row i here makes the matrix singular
+                j = next((t for t in range(i + 1, n) if a[i][t] != 0), None)
+                if j is None:
+                    raise DegenerateFormError("singular Gram matrix")
                 add_col(i, j, Fraction(1))
         pivot = a[i][i]
         for j in range(i + 1, n):
@@ -185,24 +186,45 @@ def diagonalize(gram, want_basis: bool = False):
 
 # -- Hilbert symbols and Hasse-Witt ------------------------------------------
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Strong-probable-prime tests to the 13 bases above decide primality below
+# this bound (Sorenson and Webster, Math. Comp. 86 (2017)); places at or
+# above it are refused.
+PRIME_PLACE_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic for p < PRIME_PLACE_LIMIT: trial division by the primes
+    up to 41 (which settles every p < 43^2), then Miller-Rabin rounds."""
     if p < 2:
         return False
-    if p < 4:
+    for b in _SMALL_PRIMES:
+        if p % b == 0:
+            return p == b
+    if p < 43 * 43:
         return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _SMALL_PRIMES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def _check_place(p):
     if p == INF:
         return
+    if isinstance(p, int) and p >= PRIME_PLACE_LIMIT:
+        raise InvalidPlaceError(f"place {p} is not below the primality bound "
+                                f"{PRIME_PLACE_LIMIT}")
     if not isinstance(p, int) or not _is_prime(p):
         raise InvalidPlaceError(f"{p!r} is neither a prime nor {INF!r}")
 

@@ -12,12 +12,12 @@ int arithmetic; ``_exact`` is the one place that decides, for
   Bott classes are evaluated.
 
 Both, like ``LineExpr`` and ``CliffordElement``, are ``RingElement``
-subclasses: immutable, with sums, differences, powers and comparisons
-written once there; every operation is a pure function.  Cyclotomic
-coefficients are rationals by default but may be elements of any exact
-commutative ring implementing +, -, * (with int and with each other),
-since reduction mod the monic integer polynomial Phi_k only ever scales
-coefficients by integers.
+subclasses: immutable, stored as a sparse ``{monomial: coeff}`` dict, with
+sums, differences, scaling, powers and comparisons written once there;
+every operation is a pure function.  Cyclotomic coefficients are rationals
+by default but may be elements of any exact commutative ring implementing
++, -, * (with int and with each other), since reduction mod the monic
+integer polynomial Phi_k only ever scales coefficients by integers.
 """
 
 from __future__ import annotations
@@ -65,8 +65,9 @@ class RingElement:
     Fractions coerce to constants; an operand from another ring raises the
     subclass's ``_mismatch`` error.  Values are immutable.  Arithmetic on
     elements of one ring builds its result with ``_trusted``, which skips
-    the checking constructor.  ``Cyclotomic`` stores a dense vector
-    instead and replaces every method here that reads the dict.
+    the checking constructor.  A dict coefficient may itself be a ring
+    element (a ``Cyclotomic`` over ``LineExpr``): the constants stay plain
+    ints, so no ring needs to carry the zero of its coefficients.
     """
 
     __slots__ = ()
@@ -205,73 +206,52 @@ def _exact(c):
     return c
 
 
-def _reduce_mod_phi(order: int, dense: list) -> list:
+def _reduce_mod_phi(order: int, coeffs: dict) -> dict:
+    """``coeffs`` (consumed) reduced mod Phi_k: powers below phi(k), zeros
+    dropped.  Every power from the top down is visited, not only the keys
+    present at the start: reducing a high power creates lower ones."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    while len(dense) > deg:
-        top = dense.pop()
-        if top:
-            base = len(dense) - deg
+    for top in range(max(coeffs, default=0), deg - 1, -1):
+        c = coeffs.pop(top, 0)
+        if c:
+            base = top - deg
             for t in range(deg):
                 if phi[t]:
-                    dense[base + t] = dense[base + t] - top * phi[t]
-    zero = dense[0] * 0 if dense else 0
-    while len(dense) < deg:
-        dense.append(zero)
-    return [_exact(c) for c in dense]
+                    coeffs[base + t] = coeffs.get(base + t, 0) - c * phi[t]
+    return {p: _exact(c) for p, c in coeffs.items() if c}
 
 
 class Cyclotomic(RingElement):
-    """An element of Omega_k (x) R, reduced mod Phi_k.
-
-    ``coeffs`` always has length phi(k); entry i is the coordinate of w^i.
-    The vector is dense because it carries the zero of the coefficient
-    ring, which need not be Q, so addition, negation, scaling, truth and
-    coefficients are its own rather than the dict ones of RingElement.
-    """
+    """An element of Omega_k (x) R, reduced mod Phi_k: a sparse map power ->
+    coefficient with every power below phi(k)."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order, coeffs):
+    def __init__(self, order, coeffs=None):
         if order < 1:
             raise ValueError("order must be positive")
         check_cap("max_k", order, "cyclotomic order")
+        coeffs = dict(coeffs or {})
+        for p in coeffs:
+            if type(p) is not int or p < 0:
+                raise ValueError(f"power {p!r} of w is not a nonnegative int")
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(_reduce_mod_phi(order, list(coeffs))))
+        object.__setattr__(self, "coeffs", _reduce_mod_phi(order, coeffs))
 
     @classmethod
     def from_const(cls, order: int, c) -> "Cyclotomic":
-        return cls(order, [c])
+        return cls(order, {0: c})
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "Cyclotomic":
         """w^power, reduced."""
-        power %= order
-        return cls(order, [0] * power + [1])
-
-    # -- ring structure ---------------------------------------------------
+        return cls(order, {power % order: 1})
 
     _ring = property(lambda self: self.order)
 
     def _new(self, coeffs) -> "Cyclotomic":
         return Cyclotomic(self.order, coeffs)
-
-    def _const(self, c) -> "Cyclotomic":
-        return self._new([c])
-
-    def __add__(self, other):
-        o = self._match(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._new([a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._new([-a for a in self.coeffs])
-
-    def _scale(self, c) -> "Cyclotomic":
-        return self._new([a * c for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -279,23 +259,13 @@ class Cyclotomic(RingElement):
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
-        n = len(self.coeffs)
-        dense = [self.coeffs[0] * 0] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        dense[i + j] = dense[i + j] + a * b
-        return self._new(dense)
+        coeffs: dict = {}
+        for i, a in self.coeffs.items():
+            for j, b in o.coeffs.items():
+                coeffs[i + j] = coeffs.get(i + j, 0) + a * b
+        return self._new(coeffs)
 
     __rmul__ = __mul__
-
-    def __bool__(self):
-        return any(bool(c) for c in self.coeffs)
-
-    def coefficient(self, i: int):
-        """The coordinate of w^i, 0 <= i < phi(k)."""
-        return self.coeffs[i]
 
     # -- Galois structure --------------------------------------------------
 
@@ -307,14 +277,7 @@ class Cyclotomic(RingElement):
         j %= k
         if j == 1:
             return self
-        dense = [self.coeffs[0] * 0] * k
-        for i, c in enumerate(self.coeffs):
-            if c:
-                dense[(i * j) % k] = dense[(i * j) % k] + c
-        return Cyclotomic(k, dense)
-
-    def is_constant(self) -> bool:
-        return not any(bool(c) for c in self.coeffs[1:])
+        return Cyclotomic(k, {i * j % k: c for i, c in self.coeffs.items()})
 
     def descend(self):
         """The rational (base-ring) value of a Galois-invariant element.
@@ -326,10 +289,10 @@ class Cyclotomic(RingElement):
         for j in range(2, k):
             if gcd(j, k) == 1 and self.galois(j) != self:
                 raise DescentError(k, j)
-        if not self.is_constant():
+        if self.coeffs.keys() - {0}:
             # Cannot happen over a torsion-free base ring; guards bugs.
             raise DescentError(k, 1)
-        return self.coeffs[0]
+        return self.coefficient(0)
 
     def __repr__(self):
         return f"Cyclotomic({format_cyclotomic(self)!r})"
@@ -343,10 +306,6 @@ class Cyclotomic(RingElement):
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
 
 
 def _format_terms(pairs, var_of) -> str:
@@ -409,7 +368,7 @@ def format_cyclotomic(a: Cyclotomic) -> str:
             return ""
         return "w" if i == 1 else f"w^{i}"
 
-    body = _format_terms(list(enumerate(a.coeffs)), var_of)
+    body = _format_terms(sorted(a.coeffs.items()), var_of)
     return f"{body}@{a.order}"
 
 
@@ -431,10 +390,8 @@ def parse_cyclotomic(s: str) -> Cyclotomic:
             else:
                 coeff *= Fraction(f)
         power %= order  # w^order = 1, so negative powers are positive ones
-        coeffs[power] = coeffs.get(power, Fraction(0)) + coeff
-    top = max(coeffs, default=0)
-    dense = [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
-    return Cyclotomic(order, dense)
+        coeffs[power] = coeffs.get(power, 0) + coeff
+    return Cyclotomic(order, coeffs)
 
 
 class TruncatedPoly(RingElement):

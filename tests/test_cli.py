@@ -46,6 +46,19 @@ def test_qf_prime_bound_far_above_the_support(capsys):
     assert code == 0 and payload["hasse_minus"] == []
 
 
+def test_qf_hasse_symbol_at_a_large_prime_place(capsys):
+    # primality of a place is decided by deterministic Miller-Rabin rounds
+    start = time.perf_counter()
+    code, payload = run(capsys, "qf", "1,1", "--primes", "1000000000000000003")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and payload["hasse"] == {"1000000000000000003": 1}
+
+
+def test_qf_place_beyond_the_primality_bound_is_refused(capsys):
+    assert main(["qf", "1,1", "--primes", str(2 ** 89 - 1)]) == 2
+    assert "primality bound" in capsys.readouterr().err
+
+
 def test_qf_prime_bound_missing_a_support_prime_is_refused(capsys):
     assert main(["qf", "--prime-bound", "5", "1,13"]) == 2
     assert "prime_bound 5 misses primes [13]" in capsys.readouterr().err
@@ -59,6 +72,16 @@ def test_bott_lines(capsys):
     code, payload = run(capsys, "bott", "--expr", "L1", "--k", "3", "--mode", "lines")
     assert code == 0
     assert payload["value"] == "1 + L1 + L1^2"
+
+
+def test_bott_cyclotomic_mode_agrees_with_lines_at_the_order_cap(capsys):
+    # k = 32 is the max_k cap: the cyclotomic product and its descent there
+    values = []
+    for mode in ("cyclotomic", "lines"):
+        code, payload = run(capsys, "bott", "--expr", "2*L1", "--k", "32", "--mode", mode)
+        assert code == 0
+        values.append(payload["value"])
+    assert values[0] == values[1]
 
 
 def test_bott_sphere(capsys):

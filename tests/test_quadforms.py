@@ -1,5 +1,6 @@
 """Quadratic-form invariants: worked examples and number-theoretic properties."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from dense_modules import diag, mat_mul
 from spinbott import linalg
-from spinbott.quadforms import (INF, BWTriple, DegenerateFormError,
-                                IncompleteScanError, InvalidPlaceError,
+from spinbott.quadforms import (INF, PRIME_PLACE_LIMIT, BWTriple, DegenerateFormError,
+                                IncompleteScanError, InvalidPlaceError, _is_prime,
                                 QuadraticForm, bw_class, diagonalize, discriminant,
                                 format_form, hasse_witt, hilbert_symbol, hyperbolic,
                                 is_orientable, parse_form, scale, square_free_part)
@@ -46,8 +47,31 @@ def test_diagonalize_examples():
 
     assert diagonalize([[1, 0], [0, 1]]).diag == (1, 1)
     assert diagonalize([[2, 1], [1, 2]]).diag == (2, Fraction(3, 2))
-    with pytest.raises(DegenerateFormError):
-        diagonalize([[1, 1], [1, 1]])
+    singular = ([[0]], [[1, 1], [1, 1]], [[0, 0], [0, 1]],
+                [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    for gram in singular:
+        with pytest.raises(DegenerateFormError, match="singular Gram matrix"):
+            diagonalize(gram)
+
+
+@st.composite
+def symmetric_grams(draw):
+    n = draw(st.integers(1, 4))
+    upper = {(i, j): draw(st.integers(-2, 2)) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@given(symmetric_grams())
+@settings(max_examples=300)
+def test_diagonalize_refuses_exactly_the_singular_grams(gram):
+    # the elimination finds singularity itself; the determinant is the oracle
+    if linalg.det([[Fraction(x) for x in row] for row in gram]) == 0:
+        with pytest.raises(DegenerateFormError, match="singular Gram matrix"):
+            diagonalize(gram)
+    else:
+        form, basis = diagonalize(gram, want_basis=True)
+        check = mat_mul(linalg.transpose(basis), mat_mul(gram, basis))
+        assert check == diag(list(form.diag))
 
 
 def test_hilbert_symbol_examples():
@@ -58,6 +82,31 @@ def test_hilbert_symbol_examples():
     assert hilbert_symbol(2, 3, 3) == -1
     with pytest.raises(InvalidPlaceError):
         hilbert_symbol(1, 1, 4)
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [_trial_division_prime(n) for n in range(100_000)]
+    assert [_is_prime(n) for n in range(100_000)] == sieve
+
+
+def test_strong_pseudoprimes_are_not_places():
+    # the least strong pseudoprimes to the prime bases up to 7 and up to 31
+    for n in (3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+        with pytest.raises(InvalidPlaceError):
+            hilbert_symbol(1, 1, n)
+    assert _is_prime(1000000000000000003) and _is_prime(2 ** 61 - 1)
+    assert hilbert_symbol(-1, -1, 2 ** 61 - 1) == 1
+
+
+def test_places_beyond_the_primality_bound_are_refused():
+    for p in (PRIME_PLACE_LIMIT, 2 ** 89 - 1):  # 2^89 - 1 is a Mersenne prime
+        with pytest.raises(InvalidPlaceError, match="primality bound"):
+            hilbert_symbol(1, 1, p)
 
 
 def test_hasse_witt_examples():

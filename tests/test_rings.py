@@ -1,6 +1,8 @@
 """Exact coefficient domains: worked examples and ring-axiom properties."""
 
+import cmath
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ orders = st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
 def cyclotomics(draw, order=None):
     k = order if order is not None else draw(orders)
     coeffs = draw(st.lists(fractions, min_size=euler_phi(k), max_size=euler_phi(k)))
-    return Cyclotomic(k, coeffs)
+    return Cyclotomic(k, dict(enumerate(coeffs)))
 
 
 @st.composite
@@ -46,7 +48,7 @@ def test_cyclotomic_polynomials():
 
 def test_cyclotomic_mul_examples():
     w3 = Cyclotomic.zeta(3)
-    assert w3 * w3 == Cyclotomic(3, [-1, -1])
+    assert w3 * w3 == Cyclotomic(3, {0: -1, 1: -1})
     w4 = Cyclotomic.zeta(4)
     assert w4 * w4 == -1
     one = Cyclotomic.from_const(3, 1)
@@ -59,8 +61,8 @@ def test_cyclotomic_order_mismatch():
 
 
 def test_galois_examples():
-    a = Cyclotomic(3, [2, 1])  # 2 + w
-    assert a.galois(2) == Cyclotomic(3, [1, -1])  # 1 - w
+    a = Cyclotomic(3, {0: 2, 1: 1})  # 2 + w
+    assert a.galois(2) == Cyclotomic(3, {0: 1, 1: -1})  # 1 - w
     assert a.galois(1) == a
     assert Cyclotomic.from_const(3, 3).galois(2) == 3
     with pytest.raises(GaloisActionError):
@@ -197,12 +199,12 @@ def test_truncated_text_roundtrip(a):
 
 def test_parse_unreduced_literal():
     # inputs may be unreduced; storage is canonical mod the cyclotomic polynomial
-    assert parse_cyclotomic("1 - 2*w + w^2@3") == Cyclotomic(3, [0, -3])
+    assert parse_cyclotomic("1 - 2*w + w^2@3") == Cyclotomic(3, {1: -3})
 
 
 def test_parse_cyclotomic_negative_powers():
     # w^-1 = w^(k-1), reduced mod Phi_k
-    assert parse_cyclotomic("w^-1@3") == Cyclotomic(3, [-1, -1])
+    assert parse_cyclotomic("w^-1@3") == Cyclotomic(3, {0: -1, 1: -1})
     assert format_cyclotomic(parse_cyclotomic("w^-1@3")) == "-1 - w@3"
     assert format_cyclotomic(parse_cyclotomic("1 + w^-1@3")) == "-w@3"
     assert parse_cyclotomic("w^-3@4") == Cyclotomic.zeta(4)
@@ -260,7 +262,7 @@ RING_CASES = {
     "CliffordElement": (lambda: CliffordElement(QuadraticForm((1, -1)), {0: 2, 0b11: 1}),
                         lambda: CliffordElement(QuadraticForm((1, 1)), {0: 1}),
                         FormMismatchError, 0),
-    "Cyclotomic": (lambda: Cyclotomic(3, [2, 1]), lambda: Cyclotomic(4, [1]),
+    "Cyclotomic": (lambda: Cyclotomic(3, {0: 2, 1: 1}), lambda: Cyclotomic(4, {0: 1}),
                    RingMismatchError, 0),
 }
 
@@ -308,13 +310,102 @@ def test_shared_ring_structure(name):
 
 
 def test_cyclotomic_over_line_expressions():
-    # the dense vector carries the zero of its coefficient ring
+    # ring-element coefficients next to plain int constants
     L1 = LineExpr.symbol(1)
-    a = Cyclotomic(3, [L1, 1])
+    a = Cyclotomic(3, {0: L1, 1: 1})
     assert not (a - a) and bool(a)
     assert a * 0 == 0 and a - a == 0
     assert (a + 1).coefficient(0) == L1 + 1
-    assert a * a == Cyclotomic(3, [L1 * L1 - 1, 2 * L1 - 1])
+    assert a * a == Cyclotomic(3, {0: L1 * L1 - 1, 1: 2 * L1 - 1})
+
+
+def test_cyclotomic_refuses_a_power_that_is_not_a_nonnegative_int():
+    for power in (-1, -5, 1.0, Fraction(1), "1", None):
+        with pytest.raises(ValueError, match="nonnegative int"):
+            Cyclotomic(5, {power: 1})
+
+
+# -- an independent oracle: complex evaluation at every primitive k-th root --
+#
+# An element of Q(w) is determined by its values at the primitive k-th roots
+# of unity, and the map is a ring homomorphism compatible with w -> w^j, so
+# floating evaluation checks reduction, products, sums and the Galois action
+# without any of the package's own arithmetic.
+
+def _primitive_roots(k):
+    return [cmath.exp(2j * cmath.pi * m / k) for m in range(1, k + 1) if gcd(m, k) == 1]
+
+
+def _evaluate(coeffs: dict, z: complex) -> complex:
+    return sum(float(c) * z ** p for p, c in coeffs.items())
+
+
+def _size(coeffs) -> float:
+    return sum(abs(float(c)) for c in coeffs)
+
+
+def _agrees(a: Cyclotomic, expect, size: float) -> bool:
+    """a equals ``expect(z)`` at every primitive root z of its order; ``size``
+    bounds the sum of the absolute terms ``expect`` adds up."""
+    tol = 1e-9 * (1 + size + _size(a.coeffs.values()))
+    return all(abs(_evaluate(a.coeffs, z) - expect(z)) <= tol
+               for z in _primitive_roots(a.order))
+
+
+all_orders = st.integers(1, 32)
+
+
+@st.composite
+def unreduced(draw, k):
+    """A {power: coeff} map with powers up to 3k, as the constructor takes it."""
+    return draw(st.dictionaries(st.integers(0, 3 * k), fractions, max_size=8))
+
+
+def test_primitive_roots_are_the_roots_of_phi():
+    for k in range(1, 33):
+        phi = cyclotomic_polynomial(k)
+        roots = _primitive_roots(k)
+        assert len(roots) == euler_phi(k)
+        assert all(abs(sum(c * z ** i for i, c in enumerate(phi))) < 1e-9 for z in roots)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_cyclotomic_against_complex_evaluation(data):
+    k = data.draw(all_orders)
+    da, db = data.draw(unreduced(k)), data.draw(unreduced(k))
+    a, b = Cyclotomic(k, da), Cyclotomic(k, db)
+    assert all(0 <= p < euler_phi(k) and c for p, c in a.coeffs.items())
+    na, nb = _size(da.values()), _size(db.values())
+    assert _agrees(a, lambda z: _evaluate(da, z), na)
+    assert _agrees(a + b, lambda z: _evaluate(da, z) + _evaluate(db, z), na + nb)
+    assert _agrees(a - b, lambda z: _evaluate(da, z) - _evaluate(db, z), na + nb)
+    assert _agrees(a * b, lambda z: _evaluate(da, z) * _evaluate(db, z), na * nb)
+    assert _agrees(a * Fraction(-3, 2), lambda z: _evaluate(da, z) * -1.5, 1.5 * na)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_galois_against_complex_evaluation(data):
+    k = data.draw(all_orders)
+    da = data.draw(unreduced(k))
+    j = data.draw(st.integers(1, 3 * k).filter(lambda j: gcd(j, k) == 1))
+    # sigma_j(a) at z is a at z^j
+    assert _agrees(Cyclotomic(k, da).galois(j), lambda z: _evaluate(da, z ** j),
+                   _size(da.values()))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_parsed_literals_against_complex_evaluation(data):
+    # unreduced powers up to 3k and negative powers, as a user may type them
+    k = data.draw(all_orders)
+    terms = data.draw(st.lists(st.tuples(fractions.filter(bool), st.integers(-3 * k, 3 * k)),
+                               min_size=1, max_size=6))
+    text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*w^{p}" for c, p in terms)
+    a = parse_cyclotomic(f"{text}@{k}")
+    assert _agrees(a, lambda z: sum(float(c) * z ** p for c, p in terms),
+                   _size(c for c, _ in terms))
 
 
 # -- coefficient storage: integral values as int, the rest as Fraction --------
@@ -331,7 +422,7 @@ def test_exact_rules():
 STORES = {
     "LineExpr": (lambda c: LineExpr({(1,): c}), lambda a: a.coeffs[(1,)]),
     "TruncatedPoly": (lambda c: TruncatedPoly(2, {3: c}), lambda a: a.coeffs[3]),
-    "Cyclotomic": (lambda c: Cyclotomic(5, [0, c]), lambda a: a.coeffs[1]),
+    "Cyclotomic": (lambda c: Cyclotomic(5, {1: c}), lambda a: a.coeffs[1]),
     "SparseOp": (lambda c: SparseOp.from_dense([[0, c], [1, 0]]), lambda a: a.cols[1][0]),
     "CliffordElement": (lambda c: CliffordElement(QuadraticForm((Fraction(1, 2), 3)), {3: c}),
                         lambda a: a.coeffs[3]),
@@ -354,15 +445,14 @@ def test_integral_results_are_stored_as_int():
     cases = [((LineExpr({(1,): half}) * 2).coeffs, {(1,): 1}),
              ((TruncatedPoly(1, {1: half}) + TruncatedPoly(1, {1: half})).coeffs, {1: 1}),
              (TruncatedPoly(2, {0: 1, 1: 1}).invert().coeffs, {0: 1, 1: -1}),
-             ((Cyclotomic(3, [half, half]) * 2).coeffs, (1, 1)),
-             (parse_cyclotomic("1/2 + 1/2*w^3@3").coeffs, (1, 0)),
+             ((Cyclotomic(3, {0: half, 1: half}) * 2).coeffs, {0: 1, 1: 1}),
+             (parse_cyclotomic("1/2 + 1/2*w^3@3").coeffs, {0: 1}),
              (SparseOp.identity(2).scale(Fraction(4, 2)).cols[1], {1: 2}),
              ((CliffordElement(QuadraticForm((Fraction(1, 2), 2)), {1: 2}) ** 2).coeffs, {0: 2}),
              ((CliffordElement(QuadraticForm((1, -1)), {3: half}) * 4).coeffs, {3: 2})]
     for stored, expected in cases:
         assert stored == expected
-        values = stored.values() if isinstance(stored, dict) else stored
-        assert all(type(c) is int for c in values)
+        assert all(type(c) is int for c in stored.values())
 
 
 @given(st.integers(-5, 5).filter(bool), st.lists(st.integers(-2, 2), min_size=1, max_size=3))
@@ -373,7 +463,7 @@ def test_storage_type_is_invisible(n, exps):
               format_line_expr, parse_line_expr),
              (TruncatedPoly(2, {1: n}), TruncatedPoly(2, {1: Fraction(n)}),
               format_truncated, lambda t: parse_truncated(t, 2)),
-             (Cyclotomic(5, [0, n]), Cyclotomic(5, [0, Fraction(n)]),
+             (Cyclotomic(5, {1: n}), Cyclotomic(5, {1: Fraction(n)}),
               format_cyclotomic, parse_cyclotomic),
              (CliffordElement(QuadraticForm((1, -2)), {3: n}),
               CliffordElement(QuadraticForm((1, -2)), {3: Fraction(n)}),
