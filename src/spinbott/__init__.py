@@ -6,7 +6,8 @@ truncated-polynomial extensions with exact arithmetic; no floats anywhere.
 
 from .clifford import (CliffordElement, Membership, OrthogonalMatrix, SpinLift,
                        clifford_group_test, graded_tensor_check, parse_element,
-                       format_element, phi_gram, spin_lift, untwist_iso, volume_element)
+                       format_element, pairing_det, phi_gram, spin_lift, untwist_iso,
+                       volume_element)
 from .config import Caps, CapExceededError, DEFAULT_CAPS, FailedCheckError, caps_scope
 from .lambda_bott import (LambdaVector, LineExpr, SerreSqrt, adams_lines,
                           adams_newton, bott_cyclotomic, bott_lines, bott_virtual,

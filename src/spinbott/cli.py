@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -232,7 +233,14 @@ def main(argv=None) -> int:
                 max_vars=args.max_vars, max_k=args.max_k)
     try:
         with caps_scope(caps):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at /dev/null so the flush at exit
+        # cannot fail again, and exit as a process ended by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except FailedCheckError as exc:  # a failed check, not a usage error
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .config import FailedCheckError, check_cap
 from .quadforms import QuadraticForm, format_form, is_orientable, scale
@@ -275,16 +276,15 @@ def clifford_group_test(a: CliffordElement) -> Membership:
 
 # -- the even/odd top-coefficient bilinear forms ------------------------------
 
-def parity_basis(q: QuadraticForm, parity: int) -> list[int]:
-    return [m for m in range(1 << q.rank) if _popcount(m) & 1 == parity]
+def phi_gram(q: QuadraticForm, parity: int) -> dict:
+    """The form (a, b) -> s * top-blade coefficient of a b on C^parity, as a
+    signed pairing ``{m: entry}`` over the blades m of that parity.
 
-
-def phi_gram(q: QuadraticForm, parity: int) -> list:
-    """Gram matrix of (a, b) -> s * top-blade coefficient of a b on C^parity.
-
-    Symmetric for parity 0, antisymmetric for parity 1, nondegenerate in
-    both cases; s is the orientation witness trivializing the top exterior
-    power.
+    e_a e_b lands on e_top only when b is the complement top ^ a, so row m
+    of the Gram matrix on the sorted blade basis holds one nonzero, the
+    entry, in column top ^ m.  The form is symmetric for parity 0,
+    antisymmetric for parity 1 and nondegenerate in both cases; s is the
+    orientation witness trivializing the top exterior power.
     """
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
@@ -292,11 +292,21 @@ def phi_gram(q: QuadraticForm, parity: int) -> list:
     if not ok:
         raise NotOrientableError("the top power is only trivialized for orientable forms")
     check_cap("max_dim", q.rank, "Clifford rank")
-    basis = parity_basis(q, parity)
     top = (1 << q.rank) - 1
     diag = q.exact_diag
-    return [[_blade_product(m1, m2, diag, s) if m1 ^ m2 == top else 0 for m2 in basis]
-            for m1 in basis]
+    return {m: _blade_product(m, top ^ m, diag, s)
+            for m in range(top + 1) if _popcount(m) & 1 == parity}
+
+
+def pairing_det(pairing: dict):
+    """Determinant of the Gram matrix of a ``phi_gram`` pairing.
+
+    Complementing reverses the sorted blade basis, so the determinant is
+    the sign of that reversal, (-1)^(N(N-1)/2) for N blades, times the
+    product of the entries.
+    """
+    n = len(pairing)
+    return prod(pairing.values(), start=-1 if n % 4 in (2, 3) else 1)
 
 
 # -- graded tensor decomposition ----------------------------------------------

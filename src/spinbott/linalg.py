@@ -1,11 +1,11 @@
-"""Small exact linear algebra: dense Fraction matrices and sparse operators.
+"""Exact sparse operators, the one matrix format in the package.
 
-Dense matrices are lists of lists.  The only elimination left is ``det``
-(field entries, i.e. Fractions), for the Gram checks of ``verify``; there
-is no dense product, rank or solve.  ``SparseOp`` holds a square operator by
-columns; every module operator is one, from the monomial base generators
-to the signed permutations and monomial sums on tensor powers, where a
-sparse product costs the nonzeros touched instead of dim^3.
+``SparseOp`` holds a square operator by columns; every module operator is
+one, from the monomial base generators to the signed permutations and
+monomial sums on tensor powers, where a sparse product costs the nonzeros
+touched instead of dim^3.  There is no dense matrix and no elimination
+here: the Gram checks of ``verify`` read the top-coefficient forms as
+signed pairings (``clifford.phi_gram``).
 """
 
 from __future__ import annotations
@@ -13,54 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rings import _exact
-
-Matrix = list
-
-
-def zeros(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
-def identity(n: int) -> Matrix:
-    out = zeros(n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [[x * c for x in row] for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b))
-
-
-def det(a: Matrix) -> Fraction:
-    n = len(a)
-    m = [list(row) for row in a]
-    out = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out
 
 
 class SparseOp:
@@ -80,18 +32,6 @@ class SparseOp:
     @classmethod
     def identity(cls, n: int) -> "SparseOp":
         return cls({j: 1} for j in range(n))
-
-    @classmethod
-    def from_dense(cls, a: Matrix) -> "SparseOp":
-        return cls({i: _exact(a[i][j]) for i in range(len(a)) if a[i][j]}
-                   for j in range(len(a)))
-
-    def to_dense(self) -> Matrix:
-        out = zeros(len(self.cols))
-        for j, col in enumerate(self.cols):
-            for i, x in col.items():
-                out[i][j] = Fraction(x)
-        return out
 
     def compose(self, other: "SparseOp") -> "SparseOp":
         """self o other: column j is self applied to column j of other."""

@@ -216,7 +216,6 @@ class TensorPower:
     k: int
     grading: tuple         # total degree of each tensor basis vector
     diag_gens: tuple       # Delta(e_j) = sum over copies
-    copy_gens: tuple       # copy_gens[c][j]: e_j acting in copy c with grading signs
     adjacents: tuple       # graded swap of slots (c, c+1), c = 0..k-2
 
     @property
@@ -280,7 +279,7 @@ def tensor_power(module: GradedModule, k: int) -> TensorPower:
                          -1 if g[t[c]] and g[t[c + 1]] else 1} for t in basis)
 
     adjacents = tuple(adjacent(c) for c in range(k - 1))
-    tp = TensorPower(module, k, grading, tuple(diag_gens), copy_gens, adjacents)
+    tp = TensorPower(module, k, grading, tuple(diag_gens), adjacents)
 
     failure = _relation_failure(diag_gens, [k * q for q in module.form.diag], dim)
     if failure:

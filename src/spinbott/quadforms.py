@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
-from . import linalg
 from .config import FailedCheckError
 from .rings import _exact, format_rational
 
@@ -144,7 +143,7 @@ def diagonalize(gram, want_basis: bool = False):
             if a[i][j] != a[j][i]:
                 raise ValueError("Gram matrix must be symmetric")
 
-    basis = linalg.identity(n)
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
     def add_col(dst, src, f):
         # basis change e_dst += f * e_src, applied congruently

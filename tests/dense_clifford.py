@@ -5,9 +5,12 @@ characteristic-polynomial recursion and certifies the untwisting map by a
 permutation check on blade pairs.  The code here is the dense path those
 replaced: the inverse solves a x = 1 in the regular representation on the
 2^n blade basis, and bijectivity is the rank of the 2^(n+r) blade images
-as columns.  ``rank`` and ``solve`` are plain Gaussian elimination and
-live only here, so a bug in the sparse code cannot be shared with its
-oracle.  It costs 8^n and is meant for n <= 8 only.
+as columns.  ``phi_gram`` returns a signed pairing; the oracle here is the
+full Gram matrix of the top-coefficient form, read off element products,
+with its determinant by elimination.  ``rank``, ``solve`` and ``det`` are
+plain Gaussian elimination and live only here, so a bug in the sparse code
+cannot be shared with its oracle.  It costs 8^n and is meant for n <= 8
+only.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from spinbott.clifford import CliffordElement
-from spinbott.quadforms import QuadraticForm
+from spinbott.quadforms import QuadraticForm, is_orientable
 
 
 def rank(a) -> int:
@@ -56,6 +59,37 @@ def solve(a, b) -> list | None:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return [m[i][n] for i in range(n)]
+
+
+def det(a) -> Fraction:
+    """Determinant via exact Gaussian elimination."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    out = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            out = -out
+        out *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return out
+
+
+def dense_phi_gram(q: QuadraticForm, parity: int) -> tuple[list, list]:
+    """(basis, Gram): the sorted blades of that parity, and the matrix of
+    (a, b) -> s * top coefficient of a b, s the orientation witness."""
+    _, s = is_orientable(q)
+    top = (1 << q.rank) - 1
+    basis = [m for m in range(top + 1) if bin(m).count("1") % 2 == parity]
+    blades = [CliffordElement(q, {m: 1}) for m in basis]
+    return basis, [[s * (a * b).coefficient(top) for b in blades] for a in blades]
 
 
 def dense_inverse(a: CliffordElement) -> CliffordElement | None:

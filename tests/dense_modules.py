@@ -5,10 +5,11 @@ replaced it: the base generators are read as dense matrices, every operator
 on E^(x)k is a dense Fraction (or Cyclotomic) matrix, the projectors are
 formed and multiplied in full, every trace is taken of a full product, and
 bijectivity of the structure map is a rank.  Nothing here imports the
-sparse code past the base module's constructors, and the dense products
-and the rank (``dense_clifford.rank``) live in the test oracles rather
-than in ``spinbott.linalg``, so a bug in that code cannot be shared with
-its oracle.  It costs k!·dim^3 and is meant for dim <= 64
+sparse code past the base module's constructors, and every dense helper
+(lists of lists, ``to_dense``/``from_dense`` for a ``SparseOp``, the rank
+``dense_clifford.rank``) lives in the test oracles, since the package has
+no dense matrices, so a bug in that code cannot be shared with its
+oracle.  It costs k!·dim^3 and is meant for dim <= 64
 only.
 """
 
@@ -19,20 +20,57 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from dense_clifford import rank
-from spinbott import linalg
 from spinbott.clifford import CliffordElement, volume_element
+from spinbott.linalg import SparseOp
 from spinbott.modules import (GradedModule, PresentationError, VirtualCyclotomicModule,
                               partitions, spinor_rep, sym_character, twist_rep)
 from spinbott.quadforms import scale
 from spinbott.rings import Cyclotomic
 
 
+def zeros(n, m=None):
+    m = n if m is None else m
+    return [[Fraction(0)] * m for _ in range(n)]
+
+
+def identity(n):
+    return diag([1] * n)
+
+
 def diag(entries):
     n = len(entries)
-    out = linalg.zeros(n)
+    out = zeros(n)
     for i, e in enumerate(entries):
         out[i][i] = Fraction(e) if isinstance(e, int) else e
     return out
+
+
+def mat_scale(a, c):
+    return [[x * c for x in row] for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def mat_eq(a, b) -> bool:
+    return len(a) == len(b) and all(
+        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
+        for ra, rb in zip(a, b))
+
+
+def to_dense(op: SparseOp):
+    out = zeros(len(op.cols))
+    for j, col in enumerate(op.cols):
+        for i, x in col.items():
+            out[i][j] = Fraction(x)
+    return out
+
+
+def from_dense(a) -> SparseOp:
+    """The columns of a, integral entries as ints as ``SparseOp`` stores them."""
+    return SparseOp({i: x.numerator if x.denominator == 1 else x
+                     for i, x in enumerate(col) if x} for col in zip(*a))
 
 
 def mat_add(a, b):
@@ -70,9 +108,9 @@ def masked_trace(a, keep) -> Fraction:
 
 def clifford_action_matrix(elem, gen_mats, dim):
     """Image of a Clifford element under e_i -> gen_mats[i-1]."""
-    acc = linalg.zeros(dim)
+    acc = zeros(dim)
     for mask, coeff in elem.coeffs.items():
-        m = linalg.identity(dim)
+        m = identity(dim)
         i = 0
         mm = mask
         while mm:
@@ -80,7 +118,7 @@ def clifford_action_matrix(elem, gen_mats, dim):
                 m = mat_mul(m, gen_mats[i])
             mm >>= 1
             i += 1
-        acc = mat_add(acc, linalg.mat_scale(m, coeff))
+        acc = mat_add(acc, mat_scale(m, coeff))
     return acc
 
 
@@ -90,7 +128,7 @@ def is_end_iso(module: GradedModule) -> bool:
     d = module.dim
     if (1 << n) != d * d:
         return False
-    gens = [gen.to_dense() for gen in module.gens]
+    gens = [to_dense(gen) for gen in module.gens]
     rows = []
     for mask in range(1 << n):
         mat = clifford_action_matrix(CliffordElement(module.form, {mask: 1}), gens, d)
@@ -144,7 +182,7 @@ class TensorPower:
         return len(self.grading)
 
     def perm_matrix(self, word):
-        out = linalg.identity(self.dim)
+        out = identity(self.dim)
         for c in word:
             out = mat_mul(out, self.adjacents[c])
         return out
@@ -167,8 +205,8 @@ def tensor_power(module: GradedModule, k: int) -> TensorPower:
     grading = tuple(sum(g[i] for i in t) % 2 for t in basis)
 
     def copy_generator(c, j):
-        gen = module.gens[j].to_dense()
-        out = linalg.zeros(dim)
+        gen = to_dense(module.gens[j])
+        out = zeros(dim)
         for t in basis:
             sign = Fraction(-1) ** sum(g[t[a]] for a in range(c))
             col = index[t]
@@ -188,7 +226,7 @@ def tensor_power(module: GradedModule, k: int) -> TensorPower:
         diag_gens.append(acc)
 
     def adjacent(c):
-        out = linalg.zeros(dim)
+        out = zeros(dim)
         for t in basis:
             u = t[:c] + (t[c + 1], t[c]) + t[c + 2:]
             out[index[u]][index[t]] = Fraction(-1) ** (g[t[c]] * g[t[c + 1]])
@@ -197,10 +235,10 @@ def tensor_power(module: GradedModule, k: int) -> TensorPower:
     adjacents = tuple(adjacent(c) for c in range(k - 1))
     tp = TensorPower(module, k, grading, tuple(diag_gens), copy_gens, adjacents)
 
-    ident = linalg.identity(dim)
+    ident = identity(dim)
     for j in range(n):
-        if not linalg.mat_eq(mat_mul(diag_gens[j], diag_gens[j]),
-                             linalg.mat_scale(ident, k * module.form.diag[j])):
+        if not mat_eq(mat_mul(diag_gens[j], diag_gens[j]),
+                             mat_scale(ident, k * module.form.diag[j])):
             raise PresentationError("diagonal generator does not square to k q")
     for i in range(n):
         for j in range(i + 1, n):
@@ -209,21 +247,21 @@ def tensor_power(module: GradedModule, k: int) -> TensorPower:
             if any(any(x for x in row) for row in anti):
                 raise PresentationError("diagonal generators do not anticommute")
     for s in adjacents:
-        if not linalg.mat_eq(mat_mul(s, s), ident):
+        if not mat_eq(mat_mul(s, s), ident):
             raise PresentationError("graded swap does not square to one")
     for c in range(k - 2):
         lhs = mat_mul(mat_mul(adjacents[c], adjacents[c + 1]), adjacents[c])
         rhs = mat_mul(mat_mul(adjacents[c + 1], adjacents[c]), adjacents[c + 1])
-        if not linalg.mat_eq(lhs, rhs):
+        if not mat_eq(lhs, rhs):
             raise PresentationError("graded swaps fail the braid relation")
     for c1 in range(k - 1):
         for c2 in range(c1 + 2, k - 1):
-            if not linalg.mat_eq(mat_mul(adjacents[c1], adjacents[c2]),
+            if not mat_eq(mat_mul(adjacents[c1], adjacents[c2]),
                                  mat_mul(adjacents[c2], adjacents[c1])):
                 raise PresentationError("distant graded swaps do not commute")
     for s in adjacents:
         for gmat in diag_gens:
-            if not linalg.mat_eq(mat_mul(s, gmat), mat_mul(gmat, s)):
+            if not mat_eq(mat_mul(s, gmat), mat_mul(gmat, s)):
                 raise PresentationError("swaps do not commute with the diagonal action")
     return tp
 
@@ -252,11 +290,11 @@ def _as_integer(x) -> int:
 def cycle_eigen_projectors(tp: TensorPower):
     k = tp.k
     dim = tp.dim
-    t_pows = [linalg.identity(dim)]
+    t_pows = [identity(dim)]
     cyc = tp.cycle_matrix()
     for _ in range(k - 1):
         t_pows.append(mat_mul(t_pows[-1], cyc))
-    if not linalg.mat_eq(mat_mul(t_pows[-1], cyc), linalg.identity(dim)):
+    if not mat_eq(mat_mul(t_pows[-1], cyc), identity(dim)):
         raise PresentationError("cycle operator order is not k")
 
     zero = Cyclotomic.from_const(k, 0)
@@ -312,13 +350,13 @@ def isotypic_projectors(tp: TensorPower):
     for lam in partitions(k):
         dim_pi = sym_character(lam, (1,) * k)
         chi_c = sym_character(lam, (k,))
-        acc = linalg.zeros(tp.dim)
+        acc = zeros(tp.dim)
         for perm in perms:
             chi = sym_character(lam, cycle_type(perm))
             if chi:
-                acc = mat_add(acc, linalg.mat_scale(mats[perm], Fraction(chi)))
-        proj = linalg.mat_scale(acc, Fraction(dim_pi, fact))
-        if not linalg.mat_eq(mat_mul(proj, proj), proj):
+                acc = mat_add(acc, mat_scale(mats[perm], Fraction(chi)))
+        proj = mat_scale(acc, Fraction(dim_pi, fact))
+        if not mat_eq(mat_mul(proj, proj), proj):
             raise PresentationError("isotypic projector is not idempotent")
         out.append((lam, dim_pi, chi_c, proj))
     return out
@@ -346,9 +384,9 @@ def morita_virtual_rank(grading, u_matrix, presentation: GradedModule,
     e0, e1 = presentation.dims
     dim = len(grading)
     half = Fraction(1, 2)
-    ident = linalg.identity(dim)
-    q_plus = linalg.mat_scale(mat_add(ident, u_matrix), half)
-    q_minus = linalg.mat_scale(mat_sub(ident, u_matrix), half)
+    ident = identity(dim)
+    q_plus = mat_scale(mat_add(ident, u_matrix), half)
+    q_minus = mat_scale(mat_sub(ident, u_matrix), half)
     a = mat_mul(projector, q_plus)
     b = mat_mul(projector, q_minus)
     keep0 = [g == 0 for g in grading]

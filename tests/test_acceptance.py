@@ -12,9 +12,8 @@ from itertools import product
 
 import numpy as np
 
-from spinbott import linalg
 from spinbott.cli import main
-from spinbott.clifford import (CliffordElement, graded_tensor_check, phi_gram,
+from spinbott.clifford import (CliffordElement, graded_tensor_check, pairing_det, phi_gram,
                                spin_lift, untwist_iso, volume_element)
 from spinbott.lambda_bott import (LineExpr, bott_cyclotomic, bott_lines,
                                   corrected_bott, serre_sqrt, sphere_formula,
@@ -90,10 +89,11 @@ def test_criterion_4_clifford_structure():
         for i in range(1, q.rank + 1):
             v = CliffordElement.generator(q, i)
             assert u * v + v * u == 0
+        top = (1 << q.rank) - 1
         g0, g1 = phi_gram(q, 0), phi_gram(q, 1)
-        assert linalg.mat_eq(g0, linalg.transpose(g0))
-        assert linalg.mat_eq(g1, linalg.mat_scale(linalg.transpose(g1), -1))
-        assert linalg.det(g0) != 0 and linalg.det(g1) != 0
+        assert all(x == g0[top ^ m] for m, x in g0.items())
+        assert all(x == -g1[top ^ m] for m, x in g1.items())
+        assert pairing_det(g0) != 0 and pairing_det(g1) != 0
     rng = random.Random(4)
     entries = [1, -1, 2, -2, 3]
     for r1, r2 in product(range(1, 4), range(1, 4)):

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -296,3 +300,21 @@ def test_clifford_check_reads_generators_in_any_order(capsys):
     code, payload = run(capsys, "clifford-check", "--form", "1,-1", "--element", "e1e2 + e2e1")
     assert code == 0
     assert payload == {"member": False, "reason": "zero is not invertible"}
+
+
+@pytest.mark.parametrize("argv", [["qf", "1,1"], ["verify", "--suite", "clifford"]],
+                         ids=["short", "long"])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # the reader is gone before the command writes, as in `spinbott qf 1,1 | true`;
+    # the short payload fails at the flush, the long one at the write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spinbott.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_clifford import dense_inverse, dense_untwist_bijective
-from dense_modules import mat_mul
-from spinbott import linalg
+from dense_clifford import dense_inverse, dense_phi_gram, dense_untwist_bijective, det
+from dense_modules import mat_eq, mat_mul, mat_scale, transpose
 from spinbott.clifford import (CliffordElement, FormMismatchError, NotOrientableError,
                                _blade_product, clifford_group_test, format_element,
-                               graded_tensor_check, parse_element, phi_gram, spin_lift,
-                               untwist_iso, volume_element)
-from spinbott.config import CapExceededError, Caps, caps_scope
+                               graded_tensor_check, pairing_det, parse_element, phi_gram,
+                               spin_lift, untwist_iso, volume_element)
+from spinbott.config import DEFAULT_CAPS, CapExceededError, Caps, caps_scope
 from spinbott.quadforms import QuadraticForm, hyperbolic, square_free_part
 
 H = hyperbolic(1)
@@ -304,18 +303,58 @@ def test_phi_homomorphism_on_members():
 
 
 def test_phi_gram_examples():
-    assert phi_gram(H, 0) == [[0, 1], [1, 0]]
-    assert phi_gram(H, 1) == [[0, 1], [-1, 0]]
+    assert phi_gram(H, 0) == {0: 1, 3: 1}
+    assert phi_gram(H, 1) == {1: 1, 2: -1}
+    assert pairing_det(phi_gram(H, 0)) == -1 and pairing_det(phi_gram(H, 1)) == 1
 
 
 @pytest.mark.parametrize("q", [H, hyperbolic(2), QuadraticForm((2, -2))])
 def test_phi_gram_shape(q):
+    top = (1 << q.rank) - 1
     g0, g1 = phi_gram(q, 0), phi_gram(q, 1)
-    assert linalg.mat_eq(g0, linalg.transpose(g0))
-    assert linalg.mat_eq(g1, linalg.mat_scale(linalg.transpose(g1), -1))
-    assert linalg.det(g0) != 0 and linalg.det(g1) != 0
+    assert all(x == g0[top ^ m] for m, x in g0.items())
+    assert all(x == -g1[top ^ m] for m, x in g1.items())
+    assert pairing_det(g0) != 0 and pairing_det(g1) != 0
     half = (1 << (q.rank - 1)) // 2
-    assert square_free_part(linalg.det(g0) * Fraction(-1) ** half) == 1
+    assert square_free_part(pairing_det(g0) * Fraction(-1) ** half) == 1
+
+
+@st.composite
+def orientable_forms(draw, rank):
+    # the last entry makes (-1)^(n(n-1)/2) a1...an a square
+    nonzero = st.fractions(-4, 4, max_denominator=3).filter(bool)
+    entries = draw(st.lists(nonzero, min_size=rank - 1, max_size=rank - 1))
+    last = (-1) ** (rank * (rank - 1) // 2) * draw(nonzero) ** 2
+    for a in entries:
+        last *= a
+    return QuadraticForm(tuple(entries) + (last,))
+
+
+@pytest.mark.parametrize("rank", [2, 4, 6])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_phi_gram_pairing_matches_the_dense_gram(rank, data):
+    q = data.draw(orientable_forms(rank))
+    top = (1 << rank) - 1
+    for parity in (0, 1):
+        pairing = phi_gram(q, parity)
+        basis, gram = dense_phi_gram(q, parity)
+        assert sorted(pairing) == basis
+        assert gram == [[pairing[a] if b == top ^ a else 0 for b in basis] for a in basis]
+        assert mat_eq(gram, transpose(gram) if parity == 0 else mat_scale(transpose(gram), -1))
+        assert det(gram) == pairing_det(pairing)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_phi_gram_at_the_rank_cap(parity):
+    q = hyperbolic(DEFAULT_CAPS.max_dim // 2)
+    pairing = phi_gram(q, parity)
+    assert len(pairing) == 1 << (q.rank - 1)
+    # the hyperbolic form on 2 * half blades has det (-1)^half when symmetric
+    # and 1 when alternating
+    half = (1 << (q.rank - 1)) // 2
+    hyperbolic_det = (-1) ** half if parity == 0 else 1
+    assert square_free_part(pairing_det(pairing)) == square_free_part(hyperbolic_det)
 
 
 def test_graded_tensor_examples():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 import dense_modules
-from dense_modules import diag, mat_add, mat_mul
-from spinbott import linalg, modules
+from dense_modules import (diag, from_dense, identity, mat_add, mat_mul, mat_scale,
+                           to_dense, zeros)
+from spinbott import modules
 from spinbott.clifford import CliffordElement
 from spinbott.linalg import SparseOp
 from spinbott.modules import (GradedModule, PresentationError, adams_bar,
@@ -23,10 +24,10 @@ def test_spinor_rep_small():
     m1 = spinor_rep(1)
     assert m1.dims == (1, 1)
     # the two generators in 2x2 form
-    assert m1.gens[0].to_dense() == [[0, 1], [1, 0]]
-    assert m1.gens[1].to_dense() == [[0, -1], [1, 0]]
+    assert to_dense(m1.gens[0]) == [[0, 1], [1, 0]]
+    assert to_dense(m1.gens[1]) == [[0, -1], [1, 0]]
     # volume element acts as +1 on evens, -1 on odds
-    assert m1.volume_op().to_dense() == diag([1, -1])
+    assert to_dense(m1.volume_op()) == diag([1, -1])
 
 
 def test_spinor_rep_surjective():
@@ -37,8 +38,8 @@ def test_spinor_rep_surjective():
 
 def test_graded_module_validation():
     bad = GradedModule(QuadraticForm((1, -1)), (0, 1),
-                       (SparseOp.from_dense([[0, 1], [1, 0]]),
-                        SparseOp.from_dense([[0, 1], [1, 0]])))
+                       (from_dense([[0, 1], [1, 0]]),
+                        from_dense([[0, 1], [1, 0]])))
     with pytest.raises(PresentationError):
         bad.validate()  # second generator squares to +1, not -1
 
@@ -50,7 +51,7 @@ def test_twist_rep():
     t2 = twist_rep(m1, 2)
     assert t2.form == scale(m1.form, 2)
     for gen, q in zip(t2.gens, t2.form.diag):
-        assert mat_mul(gen.to_dense(), gen.to_dense()) == linalg.mat_scale(linalg.identity(2), q)
+        assert mat_mul(to_dense(gen), to_dense(gen)) == mat_scale(identity(2), q)
     assert is_end_iso(t2)
 
 
@@ -65,24 +66,24 @@ def test_tensor_power_invariants():
     m1 = spinor_rep(1)
     tp = tensor_power(m1, 2)
     assert tp.dim == 4
-    swap = tp.adjacents[0].to_dense()
-    assert mat_mul(swap, swap) == linalg.identity(4)
+    swap = to_dense(tp.adjacents[0])
+    assert mat_mul(swap, swap) == identity(4)
     # graded swap fixes 00, exchanges 01/10, negates 11
     assert swap[3][3] == -1 and swap[0][0] == 1
     for j, q in enumerate(m1.form.diag):
-        gen = tp.diag_gens[j].to_dense()
+        gen = to_dense(tp.diag_gens[j])
         sq = mat_mul(gen, gen)
-        assert sq == linalg.mat_scale(linalg.identity(4), 2 * q)
+        assert sq == mat_scale(identity(4), 2 * q)
 
 
 def test_tensor_power_braid():
     tp = tensor_power(spinor_rep(1), 3)
-    s1, s2 = (s.to_dense() for s in tp.adjacents)
+    s1, s2 = (to_dense(s) for s in tp.adjacents)
     lhs = mat_mul(mat_mul(s1, s2), s1)
     rhs = mat_mul(mat_mul(s2, s1), s2)
     assert lhs == rhs
-    cyc = tp.cycle_op().to_dense()
-    assert mat_mul(mat_mul(cyc, cyc), cyc) == linalg.identity(8)
+    cyc = to_dense(tp.cycle_op())
+    assert mat_mul(mat_mul(cyc, cyc), cyc) == identity(8)
 
 
 def test_characters():
@@ -127,7 +128,7 @@ def _end_iso_module(case):
     if case == "doubled":
         return doubled(spinor_rep(1))  # 2^n = 4 != d^2 = 16
     if case == "relations fail":
-        gen = SparseOp.from_dense([[0, 1], [1, 0]])  # squares to +1, not -1: rank 2 < 4
+        gen = from_dense([[0, 1], [1, 0]])  # squares to +1, not -1: rank 2 < 4
         return GradedModule(QuadraticForm((1, -1)), (0, 1), (gen, gen))
     m, k, opposite = case
     module = twist_rep(spinor_rep(m), k)  # k = 1 is spinor_rep(m) itself
@@ -184,7 +185,7 @@ def test_morita_examples():
 def test_morita_mismatch():
     m1 = spinor_rep(1)
     with pytest.raises(PresentationError):
-        morita_reduce((0, 0, 1), SparseOp.from_dense(diag([1, 1, -1])), m1)
+        morita_reduce((0, 0, 1), from_dense(diag([1, 1, -1])), m1)
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (3, 2)])
@@ -216,11 +217,11 @@ def test_twist_squares_on_random_vectors():
     t3 = twist_rep(m2, 3)
     for _ in range(10):
         coords = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
-        fv = linalg.zeros(m2.dim)
+        fv = zeros(m2.dim)
         for c, gen in zip(coords, t3.gens):
-            fv = mat_add(fv, linalg.mat_scale(gen.to_dense(), c))
+            fv = mat_add(fv, mat_scale(to_dense(gen), c))
         qv = sum(c * c * q for c, q in zip(coords, m2.form.diag))
-        assert mat_mul(fv, fv) == linalg.mat_scale(linalg.identity(m2.dim), 3 * qv)
+        assert mat_mul(fv, fv) == mat_scale(identity(m2.dim), 3 * qv)
 
 
 def test_prime_reduction_to_two_eigenmodules():
@@ -268,22 +269,22 @@ def test_sparse_operator_matches_dense_products():
     tp = tensor_power(spinor_rep(1), 3)
     dense = dense_modules.tensor_power(spinor_rep(1), 3)
     for sparse_gen, dense_gen in zip(tp.diag_gens, dense.diag_gens):
-        assert sparse_gen.to_dense() == dense_gen
-    assert tp.cycle_op().to_dense() == dense.cycle_matrix()
-    assert tp.u_op().to_dense() == dense.u_matrix()
+        assert to_dense(sparse_gen) == dense_gen
+    assert to_dense(tp.cycle_op()) == dense.cycle_matrix()
+    assert to_dense(tp.u_op()) == dense.u_matrix()
     a, b = tp.diag_gens
-    assert a.compose(b).to_dense() == mat_mul(a.to_dense(), b.to_dense())
-    assert (a + b).to_dense() == mat_add(a.to_dense(), b.to_dense())
-    assert SparseOp.from_dense(a.to_dense()) == a
-    assert a.scale(Fraction(3, 2)).to_dense() == linalg.mat_scale(a.to_dense(), Fraction(3, 2))
+    assert to_dense(a.compose(b)) == mat_mul(to_dense(a), to_dense(b))
+    assert to_dense(a + b) == mat_add(to_dense(a), to_dense(b))
+    assert from_dense(to_dense(a)) == a
+    assert to_dense(a.scale(Fraction(3, 2))) == mat_scale(to_dense(a), Fraction(3, 2))
     cyc, u = tp.cycle_op(), tp.u_op()
-    x = SparseOp.from_dense([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(-1, 3)]])
-    y = SparseOp.from_dense([[Fraction(5), Fraction(0)], [Fraction(7), Fraction(8)]])
+    x = from_dense([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(-1, 3)]])
+    y = from_dense([[Fraction(5), Fraction(0)], [Fraction(7), Fraction(8)]])
     assert x.trace([True, False], y) == 19 and x.trace([False, True], y) == Fraction(-8, 3)
     for left, right in ((a, cyc), (cyc, b), (cyc, cyc), (cyc, u),
                         (tp.adjacents[0], cyc.compose(a))):
-        prod = mat_mul(left.to_dense(), right.to_dense())
+        prod = mat_mul(to_dense(left), to_dense(right))
         for block in (0, 1):
             keep = [g == block for g in tp.grading]
             assert left.trace(keep, right) == dense_modules.masked_trace(prod, keep)
-            assert left.trace(keep) == dense_modules.masked_trace(left.to_dense(), keep)
+            assert left.trace(keep) == dense_modules.masked_trace(to_dense(left), keep)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_modules import diag, mat_mul
-from spinbott import linalg
+from dense_clifford import det
+from dense_modules import diag, mat_mul, transpose
 from spinbott.quadforms import (INF, PRIME_PLACE_LIMIT, BWTriple, DegenerateFormError,
                                 IncompleteScanError, InvalidPlaceError, _is_prime,
                                 QuadraticForm, bw_class, diagonalize, discriminant,
@@ -42,7 +42,7 @@ def test_diagonalize_examples():
     form, basis = diagonalize([[0, half], [half, 0]], want_basis=True)
     assert sorted(square_free_part(a) for a in form.diag) == [-1, 1]
     gram = [[0, half], [half, 0]]
-    check = mat_mul(linalg.transpose(basis), mat_mul(gram, basis))
+    check = mat_mul(transpose(basis), mat_mul(gram, basis))
     assert check == diag(list(form.diag))
 
     assert diagonalize([[1, 0], [0, 1]]).diag == (1, 1)
@@ -65,12 +65,12 @@ def symmetric_grams(draw):
 @settings(max_examples=300)
 def test_diagonalize_refuses_exactly_the_singular_grams(gram):
     # the elimination finds singularity itself; the determinant is the oracle
-    if linalg.det([[Fraction(x) for x in row] for row in gram]) == 0:
+    if det(gram) == 0:
         with pytest.raises(DegenerateFormError, match="singular Gram matrix"):
             diagonalize(gram)
     else:
         form, basis = diagonalize(gram, want_basis=True)
-        check = mat_mul(linalg.transpose(basis), mat_mul(gram, basis))
+        check = mat_mul(transpose(basis), mat_mul(gram, basis))
         assert check == diag(list(form.diag))
 
 
@@ -203,11 +203,11 @@ def test_invariance_under_congruence():
         q = QuadraticForm(tuple(rng.choice([1, -1, 2, -2, 3]) for _ in range(3)))
         while True:
             m = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-            if linalg.det(m) != 0:
+            if det(m) != 0:
                 break
-        gram = mat_mul(linalg.transpose(m), mat_mul(diag(list(q.diag)), m))
+        gram = mat_mul(transpose(m), mat_mul(diag(list(q.diag)), m))
         q2, basis = diagonalize(gram, want_basis=True)
-        check = mat_mul(linalg.transpose(basis), mat_mul(gram, basis))
+        check = mat_mul(transpose(basis), mat_mul(gram, basis))
         assert check == diag(list(q2.diag))
         assert square_free_part(discriminant(q2)) == square_free_part(discriminant(q))
         for p in places:

@@ -423,7 +423,7 @@ STORES = {
     "LineExpr": (lambda c: LineExpr({(1,): c}), lambda a: a.coeffs[(1,)]),
     "TruncatedPoly": (lambda c: TruncatedPoly(2, {3: c}), lambda a: a.coeffs[3]),
     "Cyclotomic": (lambda c: Cyclotomic(5, {1: c}), lambda a: a.coeffs[1]),
-    "SparseOp": (lambda c: SparseOp.from_dense([[0, c], [1, 0]]), lambda a: a.cols[1][0]),
+    "SparseOp": (lambda c: SparseOp.identity(2).scale(c), lambda a: a.cols[1][1]),
     "CliffordElement": (lambda c: CliffordElement(QuadraticForm((Fraction(1, 2), 3)), {3: c}),
                         lambda a: a.coeffs[3]),
 }
