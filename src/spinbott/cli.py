@@ -9,6 +9,7 @@ flags hold for everything the command computes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -159,6 +160,7 @@ def cmd_verify(args) -> int:
     return 0 if report.all_pass else 1
 
 
+@functools.cache  # built on the first call, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinbott",
@@ -178,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("diag", help="comma-separated rationals, e.g. 1,-1,2/3")
     p.add_argument("--prime-bound", type=int, default=50)
     p.add_argument("--primes", nargs="*", help="report Hasse symbols at these places")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_qf)
 
     p = sub.add_parser("bott", help="Bott classes of line expressions")
@@ -186,31 +187,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("lines", "cyclotomic", "sphere"), default="lines")
     p.add_argument("--r", type=int, help="sphere parameter (mode=sphere)")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_bott)
 
     p = sub.add_parser("serre-sqrt", help="square root of the Bott class")
     p.add_argument("--lams", required=True, help="lambda vector, e.g. '2,1'")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_serre_sqrt)
 
     p = sub.add_parser("clifford-check", help="Clifford group membership")
     p.add_argument("--form", required=True)
     p.add_argument("--element", required=True, help="e.g. '1 + 2*e1e2'")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_clifford_check)
 
     p = sub.add_parser("spin-lift", help="lift adjacent swaps to even square-one elements")
     p.add_argument("--form", required=True)
     p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_spin_lift)
 
     p = sub.add_parser("adams-module", help="module-level Adams operations and Bott class")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_adams_module)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -218,22 +214,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock time (report no longer byte-reproducible)")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    caps = Caps(max_dim=args.max_dim, max_tensor=args.max_tensor,
-                max_vars=args.max_vars, max_k=args.max_k)
-    try:
-        with caps_scope(caps):
-            code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error argparse reported
+            code = 2 if exc.code not in (0, None) else 0
+        else:
+            caps = Caps(max_dim=args.max_dim, max_tensor=args.max_tensor,
+                        max_vars=args.max_vars, max_k=args.max_k)
+            with caps_scope(caps):
+                code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -16,11 +16,12 @@ yields the module-level Bott class.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .linalg import SparseOp
 from .clifford import _blade_product, volume_element
@@ -56,7 +57,7 @@ class GradedModule:
         return (self.grading.count(0), self.grading.count(1))
 
     def grading_op(self) -> SparseOp:
-        return SparseOp({j: -1 if g else 1} for j, g in enumerate(self.grading))
+        return SparseOp.monomial(list(range(self.dim)), [-1 if g else 1 for g in self.grading])
 
     def volume_op(self) -> SparseOp:
         """s gamma_1 ... gamma_n for the orientation witness s."""
@@ -84,14 +85,14 @@ def clifford_action(elem, gens, dim) -> SparseOp:
     Each blade is composed from the generators before its coefficient
     scales it, so integer generators keep the products on int arithmetic.
     """
-    acc = SparseOp({} for _ in range(dim))
+    acc = None
     for mask, coeff in elem.coeffs.items():
         blade = SparseOp.identity(dim)
         for i, gen in enumerate(gens):
             if mask >> i & 1:
                 blade = blade.compose(gen)
-        acc = acc + blade.scale(coeff)
-    return acc
+        acc = blade.scale(coeff) if acc is None else acc + blade.scale(coeff)
+    return SparseOp({} for _ in range(dim)) if acc is None else acc
 
 
 def _relation_failure(gens, diag, dim) -> str | None:
@@ -124,11 +125,9 @@ def spinor_rep(m: int) -> GradedModule:
 
     def generator(i, minus):
         bit = 1 << i
-        cols = []
-        for s in range(dim):
-            sign = _blade_product(bit, s, ones)
-            cols.append({s ^ bit: -sign if minus and s & bit else sign})
-        return SparseOp(cols)
+        signs = (_blade_product(bit, s, ones) for s in range(dim))
+        return SparseOp.monomial([s ^ bit for s in range(dim)],
+                                 [-x if minus and s & bit else x for s, x in enumerate(signs)])
 
     gens = tuple(generator(i, minus) for i in range(m) for minus in (False, True))
     module = GradedModule(hyperbolic(m),
@@ -207,101 +206,131 @@ def opposite_module(module: GradedModule) -> GradedModule:
 class TensorPower:
     """E^(x)k with diagonal Clifford generators and graded transpositions.
 
-    Every operator is a ``linalg.SparseOp``: the swaps are signed
-    permutations and each generator has at most k nonzeros per column when
-    the base generators are monomial.
+    Basis vectors are numbered in base d = dim E, slot 0 the leading digit;
+    the copies, swaps and class representatives are signed permutations
+    built from the digits, and each diagonal generator sums its k copies.
     """
 
     base: GradedModule
     k: int
-    grading: tuple         # total degree of each tensor basis vector
+    gradings: tuple        # gradings[m][h]: degree of basis vector h of E^(x)m, m = 0..k
+    copy_gens: tuple       # copy_gens[j][a]: generator j acting on slot a
     diag_gens: tuple       # Delta(e_j) = sum over copies
-    adjacents: tuple       # graded swap of slots (c, c+1), c = 0..k-2
+    adjacents: tuple = ()  # graded swap of slots (c, c+1), c = 0..k-2
+
+    @property
+    def grading(self) -> list:
+        return self.gradings[-1]
 
     @property
     def dim(self) -> int:
         return len(self.grading)
 
-    def perm_op(self, word):
-        out = SparseOp.identity(self.dim)
-        for c in word:
-            out = out.compose(self.adjacents[c])
-        return out
+    def cycles(self, parts) -> SparseOp:
+        """The graded action cycling each run of consecutive slots, of the
+        lengths ``parts``, as tau_s ... tau_(s+l-2) does on the slots
+        s..s+l-1: on E^(x)l, head*d + y goes to y*d^(l-1) + head with the
+        Koszul sign (-1)^(deg y deg head).  The runs have degree 0, so the
+        operator is their Kronecker product.
+        """
+        d, g = self.base.dim, self.base.grading
+        perm, sign = [0], [1]
+        for l in parts:
+            high, head_deg = d ** (l - 1), self.gradings[l - 1]
+            run = [(h % d * high + h // d, -1 if g[h % d] & head_deg[h // d] else 1)
+                   for h in range(high * d)]
+            n = len(run)
+            perm = [a * n + b for a in perm for b, _ in run]
+            sign = [x * y for x in sign for _, y in run]
+        return SparseOp.monomial(perm, sign)
 
-    def cycle_op(self):
+    def cycle_op(self) -> SparseOp:
         """The graded action of a k-cycle (word tau_1 tau_2 ... tau_{k-1})."""
-        return self.perm_op(range(self.k - 1))
+        return self.cycles((self.k,))
 
     def u_op(self):
         """The volume element s Delta_1 ... Delta_n of the k-scaled form."""
         return clifford_action(volume_element(scale(self.base.form, self.k)),
                                self.diag_gens, self.dim)
 
+    def check(self) -> None:
+        """Raise PresentationError unless the twisted-action identities hold.
+
+        The graded swaps square to one, satisfy the braid relation, commute
+        at distance, and conjugate the copies as they permute slots, so they
+        commute with each diagonal generator (the sum of its copies) and
+        carry any two slots to slots 0 and 1.  The copies there satisfy the
+        Clifford relations, so all copies do, and the diagonal generators
+        square to k q_j and anticommute.
+        """
+        k, swaps = self.k, self.adjacents
+        ident = SparseOp.identity(self.dim)
+        if any(s.compose(s) != ident for s in swaps):
+            raise PresentationError("graded swap does not square to one")
+        for c in range(k - 2):
+            a, b = swaps[c], swaps[c + 1]
+            if a.compose(b).compose(a) != b.compose(a).compose(b):
+                raise PresentationError("graded swaps fail the braid relation")
+        for c1 in range(k - 1):
+            for c2 in range(c1 + 2, k - 1):
+                if swaps[c1].compose(swaps[c2]) != swaps[c2].compose(swaps[c1]):
+                    raise PresentationError("distant graded swaps do not commute")
+        for c, s in enumerate(swaps):
+            for copies in self.copy_gens:
+                for a, copy in enumerate(copies):
+                    moved = copies[c + 1 if a == c else c if a == c + 1 else a]
+                    if s.compose(copy) != moved.compose(s):
+                        raise PresentationError(
+                            "swaps do not commute with the diagonal action")
+        slots = min(k, 2)
+        failure = _relation_failure([cs[a] for a in range(slots) for cs in self.copy_gens],
+                                    self.base.form.diag * slots, self.dim)
+        if failure:
+            raise PresentationError(f"copy {failure}")
+        for delta, copies in zip(self.diag_gens, self.copy_gens):
+            # each copy moves one slot, so the k copies fill distinct rows
+            cols = [{} for _ in range(self.dim)]
+            for copy in copies:
+                for c, r, x in copy.entries():
+                    cols[c][r] = x
+            if list(delta.cols) != cols:
+                raise PresentationError("a diagonal generator is not the sum of its copies")
+
 
 def tensor_power(module: GradedModule, k: int) -> TensorPower:
     """Build E^(x)k and verify the twisted-action identities exactly.
 
-    The copy generators anticommute across copies via grading signs on the
-    earlier slots, the diagonal generators square to k q and anticommute,
-    and the graded transpositions square to one, satisfy the braid
-    relation, commute at distance and commute with the diagonal action.
+    The copy of generator j on slot a acts on digit a, signed by the degree
+    of the slots before it.
     """
     if k < 1:
         raise ValueError("k must be positive")
     d = module.dim
     dim = d ** k
     check_cap("max_tensor", dim, "tensor dimension")
-    n = module.form.rank
-    basis = list(itertools.product(range(d), repeat=k))
-    index = {t: i for i, t in enumerate(basis)}
-    g = module.grading
-    grading = tuple(sum(g[i] for i in t) % 2 for t in basis)
-    gen_cols = [gen.cols for gen in module.gens]
+    gradings = [[0]]
+    for _ in range(k):
+        gradings.append([p ^ x for p in gradings[-1] for x in module.grading])
 
-    def copy_generator(c, j):
-        cols = []
-        for t in basis:
-            sign = -1 if sum(g[t[a]] for a in range(c)) % 2 else 1
-            cols.append({index[t[:c] + (r,) + t[c + 1:]]: x * sign
-                         for r, x in gen_cols[j][t[c]].items()})
-        return SparseOp(cols)
+    def copies(a):
+        w = d ** (k - 1 - a)
+        digits = [i // w % d for i in range(dim)]
+        flips = [gradings[a][i // (w * d)] for i in range(dim)]
+        for gen in module.gens:
+            if gen.perm is None:
+                yield SparseOp({i + (r - x) * w: -y if f else y
+                                for r, y in gen.cols[x].items()}
+                               for i, (x, f) in enumerate(zip(digits, flips)))
+            else:
+                p, s = gen.perm, gen.sign
+                yield SparseOp.monomial([i + (p[x] - x) * w for i, x in enumerate(digits)],
+                                        [-s[x] if f else s[x] for x, f in zip(digits, flips)])
 
-    copy_gens = tuple(tuple(copy_generator(c, j) for j in range(n)) for c in range(k))
-    diag_gens = []
-    for j in range(n):
-        acc = copy_gens[0][j]
-        for c in range(1, k):
-            acc = acc + copy_gens[c][j]
-        diag_gens.append(acc)
-
-    def adjacent(c):
-        return SparseOp({index[t[:c] + (t[c + 1], t[c]) + t[c + 2:]]:
-                         -1 if g[t[c]] and g[t[c + 1]] else 1} for t in basis)
-
-    adjacents = tuple(adjacent(c) for c in range(k - 1))
-    tp = TensorPower(module, k, grading, tuple(diag_gens), adjacents)
-
-    failure = _relation_failure(diag_gens, [k * q for q in module.form.diag], dim)
-    if failure:
-        raise PresentationError(f"diagonal {failure} (k-scaled form)")
-    ident = SparseOp.identity(dim)
-    for s in adjacents:
-        if s.compose(s) != ident:
-            raise PresentationError("graded swap does not square to one")
-    for c in range(k - 2):
-        lhs = adjacents[c].compose(adjacents[c + 1]).compose(adjacents[c])
-        rhs = adjacents[c + 1].compose(adjacents[c]).compose(adjacents[c + 1])
-        if lhs != rhs:
-            raise PresentationError("graded swaps fail the braid relation")
-    for c1 in range(k - 1):
-        for c2 in range(c1 + 2, k - 1):
-            if (adjacents[c1].compose(adjacents[c2])
-                    != adjacents[c2].compose(adjacents[c1])):
-                raise PresentationError("distant graded swaps do not commute")
-    for s in adjacents:
-        for gen in diag_gens:
-            if s.compose(gen) != gen.compose(s):
-                raise PresentationError("swaps do not commute with the diagonal action")
+    copy_gens = tuple(zip(*(tuple(copies(a)) for a in range(k))))
+    diag_gens = tuple(functools.reduce(operator.add, cs) for cs in copy_gens)
+    tp = TensorPower(module, k, tuple(gradings), copy_gens, diag_gens)
+    tp.adjacents = tuple(tp.cycles((1,) * c + (2,) + (1,) * (k - c - 2)) for c in range(k - 1))
+    tp.check()
     return tp
 
 
@@ -318,7 +347,7 @@ def partitions(n: int, max_part: int | None = None):
             yield (p,) + rest
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def sym_character(lam: tuple, mu: tuple) -> int:
     """chi_lam(mu) by recursive border-strip removal on beta numbers."""
     if not mu:
@@ -341,19 +370,6 @@ def sym_character(lam: tuple, mu: tuple) -> int:
     return total
 
 
-def _class_word(mu: tuple) -> list:
-    """Adjacent-swap word of a permutation of cycle type mu.
-
-    tau_s tau_(s+1) ... tau_(s+l-2) is an l-cycle on the slots s..s+l-1,
-    one such word per part on consecutive slots.
-    """
-    word, start = [], 0
-    for part in mu:
-        word.extend(range(start, start + part - 1))
-        start += part
-    return word
-
-
 def _class_size(mu: tuple) -> int:
     """|C_mu| = k! / prod_i i^(m_i) m_i!, m_i the number of parts equal to i."""
     z = 1
@@ -368,9 +384,10 @@ def _block_traces(ops, grading, right=None) -> list:
     return [[op.trace(keep, right) for keep in keeps] for op in ops]
 
 
-def _weigh(weights, traces) -> list:
-    """[sum_i c_i tr(A_i | block) for blocks 0, 1] from the c_i and the A_i's block traces."""
-    return [sum((c * t[block] for c, t in zip(weights, traces) if c), Fraction(0))
+def _weigh(weights, denominator, traces) -> list:
+    """[sum_i c_i tr(A_i | block) / denominator for blocks 0, 1]: the integer
+    numerators c_i are summed against the traces, then divided once."""
+    return [Fraction(sum(c * t[block] for c, t in zip(weights, traces) if c), denominator)
             for block in (0, 1)]
 
 
@@ -402,11 +419,11 @@ def _as_integer(x) -> int:
 
 
 def cycle_eigen_projectors(tp: TensorPower):
-    """Eigenprojectors (1/k) sum_l w^(-jl) T^l of the cycle operator T.
+    """Eigenprojectors p_j = (1/k) sum_l w^(-jl) T^l of the cycle operator T.
 
-    Returns the powers T^0..T^(k-1) and, per eigenvalue w^j, the
-    coefficients of its projector over them, an element of the group
-    algebra of <T> = Z/k.  T^k = 1 is checked on the operator, so T
+    Returns the powers T^0..T^(k-1) and, per eigenvalue w^j, the exponents
+    -jl mod k of k p_j over them, an element of the group algebra of
+    <T> = Z/k over Z[w].  T^k = 1 is checked on the operator, so T
     satisfies every relation of that group algebra; idempotence, mutual
     orthogonality and the resolution of 1 are checked there.
     """
@@ -418,36 +435,48 @@ def cycle_eigen_projectors(tp: TensorPower):
     if t_pows[-1].compose(cyc) != t_pows[0]:
         raise PresentationError("cycle operator order is not k")
 
-    def convolve(a, b):
-        out = [Cyclotomic.from_const(k, 0)] * k
+    exponents = [[-j * l % k for l in range(k)] for j in range(k)]
+    _check_eigen_exponents(exponents)
+    return t_pows, exponents
+
+
+def _check_eigen_exponents(exponents) -> None:
+    """Raise PresentationError unless the k p_j = sum_l w^(exponents[j][l]) T^l
+    satisfy (k p_i)(k p_j) = delta_ij k (k p_j) and sum_j k p_j = k.  Each
+    coefficient of T^l is a count of powers of w, reduced mod Phi_k once."""
+    k = len(exponents)
+
+    def product(a, b):
+        counts = [Counter() for _ in range(k)]
         for x, ax in enumerate(a):
             for y, by in enumerate(b):
-                out[(x + y) % k] = out[(x + y) % k] + ax * by
-        return out
+                counts[(x + y) % k][(ax + by) % k] += 1
+        return [Cyclotomic(k, c) for c in counts]
 
-    coeffs = [[Cyclotomic(k, {-j * l % k: Fraction(1, k)}) for l in range(k)]
-              for j in range(k)]
-    for i, p in enumerate(coeffs):
-        if convolve(p, p) != p:
+    for i, p in enumerate(exponents):
+        if product(p, p) != [Cyclotomic(k, {e: k}) for e in p]:
             raise PresentationError("eigenprojector is not idempotent")
-        for q in coeffs[i + 1:]:
-            if any(convolve(p, q)):
+        for q in exponents[i + 1:]:
+            if any(product(p, q)):
                 raise PresentationError("eigenprojectors are not orthogonal")
-    total = [sum(column, Cyclotomic.from_const(k, 0)) for column in zip(*coeffs)]
-    if total != [1] + [0] * (k - 1):
+    if [Cyclotomic(k, Counter(column)) for column in zip(*exponents)] != [k] + [0] * (k - 1):
         raise PresentationError("eigenprojectors do not resolve the identity")
-    return t_pows, coeffs
 
 
 def adams_bar(module: GradedModule, k: int) -> VirtualCyclotomicModule:
     """Graded eigenmodule dimensions of the cycle operator on E^(x)k, from
     the block traces tr(T^l | block), each taken once."""
     tp = tensor_power(module, k)
-    t_pows, projectors = cycle_eigen_projectors(tp)
+    t_pows, exponents = cycle_eigen_projectors(tp)
     traces = _block_traces(t_pows, tp.grading)
     dims = []
-    for p in projectors:
-        d0, d1 = (_as_integer(x) for x in _weigh(p, traces))
+    for p in exponents:
+        # tr(k p_j | block) = sum_l w^(p[l]) tr(T^l | block), summed per power of w
+        counts = (Counter(), Counter())
+        for e, pair in zip(p, traces):
+            for trace, count in zip(pair, counts):
+                count[e] += trace
+        d0, d1 = (_as_integer(Cyclotomic(k, count) * Fraction(1, k)) for count in counts)
         if d0 < 0 or d1 < 0:
             raise PresentationError("negative eigenmodule dimension")
         dims.append((d0, d1))
@@ -476,36 +505,35 @@ class AdamsCharacter:
 
 def isotypic_projectors(tp: TensorPower):
     """Class representatives and, per irreducible, (partition, dim, chi at
-    the k-cycle, central idempotent).
+    the k-cycle, integer weights of its central idempotent over k! dim).
 
-    The idempotent (dim/k!) sum_g chi(g) g is kept as a class function: its
-    weights dim |C_mu| chi(mu) / k!, one per cycle type mu, on the
-    representatives sigma_mu, permutations of those types composed from the
-    graded adjacents.  Block traces of the idempotent, also against
-    operators that commute with the action, equal those of the class sum,
-    so one trace of each sigma_mu serves every irreducible.  Idempotence is
-    checked as the row orthogonality
-    sum_mu |C_mu| chi_lam(mu) chi_lam'(mu) = k! delta.
+    The idempotent (dim/k!) sum_g chi(g) g is kept as a class function on
+    the representatives sigma_mu, which cycle runs of slots of the lengths
+    mu: divided by dim, its block traces, also against operators commuting
+    with the action, are those of the class sum with integer weights
+    |C_mu| chi(mu) over k!, so one trace of each sigma_mu serves every lambda.
     """
-    k = tp.k
+    classes, sizes, table = _character_table(tp.k)
+    reps = [tp.cycles(mu) for mu in classes]
+    return reps, [(lam, row[-1], row[0], [n * chi for n, chi in zip(sizes, row)])
+                  for lam, row in zip(classes, table)]
+
+
+@functools.lru_cache(maxsize=None)
+def _character_table(k: int):
+    """The partitions of k (the k-cycle first, the identity last), their
+    class sizes and the integer character table, rows indexed by lambda;
+    the isotypic idempotents are checked once per k, as the row
+    orthogonality sum_mu |C_mu| chi_lam(mu) chi_lam'(mu) = k! delta."""
+    classes = tuple(partitions(k))
+    sizes = tuple(_class_size(mu) for mu in classes)
+    table = tuple(tuple(sym_character(lam, mu) for mu in classes) for lam in classes)
     fact = math.factorial(k)
-    classes = list(partitions(k))
-    sizes = {mu: _class_size(mu) for mu in classes}
-    for lam in classes:
-        for lam2 in classes:
-            inner = sum(sizes[mu] * sym_character(lam, mu) * sym_character(lam2, mu)
-                        for mu in classes)
-            if inner != (fact if lam == lam2 else 0):
+    for i, row in enumerate(table):
+        for j, row2 in enumerate(table[:i + 1]):
+            if sum(n * a * b for n, a, b in zip(sizes, row, row2)) != (fact if i == j else 0):
                 raise PresentationError("isotypic idempotents are not orthogonal")
-    reps = [tp.perm_op(_class_word(mu)) for mu in classes]
-    pieces = []
-    for lam in classes:
-        dim_pi = sym_character(lam, (1,) * k)
-        chi_c = sym_character(lam, (k,))
-        weights = [Fraction(dim_pi * sizes[mu] * sym_character(lam, mu), fact)
-                   for mu in classes]
-        pieces.append((lam, dim_pi, chi_c, weights))
-    return reps, pieces
+    return classes, sizes, table
 
 
 def adams_character(module: GradedModule, k: int) -> AdamsCharacter:
@@ -517,7 +545,7 @@ def adams_character(module: GradedModule, k: int) -> AdamsCharacter:
     psi0 = psi1 = 0
     check0 = check1 = 0
     for lam, dim_pi, chi_c, weights in isotypic:
-        h0, h1 = (_as_integer(x / dim_pi) for x in _weigh(weights, traces))
+        h0, h1 = (_as_integer(x) for x in _weigh(weights, math.factorial(k), traces))
         if h0 < 0 or h1 < 0:
             raise PresentationError("negative isotypic multiplicity")
         pieces.append(IsotypicPiece(lam, dim_pi, chi_c, (h0, h1)))
@@ -562,19 +590,18 @@ def morita_reduce(grading, u: SparseOp, presentation: GradedModule) -> MoritaRes
     return _morita_weights(traces, u_traces, presentation)
 
 
-def _morita_weights(traces, u_traces, presentation: GradedModule,
-                    isotypic_dim: int = 1) -> MoritaResult:
+def _morita_weights(traces, u_traces, presentation: GradedModule) -> MoritaResult:
     """(w0, w1) from tr(P | block) and tr(P u | block), P a projector commuting with u.
 
-    By linearity tr(P Q+- | block) = (tr(P | block) +- tr(P u | block)) / 2;
-    divided by ``isotypic_dim`` these are w0 e0 and w1 e0 for Q+ on blocks 0
-    and 1, and w1 e1 and w0 e1 for Q-.  All four equations and the
-    dimension arithmetic are checked.
+    By linearity tr(P Q+- | block) = (tr(P | block) +- tr(P u | block)) / 2:
+    these are w0 e0 and w1 e0 for Q+ on blocks 0 and 1, and w1 e1 and w0 e1
+    for Q- (an isotypic P comes with its traces divided by its dim).  All
+    four equations and the dimension arithmetic are checked.
     """
     e0, e1 = presentation.dims
 
     def q_trace(block, sign):
-        return _as_integer((traces[block] + sign * u_traces[block]) / (2 * isotypic_dim))
+        return _as_integer(Fraction(traces[block] + sign * u_traces[block], 2))
 
     def ratio(x, y):
         if y == 0 or x % y:
@@ -603,7 +630,8 @@ def hermitian_bott_of(module: GradedModule, k: int) -> Fraction:
     for lam, dim_pi, chi_c, weights in isotypic:
         if chi_c == 0:
             continue
-        w = _morita_weights(_weigh(weights, traces), _weigh(weights, u_traces), twist, dim_pi)
+        w = _morita_weights(_weigh(weights, math.factorial(k), traces),
+                            _weigh(weights, math.factorial(k), u_traces), twist)
         rho += chi_c * w.virtual_rank
     return Fraction(rho)
 

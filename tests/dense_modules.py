@@ -151,6 +151,35 @@ def cycle_type(perm: tuple) -> tuple:
     return tuple(sorted(lengths, reverse=True))
 
 
+def class_word(mu: tuple) -> list:
+    """Adjacent-swap word of a permutation of cycle type mu.
+
+    tau_s tau_(s+1) ... tau_(s+l-2) is an l-cycle on the slots s..s+l-1,
+    one such word per part on consecutive slots.
+    """
+    word, start = [], 0
+    for part in mu:
+        word.extend(range(start, start + part - 1))
+        start += part
+    return word
+
+
+def word_action(module: GradedModule, k: int, word) -> dict:
+    """The graded action of tau_(word[0]) ... tau_(word[-1]) on E^(x)k, as
+    {basis tuple: (sign, image tuple)}: the swaps act on the tuple right to
+    left, each signed -1 when it exchanges two odd factors."""
+    g = module.grading
+    out = {}
+    for t in itertools.product(range(module.dim), repeat=k):
+        sign, u = 1, list(t)
+        for c in reversed(word):
+            if g[u[c]] and g[u[c + 1]]:
+                sign = -sign
+            u[c], u[c + 1] = u[c + 1], u[c]
+        out[t] = (sign, tuple(u))
+    return out
+
+
 def adjacent_word(perm: tuple) -> list:
     # bubble-sort word; composing the adjacents in word order realizes perm
     arr = list(perm)

@@ -302,19 +302,64 @@ def test_clifford_check_reads_generators_in_any_order(capsys):
     assert payload == {"member": False, "reason": "zero is not invertible"}
 
 
+def _cli_process(argv, stdout=subprocess.PIPE):
+    """The CLI in a fresh interpreter with buffered stdout, its stderr captured."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "spinbott.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+def _into_closed_pipe(argv):
+    # the reader is gone before the command writes, as in `spinbott qf 1,1 | true`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _cli_process(argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+
+
 @pytest.mark.parametrize("argv", [["qf", "1,1"], ["verify", "--suite", "clifford"]],
                          ids=["short", "long"])
 def test_closed_stdout_exits_141_without_a_traceback(argv):
-    # the reader is gone before the command writes, as in `spinbott qf 1,1 | true`;
     # the short payload fails at the flush, the long one at the write
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    env.pop("PYTHONUNBUFFERED", None)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "spinbott.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, timeout=120)
-    finally:
-        os.close(write_end)
+    proc = _into_closed_pipe(argv)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["qf"], 2)], ids=["help", "usage"])
+def test_help_and_usage_errors_keep_their_codes_and_a_closed_pipe_exits_141(argv, code):
+    proc = _cli_process(argv)
+    assert proc.returncode == code
+    assert (b"usage: spinbott" in proc.stdout) == (code == 0)
+    # the help goes to stdout, so a closed pipe ends it; a usage error writes only to stderr
+    closed = _into_closed_pipe(argv)
+    assert closed.returncode == (141 if code == 0 else 2)
+    assert closed.stderr == (b"" if code == 0 else proc.stderr)
+
+
+def test_one_process_answers_several_requests_as_fresh_processes_do():
+    requests = [["qf", "1,-1"], ["qf"], ["adams-module", "--m", "1", "--k", "3"],
+                ["verify", "--suite", "clifford"]]
+    script = """
+import contextlib, io, json, sys
+from spinbott import cli
+answers = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    answers.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps([answers, cli.build_parser.cache_info().misses]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(requests)],
+                          capture_output=True, env=env, timeout=120, check=True)
+    answers, parsers_built = json.loads(proc.stdout)
+    assert parsers_built == 1
+    assert [code for code, _, _ in answers] == [0, 2, 0, 0]
+    for argv, answer in zip(requests, answers):
+        fresh = _cli_process(argv)
+        assert answer == [fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()]

@@ -1,6 +1,10 @@
 """Graded Clifford modules, tensor powers, both Adams routes, the reduction."""
 
+import dataclasses
+import functools
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -259,7 +263,7 @@ def test_opposite_module_bott_matches_dense_oracle(m, k):
 def test_class_words_realize_their_cycle_types(k):
     for mu in partitions(k):
         perm = list(range(k))
-        for c in modules._class_word(mu):
+        for c in dense_modules.class_word(mu):
             perm[c], perm[c + 1] = perm[c + 1], perm[c]
         assert dense_modules.cycle_type(tuple(perm)) == mu
     assert sum(modules._class_size(mu) for mu in partitions(k)) == math.factorial(k)
@@ -288,3 +292,140 @@ def test_sparse_operator_matches_dense_products():
             keep = [g == block for g in tp.grading]
             assert left.trace(keep, right) == dense_modules.masked_trace(prod, keep)
             assert left.trace(keep) == dense_modules.masked_trace(to_dense(left), keep)
+
+
+# -- the signed permutations built from the digits, against the oracles --------
+
+def _small_modules():
+    for m in (1, 2):
+        yield f"spinor_rep({m})", spinor_rep(m)
+        yield f"opposite_module(spinor_rep({m}))", opposite_module(spinor_rep(m))
+
+
+def _as_tuple_action(op, d, k):
+    """A signed permutation of E^(x)k read as {basis tuple: (sign, image tuple)}."""
+    basis = list(itertools.product(range(d), repeat=k))
+    return {t: (op.sign[i], basis[op.perm[i]]) for i, t in enumerate(basis)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name, module", list(_small_modules()), ids=lambda x: str(x)[:40])
+def test_class_representatives_and_cycle_powers_match_the_word_oracle(name, module, k):
+    tp = tensor_power(module, k)
+    for mu in partitions(k):
+        sigma = tp.cycles(mu)
+        assert sigma.perm is not None
+        word = dense_modules.class_word(mu)
+        expected = dense_modules.word_action(module, k, word)
+        assert _as_tuple_action(sigma, module.dim, k) == expected
+    t_pows, _ = modules.cycle_eigen_projectors(tp)
+    cycle_word = dense_modules.class_word((k,))
+    for l, power in enumerate(t_pows):
+        assert _as_tuple_action(power, module.dim, k) == dense_modules.word_action(
+            module, k, cycle_word * l)
+
+
+@pytest.mark.parametrize("m, k, opposite", [(1, 2, False), (1, 3, True), (1, 4, False),
+                                            (1, 5, True), (2, 2, False), (2, 2, True)])
+def test_class_representatives_and_cycle_powers_match_the_dense_matrices(m, k, opposite):
+    module = opposite_module(spinor_rep(m)) if opposite else spinor_rep(m)
+    tp = tensor_power(module, k)
+    dense = dense_modules.tensor_power(module, k)
+    for mu in partitions(k):
+        assert to_dense(tp.cycles(mu)) == dense.perm_matrix(dense_modules.class_word(mu))
+    for j, (copies, dense_gen) in enumerate(zip(tp.copy_gens, dense.diag_gens)):
+        assert [to_dense(c) for c in copies] == [dense.copy_gens[a][j] for a in range(k)]
+        assert to_dense(tp.diag_gens[j]) == dense_gen
+    t_pows, _ = modules.cycle_eigen_projectors(tp)
+    power = identity(tp.dim)
+    for op in t_pows:
+        assert to_dense(op) == power
+        power = mat_mul(power, dense.cycle_matrix())
+    assert power == identity(tp.dim)
+
+
+def _flip_sign(op, column):
+    sign = list(op.sign)
+    sign[column] = -sign[column]
+    return SparseOp.monomial(list(op.perm), sign)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a_flipped_sign_in_one_swap_is_caught(k):
+    tp = tensor_power(spinor_rep(1), k)
+    for c, swap in enumerate(tp.adjacents):
+        # a column the swap moves, and one it fixes (two equal factors)
+        for column in (next(j for j, r in enumerate(swap.perm) if r != j), 0):
+            flipped = tp.adjacents[:c] + (_flip_sign(swap, column),) + tp.adjacents[c + 1:]
+            bad = dataclasses.replace(tp, adjacents=flipped)
+            with pytest.raises(PresentationError):
+                bad.check()
+
+
+@pytest.mark.parametrize("m, k", [(1, 2), (1, 3), (2, 2)])
+def test_one_wrong_diagonal_entry_is_caught(m, k):
+    tp = tensor_power(spinor_rep(m), k)
+    tp.check()
+    for j, delta in enumerate(tp.diag_gens):
+        for change in ("negate", "drop", "add"):
+            cols = [dict(col) for col in delta.cols]
+            row, x = next(iter(cols[1].items()))
+            if change == "negate":
+                cols[1][row] = -x
+            elif change == "drop":
+                del cols[1][row]
+            else:
+                cols[1][1] = 1  # Delta never maps a basis vector to itself
+            bad = dataclasses.replace(tp, diag_gens=tp.diag_gens[:j] + (SparseOp(cols),)
+                                      + tp.diag_gens[j + 1:])
+            with pytest.raises(PresentationError, match="sum of its copies"):
+                bad.check()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_a_wrong_projector_exponent_is_caught(k):
+    exponents = [[-j * l % k for l in range(k)] for j in range(k)]
+    modules._check_eigen_exponents(exponents)
+    for j in range(k):
+        for l in range(k):
+            bad = [list(row) for row in exponents]
+            bad[j][l] = (bad[j][l] + 1) % k
+            with pytest.raises(PresentationError):
+                modules._check_eigen_exponents(bad)
+
+
+def test_tensor_power_of_a_module_with_general_generators():
+    # conjugating spinor_rep(2) by an even, non-monomial change of basis gives an
+    # isomorphic module whose generators have two entries in some columns
+    base = spinor_rep(2)
+    even = [i for i, g in enumerate(base.grading) if g == 0]
+    change, inverse = identity(base.dim), identity(base.dim)
+    change[even[0]][even[1]], inverse[even[0]][even[1]] = Fraction(1), Fraction(-1)
+    gens = tuple(from_dense(mat_mul(mat_mul(change, to_dense(g)), inverse)) for g in base.gens)
+    module = GradedModule(base.form, base.grading, gens)
+    module.validate()
+    assert any(g.perm is None for g in module.gens)
+    tp = tensor_power(module, 2)
+    dense = dense_modules.tensor_power(module, 2)
+    assert [to_dense(g) for g in tp.diag_gens] == list(dense.diag_gens)
+    assert hermitian_bott_of(module, 2) == 4
+    assert adams_bar(module, 2) == adams_bar(base, 2)
+    assert adams_character(module, 3) == adams_character(base, 3)
+
+
+def test_copies_that_commute_across_slots_are_caught():
+    # unsigned copies with ungraded swaps pass every swap check and the slot-0
+    # relations; only the anticommutation of copies on slots 0 and 1 fails
+    tp = tensor_power(spinor_rep(1), 3)
+    d, dim = tp.base.dim, tp.dim
+
+    def unsigned(copy, a):
+        before = [-1 if tp.gradings[a][i // d ** (tp.k - a)] else 1 for i in range(dim)]
+        return SparseOp.monomial(list(range(dim)), before).compose(copy)
+
+    copies = tuple(tuple(unsigned(c, a) for a, c in enumerate(cs)) for cs in tp.copy_gens)
+    swaps = tuple(SparseOp.monomial(list(s.perm), [1] * dim) for s in tp.adjacents)
+    diag = tuple(functools.reduce(operator.add, cs) for cs in copies)
+    bad = dataclasses.replace(tp, copy_gens=copies, diag_gens=diag, adjacents=swaps)
+    with pytest.raises(PresentationError, match="copy generators .* do not anticommute"):
+        bad.check()
