@@ -21,8 +21,8 @@ from .modules import (AdamsCharacter, GradedModule, MoritaResult, TensorPower,
                       tensor_power, twist_rep)
 from .quadforms import (BWTriple, INF, QuadraticForm, bw_class, diagonalize,
                         discriminant, hasse_witt, hilbert_symbol, hyperbolic,
-                        is_orientable, orthogonal_sum, parse_form, format_form,
-                        scale, square_free_part)
+                        is_orientable, parse_form, format_form, scale,
+                        square_free_part)
 from .rings import (Cyclotomic, TruncatedPoly, cyclotomic_polynomial, euler_phi,
                     format_cyclotomic, format_rational, format_truncated,
                     parse_cyclotomic, parse_truncated)

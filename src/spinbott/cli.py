@@ -13,16 +13,16 @@ import functools
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .clifford import clifford_group_test, parse_element, spin_lift
-from .config import DEFAULT_CAPS, Caps, FailedCheckError, caps_scope
-from .lambda_bott import (LambdaVector, bott_lines, bott_virtual,
-                          format_line_expr, parse_line_expr, serre_sqrt, sphere_formula,
-                          bott_cyclotomic, line_to_lambda)
+from .config import Caps, FailedCheckError, caps_scope
+from .lambda_bott import (LambdaVector, bott_cyclotomic, bott_lines, bott_virtual,
+                          line_to_lambda, parse_line_expr, serre_sqrt, sphere_formula)
 from .modules import adams_module_report
 from .quadforms import bw_class, hasse_witt, is_orientable, parse_form, INF
-from .rings import format_rational, format_truncated
+from .rings import format_rational
 from .verify import run_suite, SUITES
 
 
@@ -42,7 +42,9 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_qf(args) -> int:
+# Each command returns its JSON payload and its exit code.
+
+def cmd_qf(args):
     q = parse_form(args.diag)
     orientable, witness = is_orientable(q)
     bound = args.prime_bound
@@ -59,59 +61,46 @@ def cmd_qf(args) -> int:
     if args.primes:
         payload["hasse"] = {str(p): hasse_witt(q, p if p == INF else int(p))
                             for p in args.primes}
-    _emit(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def cmd_bott(args) -> int:
+def cmd_bott(args):
     if args.mode == "sphere":
         if args.r is None:
             raise UsageError("mode=sphere needs --r")
         coeff = sphere_formula(args.r, args.k)
-        _emit({"coefficient": format_rational(coeff), "r": args.r, "k": args.k,
-               "ring": f"Q[x1..x{args.r}]/(xi^2)", "sign_ambiguous": False}, args.out)
-        return 0
+        return {"coefficient": format_rational(coeff), "r": args.r, "k": args.k,
+                "ring": f"Q[x1..x{args.r}]/(xi^2)", "sign_ambiguous": False}, 0
     if args.expr is None:
         raise UsageError(f"mode={args.mode} needs --expr")
     expr = parse_line_expr(args.expr)
-    if args.mode == "lines":
-        if expr.is_effective():
-            value = bott_lines(expr, args.k)
-            payload = {"value": format_line_expr(value), "ring": "line expressions",
-                       "sign_ambiguous": False}
-        else:
-            value = bott_virtual(expr, args.k)
-            payload = {"value": format_truncated(value),
-                       "ring": f"Q[x1..x{value.nvars}]/(xi^2)",
-                       "sign_ambiguous": False, "routed": "virtual"}
-        _emit(payload, args.out)
-        return 0
     if args.mode == "cyclotomic":
         value = bott_cyclotomic(line_to_lambda(expr), args.k)
-        text = value if isinstance(value, (int, Fraction)) else format_line_expr(value)
-        _emit({"value": str(text), "ring": "descended from the cyclotomic extension",
-               "sign_ambiguous": False}, args.out)
-        return 0
-    raise UsageError(f"unknown mode {args.mode!r}")
+        return {"value": str(value), "ring": "descended from the cyclotomic extension",
+                "sign_ambiguous": False}, 0
+    if expr.is_effective():
+        return {"value": str(bott_lines(expr, args.k)), "ring": "line expressions",
+                "sign_ambiguous": False}, 0
+    value = bott_virtual(expr, args.k)
+    return {"value": str(value), "ring": f"Q[x1..x{value.nvars}]/(xi^2)",
+            "sign_ambiguous": False, "routed": "virtual"}, 0
 
 
-def cmd_serre_sqrt(args) -> int:
+def cmd_serre_sqrt(args):
     lams = tuple(Fraction(p.strip()) for p in args.lams.split(","))
     v = LambdaVector(len(lams), lams)
     root = serre_sqrt(v, args.k)
     square = bott_cyclotomic(v, args.k)
-    payload = {
+    return {
         "value": str(root.value),
         "squares_to": str(square),
         "square_checks": root.value ** 2 == square,
         "ring": "rational",
         "sign_ambiguous": root.sign_ambiguous,
-    }
-    _emit(payload, args.out)
-    return 0
+    }, 0
 
 
-def cmd_clifford_check(args) -> int:
+def cmd_clifford_check(args):
     q = parse_form(args.form)
     a = parse_element(args.element, q)
     res = clifford_group_test(a)
@@ -126,14 +115,13 @@ def cmd_clifford_check(args) -> int:
         })
     else:
         payload["reason"] = res.reason
-    _emit(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def cmd_spin_lift(args) -> int:
+def cmd_spin_lift(args):
     q = parse_form(args.form)
     lift = spin_lift(q, args.copies)
-    payload = {
+    return {
         "form": args.form,
         "copies": args.copies,
         "lambda_sign": format_rational(lift.lambda_sign),
@@ -143,21 +131,17 @@ def cmd_spin_lift(args) -> int:
         "matrices_ok": lift.matrices_ok,
         "norms": [format_rational(n) for n in lift.norms],
         "in_spin": lift.in_spin,
-    }
-    _emit(payload, args.out)
-    return 0 if lift.all_ok else 1
+    }, 0 if lift.all_ok else 1
 
 
-def cmd_adams_module(args) -> int:
+def cmd_adams_module(args):
     payload = adams_module_report(args.m, args.k)
-    _emit(payload, args.out)
-    return 0 if payload["rho_k"] == payload["expected"] else 1
+    return payload, 0 if payload["rho_k"] == payload["expected"] else 1
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     report = run_suite(args.suite, seed=args.seed, timings=args.timings)
-    _emit(report.to_json(), args.out)
-    return 0 if report.all_pass else 1
+    return report.to_json(), 0 if report.all_pass else 1
 
 
 @functools.cache  # built on the first call, once per process
@@ -166,14 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinbott",
         description="Exact Clifford-algebra, quadratic-form and Bott-class checks.",
         allow_abbrev=False)
-    parser.add_argument("--max-dim", type=int, default=DEFAULT_CAPS.max_dim,
-                        help="blade rank cap")
-    parser.add_argument("--max-tensor", type=int, default=DEFAULT_CAPS.max_tensor,
-                        help="tensor dimension cap")
-    parser.add_argument("--max-vars", type=int, default=DEFAULT_CAPS.max_vars,
-                        help="truncated variable cap")
-    parser.add_argument("--max-k", type=int, default=DEFAULT_CAPS.max_k,
-                        help="cyclotomic order and Bott order cap")
+    for cap in fields(Caps):
+        parser.add_argument("--" + cap.name.replace("_", "-"), type=int,
+                            default=cap.default, help=cap.metadata["help"])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("qf", help="invariants of a diagonal quadratic form")
@@ -227,10 +206,10 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # --help, or a usage error argparse reported
             code = 2 if exc.code not in (0, None) else 0
         else:
-            caps = Caps(max_dim=args.max_dim, max_tensor=args.max_tensor,
-                        max_vars=args.max_vars, max_k=args.max_k)
-            with caps_scope(caps):
-                code = args.func(args)
+            with caps_scope(Caps(**{cap.name: getattr(args, cap.name)
+                                    for cap in fields(Caps)})):
+                payload, code = args.func(args)
+            _emit(payload, args.out)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

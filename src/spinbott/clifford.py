@@ -28,7 +28,7 @@ from math import prod
 
 from .config import FailedCheckError, check_cap
 from .quadforms import QuadraticForm, format_form, is_orientable, scale
-from .rings import RingElement, RingMismatchError, _exact, _format_terms, _split_terms
+from .rings import RingElement, RingMismatchError, _by_degree, _exact, _parse_terms
 
 _popcount = int.bit_count
 
@@ -187,11 +187,13 @@ class CliffordElement(RingElement):
             raise FailedCheckError("the Cayley-Hamilton inverse does not invert")
         return cand
 
-    def __repr__(self):
-        return f"CliffordElement({format_form(self.form)!r}, {format_element(self)!r})"
+    # -- textual element format: "2*e1e3 - e2 + 1" --------------------------
 
-    def __str__(self):
-        return format_element(self)
+    _order = staticmethod(_by_degree)
+    _repr_ring = property(lambda self: f"{str(self.form)!r}, ")
+
+    def _var(self, mask):
+        return "".join(f"e{i + 1}" for i in range(self.form.rank) if mask >> i & 1)
 
 
 # -- volume element ----------------------------------------------------------
@@ -517,43 +519,28 @@ def spin_lift(q: QuadraticForm, k: int) -> SpinLift:
     return lift
 
 
-# -- textual element format: "2*e1e3 - e2 + 1" ---------------------------------
-
-def format_element(a: CliffordElement) -> str:
-    def var_of(mask):
-        return "".join(f"e{i + 1}" for i in range(a.form.rank) if mask >> i & 1)
-
-    keys = sorted(a.coeffs, key=lambda m: (_popcount(m), m))
-    return _format_terms([(m, a.coeffs[m]) for m in keys], var_of)
-
-
-_BLADE_RE = re.compile(r"e(\d+)")
+format_element = CliffordElement.__str__
+_BLADE_RE = re.compile(r"e.*", re.S)  # a factor starting with e is a run of generators e<i>
+_GEN_RE = re.compile(r"e(\d+)")
 
 
 def parse_element(s: str, form: QuadraticForm) -> CliffordElement:
-    coeffs: dict[int, Fraction] = {}
-    for sign, term in _split_terms(s):
-        coeff = Fraction(sign)
-        mask = 0
-        for f in (p.strip() for p in term.split("*")):
-            if f.startswith("e"):
-                last = 0
-                for m in _BLADE_RE.finditer(f):
-                    if m.start() != last:
-                        raise ValueError(f"cannot parse blade {f!r}")
-                    i = int(m.group(1))
-                    if not 1 <= i <= form.rank:
-                        raise ValueError(f"e{i} out of range for rank {form.rank}")
-                    bit = 1 << (i - 1)
-                    if mask & bit:
-                        raise ValueError(f"repeated generator e{i}")
-                    # e_i moves left past the higher generators already read
-                    coeff = _blade_product(mask, bit, form.exact_diag, coeff)
-                    mask |= bit
-                    last = m.end()
-                if last != len(f):
-                    raise ValueError(f"cannot parse blade {f!r}")
-            else:
-                coeff *= Fraction(f)
-        coeffs[mask] = coeffs.get(mask, Fraction(0)) + coeff
-    return CliffordElement(form, coeffs)
+    def read(mask, coeff, blade):
+        f, last = blade[0], 0
+        for g in _GEN_RE.finditer(f):
+            if g.start() != last:
+                raise ValueError(f"cannot parse blade {f!r}")
+            i, last = int(g[1]), g.end()
+            if not 1 <= i <= form.rank:
+                raise ValueError(f"e{i} out of range for rank {form.rank}")
+            bit = 1 << (i - 1)
+            if mask & bit:
+                raise ValueError(f"repeated generator e{i}")
+            # e_i moves left past the higher generators already read
+            coeff = _blade_product(mask, bit, form.exact_diag, coeff)
+            mask |= bit
+        if last != len(f):
+            raise ValueError(f"cannot parse blade {f!r}")
+        return mask, coeff
+
+    return CliffordElement(form, _parse_terms(s, _BLADE_RE, read, 0))

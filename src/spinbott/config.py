@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class CapExceededError(ValueError):
@@ -24,12 +24,18 @@ class FailedCheckError(Exception):
     """An exact identity that a computation checks does not hold."""
 
 
+def _cap(default: int, help: str):
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass(frozen=True)
 class Caps:
-    max_dim: int = 12       # Clifford algebra rank n (2^n blades)
-    max_tensor: int = 4096  # (dim E)^k for tensor powers
-    max_vars: int = 8       # truncated-polynomial variables
-    max_k: int = 32         # cyclotomic order and Bott order k
+    """The size caps; each field is a CLI flag ``--max-...`` with its help."""
+
+    max_dim: int = _cap(12, "blade rank cap")
+    max_tensor: int = _cap(4096, "tensor dimension cap")
+    max_vars: int = _cap(8, "truncated variable cap")
+    max_k: int = _cap(32, "cyclotomic order and Bott order cap")
 
 
 DEFAULT_CAPS = Caps()

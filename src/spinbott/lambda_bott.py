@@ -24,7 +24,7 @@ from operator import add as _add
 
 from .config import FailedCheckError, check_cap
 from .rings import (Cyclotomic, NotAUnitError, RingElement, TruncatedPoly,
-                    _exact, _format_terms, _split_terms)
+                    _exact, _parse_terms)
 
 
 class NotEffectiveError(ValueError):
@@ -121,11 +121,9 @@ class LineExpr(RingElement):
         """Sum of coefficients (virtual rank after L_i -> 1)."""
         return sum(self.coeffs.values(), Fraction(0))
 
-    def __repr__(self):
-        return f"LineExpr({format_line_expr(self)!r})"
-
-    def __str__(self):
-        return format_line_expr(self)
+    def _var(self, exps):
+        return "*".join(f"L{i}" if e == 1 else f"L{i}^{e}"
+                        for i, e in enumerate(exps, start=1) if e)
 
 
 @dataclass(frozen=True)
@@ -370,36 +368,18 @@ def sphere_formula(r: int, k: int) -> Fraction:
 
 # -- textual grammar ----------------------------------------------------------
 
-def format_line_expr(x: LineExpr) -> str:
-    def var_of(exps):
-        parts = []
-        for i, e in enumerate(exps, start=1):
-            if e == 0:
-                continue
-            parts.append(f"L{i}" if e == 1 else f"L{i}^{e}")
-        return "*".join(parts)
-
-    keys = sorted(x.coeffs)
-    return _format_terms([(e, x.coeffs[e]) for e in keys], var_of)
+format_line_expr = LineExpr.__str__
+_LINE_RE = re.compile(r"L(\d+)(?:\^(-?\d+))?")
 
 
-_LINE_RE = re.compile(r"^L(\d+)(?:\^(-?\d+))?$")
+def _read_line(exps, coeff, sym):
+    i = int(sym[1])
+    if i < 1:
+        raise ValueError("line symbols are 1-based")
+    exps = list(exps) + [0] * (i - len(exps))
+    exps[i - 1] += int(sym[2] or 1)
+    return _strip(exps), coeff
 
 
 def parse_line_expr(s: str) -> LineExpr:
-    terms: dict[tuple, Fraction] = {}
-    for sign, term in _split_terms(s):
-        coeff = Fraction(sign)
-        exps: dict[int, int] = {}
-        for f in (p.strip() for p in term.split("*")):
-            m = _LINE_RE.match(f)
-            if m:
-                i = int(m.group(1))
-                e = int(m.group(2)) if m.group(2) else 1
-                exps[i] = exps.get(i, 0) + e
-            else:
-                coeff *= Fraction(f)
-        top = max(exps, default=0)
-        key = _strip(tuple(exps.get(i, 0) for i in range(1, top + 1)))
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return LineExpr(terms)
+    return LineExpr(_parse_terms(s, _LINE_RE, _read_line, ()))

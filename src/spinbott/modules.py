@@ -131,7 +131,7 @@ def spinor_rep(m: int) -> GradedModule:
 
     gens = tuple(generator(i, minus) for i in range(m) for minus in (False, True))
     module = GradedModule(hyperbolic(m),
-                          tuple(bin(s).count("1") % 2 for s in range(dim)), gens)
+                          tuple(s.bit_count() % 2 for s in range(dim)), gens)
     module.validate()
     if not is_end_iso(module):
         raise PresentationError("structure map is not bijective")

@@ -71,10 +71,6 @@ def scale(q: QuadraticForm, k) -> QuadraticForm:
     return QuadraticForm(tuple(a * k for a in q.diag))
 
 
-def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
-    return QuadraticForm(q1.diag + q2.diag)
-
-
 def discriminant(q: QuadraticForm) -> Fraction:
     out = Fraction(1)
     for a in q.diag:

@@ -13,7 +13,7 @@ int arithmetic; ``_exact`` is the one place that decides, for
 
 Both, like ``LineExpr`` and ``CliffordElement``, are ``RingElement``
 subclasses: immutable, stored as a sparse ``{monomial: coeff}`` dict, with
-sums, differences, scaling, powers and comparisons written once there;
+sums, differences, scaling, powers, comparisons and text written once there;
 every operation is a pure function.  Cyclotomic coefficients are rationals
 by default but may be elements of any exact commutative ring implementing
 +, -, * (with int and with each other), since reduction mod the monic
@@ -58,10 +58,13 @@ class RingElement:
     """The ring structure shared by every exact ring element of the package.
 
     A subclass keeps its coefficients in ``coeffs`` -- a ``{monomial:
-    coeff}`` dict with no zero entries -- and supplies four things: a
+    coeff}`` dict with no zero entries -- and supplies five things: a
     checking constructor, ``_ring`` (what two operands must share: an
     order, a variable count, a form), ``_new`` (an element of the same
-    ring from coefficients) and its own ``__mul__``/``__rmul__``.  Ints and
+    ring from coefficients), its own ``__mul__``/``__rmul__`` and ``_var``
+    (the text of a monomial, '' for the constants).  The printed text is
+    written once here, its terms sorted by ``_order`` (by monomial when
+    None); a repr shows ``_repr_ring`` before that text.  Ints and
     Fractions coerce to constants; an operand from another ring raises the
     subclass's ``_mismatch`` error.  Values are immutable.  Arithmetic on
     elements of one ring builds its result with ``_trusted``, which skips
@@ -161,6 +164,28 @@ class RingElement:
 
     def coefficient(self, monomial):
         return self.coeffs.get(monomial, Fraction(0))
+
+    _order = None
+    _repr_ring = ""
+
+    def __str__(self):
+        text = ""
+        for m in sorted(self.coeffs, key=self._order):
+            c, mono = self.coeffs[m], self._var(m)
+            a = -c if c < 0 else c
+            body = str(a) if not mono else mono if a == 1 else f"{a}*{mono}"
+            text += f" {'-' if c < 0 else '+'} {body}"
+        if not text:
+            return "0"
+        return text[3:] if text[1] == "+" else "-" + text[3:]  # "-a + b", "a - b"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._repr_ring}{str(self)!r})"
+
+
+def _by_degree(m: int):
+    """The term order of the bitmask rings: by degree, then by mask."""
+    return m.bit_count(), m
 
 
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
@@ -294,43 +319,17 @@ class Cyclotomic(RingElement):
             raise DescentError(k, 1)
         return self.coefficient(0)
 
-    def __repr__(self):
-        return f"Cyclotomic({format_cyclotomic(self)!r})"
+    # -- text format: "1 - 2*w + w^2@3" -----------------------------------
+
+    def _var(self, p):
+        return "" if not p else "w" if p == 1 else f"w^{p}"
 
     def __str__(self):
-        return format_cyclotomic(self)
+        return f"{super().__str__()}@{self.order}"
 
-
-# -- text format: "1 - 2*w + w^2@3" ---------------------------------------
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _format_terms(pairs, var_of) -> str:
-    # pairs: (key, Fraction coefficient); var_of maps key -> monomial text ('' for 1)
-    parts = []
-    for key, c in pairs:
-        if not c:
-            continue
-        mono = var_of(key)
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        if mono and c == 1:
-            body = mono
-        elif mono:
-            body = f"{format_rational(c)}*{mono}"
-        else:
-            body = format_rational(c)
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return str(Fraction(x))
 
 
 def _split_terms(s: str):
@@ -362,14 +361,29 @@ def _split_terms(s: str):
     return out
 
 
-def format_cyclotomic(a: Cyclotomic) -> str:
-    def var_of(i):
-        if i == 0:
-            return ""
-        return "w" if i == 1 else f"w^{i}"
+def _parse_terms(s: str, token, read, one) -> dict:
+    """The {monomial: coefficient} sum of the text ``s``, the one reader of
+    every ring's text.  A term is a signed product of ``*``-separated
+    factors; a factor that the regex ``token`` matches in full is a
+    variable, which ``read(monomial, coeff, match)`` multiplies into the
+    term's (monomial, coefficient), starting from (``one``, sign); any
+    other factor must be a rational."""
+    coeffs: dict = {}
+    for sign, term in _split_terms(s):
+        m, coeff = one, Fraction(sign)
+        for f in term.split("*"):
+            f = f.strip()
+            match = token.fullmatch(f)
+            if match:
+                m, coeff = read(m, coeff, match)
+            else:
+                coeff *= Fraction(f)
+        coeffs[m] = coeffs.get(m, 0) + coeff
+    return coeffs
 
-    body = _format_terms(sorted(a.coeffs.items()), var_of)
-    return f"{body}@{a.order}"
+
+format_cyclotomic = Cyclotomic.__str__
+_W_RE = re.compile(r"w(?:\^(-?\d+))?")
 
 
 def parse_cyclotomic(s: str) -> Cyclotomic:
@@ -379,19 +393,9 @@ def parse_cyclotomic(s: str) -> Cyclotomic:
     order = int(order_s)
     if order < 1:
         raise ValueError("order must be positive")
-    coeffs: dict[int, Fraction] = {}
-    for sign, term in _split_terms(body):
-        factors = [f.strip() for f in term.split("*")]
-        coeff = Fraction(sign)
-        power = 0
-        for f in factors:
-            if f.startswith("w"):
-                power += int(f[2:]) if f.startswith("w^") else 1
-            else:
-                coeff *= Fraction(f)
-        power %= order  # w^order = 1, so negative powers are positive ones
-        coeffs[power] = coeffs.get(power, 0) + coeff
-    return Cyclotomic(order, coeffs)
+    # w^order = 1, so negative powers are positive ones
+    return Cyclotomic(order, _parse_terms(
+        body, _W_RE, lambda p, c, w: ((p + int(w[1] or 1)) % order, c), 0))
 
 
 class TruncatedPoly(RingElement):
@@ -473,40 +477,26 @@ class TruncatedPoly(RingElement):
             out = out + term
         return out
 
-    def __repr__(self):
-        return f"TruncatedPoly({self.nvars}, {format_truncated(self)!r})"
+    # -- text format: "1/4 - 1/8*x1 + 1/16*x1*x2" ---------------------------
 
-    def __str__(self):
-        return format_truncated(self)
+    _order = staticmethod(_by_degree)
+    _repr_ring = property(lambda self: f"{self.nvars}, ")
 
-
-def format_truncated(a: TruncatedPoly) -> str:
-    def var_of(mask):
-        return "*".join(f"x{i + 1}" for i in range(a.nvars) if mask >> i & 1)
-
-    keys = sorted(a.coeffs, key=lambda m: (bin(m).count("1"), m))
-    return _format_terms([(m, a.coeffs[m]) for m in keys], var_of)
+    def _var(self, mask):
+        return "*".join(f"x{i + 1}" for i in range(self.nvars) if mask >> i & 1)
 
 
-_VAR_RE = re.compile(r"^x(\d+)$")
+format_truncated = TruncatedPoly.__str__
+_X_RE = re.compile(r"x(\d+)")
 
 
 def parse_truncated(s: str, nvars: int) -> TruncatedPoly:
-    terms: dict[int, Fraction] = {}
-    for sign, term in _split_terms(s):
-        coeff = Fraction(sign)
-        mask = 0
-        for f in (p.strip() for p in term.split("*")):
-            m = _VAR_RE.match(f)
-            if m:
-                i = int(m.group(1))
-                if not 1 <= i <= nvars:
-                    raise ValueError(f"x{i} out of range for {nvars} variables")
-                bit = 1 << (i - 1)
-                if mask & bit:
-                    raise ValueError(f"repeated variable x{i} in one term")
-                mask |= bit
-            else:
-                coeff *= Fraction(f)
-        terms[mask] = terms.get(mask, Fraction(0)) + coeff
-    return TruncatedPoly(nvars, terms)
+    def read(mask, coeff, x):
+        i = int(x[1])
+        if not 1 <= i <= nvars:
+            raise ValueError(f"x{i} out of range for {nvars} variables")
+        if mask >> (i - 1) & 1:
+            raise ValueError(f"repeated variable x{i} in one term")
+        return mask | 1 << (i - 1), coeff
+
+    return TruncatedPoly(nvars, _parse_terms(s, _X_RE, read, 0))

@@ -111,13 +111,66 @@ def test_bott_missing_expr(capsys, mode):
     assert capsys.readouterr().err == f"error: mode={mode} needs --expr\n"
 
 
-@pytest.mark.parametrize("argv", [["verify", "--suite", "serre"],
-                                  ["adams-module", "--m", "1", "--k", "2"]])
-def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+# one request per command: every command writes through the same --out path
+COMMANDS = {
+    "qf": ["qf", "1,-1,2", "--primes", "2", "inf"],
+    "bott": ["bott", "--expr", "L1 - 1 + 2*L2^-1", "--k", "3"],
+    "serre-sqrt": ["serre-sqrt", "--lams", "2,1", "--k", "3"],
+    "clifford-check": ["clifford-check", "--form", "1,-1", "--element", "e1e2"],
+    "spin-lift": ["spin-lift", "--form", "1,-1", "--copies", "3"],
+    "adams-module": ["adams-module", "--m", "1", "--k", "2"],
+    "verify": ["verify", "--suite", "serre"],
+}
+
+
+def test_every_command_has_a_request():
+    from spinbott.cli import build_parser
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert sorted(sub.choices) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, command):
     out = tmp_path / "missing" / "r.json"
-    assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: cannot write --out ")
+    assert main(COMMANDS[command] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_out_file_holds_the_bytes_of_stdout(capsys, tmp_path, command):
+    code = main(COMMANDS[command])
+    captured = capsys.readouterr()
+    out = tmp_path / "r.json"
+    assert main(COMMANDS[command] + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == captured.out.encode()
+    assert captured.out.endswith("}\n") and captured.err == ""
+
+
+def test_every_cap_is_a_flag_with_its_default_and_help(capsys):
+    import dataclasses
+    from spinbott.cli import build_parser
+    from spinbott.config import Caps
+    flags = {a.dest: a for a in build_parser()._actions}
+    assert main(["--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    for cap in dataclasses.fields(Caps):
+        flag = flags[cap.name]
+        assert flag.option_strings == ["--" + cap.name.replace("_", "-")]
+        assert flag.default == cap.default and flag.type is int
+        assert cap.metadata["help"] in help_text
+        assert flag.option_strings[0] in help_text
+
+
+def test_line_symbol_zero_is_refused(capsys):
+    # "L0" once parsed as the constant 1, and this printed the value 3
+    assert main(["bott", "--expr", "L0", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line symbols are 1-based\n"
 
 
 def test_serre_sqrt(capsys):

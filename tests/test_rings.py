@@ -247,6 +247,40 @@ def test_parsers_keep_one_leading_sign(parser):
     assert parse(f"-{a}") == -parse(a)
 
 
+PARSER_JUNK = {"element": ("e1q", "e1e2x"), "line_expr": ("L1x", "L1^2y"),
+               "truncated": ("x1y", "x2q"), "cyclotomic": ("w5", "wq", "w^2x")}
+
+
+@pytest.mark.parametrize("parser", sorted(PARSERS))
+@pytest.mark.parametrize("shape", ["{junk}", "{b} + 2*{junk}", "{junk}*{a}"])
+def test_parsers_refuse_a_variable_token_followed_by_junk(parser, shape):
+    # "w5" and "wq" once parsed as w: only the leading "w" was looked at
+    a, b = PARSER_TERMS[parser]
+    for junk in PARSER_JUNK[parser]:
+        with pytest.raises(ValueError):
+            PARSERS[parser](shape.format(a=a, b=b, junk=junk))
+
+
+def test_parse_line_expr_refuses_symbol_zero():
+    # "L0" once parsed as the constant 1
+    for text in ("L0", "2*L0^3 + L1"):
+        with pytest.raises(ValueError, match="line symbols are 1-based"):
+            parse_line_expr(text)
+
+
+def test_parsers_keep_their_error_texts():
+    cases = [(lambda: parse_element("e1q", QuadraticForm((1, 1))), "cannot parse blade 'e1q'"),
+             (lambda: parse_element("e1e2e1", QuadraticForm((1, 1))), "repeated generator e1"),
+             (lambda: parse_truncated("x0 + 1", 2), "x0 out of range for 2 variables"),
+             (lambda: parse_truncated("x1*x1", 2), "repeated variable x1 in one term"),
+             (lambda: parse_line_expr("L1x"), "Invalid literal for Fraction: 'L1x'"),
+             (lambda: parse_cyclotomic("wq@7"), "Invalid literal for Fraction: 'wq'")]
+    for parse, message in cases:
+        with pytest.raises(ValueError) as info:
+            parse()
+        assert str(info.value) == message
+
+
 def test_parsers_keep_the_negative_exponent():
     assert parse_line_expr("-L1^-1 + L2") == LineExpr.symbol(2) - LineExpr.monomial((-1,))
     assert parse_cyclotomic("-w^-1@3") == -Cyclotomic.zeta(3) ** 2
