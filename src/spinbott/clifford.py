@@ -22,7 +22,7 @@ untwisting map is certified by a permutation check on blade pairs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -417,20 +417,20 @@ def untwist_iso(q: QuadraticForm, r: int) -> UntwistIso:
 
 # -- lifting transpositions to the spinorial level -----------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SpinLift:
     """Lifted transposition generators in C(V^k) with their relation report."""
 
     form: QuadraticForm
     copies: int
-    generators: list = field(default_factory=list)
-    lambda_sign: Fraction = Fraction(1)
-    squares_ok: bool = False
-    braid_ok: bool = False
-    commutation_ok: bool = False
-    matrices_ok: bool = False
-    norms: list = field(default_factory=list)
-    in_spin: list = field(default_factory=list)
+    generators: list
+    lambda_sign: Fraction
+    squares_ok: bool
+    braid_ok: bool
+    commutation_ok: bool
+    matrices_ok: bool
+    norms: list
+    in_spin: list
 
     @property
     def all_ok(self) -> bool:
@@ -490,33 +490,31 @@ def spin_lift(q: QuadraticForm, k: int) -> SpinLift:
             out = out * vec
         return out
 
-    lift = SpinLift(q, k)
-    gens, lift.lambda_sign = braid_normalize([lifted_swap(c) for c in range(k - 1)])
-    lift.generators = gens
-
+    gens, lam = braid_normalize([lifted_swap(c) for c in range(k - 1)])
     one = CliffordElement.scalar(big, 1)
-    lift.squares_ok = all(g * g == one for g in gens)
-    lift.braid_ok = all(
-        gens[i] * gens[i + 1] * gens[i] == gens[i + 1] * gens[i] * gens[i + 1]
-        for i in range(len(gens) - 1))
-    lift.commutation_ok = all(
-        gens[i] * gens[j] == gens[j] * gens[i]
-        for i in range(len(gens)) for j in range(i + 2, len(gens)))
-
-    lift.matrices_ok = True
     size = n * k
-    for c, g in enumerate(gens):
-        res = clifford_group_test(g)
-        lift.norms.append(res.norm)
-        lift.in_spin.append(res.in_spin)
+
+    def induces_swap(c, res) -> bool:
         # the swap of coordinate blocks c and c+1 (0-based) sends e_t to e_swap[t]
         swap = [t + n if t // n == c else t - n if t // n == c + 1 else t
                 for t in range(size)]
-        if not (res.member and res.degree == 0
-                and all(res.matrix.entries[i][t] == (1 if i == swap[t] else 0)
-                        for t in range(size) for i in range(size))):
-            lift.matrices_ok = False
-    return lift
+        return res.member and res.degree == 0 and all(
+            res.matrix.entries[i][t] == (1 if i == swap[t] else 0)
+            for t in range(size) for i in range(size))
+
+    # one Clifford-group test per generator, its matrix dropped once read
+    tests = [(res.norm, res.in_spin, induces_swap(c, res))
+             for c, res in enumerate(map(clifford_group_test, gens))]
+    return SpinLift(
+        q, k, gens, lam,
+        squares_ok=all(g * g == one for g in gens),
+        braid_ok=all(gens[i] * gens[i + 1] * gens[i] == gens[i + 1] * gens[i] * gens[i + 1]
+                     for i in range(len(gens) - 1)),
+        commutation_ok=all(gens[i] * gens[j] == gens[j] * gens[i]
+                           for i in range(len(gens)) for j in range(i + 2, len(gens))),
+        matrices_ok=all(ok for _, _, ok in tests),
+        norms=[norm for norm, _, _ in tests],
+        in_spin=[spin for _, spin, _ in tests])
 
 
 format_element = CliffordElement.__str__

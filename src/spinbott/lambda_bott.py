@@ -50,13 +50,13 @@ class LineExpr(RingElement):
     _ONE = ()
 
     def __init__(self, coeffs=None):
+        # keys equal after stripping name one monomial: their coefficients add
         clean = {}
         for exps, c in (coeffs or {}).items():
-            if type(c) is not int:
-                c = _exact(Fraction(c))
-            if c:
-                clean[_strip(exps)] = c
-        object.__setattr__(self, "coeffs", clean)
+            key = _strip(exps)
+            clean[key] = clean.get(key, 0) + (c if type(c) is int else Fraction(c))
+        object.__setattr__(self, "coeffs", {e: c if type(c) is int else _exact(c)
+                                            for e, c in clean.items() if c})
 
     @classmethod
     def scalar(cls, c) -> "LineExpr":
@@ -116,10 +116,6 @@ class LineExpr(RingElement):
         if not self.is_effective():
             raise NotEffectiveError("expression has negative or fractional coefficients")
         return [(e, int(c)) for e, c in sorted(self.coeffs.items())]
-
-    def rank(self) -> Fraction:
-        """Sum of coefficients (virtual rank after L_i -> 1)."""
-        return sum(self.coeffs.values(), Fraction(0))
 
     def _var(self, exps):
         return "*".join(f"L{i}" if e == 1 else f"L{i}^{e}"

@@ -39,14 +39,32 @@ class GradedModule:
     """A graded space E with odd generators for a diagonal form.
 
     ``grading[i]`` is the degree (0 or 1) of the i-th basis vector; each
-    generator is a ``SparseOp`` that exchanges the two blocks and squares
-    to its diagonal coefficient.  The volume element must act as +1 on the
-    even block and -1 on the odd block (the normalized choice of E).
+    generator is a dim x dim ``SparseOp`` that exchanges the two blocks and
+    squares to its diagonal coefficient.  The volume element must act as +1
+    on the even block and -1 on the odd block (the normalized choice of E).
+    All of this is checked when the module is built.
     """
 
     form: QuadraticForm
     grading: tuple
     gens: tuple
+
+    def __post_init__(self) -> None:
+        if len(self.gens) != self.form.rank:
+            raise PresentationError("need one generator per form entry")
+        if self.dims[0] == 0 or self.dims[1] == 0:
+            raise PresentationError("both graded blocks must be nonzero")
+        g, dim = self.grading, self.dim
+        for i, gen in enumerate(self.gens):
+            if len(gen.cols) != dim or any(not 0 <= r < dim for col in gen.cols for r in col):
+                raise PresentationError(f"generator {i + 1} is not a {dim} x {dim} operator")
+            if any(g[r] == g[c] for c, col in enumerate(gen.cols) for r in col):
+                raise PresentationError(f"generator {i + 1} is not odd")
+        failure = _relation_failure(self.gens, self.form.diag, dim)
+        if failure:
+            raise PresentationError(failure)
+        if self.volume_op() != self.grading_op():
+            raise PresentationError("volume element is not diag(1,-1) on E0+E1")
 
     @property
     def dim(self) -> int:
@@ -62,21 +80,6 @@ class GradedModule:
     def volume_op(self) -> SparseOp:
         """s gamma_1 ... gamma_n for the orientation witness s."""
         return clifford_action(volume_element(self.form), self.gens, self.dim)
-
-    def validate(self) -> None:
-        if len(self.gens) != self.form.rank:
-            raise PresentationError("need one generator per form entry")
-        if self.dims[0] == 0 or self.dims[1] == 0:
-            raise PresentationError("both graded blocks must be nonzero")
-        g = self.grading
-        for i, gen in enumerate(self.gens):
-            if any(g[r] == g[c] for c, col in enumerate(gen.cols) for r in col):
-                raise PresentationError(f"generator {i + 1} is not odd")
-        failure = _relation_failure(self.gens, self.form.diag, self.dim)
-        if failure:
-            raise PresentationError(failure)
-        if self.volume_op() != self.grading_op():
-            raise PresentationError("volume element is not diag(1,-1) on E0+E1")
 
 
 def clifford_action(elem, gens, dim) -> SparseOp:
@@ -132,7 +135,6 @@ def spinor_rep(m: int) -> GradedModule:
     gens = tuple(generator(i, minus) for i in range(m) for minus in (False, True))
     module = GradedModule(hyperbolic(m),
                           tuple(s.bit_count() % 2 for s in range(dim)), gens)
-    module.validate()
     if not is_end_iso(module):
         raise PresentationError("structure map is not bijective")
     return module
@@ -141,20 +143,20 @@ def spinor_rep(m: int) -> GradedModule:
 def is_end_iso(module: GradedModule) -> bool:
     """The blade images B_S of the generators form a basis of End(E).
 
-    True exactly when 2^n = d^2 (d = dim E), the Clifford relations hold,
-    and tr(B_U) = 0 for every blade U other than the empty one.  This is
-    sound: under the relations B_S B_T = c B_(S xor T) with
-    c = +-prod_(i in S and T) q_i, never zero, so the trace pairing
-    tr(B_S B_T) = c tr(B_(S xor T)) vanishes for S != T and is c d for
-    S = T.  A diagonal pairing with nonzero diagonal makes the 2^n images
-    independent, hence a basis of the d^2-dimensional End(E).  (For even
-    n the traces vanish under the relations anyway, which is why C(V) is
-    central simple; Lam, Introduction to Quadratic Forms over Fields,
-    ch. V.)  The images are built depth first, B_(S+i) = B_S o g_i for i
-    above every index in S: one compose each, n + 1 images held at once.
+    True exactly when 2^n = d^2 (d = dim E) and tr(B_U) = 0 for every blade U
+    other than the empty one.  This is sound: every GradedModule satisfies the
+    Clifford relations, checked when it is built, and under them
+    B_S B_T = c B_(S xor T) with c = +-prod_(i in S and T) q_i, never zero, so
+    the trace pairing tr(B_S B_T) = c tr(B_(S xor T)) vanishes for S != T and
+    is c d for S = T.  A diagonal pairing with nonzero diagonal makes the 2^n
+    images independent, hence a basis of the d^2-dimensional End(E).  (For
+    even n the traces vanish under the relations anyway: C(V) is central
+    simple; Lam, Introduction to Quadratic Forms over Fields, ch. V.)  The
+    images are built depth first, B_(S+i) = B_S o g_i for i above every index
+    in S: one compose each, n + 1 images held at once.
     """
     n, d = module.form.rank, module.dim
-    if (1 << n) != d * d or _relation_failure(module.gens, module.form.diag, d):
+    if (1 << n) != d * d:
         return False
     everything = [True] * d
 
@@ -170,34 +172,28 @@ def is_end_iso(module: GradedModule) -> bool:
 
 
 def twist_rep(module: GradedModule, k: int) -> GradedModule:
-    """Scale the even<-odd blocks by k: a module over the k-scaled form."""
+    """Scale the even<-odd blocks by k: a module over the k-scaled form,
+    with generators D_k o g_i, D_k = k on E0 and 1 on E1."""
     if k < 1:
         raise ValueError("k must be positive")
-    g = module.grading
-    gens = tuple(
-        SparseOp({r: x * k if (g[r], g[c]) == (0, 1) else x for r, x in col.items()}
-                 for c, col in enumerate(gen.cols))
-        for gen in module.gens)
-    out = GradedModule(scale(module.form, k), g, gens)
-    out.validate()
-    return out
+    d_k = SparseOp.monomial(list(range(module.dim)), [1 if g else k for g in module.grading])
+    return GradedModule(scale(module.form, k), module.grading,
+                        tuple(d_k.compose(gen) for gen in module.gens))
 
 
 def opposite_module(module: GradedModule) -> GradedModule:
     """Module over the negated form via multiplication by the volume action.
 
-    The grading is flipped when needed so that the new volume element is
-    again +1 on the even block.
+    The generators are eps o g_i, eps the grading operator; their volume
+    operator is (-1)^(n/2) eps, and its signs give the grading, E's or its
+    complement, on whose even block the new volume element is again +1.
     """
-    eps = module.grading_op()
+    eps, d, form = module.grading_op(), module.dim, scale(module.form, -1)
     gens = tuple(eps.compose(g) for g in module.gens)
-    form = scale(module.form, -1)
-    for grading in (module.grading, tuple(1 - g for g in module.grading)):
-        cand = GradedModule(form, grading, gens)
-        if cand.volume_op() == cand.grading_op():
-            cand.validate()
-            return cand
-    raise PresentationError("volume element of the opposite module is not diagonal")
+    vol = clifford_action(volume_element(form), gens, d)
+    if vol.perm != list(range(d)) or any(x not in (1, -1) for x in vol.sign):
+        raise PresentationError("volume element of the opposite module is not diagonal")
+    return GradedModule(form, tuple(0 if x == 1 else 1 for x in vol.sign), gens)
 
 
 # -- tensor powers with the sign-twisted symmetric-group action ---------------
@@ -243,10 +239,6 @@ class TensorPower:
             perm = [a * n + b for a in perm for b, _ in run]
             sign = [x * y for x in sign for _, y in run]
         return SparseOp.monomial(perm, sign)
-
-    def cycle_op(self) -> SparseOp:
-        """The graded action of a k-cycle (word tau_1 tau_2 ... tau_{k-1})."""
-        return self.cycles((self.k,))
 
     def u_op(self):
         """The volume element s Delta_1 ... Delta_n of the k-scaled form."""
@@ -428,7 +420,7 @@ def cycle_eigen_projectors(tp: TensorPower):
     orthogonality and the resolution of 1 are checked there.
     """
     k = tp.k
-    cyc = tp.cycle_op()
+    cyc = tp.cycles((k,))
     t_pows = [SparseOp.identity(tp.dim)]
     for _ in range(k - 1):
         t_pows.append(t_pows[-1].compose(cyc))

@@ -22,8 +22,6 @@ from .lambda_bott import (LineExpr, bott_cyclotomic, bott_lines, corrected_bott,
 from .modules import adams_module_report, hermitian_bott, opposite_form_check
 from .quadforms import INF, QuadraticForm, _is_prime, hilbert_symbol, square_free_part
 
-SUITES = ("clifford", "spin-lift", "adams", "serre", "spheres", "symbols")
-
 
 @dataclass
 class VerificationReport:
@@ -432,6 +430,7 @@ _RUNNERS = {
     "spheres": suite_spheres,
     "symbols": suite_symbols,
 }
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, seed: int = 0, timings: bool = False) -> VerificationReport:

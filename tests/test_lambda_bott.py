@@ -111,6 +111,18 @@ def test_product_pinned_cases():
         _assert_stored_form(prod)
 
 
+@pytest.mark.parametrize("coeffs, text", [
+    ({(1, 0): 1, (1,): 2}, "3*L1"),
+    ({(1,): 2, (1, 0): 1}, "3*L1"),
+    ({(1, 0): 1, (1,): -1}, "0"),
+    ({(1, 0): Fraction(1, 2), (1,): Fraction(1, 2), (): 1}, "1 + L1"),
+])
+def test_keys_equal_after_stripping_add_their_coefficients(coeffs, text):
+    x = LineExpr(coeffs)
+    assert str(x) == text
+    _assert_stored_form(x)
+
+
 def test_newton_recursion_identities():
     # psi^2 = (lam^1)^2 - 2 lam^2 and psi^3 = (lam^1)^3 - 3 lam^1 lam^2 + 3 lam^3
     a, b, c = Fraction(5), Fraction(7), Fraction(11)

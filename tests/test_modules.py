@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ import dense_modules
 from dense_modules import (diag, from_dense, identity, mat_add, mat_mul, mat_scale,
                            to_dense, zeros)
 from spinbott import modules
-from spinbott.clifford import CliffordElement
+from spinbott.clifford import CliffordElement, volume_element
 from spinbott.linalg import SparseOp
 from spinbott.modules import (GradedModule, PresentationError, adams_bar,
                               adams_character, adams_module_report,
@@ -40,12 +41,31 @@ def test_spinor_rep_surjective():
     assert is_end_iso(m2)
 
 
-def test_graded_module_validation():
-    bad = GradedModule(QuadraticForm((1, -1)), (0, 1),
-                       (from_dense([[0, 1], [1, 0]]),
-                        from_dense([[0, 1], [1, 0]])))
-    with pytest.raises(PresentationError):
-        bad.validate()  # second generator squares to +1, not -1
+_X, _Y = from_dense([[0, 1], [1, 0]]), from_dense([[0, -1], [1, 0]])  # squares +1, -1
+_REFUSED = [
+    ((1, -1), (0, 1), (_X,), "need one generator per form entry"),
+    ((1, -1), (0, 0), (_X, _Y), "both graded blocks must be nonzero"),
+    ((1, -1), (0, 1), (from_dense(diag([1, -1])), _Y), "generator 1 is not odd"),
+    # blade images 1, X, X, X^2 = 1 spanning 2 of the 4 dimensions of End(E):
+    # no module, so is_end_iso never sees a rank-deficient structure map
+    ((1, -1), (0, 1), (_X, _X), "generator 2 does not square to q_2"),
+    ((1, 1), (0, 1), (_X, _X), "generators 1,2 do not anticommute"),
+    ((1, -1), (1, 0), (_X, _Y), "volume element is not diag(1,-1) on E0+E1"),
+    # a generator too large, too small, or with a row outside E
+    ((1, -1), (0, 1), spinor_rep(2).gens[:2], "generator 1 is not a 2 x 2 operator"),
+    ((1, -1, 1, -1), (0, 1, 1, 0), spinor_rep(1).gens * 2,
+     "generator 1 is not a 4 x 4 operator"),
+    ((1, -1), (0, 1), (_X, SparseOp([{1: -1}, {2: 1}])), "generator 2 is not a 2 x 2 operator"),
+    ((1, -1), (0, 1), (_X, SparseOp([{-1: -1}, {0: 1}])), "generator 2 is not a 2 x 2 operator"),
+]
+
+
+@pytest.mark.parametrize("diag_, grading, gens, message", _REFUSED,
+                         ids=["count", "blocks", "odd", "square", "anticommute", "volume",
+                              "too large", "too small", "row too large", "negative row"])
+def test_graded_module_is_checked_when_built(diag_, grading, gens, message):
+    with pytest.raises(PresentationError, match=f"^{re.escape(message)}$"):
+        GradedModule(QuadraticForm(diag_), grading, gens)
 
 
 def test_twist_rep():
@@ -63,7 +83,54 @@ def test_opposite_module():
     m1 = spinor_rep(1)
     opp = opposite_module(m1)
     assert opp.form == scale(m1.form, -1)
-    opp.validate()
+    assert opp.grading == (1, 0)  # rank 2: the volume operator is -eps
+
+
+def _twist_by_entries(module, k):
+    """The k-twist by rewriting each entry: k on the even<-odd ones."""
+    g = module.grading
+    gens = tuple(SparseOp({r: x * k if (g[r], g[c]) == (0, 1) else x for r, x in col.items()}
+                          for c, col in enumerate(gen.cols))
+                 for gen in module.gens)
+    return GradedModule(scale(module.form, k), g, gens)
+
+
+def _opposite_by_search(module):
+    """The opposite module on the generators (-1)^(deg row) g_i, graded by
+    whichever of E's grading and its complement the volume element fits."""
+    g, d = module.grading, module.dim
+    gens = tuple(SparseOp({r: -x if g[r] else x for r, x in col.items()} for col in gen.cols)
+                 for gen in module.gens)
+    form = scale(module.form, -1)
+    volume = to_dense(modules.clifford_action(volume_element(form), gens, d))
+    for grading in (g, tuple(1 - x for x in g)):
+        if volume == diag([-1 if x else 1 for x in grading]):
+            return GradedModule(form, grading, gens)
+    raise AssertionError("volume element of the opposite module is not diagonal")
+
+
+def _general_module():
+    # conjugating spinor_rep(2) by an even, non-monomial change of basis gives an
+    # isomorphic module whose generators have two entries in some columns
+    base = spinor_rep(2)
+    even = [i for i, g in enumerate(base.grading) if g == 0]
+    change, inverse = identity(base.dim), identity(base.dim)
+    change[even[0]][even[1]], inverse[even[0]][even[1]] = Fraction(1), Fraction(-1)
+    return GradedModule(base.form, base.grading, tuple(
+        from_dense(mat_mul(mat_mul(change, to_dense(g)), inverse)) for g in base.gens))
+
+
+@pytest.mark.parametrize("base", [(m, k) for m in (1, 2, 3) for k in (1, 2, 3)] + ["general"],
+                         ids=str)
+def test_derived_modules_match_the_entrywise_constructions(base):
+    # base (m, k) is twist_rep(spinor_rep(m), k); k = 1 is spinor_rep(m) itself
+    module = _general_module() if base == "general" else twist_rep(spinor_rep(base[0]), base[1])
+    opp = opposite_module(module)
+    assert opp == _opposite_by_search(module)
+    assert opposite_module(opp) == _opposite_by_search(opp)
+    for k in (1, 2, 3):
+        assert twist_rep(module, k) == _twist_by_entries(module, k)
+        assert twist_rep(opp, k) == _twist_by_entries(opp, k)
 
 
 def test_tensor_power_invariants():
@@ -86,7 +153,7 @@ def test_tensor_power_braid():
     lhs = mat_mul(mat_mul(s1, s2), s1)
     rhs = mat_mul(mat_mul(s2, s1), s2)
     assert lhs == rhs
-    cyc = to_dense(tp.cycle_op())
+    cyc = to_dense(tp.cycles((3,)))
     assert mat_mul(mat_mul(cyc, cyc), cyc) == identity(8)
 
 
@@ -131,17 +198,13 @@ def doubled(module):
 def _end_iso_module(case):
     if case == "doubled":
         return doubled(spinor_rep(1))  # 2^n = 4 != d^2 = 16
-    if case == "relations fail":
-        gen = from_dense([[0, 1], [1, 0]])  # squares to +1, not -1: rank 2 < 4
-        return GradedModule(QuadraticForm((1, -1)), (0, 1), (gen, gen))
     m, k, opposite = case
     module = twist_rep(spinor_rep(m), k)  # k = 1 is spinor_rep(m) itself
     return opposite_module(module) if opposite else module
 
 
 @pytest.mark.parametrize("case", [(m, k, opposite) for m in (1, 2, 3) for k in (1, 2, 3)
-                                  for opposite in (False, True)]
-                         + ["doubled", "relations fail"], ids=str)
+                                  for opposite in (False, True)] + ["doubled"], ids=str)
 def test_is_end_iso_matches_dense_rank(case):
     module = _end_iso_module(case)
     expected = isinstance(case, tuple)
@@ -274,14 +337,14 @@ def test_sparse_operator_matches_dense_products():
     dense = dense_modules.tensor_power(spinor_rep(1), 3)
     for sparse_gen, dense_gen in zip(tp.diag_gens, dense.diag_gens):
         assert to_dense(sparse_gen) == dense_gen
-    assert to_dense(tp.cycle_op()) == dense.cycle_matrix()
+    assert to_dense(tp.cycles((3,))) == dense.cycle_matrix()
     assert to_dense(tp.u_op()) == dense.u_matrix()
     a, b = tp.diag_gens
     assert to_dense(a.compose(b)) == mat_mul(to_dense(a), to_dense(b))
     assert to_dense(a + b) == mat_add(to_dense(a), to_dense(b))
     assert from_dense(to_dense(a)) == a
     assert to_dense(a.scale(Fraction(3, 2))) == mat_scale(to_dense(a), Fraction(3, 2))
-    cyc, u = tp.cycle_op(), tp.u_op()
+    cyc, u = tp.cycles((3,)), tp.u_op()
     x = from_dense([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(-1, 3)]])
     y = from_dense([[Fraction(5), Fraction(0)], [Fraction(7), Fraction(8)]])
     assert x.trace([True, False], y) == 19 and x.trace([False, True], y) == Fraction(-8, 3)
@@ -395,15 +458,7 @@ def test_a_wrong_projector_exponent_is_caught(k):
 
 
 def test_tensor_power_of_a_module_with_general_generators():
-    # conjugating spinor_rep(2) by an even, non-monomial change of basis gives an
-    # isomorphic module whose generators have two entries in some columns
-    base = spinor_rep(2)
-    even = [i for i, g in enumerate(base.grading) if g == 0]
-    change, inverse = identity(base.dim), identity(base.dim)
-    change[even[0]][even[1]], inverse[even[0]][even[1]] = Fraction(1), Fraction(-1)
-    gens = tuple(from_dense(mat_mul(mat_mul(change, to_dense(g)), inverse)) for g in base.gens)
-    module = GradedModule(base.form, base.grading, gens)
-    module.validate()
+    base, module = spinor_rep(2), _general_module()
     assert any(g.perm is None for g in module.gens)
     tp = tensor_power(module, 2)
     dense = dense_modules.tensor_power(module, 2)
