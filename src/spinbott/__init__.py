@@ -4,7 +4,7 @@ Everything is computed over the rationals and their cyclotomic or
 truncated-polynomial extensions with exact arithmetic; no floats anywhere.
 """
 
-from .clifford import (CliffordElement, Membership, OrthogonalMatrix, SpinLift,
+from .clifford import (CliffordElement, Membership, SpinLift,
                        clifford_group_test, graded_tensor_check, parse_element,
                        format_element, pairing_det, phi_gram, spin_lift, untwist_iso,
                        volume_element)

@@ -110,8 +110,7 @@ def cmd_clifford_check(args):
             "degree": res.degree,
             "norm": format_rational(res.norm),
             "in_spin": res.in_spin,
-            "matrix": [[format_rational(x) for x in row]
-                       for row in res.matrix.entries],
+            "matrix": [[format_rational(x) for x in row] for row in res.rows()],
         })
     else:
         payload["reason"] = res.reason

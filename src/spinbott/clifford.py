@@ -9,7 +9,7 @@ use the form's ``exact_diag``, so integral forms keep products on int
 arithmetic; a coefficient from another exact ring (a ``Cyclotomic``)
 passes through unchanged.  On top of the ring structure this module
 provides the reversal involution, spinorial norms, Clifford-group
-membership with the induced orthogonal matrix, volume elements, the
+membership with the induced isometry, volume elements, the
 top-coefficient bilinear forms on the even/odd parts, the graded-tensor
 and untwisting isomorphism checks, and the lifting of symmetric-group
 transpositions to even elements of square one.
@@ -213,38 +213,20 @@ def volume_element(q: QuadraticForm) -> CliffordElement:
 # -- Clifford group membership ------------------------------------------------
 
 @dataclass(frozen=True)
-class OrthogonalMatrix:
-    """A rational matrix preserving the given diagonal form."""
-
-    entries: tuple
-    form: QuadraticForm
-
-    def __post_init__(self):
-        n = self.form.rank
-        m = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
-        if len(m) != n or any(len(r) != n for r in m):
-            raise ValueError("matrix size does not match the form rank")
-        d = self.form.diag
-        for i in range(n):
-            for j in range(n):
-                acc = Fraction(0)
-                for t in range(n):
-                    acc += m[t][i] * d[t] * m[t][j]
-                if acc != (d[i] if i == j else 0):
-                    raise ValueError("matrix does not preserve the form")
-        object.__setattr__(self, "entries", m)
-
-
-@dataclass(frozen=True)
 class Membership:
-    """Outcome of the Clifford-group test."""
+    """Outcome of the Clifford-group test; a member's ``images[c]`` is the
+    image of e_(c+1) under its isometry, as {t: coeff} with t 0-based."""
 
     member: bool
     reason: str = ""
     degree: int | None = None
-    matrix: OrthogonalMatrix | None = None
+    images: tuple | None = None
     norm: Fraction | None = None
     in_spin: bool = False
+
+    def rows(self) -> list:
+        """Dense rows: row r, column c is the coefficient of e_(r+1) in img(e_(c+1))."""
+        return [[img.get(r, 0) for img in self.images] for r in range(len(self.images))]
 
 
 def clifford_group_test(a: CliffordElement) -> Membership:
@@ -252,7 +234,8 @@ def clifford_group_test(a: CliffordElement) -> Membership:
 
     Checks homogeneity, invertibility and stability of V under twisted
     conjugation v -> (-1)^deg(a) a v a^-1; members also get their
-    spinorial norm and the Spin flag (even of norm one).
+    spinorial norm and the Spin flag (even of norm one).  Images that do
+    not preserve the form are a failed check.
     """
     deg = a.degree()
     if deg is None:
@@ -262,17 +245,21 @@ def clifford_group_test(a: CliffordElement) -> Membership:
     inv = a.inverse()
     if inv is None:
         return Membership(False, reason="not invertible")
-    n = a.form.rank
+    diag = a.form.exact_diag
     sign = -1 if deg else 1
-    cols = []
-    for i in range(1, n + 1):
+    images = []
+    for i in range(1, len(diag) + 1):
         img = a * CliffordElement.generator(a.form, i) * inv * sign
         if any(_popcount(m) != 1 for m in img.coeffs):
             return Membership(False, reason=f"conjugation moves e{i} outside V")
-        cols.append([img.coefficient(1 << t) for t in range(n)])
-    matrix = OrthogonalMatrix(tuple(zip(*cols)), a.form)  # raises if not orthogonal
+        images.append({m.bit_length() - 1: c for m, c in img.coeffs.items()})
+    for i, x in enumerate(images):
+        for j, y in enumerate(images[i:], i):
+            b = sum(c * diag[t] * y[t] for t, c in x.items() if t in y)  # b(img_i, img_j)
+            if b != (diag[i] if i == j else 0):
+                raise FailedCheckError("matrix does not preserve the form")
     norm = a.spinorial_norm()
-    return Membership(True, degree=deg, matrix=matrix, norm=norm,
+    return Membership(True, degree=deg, images=tuple(images), norm=norm,
                       in_spin=(deg == 0 and norm == 1))
 
 
@@ -395,7 +382,7 @@ def untwist_iso(q: QuadraticForm, r: int) -> UntwistIso:
 
     relations_ok = True
     for i in range(n + r):
-        for j in range(n + r):
+        for j in range(i, n + r):
             prod = tensor_mul(gen_images[i], gen_images[j])
             if i == j:
                 expect = {(0, 0): src[i]}
@@ -492,17 +479,14 @@ def spin_lift(q: QuadraticForm, k: int) -> SpinLift:
 
     gens, lam = braid_normalize([lifted_swap(c) for c in range(k - 1)])
     one = CliffordElement.scalar(big, 1)
-    size = n * k
 
     def induces_swap(c, res) -> bool:
-        # the swap of coordinate blocks c and c+1 (0-based) sends e_t to e_swap[t]
-        swap = [t + n if t // n == c else t - n if t // n == c + 1 else t
-                for t in range(size)]
+        # the swap of coordinate blocks c and c+1 (0-based) moves e_t by +-n
+        shift = {c: n, c + 1: -n}
         return res.member and res.degree == 0 and all(
-            res.matrix.entries[i][t] == (1 if i == swap[t] else 0)
-            for t in range(size) for i in range(size))
+            img == {t + shift.get(t // n, 0): 1} for t, img in enumerate(res.images))
 
-    # one Clifford-group test per generator, its matrix dropped once read
+    # one Clifford-group test per generator, its images dropped once read
     tests = [(res.norm, res.in_spin, induces_swap(c, res))
              for c, res in enumerate(map(clifford_group_test, gens))]
     return SpinLift(

@@ -191,6 +191,14 @@ def test_clifford_check(capsys):
     assert payload["matrix"] == [["-1", "0"], ["0", "-1"]]
 
 
+def test_clifford_check_matrix_columns_are_images(capsys):
+    # column c holds the image of e_(c+1): the reflection in e1 + e2 over
+    # <1, 2> is not symmetric, so a transposed view reads differently
+    code, payload = run(capsys, "clifford-check", "--form", "1,2", "--element", "e1 + e2")
+    assert code == 0
+    assert payload["matrix"] == [["1/3", "-4/3"], ["-2/3", "-1/3"]]
+
+
 def test_clifford_check_non_member(capsys):
     code, payload = run(capsys, "clifford-check", "--form", "1,-1",
                         "--element", "1 + e1")
@@ -221,6 +229,16 @@ def test_failed_cayley_hamilton_is_a_failed_check(capsys, monkeypatch):
     monkeypatch.setattr(CliffordElement, "is_scalar", lambda self: False)
     assert main(["clifford-check", "--form=1,1,1,1", "--element=2 + e1e2e3e4"]) == 1
     assert "Cayley-Hamilton" in capsys.readouterr().err
+
+
+def test_failed_isometry_check_is_a_failed_check(capsys, monkeypatch):
+    # bug: a conjugation that did not preserve the form raised ValueError,
+    # which exits 2 as a refused input; it is a failed check and exits 1
+    from spinbott.clifford import CliffordElement
+    true_inverse = CliffordElement.inverse
+    monkeypatch.setattr(CliffordElement, "inverse", lambda self: true_inverse(self) * 2)
+    assert main(["clifford-check", "--form=1,-1", "--element=e1e2"]) == 1
+    assert "matrix does not preserve the form" in capsys.readouterr().err
 
 
 def test_spin_lift(capsys):

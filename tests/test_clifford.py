@@ -14,7 +14,7 @@ from spinbott.clifford import (CliffordElement, FormMismatchError, NotOrientable
                                _blade_product, clifford_group_test, format_element,
                                graded_tensor_check, pairing_det, parse_element, phi_gram,
                                spin_lift, untwist_iso, volume_element)
-from spinbott.config import DEFAULT_CAPS, CapExceededError, Caps, caps_scope
+from spinbott.config import DEFAULT_CAPS, CapExceededError, Caps, FailedCheckError, caps_scope
 from spinbott.quadforms import QuadraticForm, hyperbolic, square_free_part
 
 H = hyperbolic(1)
@@ -210,16 +210,16 @@ def test_volume_element_norm_depends_on_rank(q):
 def test_group_test_examples():
     res = clifford_group_test(gen(H, 1))
     assert res.member and res.degree == 1 and res.norm == 1 and not res.in_spin
-    assert [list(r) for r in res.matrix.entries] == [[-1, 0], [0, 1]]
+    assert res.rows() == [[-1, 0], [0, 1]]
 
     res = clifford_group_test(gen(H, 1) * gen(H, 2))
     assert res.member and res.norm == -1 and not res.in_spin
-    assert [list(r) for r in res.matrix.entries] == [[-1, 0], [0, -1]]
+    assert res.rows() == [[-1, 0], [0, -1]]
 
     q = QuadraticForm((1, 1))
     res = clifford_group_test(gen(q, 1) + gen(q, 2))
     assert res.member and res.degree == 1 and res.norm == 2 and not res.in_spin
-    assert [list(r) for r in res.matrix.entries] == [[0, -1], [-1, 0]]
+    assert res.rows() == [[0, -1], [-1, 0]]
 
 
 def test_group_test_rejections():
@@ -229,6 +229,16 @@ def test_group_test_rejections():
     # 1 + e1e2 squares to 2(1 + e1e2): not invertible
     a = CliffordElement.scalar(q, 1) + gen(q, 1) * gen(q, 2)
     assert not clifford_group_test(a).member
+
+
+def test_isometry_check_reads_every_pair(monkeypatch):
+    # conjugating a "generator" that is always e1 gives images of the right
+    # lengths that are not orthogonal: only the off-diagonal pair fails
+    q = QuadraticForm((1, 1))
+    monkeypatch.setattr(CliffordElement, "generator",
+                        classmethod(lambda cls, form, i: cls(form, {1: 1})))
+    with pytest.raises(FailedCheckError, match="does not preserve the form"):
+        clifford_group_test(CliffordElement.scalar(q, 1))
 
 
 def test_group_test_solve_fallback():
@@ -297,9 +307,39 @@ def test_phi_homomorphism_on_members():
         a, b = vectors[i], vectors[i + 1]
         ra, rb, rab = (clifford_group_test(x) for x in (a, b, a * b))
         assert ra.member and rb.member and rab.member
-        prod = mat_mul([list(r) for r in ra.matrix.entries],
-                       [list(r) for r in rb.matrix.entries])
-        assert prod == [list(r) for r in rab.matrix.entries]
+        assert mat_mul(ra.rows(), rb.rows()) == rab.rows()
+
+
+def reflection(d, v):
+    # S_v(x) = x - 2 b(v, x) / q(v) v, with b(v, e_j) = d_j v_j
+    qv = sum(di * vi * vi for di, vi in zip(d, v))
+    return [[int(i == j) - 2 * v[i] * d[j] * v[j] / qv for j in range(len(d))]
+            for i in range(len(d))]
+
+
+def test_isometry_is_the_product_of_reflections():
+    # a product of anisotropic vectors v_1...v_m acts on V as the product of
+    # the reflections S_(v_1)...S_(v_m), each from its closed form
+    rng = random.Random(11)
+    entries = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    checked = 0
+    for case in range(60):
+        n = rng.randint(1, 6)
+        d = [Fraction(rng.choice(entries)) for _ in range(n)]
+        q = QuadraticForm(tuple(d))
+        a, expect = CliffordElement.scalar(q, 1), [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            v = [Fraction(rng.randint(-2, 2)) for _ in d]
+            if sum(di * vi * vi for di, vi in zip(d, v)) == 0:
+                continue
+            a = a * CliffordElement.from_vector(q, v)
+            expect = mat_mul(expect, reflection(d, v))
+        if a.is_scalar():
+            continue
+        checked += 1
+        res = clifford_group_test(a)
+        assert res.member and res.rows() == expect, case
+    assert checked >= 50
 
 
 def test_phi_gram_examples():
