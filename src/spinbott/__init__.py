@@ -14,11 +14,10 @@ from .lambda_bott import (LambdaVector, LineExpr, SerreSqrt, adams_lines,
                           corrected_bott, format_line_expr, line_to_lambda,
                           parse_line_expr, serre_sqrt, sphere_formula,
                           sum_of_powers, trivial_lambda_vector)
-from .modules import (AdamsCharacter, GradedModule, MoritaResult, TensorPower,
+from .modules import (AdamsCharacter, GradedModule, TensorPower,
                       VirtualCyclotomicModule, adams_bar, adams_character,
-                      adams_module_report, hermitian_bott, morita_reduce,
-                      opposite_form_check, opposite_module, spinor_rep,
-                      tensor_power, twist_rep)
+                      adams_module_report, hermitian_bott, opposite_form_check,
+                      opposite_module, spinor_rep, tensor_power, twist_rep)
 from .quadforms import (BWTriple, INF, QuadraticForm, bw_class, diagonalize,
                         discriminant, hasse_witt, hilbert_symbol, hyperbolic,
                         is_orientable, parse_form, format_form, scale,

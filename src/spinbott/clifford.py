@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .config import FailedCheckError, check_cap
 from .quadforms import QuadraticForm, format_form, is_orientable, scale
@@ -236,29 +236,43 @@ def clifford_group_test(a: CliffordElement) -> Membership:
     conjugation v -> (-1)^deg(a) a v a^-1; members also get their
     spinorial norm and the Spin flag (even of norm one).  Images that do
     not preserve the form are a failed check.
+
+    Conjugation does not see scalars, so it runs on b = L a, L the lcm of
+    the coefficient denominators.  When N(b) = b bar(b) is a nonzero scalar,
+    the images are (-1)^deg(a) b e_i bar(b), divided by N(b) once, and the
+    norm is N(b) / L^2; only any other element calls ``inverse()``.
     """
     deg = a.degree()
     if deg is None:
         return Membership(False, reason="not homogeneous")
     if not a.coeffs:
         return Membership(False, reason="zero is not invertible")
-    inv = a.inverse()
-    if inv is None:
-        return Membership(False, reason="not invertible")
+    den = lcm(*(c.denominator for c in a.coeffs.values()))
+    b = a * den
+    b_bar = b.bar()
+    nb = b * b_bar
+    cheap = nb.is_scalar() and nb.coefficient(0) != 0
+    if cheap:
+        left, right, divisor = b, b_bar, nb.coefficient(0)
+    else:
+        left, right, divisor = a, a.inverse(), 1
+        if right is None:
+            return Membership(False, reason="not invertible")
     diag = a.form.exact_diag
     sign = -1 if deg else 1
     images = []
     for i in range(1, len(diag) + 1):
-        img = a * CliffordElement.generator(a.form, i) * inv * sign
+        img = left * CliffordElement.generator(a.form, i) * right
         if any(_popcount(m) != 1 for m in img.coeffs):
             return Membership(False, reason=f"conjugation moves e{i} outside V")
-        images.append({m.bit_length() - 1: c for m, c in img.coeffs.items()})
+        images.append({m.bit_length() - 1: _exact(Fraction(sign * c, divisor))
+                       for m, c in img.coeffs.items()})
     for i, x in enumerate(images):
         for j, y in enumerate(images[i:], i):
-            b = sum(c * diag[t] * y[t] for t, c in x.items() if t in y)  # b(img_i, img_j)
-            if b != (diag[i] if i == j else 0):
+            pair = sum(c * diag[t] * y[t] for t, c in x.items() if t in y)  # b(img_i, img_j)
+            if pair != (diag[i] if i == j else 0):
                 raise FailedCheckError("matrix does not preserve the form")
-    norm = a.spinorial_norm()
+    norm = _exact(Fraction(divisor, den * den)) if cheap else a.spinorial_norm()
     return Membership(True, degree=deg, images=tuple(images), norm=norm,
                       in_spin=(deg == 0 and norm == 1))
 

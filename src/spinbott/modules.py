@@ -7,11 +7,12 @@ the base generators on, is a sparse ``linalg.SparseOp``, and the blade
 images of the bijectivity check are built from their prefixes, one
 compose each.  Tensor powers carry the sign-twisted symmetric-group
 action (signs always derived from the grading operators, never from
-tables), from which two Adams
-operations are computed and compared: the eigenmodule decomposition of
-the cycle operator over a cyclotomic extension, and the character-weighted
-isotypic decomposition.  Reducing through the endomorphism presentation
-yields the module-level Bott class.
+tables), from which two Adams operations are computed and compared: the
+eigenmodule decomposition of the cycle operator over a cyclotomic
+extension, and the character-weighted isotypic decomposition.  The Morita
+reduction yields the module-level Bott class as a sum of integers w0 - w1,
+from traces against the integer product of the diagonal generators, scaled
+once by the orientation witness.
 """
 
 from __future__ import annotations
@@ -78,24 +79,17 @@ class GradedModule:
         return SparseOp.monomial(list(range(self.dim)), [-1 if g else 1 for g in self.grading])
 
     def volume_op(self) -> SparseOp:
-        """s gamma_1 ... gamma_n for the orientation witness s."""
-        return clifford_action(volume_element(self.form), self.gens, self.dim)
+        """s g_1 ... g_n for the orientation witness s."""
+        product, s = volume_product(self.form, self.gens, self.dim)
+        return product.scale(s)
 
 
-def clifford_action(elem, gens, dim) -> SparseOp:
-    """Image of a Clifford element under e_i -> gens[i-1].
-
-    Each blade is composed from the generators before its coefficient
-    scales it, so integer generators keep the products on int arithmetic.
-    """
-    acc = None
-    for mask, coeff in elem.coeffs.items():
-        blade = SparseOp.identity(dim)
-        for i, gen in enumerate(gens):
-            if mask >> i & 1:
-                blade = blade.compose(gen)
-        acc = blade.scale(coeff) if acc is None else acc + blade.scale(coeff)
-    return SparseOp({} for _ in range(dim)) if acc is None else acc
+def volume_product(form: QuadraticForm, gens, dim) -> tuple:
+    """(g_1 o ... o g_n, s): the product of the generators, on their own
+    entries (ints for integer generators), and the orientation witness s of
+    ``volume_element(form)``; s times the product is the volume operator."""
+    (s,) = volume_element(form).coeffs.values()
+    return functools.reduce(SparseOp.compose, gens, SparseOp.identity(dim)), s
 
 
 def _relation_failure(gens, diag, dim) -> str | None:
@@ -190,10 +184,10 @@ def opposite_module(module: GradedModule) -> GradedModule:
     """
     eps, d, form = module.grading_op(), module.dim, scale(module.form, -1)
     gens = tuple(eps.compose(g) for g in module.gens)
-    vol = clifford_action(volume_element(form), gens, d)
-    if vol.perm != list(range(d)) or any(x not in (1, -1) for x in vol.sign):
+    product, s = volume_product(form, gens, d)
+    if product.perm != list(range(d)) or any(s * x not in (1, -1) for x in product.sign):
         raise PresentationError("volume element of the opposite module is not diagonal")
-    return GradedModule(form, tuple(0 if x == 1 else 1 for x in vol.sign), gens)
+    return GradedModule(form, tuple(0 if s * x == 1 else 1 for x in product.sign), gens)
 
 
 # -- tensor powers with the sign-twisted symmetric-group action ---------------
@@ -239,11 +233,6 @@ class TensorPower:
             perm = [a * n + b for a in perm for b, _ in run]
             sign = [x * y for x in sign for _, y in run]
         return SparseOp.monomial(perm, sign)
-
-    def u_op(self):
-        """The volume element s Delta_1 ... Delta_n of the k-scaled form."""
-        return clifford_action(volume_element(scale(self.base.form, self.k)),
-                               self.diag_gens, self.dim)
 
     def check(self) -> None:
         """Raise PresentationError unless the twisted-action identities hold.
@@ -550,41 +539,14 @@ def adams_character(module: GradedModule, k: int) -> AdamsCharacter:
     return AdamsCharacter(tp.k, tuple(pieces), (psi0, psi1))
 
 
-# -- Morita reduction ----------------------------------------------------------
+# -- Morita reduction and the module-level Bott class --------------------------
 
-@dataclass(frozen=True)
-class MoritaResult:
-    """Graded multiplicity of the standard module inside a presented module."""
+def _morita_weights(traces, vol_traces, presentation: GradedModule) -> int:
+    """w0 - w1 from tr(P | block) and tr(P u | block), P a projector commuting
+    with the volume operator u.
 
-    w0: int
-    w1: int
-
-    @property
-    def multiplicity(self) -> int:
-        return self.w0 + self.w1
-
-    @property
-    def virtual_rank(self) -> int:
-        return self.w0 - self.w1
-
-    def __int__(self):
-        return self.multiplicity
-
-
-def morita_reduce(grading, u: SparseOp, presentation: GradedModule) -> MoritaResult:
-    """Multiplicity of the standard graded module E in N.
-
-    Writing N = E (x) W with the algebra element u of square one acting as
-    +1 on E0 and -1 on E1, the graded multiplicities of W are recovered
-    from the block traces of Q+- = (1 +- u)/2.
-    """
-    traces, u_traces = _block_traces([SparseOp.identity(len(grading)), u], grading)
-    return _morita_weights(traces, u_traces, presentation)
-
-
-def _morita_weights(traces, u_traces, presentation: GradedModule) -> MoritaResult:
-    """(w0, w1) from tr(P | block) and tr(P u | block), P a projector commuting with u.
-
+    Writing N = E (x) W with u of square one acting as +1 on E0 and -1 on
+    E1, the graded multiplicities (w0, w1) of W are read off Q+- = (1 +- u)/2.
     By linearity tr(P Q+- | block) = (tr(P | block) +- tr(P u | block)) / 2:
     these are w0 e0 and w1 e0 for Q+ on blocks 0 and 1, and w1 e1 and w0 e1
     for Q- (an isotypic P comes with its traces divided by its dim).  All
@@ -593,7 +555,7 @@ def _morita_weights(traces, u_traces, presentation: GradedModule) -> MoritaResul
     e0, e1 = presentation.dims
 
     def q_trace(block, sign):
-        return _as_integer(Fraction(traces[block] + sign * u_traces[block], 2))
+        return _as_integer(Fraction(traces[block] + sign * vol_traces[block], 2))
 
     def ratio(x, y):
         if y == 0 or x % y:
@@ -604,27 +566,30 @@ def _morita_weights(traces, u_traces, presentation: GradedModule) -> MoritaResul
     w1 = ratio(q_trace(1, 1), e0)
     if w0 != ratio(q_trace(1, -1), e1) or w1 != ratio(q_trace(0, -1), e1):
         raise PresentationError("graded blocks disagree with the presentation")
-    return MoritaResult(w0, w1)
+    return w0 - w1
 
-
-# -- the module-level Bott class ------------------------------------------------
 
 def hermitian_bott_of(module: GradedModule, k: int) -> Fraction:
-    """Bott class of a presented module: power, Adams weights, reduction."""
+    """Bott class of a presented module: power, Adams weights, reduction.
+
+    Each sigma_mu is traced against the integer product Delta_1 ... Delta_n;
+    the witness s making s Delta_1 ... Delta_n the volume operator of the
+    k-scaled form enters each weighted trace once, as its divisor k!/s."""
     tp = tensor_power(module, k)
     twist = twist_rep(module, k)
     if not is_end_iso(twist):
         raise PresentationError("twisted structure map is not bijective")
     reps, isotypic = isotypic_projectors(tp)
+    product, s = volume_product(twist.form, tp.diag_gens, tp.dim)
     traces = _block_traces(reps, tp.grading)
-    u_traces = _block_traces(reps, tp.grading, tp.u_op())
+    vol_traces = _block_traces(reps, tp.grading, product)
+    fact = math.factorial(k)
     rho = 0
     for lam, dim_pi, chi_c, weights in isotypic:
         if chi_c == 0:
             continue
-        w = _morita_weights(_weigh(weights, math.factorial(k), traces),
-                            _weigh(weights, math.factorial(k), u_traces), twist)
-        rho += chi_c * w.virtual_rank
+        rho += chi_c * _morita_weights(_weigh(weights, fact, traces),
+                                       _weigh(weights, Fraction(fact, s), vol_traces), twist)
     return Fraction(rho)
 
 

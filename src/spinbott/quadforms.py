@@ -274,13 +274,26 @@ def hilbert_symbol(a, b, p) -> int:
     return s
 
 
+def _square_class(a, p) -> int:
+    """An integer in the square class of the nonzero rational a at the place
+    p: its sign at INF; else p^(v_p(a) mod 2) times its unit part, reduced
+    mod 8 at 2 and mod p at an odd p."""
+    x = a.numerator * a.denominator  # a times the square of its denominator
+    if p == INF:
+        return -1 if x < 0 else 1
+    v, u = _valuation(abs(x), p)
+    return p ** (v % 2) * ((u if x > 0 else -u) % (8 if p == 2 else p))
+
+
 def hasse_witt(q: QuadraticForm, p) -> int:
-    """Product of (a_i, a_j)_p over i < j."""
-    out = 1
+    """Product of (a_i, a_j)_p over i < j, as prod_j (a_1...a_(j-1), a_j)_p:
+    the symbol is bimultiplicative (Serre, A Course in Arithmetic, III 1), so
+    rank - 1 symbols, each prefix carried as its square-class representative."""
     d = q.diag
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            out *= hilbert_symbol(d[i], d[j], p)
+    out, prefix = 1, d[0] if d else 1
+    for a in d[1:]:
+        out *= hilbert_symbol(prefix, a, p)
+        prefix = _square_class(prefix * a, p)
     return out
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,15 @@ def test_clifford_check_matrix_columns_are_images(capsys):
     assert payload["matrix"] == [["1/3", "-4/3"], ["-2/3", "-1/3"]]
 
 
+def test_qf_of_two_thousand_ones(capsys):
+    # the Hasse-Witt product was quadratic in the rank: 2,000 ones took 26 s
+    started = time.perf_counter()
+    code, payload = run(capsys, "qf", ",".join(["1"] * 2000))
+    assert code == 0
+    assert payload["rank"] == 2000 and payload["hasse_minus"] == []
+    assert time.perf_counter() - started < 10
+
+
 def test_clifford_check_non_member(capsys):
     code, payload = run(capsys, "clifford-check", "--form", "1,-1",
                         "--element", "1 + e1")
@@ -233,10 +243,13 @@ def test_failed_cayley_hamilton_is_a_failed_check(capsys, monkeypatch):
 
 def test_failed_isometry_check_is_a_failed_check(capsys, monkeypatch):
     # bug: a conjugation that did not preserve the form raised ValueError,
-    # which exits 2 as a refused input; it is a failed check and exits 1
+    # which exits 2 as a refused input; it is a failed check and exits 1.
+    # The fault: N(b) = b bar(b) read at half its value, so every image
+    # b e_i bar(b) / N(b) comes out twice too long
     from spinbott.clifford import CliffordElement
-    true_inverse = CliffordElement.inverse
-    monkeypatch.setattr(CliffordElement, "inverse", lambda self: true_inverse(self) * 2)
+    true_coefficient = CliffordElement.coefficient
+    monkeypatch.setattr(CliffordElement, "coefficient",
+                        lambda self, m: Fraction(true_coefficient(self, m), 2))
     assert main(["clifford-check", "--form=1,-1", "--element=e1e2"]) == 1
     assert "matrix does not preserve the form" in capsys.readouterr().err
 

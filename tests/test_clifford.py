@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from dense_clifford import dense_inverse, dense_phi_gram, dense_untwist_bijective, det
 from dense_modules import mat_eq, mat_mul, mat_scale, transpose
-from spinbott.clifford import (CliffordElement, FormMismatchError, NotOrientableError,
-                               _blade_product, clifford_group_test, format_element,
-                               graded_tensor_check, pairing_det, parse_element, phi_gram,
-                               spin_lift, untwist_iso, volume_element)
+from spinbott.clifford import (CliffordElement, FormMismatchError, Membership,
+                               NotOrientableError, _blade_product, clifford_group_test,
+                               format_element, graded_tensor_check, pairing_det,
+                               parse_element, phi_gram, spin_lift, untwist_iso,
+                               volume_element)
 from spinbott.config import DEFAULT_CAPS, CapExceededError, Caps, FailedCheckError, caps_scope
 from spinbott.quadforms import QuadraticForm, hyperbolic, square_free_part
 
@@ -223,12 +224,20 @@ def test_group_test_examples():
 
 
 def test_group_test_rejections():
+    # one element per non-member branch, each with its reason
     one = CliffordElement.scalar(H, 1)
-    assert not clifford_group_test(one + gen(H, 1)).member  # mixed degree
     q = QuadraticForm((1, -1))
-    # 1 + e1e2 squares to 2(1 + e1e2): not invertible
-    a = CliffordElement.scalar(q, 1) + gen(q, 1) * gen(q, 2)
-    assert not clifford_group_test(a).member
+    q4 = QuadraticForm((1, 1, 1, 1))
+    cases = [
+        (one + gen(H, 1), "not homogeneous"),
+        (CliffordElement(H, {}), "zero is not invertible"),
+        # 1 + e1e2 squares to 2(1 + e1e2), and its norm is the scalar 0
+        ((one + gen(q, 1) * gen(q, 2)) * Fraction(1, 2), "not invertible"),
+        # invertible, but 2 + e1e2e3e4 has the norm 5 + 4 e1e2e3e4
+        (CliffordElement.scalar(q4, 2) + volume_element(q4), "conjugation moves e1 outside V"),
+    ]
+    for a, reason in cases:
+        assert clifford_group_test(a) == Membership(False, reason=reason)
 
 
 def test_isometry_check_reads_every_pair(monkeypatch):
@@ -317,28 +326,43 @@ def reflection(d, v):
             for i in range(len(d))]
 
 
-def test_isometry_is_the_product_of_reflections():
-    # a product of anisotropic vectors v_1...v_m acts on V as the product of
-    # the reflections S_(v_1)...S_(v_m), each from its closed form
+def test_isometry_is_the_product_of_reflections(monkeypatch):
+    # c v_1...v_m acts on V as the product of the reflections
+    # S_(v_1)...S_(v_m), each from its closed form, and has the norm
+    # c^2 q(v_1)...q(v_m); a rational content c clears denominators first.
+    # A member's norm is a nonzero scalar, so no inverse is ever formed
+    def refuse(self):
+        raise AssertionError("a member needs neither inverse() nor spinorial_norm()")
+
+    monkeypatch.setattr(CliffordElement, "inverse", refuse)
+    monkeypatch.setattr(CliffordElement, "spinorial_norm", refuse)
     rng = random.Random(11)
     entries = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    contents = [1, Fraction(1, 2), Fraction(-2, 3), 3]
     checked = 0
     for case in range(60):
         n = rng.randint(1, 6)
         d = [Fraction(rng.choice(entries)) for _ in range(n)]
         q = QuadraticForm(tuple(d))
-        a, expect = CliffordElement.scalar(q, 1), [[int(i == j) for j in range(n)] for i in range(n)]
+        c = contents[case % len(contents)]
+        a = CliffordElement.scalar(q, c)
+        expect = [[int(i == j) for j in range(n)] for i in range(n)]
+        norm, count = c * c, 0
         for _ in range(rng.randint(1, 3)):
             v = [Fraction(rng.randint(-2, 2)) for _ in d]
-            if sum(di * vi * vi for di, vi in zip(d, v)) == 0:
+            qv = sum(di * vi * vi for di, vi in zip(d, v))
+            if qv == 0:
                 continue
             a = a * CliffordElement.from_vector(q, v)
             expect = mat_mul(expect, reflection(d, v))
+            norm, count = norm * qv, count + 1
         if a.is_scalar():
             continue
         checked += 1
         res = clifford_group_test(a)
         assert res.member and res.rows() == expect, case
+        assert res.degree == count % 2 and res.norm == norm, case
+        assert res.in_spin == (count % 2 == 0 and norm == 1), case
     assert checked >= 50
 
 

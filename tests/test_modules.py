@@ -10,18 +10,19 @@ from fractions import Fraction
 
 import pytest
 
+import cycle_traces
 import dense_modules
-from dense_modules import (diag, from_dense, identity, mat_add, mat_mul, mat_scale,
-                           to_dense, zeros)
+from dense_modules import (clifford_action_matrix, diag, from_dense, identity, mat_add,
+                           mat_mul, mat_scale, to_dense, zeros)
 from spinbott import modules
 from spinbott.clifford import CliffordElement, volume_element
 from spinbott.linalg import SparseOp
 from spinbott.modules import (GradedModule, PresentationError, adams_bar,
                               adams_character, adams_module_report,
                               hermitian_bott, hermitian_bott_of, is_end_iso,
-                              morita_reduce, opposite_form_check, opposite_module,
-                              partitions, spinor_rep, sym_character, tensor_power,
-                              twist_rep)
+                              opposite_form_check, opposite_module, partitions,
+                              spinor_rep, sym_character, tensor_power, twist_rep,
+                              volume_product)
 from spinbott.quadforms import QuadraticForm, scale
 
 
@@ -102,7 +103,7 @@ def _opposite_by_search(module):
     gens = tuple(SparseOp({r: -x if g[r] else x for r, x in col.items()} for col in gen.cols)
                  for gen in module.gens)
     form = scale(module.form, -1)
-    volume = to_dense(modules.clifford_action(volume_element(form), gens, d))
+    volume = clifford_action_matrix(volume_element(form), [to_dense(g) for g in gens], d)
     for grading in (g, tuple(1 - x for x in g)):
         if volume == diag([-1 if x else 1 for x in grading]):
             return GradedModule(form, grading, gens)
@@ -214,8 +215,8 @@ def test_is_end_iso_matches_dense_rank(case):
 @pytest.mark.parametrize("case", [(1, 1, False), (3, 1, False), (2, 3, False), (2, 1, True)],
                          ids=str)
 def test_is_end_iso_traces_every_blade_image(monkeypatch, case):
-    # the prefix-built images are exactly the blades that clifford_action
-    # builds from the identity, each traced once
+    # the prefix-built images are exactly the blades of the dense oracle,
+    # each traced once
     module = _end_iso_module(case)
     traced = []
     real_trace = SparseOp.trace
@@ -227,32 +228,48 @@ def test_is_end_iso_traces_every_blade_image(monkeypatch, case):
     monkeypatch.setattr(SparseOp, "trace", spy)
     assert is_end_iso(module)
     monkeypatch.undo()
-    blades = [modules.clifford_action(CliffordElement(module.form, {mask: 1}),
-                                      module.gens, module.dim)
+    gens = [to_dense(g) for g in module.gens]
+    blades = [from_dense(clifford_action_matrix(CliffordElement(module.form, {mask: 1}),
+                                                gens, module.dim))
               for mask in range(1, 1 << module.form.rank)]
     assert len(traced) == len(blades)
     assert all(blade in traced for blade in blades)
 
 
+def _virtual_rank(grading, product, s, presentation):
+    """w0 - w1 of the sparse reduction for P = 1: the block traces of 1 and of
+    the volume product, the latter scaled by the witness s once."""
+    traces, vol_traces = modules._block_traces([SparseOp.identity(len(grading)), product],
+                                               grading)
+    return modules._morita_weights(traces, [s * t for t in vol_traces], presentation)
+
+
+def _dense_virtual_rank(grading, product, s, presentation):
+    return dense_modules.morita_virtual_rank(grading, mat_scale(to_dense(product), s),
+                                             presentation, identity(len(grading)), 1)
+
+
 def test_morita_examples():
+    # E itself, E + E and E^(x)2 reduced against E, E and the 2-twist of E:
+    # W is (1, 0), (2, 0) and, as E^(x)2 has blocks (2, 2), (1, 1)
     m1 = spinor_rep(1)
-    u = m1.volume_op()
-    r = morita_reduce(m1.grading, u, m1)
-    assert r.multiplicity == 1 and int(r) == 1
-
     double = doubled(m1)
-    r2 = morita_reduce(double.grading, double.volume_op(), m1)
-    assert r2.multiplicity == 2
-
     tp = tensor_power(m1, 2)
-    r3 = morita_reduce(tp.grading, tp.u_op(), twist_rep(m1, 2))
-    assert r3.multiplicity == m1.dim  # dimension count: 4 = mult * 2
+    twist = twist_rep(m1, 2)
+    cases = [(m1.grading, *volume_product(m1.form, m1.gens, m1.dim), m1, 1),
+             (double.grading, *volume_product(double.form, double.gens, double.dim), m1, 2),
+             (tp.grading, *volume_product(twist.form, tp.diag_gens, tp.dim), twist, 0)]
+    for grading, product, s, presentation, expected in cases:
+        assert all(type(x) is int for _, _, x in product.entries())
+        assert _virtual_rank(grading, product, s, presentation) == expected
+        assert _dense_virtual_rank(grading, product, s, presentation) == expected
 
 
 def test_morita_mismatch():
     m1 = spinor_rep(1)
-    with pytest.raises(PresentationError):
-        morita_reduce((0, 0, 1), from_dense(diag([1, 1, -1])), m1)
+    for reduce in (_virtual_rank, _dense_virtual_rank):
+        with pytest.raises(PresentationError, match="disagree with the presentation"):
+            reduce((0, 0, 1), from_dense(diag([1, 1, -1])), 1, m1)
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (3, 2)])
@@ -338,13 +355,15 @@ def test_sparse_operator_matches_dense_products():
     for sparse_gen, dense_gen in zip(tp.diag_gens, dense.diag_gens):
         assert to_dense(sparse_gen) == dense_gen
     assert to_dense(tp.cycles((3,))) == dense.cycle_matrix()
-    assert to_dense(tp.u_op()) == dense.u_matrix()
+    product, s = volume_product(scale(tp.base.form, 3), tp.diag_gens, tp.dim)
+    assert all(type(x) is int for _, _, x in product.entries())
+    assert mat_scale(to_dense(product), s) == dense.u_matrix()
     a, b = tp.diag_gens
     assert to_dense(a.compose(b)) == mat_mul(to_dense(a), to_dense(b))
     assert to_dense(a + b) == mat_add(to_dense(a), to_dense(b))
     assert from_dense(to_dense(a)) == a
     assert to_dense(a.scale(Fraction(3, 2))) == mat_scale(to_dense(a), Fraction(3, 2))
-    cyc, u = tp.cycles((3,)), tp.u_op()
+    cyc, u = tp.cycles((3,)), product
     x = from_dense([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(-1, 3)]])
     y = from_dense([[Fraction(5), Fraction(0)], [Fraction(7), Fraction(8)]])
     assert x.trace([True, False], y) == 19 and x.trace([False, True], y) == Fraction(-8, 3)
@@ -484,3 +503,38 @@ def test_copies_that_commute_across_slots_are_caught():
     bad = dataclasses.replace(tp, copy_gens=copies, diag_gens=diag, adjacents=swaps)
     with pytest.raises(PresentationError, match="copy generators .* do not anticommute"):
         bad.check()
+
+
+# -- closed-form cycle traces: an oracle at every tensor dim up to 1024 ---------
+
+def test_closed_form_characters_match_the_package():
+    for k in range(1, 9):
+        classes = list(cycle_traces.partitions(k))
+        assert classes == list(partitions(k))
+        assert sum(cycle_traces.class_size(mu) for mu in classes) == math.factorial(k)
+        for lam in classes:
+            for mu in classes:
+                assert cycle_traces.character(lam, mu) == sym_character(lam, mu)
+
+
+@pytest.mark.parametrize("m, k", [(1, k) for k in range(1, 7)] + [(2, 2), (2, 3), (3, 2)])
+def test_closed_form_traces_match_the_block_traces(m, k):
+    module = spinor_rep(m)
+    tp = tensor_power(module, k)
+    for mu in partitions(k):
+        (traces,) = modules._block_traces([tp.cycles(mu)], tp.grading)
+        assert tuple(traces) == cycle_traces.block_traces(*module.dims, mu), mu
+
+
+_UP_TO_1024 = [(m, k) for m in range(1, 7) for k in range(1, 11) if m * k <= 10]
+
+
+@pytest.mark.parametrize("m, k", _UP_TO_1024)
+def test_adams_routes_match_the_closed_form_traces(m, k):
+    module = spinor_rep(m)
+    assert adams_bar(module, k).graded_dims == cycle_traces.eigen_dims(*module.dims, k)
+    char = adams_character(module, k)
+    pieces = cycle_traces.isotypic(*module.dims, k)
+    assert {p.partition: (p.dim, p.char_at_cycle, p.graded_mult) for p in char.pieces} == pieces
+    assert char.psi_graded == tuple(sum(chi * h[b] for _, chi, h in pieces.values())
+                                    for b in (0, 1))

@@ -116,6 +116,43 @@ def test_hasse_witt_examples():
     assert hasse_witt(q, 3) == 1
 
 
+def pairwise_hasse_witt(q, p):
+    """The oracle: the product of (a_i, a_j)_p over every pair i < j."""
+    d = q.diag
+    out = 1
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            out *= hilbert_symbol(d[i], d[j], p)
+    return out
+
+
+def test_hasse_witt_matches_the_pairwise_product():
+    # square-class representatives, valuations of both parities, units of
+    # every class mod 8, and denominators, at the real place and five primes
+    rng = random.Random(16)
+    entries = [1, -1, 2, -2, 3, -3, 5, 6, -7, 12, 18, -50, 75, 49, -98,
+               Fraction(1, 2), Fraction(-3, 4), Fraction(5, 9), Fraction(7, 8)]
+    for _ in range(300):
+        q = QuadraticForm(tuple(rng.choice(entries) for _ in range(rng.randint(1, 8))))
+        for p in (INF, 2, 3, 5, 7, 11):
+            assert hasse_witt(q, p) == pairwise_hasse_witt(q, p), (q, p)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5, 40])
+def test_hasse_witt_takes_at_most_rank_symbols_per_place(monkeypatch, rank):
+    from spinbott import quadforms
+    calls = []
+    real = quadforms.hilbert_symbol
+    monkeypatch.setattr(quadforms, "hilbert_symbol",
+                        lambda a, b, p: calls.append(p) or real(a, b, p))
+    rng = random.Random(rank)
+    q = QuadraticForm(tuple(rng.choice([1, -2, 3, Fraction(-5, 7)]) for _ in range(rank)))
+    for p in (INF, 2, 3, 7):
+        calls.clear()
+        hasse_witt(q, p)
+        assert len(calls) <= rank
+
+
 def test_bw_class_examples():
     assert bw_class(hyperbolic(1), 10) == BWTriple(0, -1, ())
     assert bw_class(QuadraticForm((1,)), 10) == BWTriple(1, 1, ())
