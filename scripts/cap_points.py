@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the cap points and the known slow inputs, one cold process each.
 
-Usage: python scripts/cap_points.py [--out BENCH_cap_points.json] [--only TEXT ...]
+Usage: python scripts/cap_points.py   (writes BENCH_cap_points.json at the root)
 
 The cap points are the commands of the CI "Cap points" step, read from
 .github/workflows/tests.yml with their timeouts; the stalls and slow inputs
@@ -12,10 +12,9 @@ record holds the wall time, the child's peak RSS (``ru_maxrss``) and its
 exit code; a command killed at its timeout has exit null and timed_out
 true.  Each child's address space is capped at MEMORY_LIMIT_MB (RLIMIT_AS),
 so an input that would grow without bound fails instead of filling the
-host.  ``--only`` keeps the commands containing any of the given texts.
+host.
 """
 
-import argparse
 import json
 import os
 import platform
@@ -80,15 +79,8 @@ def run(command: str, timeout: int) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_cap_points.json"))
-    parser.add_argument("--only", nargs="*", default=[])
-    args = parser.parse_args()
-
     todo = [("cap", t, cmd) for t, cmd in cap_points()]
     todo += [(group, STALL_TIMEOUT, cmd) for group, cmd in SLOW_INPUTS]
-    todo = [x for x in todo if not args.only or any(s in x[2] for s in args.only)]
     points = []
     for group, timeout, command in todo:
         point = dict(group=group, **run(command, timeout))
@@ -101,7 +93,7 @@ def main() -> int:
         "memory_limit_mb": MEMORY_LIMIT_MB,
         "points": points,
     }
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    (ROOT / "BENCH_cap_points.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

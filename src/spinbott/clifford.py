@@ -240,7 +240,9 @@ def clifford_group_test(a: CliffordElement) -> Membership:
     Conjugation does not see scalars, so it runs on b = L a, L the lcm of
     the coefficient denominators.  When N(b) = b bar(b) is a nonzero scalar,
     the images are (-1)^deg(a) b e_i bar(b), divided by N(b) once, and the
-    norm is N(b) / L^2; only any other element calls ``inverse()``.
+    norm is N(b) / L^2.  Any other element is no member (over a
+    nondegenerate form every member has a nonzero scalar norm), so it calls
+    ``inverse()`` only to name the reason; one that passes is a failed check.
     """
     deg = a.degree()
     if deg is None:
@@ -267,12 +269,14 @@ def clifford_group_test(a: CliffordElement) -> Membership:
             return Membership(False, reason=f"conjugation moves e{i} outside V")
         images.append({m.bit_length() - 1: _exact(Fraction(sign * c, divisor))
                        for m, c in img.coeffs.items()})
+    if not cheap:
+        raise FailedCheckError("a member has no scalar norm a bar(a)")
     for i, x in enumerate(images):
         for j, y in enumerate(images[i:], i):
             pair = sum(c * diag[t] * y[t] for t, c in x.items() if t in y)  # b(img_i, img_j)
             if pair != (diag[i] if i == j else 0):
                 raise FailedCheckError("matrix does not preserve the form")
-    norm = _exact(Fraction(divisor, den * den)) if cheap else a.spinorial_norm()
+    norm = _exact(Fraction(divisor, den * den))
     return Membership(True, degree=deg, images=tuple(images), norm=norm,
                       in_spin=(deg == 0 and norm == 1))
 

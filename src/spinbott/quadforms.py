@@ -232,6 +232,14 @@ def _valuation(n: int, p: int):
     return v, n
 
 
+def _split(a, p):
+    """(v, u) with a = p^v * u times a square: u the signed unit part of the
+    integer numerator * denominator of the nonzero rational a at the prime p."""
+    x = a.numerator * a.denominator  # a times the square of its denominator
+    v, u = _valuation(abs(x), p)
+    return v, (u if x > 0 else -u)
+
+
 def _legendre(u: int, p: int) -> int:
     r = pow(u % p, (p - 1) // 2, p)
     return 1 if r == 1 else -1
@@ -249,13 +257,8 @@ def hilbert_symbol(a, b, p) -> int:
     _check_place(p)
     if p == INF:
         return -1 if (a < 0 and b < 0) else 1
-    # integers in the same square classes
-    ai = a.numerator * a.denominator
-    bi = b.numerator * b.denominator
-    alpha, u = _valuation(abs(ai), p)
-    beta, v = _valuation(abs(bi), p)
-    u *= -1 if ai < 0 else 1
-    v *= -1 if bi < 0 else 1
+    alpha, u = _split(a, p)
+    beta, v = _split(b, p)
     if p == 2:
         def eps(x):
             return ((x - 1) // 2) % 2
@@ -278,11 +281,10 @@ def _square_class(a, p) -> int:
     """An integer in the square class of the nonzero rational a at the place
     p: its sign at INF; else p^(v_p(a) mod 2) times its unit part, reduced
     mod 8 at 2 and mod p at an odd p."""
-    x = a.numerator * a.denominator  # a times the square of its denominator
     if p == INF:
-        return -1 if x < 0 else 1
-    v, u = _valuation(abs(x), p)
-    return p ** (v % 2) * ((u if x > 0 else -u) % (8 if p == 2 else p))
+        return -1 if a < 0 else 1
+    v, u = _split(a, p)
+    return p ** (v % 2) * (u % (8 if p == 2 else p))
 
 
 def hasse_witt(q: QuadraticForm, p) -> int:

@@ -250,6 +250,17 @@ def test_isometry_check_reads_every_pair(monkeypatch):
         clifford_group_test(CliffordElement.scalar(q, 1))
 
 
+def test_member_without_a_scalar_norm_is_a_failed_check(monkeypatch):
+    # over a nondegenerate form every member has a nonzero scalar a*bar(a);
+    # a conjugation that breaks this sends e1 e2 down the inverse() path,
+    # whose images stay in V, so the test reports a failed check, not a norm
+    q = QuadraticForm((1, 1))
+    bar = CliffordElement.bar
+    monkeypatch.setattr(CliffordElement, "bar", lambda self: bar(self) + gen(q, 1))
+    with pytest.raises(FailedCheckError, match="no scalar norm"):
+        clifford_group_test(gen(q, 1) * gen(q, 2))
+
+
 def test_group_test_solve_fallback():
     # 2 + e1e2e3e4 is even and invertible, but a*bar(a) = 5 + 4u is not a
     # scalar, so the inverse comes from the characteristic-polynomial
