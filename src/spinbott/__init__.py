@@ -5,13 +5,12 @@ truncated-polynomial extensions with exact arithmetic; no floats anywhere.
 """
 
 from .clifford import (CliffordElement, Membership, SpinLift,
-                       clifford_group_test, graded_tensor_check, parse_element,
-                       format_element, pairing_det, phi_gram, spin_lift, untwist_iso,
-                       volume_element)
+                       clifford_group_test, graded_tensor_check, pairing_det,
+                       parse_element, phi_gram, spin_lift, untwist_iso, volume_element)
 from .config import Caps, CapExceededError, DEFAULT_CAPS, FailedCheckError, caps_scope
 from .lambda_bott import (LambdaVector, LineExpr, SerreSqrt, adams_lines,
                           adams_newton, bott_cyclotomic, bott_lines, bott_virtual,
-                          corrected_bott, format_line_expr, line_to_lambda,
+                          corrected_bott, line_to_lambda,
                           parse_line_expr, serre_sqrt, sphere_formula,
                           sum_of_powers, trivial_lambda_vector)
 from .modules import (AdamsCharacter, GradedModule, TensorPower,
@@ -23,7 +22,6 @@ from .quadforms import (BWTriple, INF, QuadraticForm, bw_class, diagonalize,
                         is_orientable, parse_form, format_form, scale,
                         square_free_part)
 from .rings import (Cyclotomic, TruncatedPoly, cyclotomic_polynomial, euler_phi,
-                    format_cyclotomic, format_rational, format_truncated,
                     parse_cyclotomic, parse_truncated)
 from .verify import VerificationReport, run_suite
 

@@ -22,7 +22,6 @@ from .lambda_bott import (LambdaVector, bott_cyclotomic, bott_lines, bott_virtua
                           line_to_lambda, parse_line_expr, serre_sqrt, sphere_formula)
 from .modules import adams_module_report
 from .quadforms import bw_class, hasse_witt, is_orientable, parse_form, INF
-from .rings import format_rational
 from .verify import run_suite, SUITES
 
 
@@ -57,7 +56,7 @@ def cmd_qf(args):
         "bw": triple.to_json(),
     }
     if witness is not None:
-        payload["orientation_witness"] = format_rational(witness)
+        payload["orientation_witness"] = str(witness)
     if args.primes:
         payload["hasse"] = {str(p): hasse_witt(q, p if p == INF else int(p))
                             for p in args.primes}
@@ -69,7 +68,7 @@ def cmd_bott(args):
         if args.r is None:
             raise UsageError("mode=sphere needs --r")
         coeff = sphere_formula(args.r, args.k)
-        return {"coefficient": format_rational(coeff), "r": args.r, "k": args.k,
+        return {"coefficient": str(coeff), "r": args.r, "k": args.k,
                 "ring": f"Q[x1..x{args.r}]/(xi^2)", "sign_ambiguous": False}, 0
     if args.expr is None:
         raise UsageError(f"mode={args.mode} needs --expr")
@@ -108,9 +107,9 @@ def cmd_clifford_check(args):
     if res.member:
         payload.update({
             "degree": res.degree,
-            "norm": format_rational(res.norm),
+            "norm": str(res.norm),
             "in_spin": res.in_spin,
-            "matrix": [[format_rational(x) for x in row] for row in res.rows()],
+            "matrix": [[str(x) for x in row] for row in res.rows()],
         })
     else:
         payload["reason"] = res.reason
@@ -123,12 +122,12 @@ def cmd_spin_lift(args):
     return {
         "form": args.form,
         "copies": args.copies,
-        "lambda_sign": format_rational(lift.lambda_sign),
+        "lambda_sign": str(lift.lambda_sign),
         "squares_ok": lift.squares_ok,
         "braid_ok": lift.braid_ok,
         "commutation_ok": lift.commutation_ok,
         "matrices_ok": lift.matrices_ok,
-        "norms": [format_rational(n) for n in lift.norms],
+        "norms": [str(n) for n in lift.norms],
         "in_spin": lift.in_spin,
     }, 0 if lift.all_ok else 1
 

@@ -4,19 +4,19 @@ Basis blades are indexed by bitmasks over the orthogonal basis e1..en.
 One kernel, ``_blade_product``, states e_a e_b = c e_(a xor b), c the
 merge sign times q_i for each shared index; every blade product here,
 every check of one and the spinor signs of ``modules`` call it.  Integral
-coefficients are stored as ints (``rings._exact``) and the contractions
-use the form's ``exact_diag``, so integral forms keep products on int
-arithmetic; a coefficient from another exact ring (a ``Cyclotomic``)
-passes through unchanged.  On top of the ring structure this module
-provides the reversal involution, spinorial norms, Clifford-group
+coefficients are stored as ints (``rings._exact``), as are the integral
+entries of a form, so integral forms keep products on int arithmetic; a
+coefficient from another exact ring (a ``Cyclotomic``) passes through
+unchanged.  On top of the ring structure this module provides the
+reversal involution, the adjugate and inverse, Clifford-group
 membership with the induced isometry, volume elements, the
 top-coefficient bilinear forms on the even/odd parts, the graded-tensor
 and untwisting isomorphism checks, and the lifting of symmetric-group
 transpositions to even elements of square one.
 
-No dense matrix is eliminated here: inverses outside the Clifford group
+No dense matrix is eliminated here: adjugates outside the Clifford group
 come from Shirokov's characteristic-polynomial recursion (2021), and the
-untwisting map is certified by a permutation check on blade pairs.
+untwisting map is certified by a permutation check on signed blade pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .config import FailedCheckError, check_cap
-from .quadforms import QuadraticForm, format_form, is_orientable, scale
+from .quadforms import QuadraticForm, is_orientable, scale
 from .rings import RingElement, RingMismatchError, _by_degree, _exact, _parse_terms
 
 _popcount = int.bit_count
@@ -109,7 +109,7 @@ class CliffordElement(RingElement):
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
-        diag = self.form.exact_diag
+        diag = self.form.diag
         coeffs: dict = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in o.coeffs.items():
@@ -143,49 +143,40 @@ class CliffordElement(RingElement):
     def is_scalar(self) -> bool:
         return not any(m for m in self.coeffs)
 
-    def spinorial_norm(self):
-        """N(a) = a * bar(a); raises if the product is not a scalar."""
-        prod = self * self.bar()
-        if not prod.is_scalar():
-            raise ValueError("a * bar(a) is not a scalar: not a Clifford-group element")
-        return prod.coefficient(0)
+    def adjugate(self) -> tuple:
+        """(adj, det) with a adj = adj a = det, a scalar: a is a unit iff
+        det != 0, and then a^-1 = adj / det.
 
-    def inverse(self) -> "CliffordElement | None":
-        """Two-sided inverse, or None when the element is not a unit.
-
-        Clifford-group elements always have scalar a*bar(a), giving the
-        cheap path.  Otherwise the characteristic-polynomial recursion of
-        Shirokov (Comput. Appl. Math. 40, 173 (2021)) runs in the algebra:
-        with N = 2^ceil(n/2), U_1 = a, C_j = (N/j) <U_j>_0 and
-        U_(j+1) = a (U_j - C_j), the scalar part scaled by N is the trace
-        of an N-dimensional faithful representation, so Cayley-Hamilton
-        makes U_N the scalar C_N.  Then a is a unit iff C_N != 0, and
-        a^-1 = (U_(N-1) - C_(N-1)) / C_N, at the cost of N - 1 sparse
-        products.
+        When N(a) = a bar(a) is a nonzero scalar (every Clifford-group
+        element), this is (bar(a), N(a)).  Otherwise the characteristic-
+        polynomial recursion of Shirokov (Comput. Appl. Math. 40, 173 (2021))
+        runs in the algebra: with N = 2^ceil(n/2), U_1 = a,
+        C_j = (N/j) <U_j>_0 and U_(j+1) = a (U_j - C_j), the scalar part
+        scaled by N is the trace of an N-dimensional faithful representation,
+        so Cayley-Hamilton makes U_N the scalar C_N = det, and
+        adj = U_(N-1) - C_(N-1), at the cost of N sparse products.  Integral
+        coefficients keep the recursion on ints.
         """
-        if not self.coeffs:
-            return None
-        nbar = self * self.bar()
-        if nbar.is_scalar():
-            s = nbar.coefficient(0)
-            if s:
-                cand = self.bar() * (1 / Fraction(s))
-                if (self * cand).coeffs == {0: Fraction(1)}:
-                    return cand
+        a_bar = self.bar()
+        nbar = self * a_bar
+        if nbar.is_scalar() and nbar.coefficient(0):
+            return a_bar, nbar.coefficient(0)
         size = 1 << (self.form.rank + 1) // 2
-        u, rest = self, CliffordElement.scalar(self.form, 1)  # U_j, U_(j-1) - C_(j-1)
+        u, adj = self, CliffordElement.scalar(self.form, 1)  # U_j, U_(j-1) - C_(j-1)
         for j in range(1, size):
-            rest = u - Fraction(size, j) * u.coefficient(0)
-            u = self * rest
+            adj = u - Fraction(size, j) * u.coefficient(0)
+            u = self * adj
         if not u.is_scalar():
             raise FailedCheckError("Cayley-Hamilton failed: U_N is not a scalar")
         det = u.coefficient(0)
-        if not det:
-            return None
-        cand = rest * (1 / Fraction(det))
-        if (self * cand).coeffs != {0: Fraction(1)} or (cand * self).coeffs != {0: Fraction(1)}:
-            raise FailedCheckError("the Cayley-Hamilton inverse does not invert")
-        return cand
+        if adj * self != u:
+            raise FailedCheckError("the Cayley-Hamilton adjugate does not commute with a")
+        return adj, det
+
+    def inverse(self) -> "CliffordElement | None":
+        """Two-sided inverse adj / det, or None when the element is not a unit."""
+        adj, det = self.adjugate()
+        return adj * Fraction(1, det) if det else None
 
     # -- textual element format: "2*e1e3 - e2 + 1" --------------------------
 
@@ -206,7 +197,7 @@ def volume_element(q: QuadraticForm) -> CliffordElement:
     """
     ok, s = is_orientable(q)
     if not ok:
-        raise NotOrientableError(f"<{format_form(q)}> has no volume element over Q")
+        raise NotOrientableError(f"<{q}> has no volume element over Q")
     return CliffordElement(q, {(1 << q.rank) - 1: s})
 
 
@@ -238,11 +229,12 @@ def clifford_group_test(a: CliffordElement) -> Membership:
     not preserve the form are a failed check.
 
     Conjugation does not see scalars, so it runs on b = L a, L the lcm of
-    the coefficient denominators.  When N(b) = b bar(b) is a nonzero scalar,
-    the images are (-1)^deg(a) b e_i bar(b), divided by N(b) once, and the
-    norm is N(b) / L^2.  Any other element is no member (over a
-    nondegenerate form every member has a nonzero scalar norm), so it calls
-    ``inverse()`` only to name the reason; one that passes is a failed check.
+    the coefficient denominators, and on the integer adjugate (adj, det) of
+    b: det = 0 is no unit, and the images are (-1)^deg(a) b e_i adj, divided
+    by det once.  Over a nondegenerate form every member has a nonzero
+    scalar norm N(b) = b bar(b), so its adjugate is bar(b), det is N(b) and
+    the norm is N(b) / L^2; any other adjugate whose images stay in V is a
+    failed check.
     """
     deg = a.degree()
     if deg is None:
@@ -251,32 +243,26 @@ def clifford_group_test(a: CliffordElement) -> Membership:
         return Membership(False, reason="zero is not invertible")
     den = lcm(*(c.denominator for c in a.coeffs.values()))
     b = a * den
-    b_bar = b.bar()
-    nb = b * b_bar
-    cheap = nb.is_scalar() and nb.coefficient(0) != 0
-    if cheap:
-        left, right, divisor = b, b_bar, nb.coefficient(0)
-    else:
-        left, right, divisor = a, a.inverse(), 1
-        if right is None:
-            return Membership(False, reason="not invertible")
-    diag = a.form.exact_diag
+    adj, det = b.adjugate()
+    if not det:
+        return Membership(False, reason="not invertible")
+    diag = a.form.diag
     sign = -1 if deg else 1
     images = []
     for i in range(1, len(diag) + 1):
-        img = left * CliffordElement.generator(a.form, i) * right
+        img = b * CliffordElement.generator(a.form, i) * adj
         if any(_popcount(m) != 1 for m in img.coeffs):
             return Membership(False, reason=f"conjugation moves e{i} outside V")
-        images.append({m.bit_length() - 1: _exact(Fraction(sign * c, divisor))
+        images.append({m.bit_length() - 1: _exact(Fraction(sign * c, det))
                        for m, c in img.coeffs.items()})
-    if not cheap:
+    if adj != b.bar():
         raise FailedCheckError("a member has no scalar norm a bar(a)")
     for i, x in enumerate(images):
         for j, y in enumerate(images[i:], i):
             pair = sum(c * diag[t] * y[t] for t, c in x.items() if t in y)  # b(img_i, img_j)
             if pair != (diag[i] if i == j else 0):
                 raise FailedCheckError("matrix does not preserve the form")
-    norm = _exact(Fraction(divisor, den * den))
+    norm = _exact(Fraction(det, den * den))
     return Membership(True, degree=deg, images=tuple(images), norm=norm,
                       in_spin=(deg == 0 and norm == 1))
 
@@ -300,7 +286,7 @@ def phi_gram(q: QuadraticForm, parity: int) -> dict:
         raise NotOrientableError("the top power is only trivialized for orientable forms")
     check_cap("max_dim", q.rank, "Clifford rank")
     top = (1 << q.rank) - 1
-    diag = q.exact_diag
+    diag = q.diag
     return {m: _blade_product(m, top ^ m, diag, s)
             for m in range(top + 1) if _popcount(m) & 1 == parity}
 
@@ -329,7 +315,7 @@ def graded_tensor_check(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     """
     n1, n2 = q1.rank, q2.rank
     check_cap("max_dim", n1 + n2, "Clifford rank")
-    d1, d2 = q1.exact_diag, q2.exact_diag
+    d1, d2 = q1.diag, q2.diag
     dsum = d1 + d2
     for a1 in range(1 << n1):
         for b1 in range(1 << n2):
@@ -369,55 +355,39 @@ def untwist_iso(q: QuadraticForm, r: int) -> UntwistIso:
     The target multiplies without Koszul signs; u is the volume element,
     so the images anticommute as required and the map extends to an
     algebra homomorphism, checked on all generator relations.  As u is
-    one signed blade, so is every blade image: the map has one nonzero
-    entry per column of the blade-pair basis, and it is bijective exactly
-    when the 2^(n+r) blade images are single terms with pairwise distinct
-    keys, i.e. the blade index map is a permutation.  No matrix is formed.
+    one signed blade, every generator image is one signed blade pair
+    (V-mask, extra mask, coeff), and so is every product of them: the map
+    has one nonzero entry per column of the blade-pair basis, and it is
+    bijective exactly when the 2^(n+r) blade images have pairwise distinct
+    mask pairs.  No matrix is formed.
     """
     if r < 1:
         raise ValueError("need at least one extra generator")
     n = q.rank
     check_cap("max_dim", n + r, "Clifford rank")  # C(V + <1>^r) is never built
-    u = volume_element(q)
-    diag, ones = q.exact_diag, (1,) * r
-    src = diag + ones  # the diagonal of V + <1>^r
+    [(top, s)] = volume_element(q).coeffs.items()
+    ones = (1,) * r
+    src = q.diag + ones  # the diagonal of V + <1>^r
 
-    # elements of C(V) (x) C^{0,r} as {(maskV, maskR): coeff}, ungraded product
-    def tensor_mul(x, y):
-        out: dict = {}
-        for (mv1, mr1), c1 in x.items():
-            for (mv2, mr2), c2 in y.items():
-                key = (mv1 ^ mv2, mr1 ^ mr2)
-                c = _blade_product(mr1, mr2, ones, _blade_product(mv1, mv2, diag, c1 * c2))
-                out[key] = out.get(key, 0) + c
-        return {k: c for k, c in out.items() if c}
+    def mul(x, y):  # the ungraded product of two signed blade pairs
+        (v1, w1, c1), (v2, w2, c2) = x, y
+        return (v1 ^ v2, w1 ^ w2,
+                _blade_product(w1, w2, ones, _blade_product(v1, v2, q.diag, c1 * c2)))
 
-    gen_images = []
-    for i in range(n):
-        gen_images.append({(1 << i, 0): Fraction(1)})
-    for j in range(r):
-        gen_images.append({(m, 1 << j): c for m, c in u.coeffs.items()})
-
-    relations_ok = True
-    for i in range(n + r):
-        for j in range(i, n + r):
-            prod = tensor_mul(gen_images[i], gen_images[j])
-            if i == j:
-                expect = {(0, 0): src[i]}
-            else:
-                back = tensor_mul(gen_images[j], gen_images[i])
-                expect = {k: -c for k, c in back.items()}
-            if prod != expect:
-                relations_ok = False
+    gens = [(1 << i, 0, 1) for i in range(n)] + [(top, 1 << j, s) for j in range(r)]
+    # both sides of a relation land on the same mask pair: compare coefficients
+    relations_ok = all(
+        mul(g, g) == (0, 0, src[i])
+        and all(mul(g, h)[2] == -mul(h, g)[2] for h in gens[i + 1:])
+        for i, g in enumerate(gens))
 
     # image of every source blade, built from its prefix blade: the image of
-    # mask + 2^i (all bits of mask below i) is image(mask) * gen_images[i]
-    images = [{(0, 0): Fraction(1)}]
-    for g in gen_images:
-        images += [tensor_mul(img, g) for img in images]
-    keys = {key for img in images for key in img}
-    bijective = all(len(img) == 1 for img in images) and len(keys) == len(images)
-    return UntwistIso(q, r, tuple(gen_images), relations_ok, bijective)
+    # mask + 2^i (all bits of mask below i) is image(mask) * gens[i]
+    images = [(0, 0, 1)]
+    for g in gens:
+        images += [mul(img, g) for img in images]
+    bijective = len({img[:2] for img in images}) == len(images)
+    return UntwistIso(q, r, tuple({(v, w): c} for v, w, c in gens), relations_ok, bijective)
 
 
 # -- lifting transpositions to the spinorial level -----------------------------
@@ -519,7 +489,6 @@ def spin_lift(q: QuadraticForm, k: int) -> SpinLift:
         in_spin=[spin for _, spin, _ in tests])
 
 
-format_element = CliffordElement.__str__
 _BLADE_RE = re.compile(r"e.*", re.S)  # a factor starting with e is a run of generators e<i>
 _GEN_RE = re.compile(r"e(\d+)")
 
@@ -537,7 +506,7 @@ def parse_element(s: str, form: QuadraticForm) -> CliffordElement:
             if mask & bit:
                 raise ValueError(f"repeated generator e{i}")
             # e_i moves left past the higher generators already read
-            coeff = _blade_product(mask, bit, form.exact_diag, coeff)
+            coeff = _blade_product(mask, bit, form.diag, coeff)
             mask |= bit
         if last != len(f):
             raise ValueError(f"cannot parse blade {f!r}")

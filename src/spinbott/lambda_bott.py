@@ -364,7 +364,6 @@ def sphere_formula(r: int, k: int) -> Fraction:
 
 # -- textual grammar ----------------------------------------------------------
 
-format_line_expr = LineExpr.__str__
 _LINE_RE = re.compile(r"L(\d+)(?:\^(-?\d+))?")
 
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 
 from .config import FailedCheckError
-from .rings import _exact, format_rational
+from .rings import _exact
 
 INF = "inf"  # the real place
 
@@ -33,12 +32,14 @@ class IncompleteScanError(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """<a1, ..., an> with every ai a nonzero rational."""
+    """<a1, ..., an> with every ai a nonzero rational, stored as an int
+    when integral (``rings._exact``): the factors Clifford products
+    contract with."""
 
     diag: tuple
 
     def __post_init__(self):
-        entries = tuple(Fraction(a) for a in self.diag)
+        entries = tuple(_exact(Fraction(a)) for a in self.diag)
         if any(a == 0 for a in entries):
             raise DegenerateFormError("diagonal entries must be nonzero")
         object.__setattr__(self, "diag", entries)
@@ -46,12 +47,6 @@ class QuadraticForm:
     @property
     def rank(self) -> int:
         return len(self.diag)
-
-    @cached_property
-    def exact_diag(self) -> tuple:
-        """The entries with integral ones as ints, computed once per form:
-        the factors Clifford products contract with."""
-        return tuple(_exact(a) for a in self.diag)
 
     def __str__(self):
         return format_form(self)
@@ -61,7 +56,7 @@ def hyperbolic(m: int) -> QuadraticForm:
     """m hyperbolic planes, diagonalized: <1,-1> repeated m times."""
     if m < 1:
         raise ValueError("need at least one hyperbolic plane")
-    return QuadraticForm((Fraction(1), Fraction(-1)) * m)
+    return QuadraticForm((1, -1) * m)
 
 
 def scale(q: QuadraticForm, k) -> QuadraticForm:
@@ -290,7 +285,10 @@ def _square_class(a, p) -> int:
 def hasse_witt(q: QuadraticForm, p) -> int:
     """Product of (a_i, a_j)_p over i < j, as prod_j (a_1...a_(j-1), a_j)_p:
     the symbol is bimultiplicative (Serre, A Course in Arithmetic, III 1), so
-    rank - 1 symbols, each prefix carried as its square-class representative."""
+    rank - 1 symbols, each prefix carried as its square-class representative.
+    The place is checked up front, so a rank-1 form, which takes no symbol,
+    refuses a bad place too."""
+    _check_place(p)
     d = q.diag
     out, prefix = 1, d[0] if d else 1
     for a in d[1:]:
@@ -361,7 +359,7 @@ def is_orientable(q: QuadraticForm):
 # -- textual form ------------------------------------------------------------
 
 def format_form(q: QuadraticForm) -> str:
-    return ",".join(format_rational(a) for a in q.diag)
+    return ",".join(map(str, q.diag))
 
 
 def parse_form(s: str) -> QuadraticForm:

@@ -328,10 +328,6 @@ class Cyclotomic(RingElement):
         return f"{super().__str__()}@{self.order}"
 
 
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _split_terms(s: str):
     # split into (sign, term) pairs; a sign right after '^' is an exponent.
     # Only a leading sign may stand without a term before it, and every
@@ -382,7 +378,6 @@ def _parse_terms(s: str, token, read, one) -> dict:
     return coeffs
 
 
-format_cyclotomic = Cyclotomic.__str__
 _W_RE = re.compile(r"w(?:\^(-?\d+))?")
 
 
@@ -486,7 +481,6 @@ class TruncatedPoly(RingElement):
         return "*".join(f"x{i + 1}" for i in range(self.nvars) if mask >> i & 1)
 
 
-format_truncated = TruncatedPoly.__str__
 _X_RE = re.compile(r"x(\d+)")
 
 

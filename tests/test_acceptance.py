@@ -13,8 +13,8 @@ from itertools import product
 import numpy as np
 
 from spinbott.cli import main
-from spinbott.clifford import (CliffordElement, graded_tensor_check, pairing_det, phi_gram,
-                               spin_lift, untwist_iso, volume_element)
+from spinbott.clifford import (CliffordElement, clifford_group_test, graded_tensor_check,
+                               pairing_det, phi_gram, spin_lift, untwist_iso, volume_element)
 from spinbott.lambda_bott import (LineExpr, bott_cyclotomic, bott_lines,
                                   corrected_bott, serre_sqrt, sphere_formula,
                                   sum_of_powers, trivial_lambda_vector)
@@ -113,6 +113,19 @@ def test_criterion_4_non_group_inverse_at_rank_10(capsys):
     assert json.loads(capsys.readouterr().out) == {
         "member": False, "reason": "conjugation moves e1 outside V"}
     _report("4 non-group inverse at rank 10", started, 2.0)
+
+
+def test_criterion_4_dense_rational_non_member_at_rank_8():
+    # all 128 even blades with proper-fraction coefficients: a * bar(a) is not
+    # a scalar, so the test takes the adjugate of the integer multiple b = L a;
+    # the Fraction inverse it replaced took 2.8-4.2 s (Python 3.11, 2 cores)
+    q = QuadraticForm((1, -1, 2, 3, 5, -7, 11, 13))
+    even = [m for m in range(1 << q.rank) if bin(m).count("1") % 2 == 0]
+    a = CliffordElement(q, {m: Fraction(i % 5 + 1, i % 3 + 1) for i, m in enumerate(even)})
+    started = time.perf_counter()
+    res = clifford_group_test(a)
+    assert not res.member and res.reason == "conjugation moves e1 outside V"
+    _report("4 dense rational non-member at rank 8", started, 2.0)
 
 
 def test_criterion_4_untwisting_at_rank_10():

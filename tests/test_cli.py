@@ -64,6 +64,15 @@ def test_qf_place_beyond_the_primality_bound_is_refused(capsys):
     assert "primality bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form", ["1", "1,1"])
+def test_qf_place_that_is_not_prime_is_refused_at_every_rank(capsys, form):
+    # bug: a rank-1 form takes no Hilbert symbol, so its place went unchecked
+    # and "qf 1 --primes 4" printed a Hasse-Witt invariant at 4
+    assert main(["qf", form, "--primes", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "4 is neither a prime nor 'inf'" in err
+
+
 def test_qf_prime_bound_missing_a_support_prime_is_refused(capsys):
     assert main(["qf", "--prime-bound", "5", "1,13"]) == 2
     assert "prime_bound 5 misses primes [13]" in capsys.readouterr().err

@@ -12,9 +12,8 @@ from dense_clifford import dense_inverse, dense_phi_gram, dense_untwist_bijectiv
 from dense_modules import mat_eq, mat_mul, mat_scale, transpose
 from spinbott.clifford import (CliffordElement, FormMismatchError, Membership,
                                NotOrientableError, _blade_product, clifford_group_test,
-                               format_element, graded_tensor_check, pairing_det,
-                               parse_element, phi_gram, spin_lift, untwist_iso,
-                               volume_element)
+                               graded_tensor_check, pairing_det, parse_element, phi_gram,
+                               spin_lift, untwist_iso, volume_element)
 from spinbott.config import DEFAULT_CAPS, CapExceededError, Caps, FailedCheckError, caps_scope
 from spinbott.quadforms import QuadraticForm, hyperbolic, square_free_part
 
@@ -85,8 +84,8 @@ def _check_blade_products(q):
         m1, m2 = rng.randrange(64), rng.randrange(64)
         mask, coeff = oracle(m1, m2)
         assert mask == m1 ^ m2
-        assert _blade_product(m1, m2, q.exact_diag) == coeff
-        assert _blade_product(m1, m2, q.exact_diag, Fraction(-2, 3)) == Fraction(-2, 3) * coeff
+        assert _blade_product(m1, m2, q.diag) == coeff
+        assert _blade_product(m1, m2, q.diag, Fraction(-2, 3)) == Fraction(-2, 3) * coeff
         prod = CliffordElement(q, {m1: 1}) * CliffordElement(q, {m2: 1})
         assert prod == CliffordElement(q, {mask: coeff})
 
@@ -178,11 +177,14 @@ def test_degree_multiplicative(data):
 
 
 def test_norm_examples():
+    def norm(a):
+        return clifford_group_test(a).norm
+
     q3 = QuadraticForm((3,))
-    assert gen(q3, 1).spinorial_norm() == 3
-    assert (gen(H, 1) * gen(H, 2)).spinorial_norm() == -1
+    assert norm(gen(q3, 1)) == 3
+    assert norm(gen(H, 1) * gen(H, 2)) == -1
     a = gen(H, 1) + 2 * gen(H, 2)
-    assert (a * 5).spinorial_norm() == 25 * a.spinorial_norm()
+    assert norm(a * 5) == 25 * norm(a) == -75
 
 
 def test_volume_element_examples():
@@ -223,11 +225,17 @@ def test_group_test_examples():
     assert res.rows() == [[0, -1], [-1, 0]]
 
 
-def test_group_test_rejections():
-    # one element per non-member branch, each with its reason
+def test_group_test_rejections(monkeypatch):
+    # one element per non-member branch, each with its reason; the test takes
+    # the adjugate of the integer multiple b = L a and never forms an inverse
+    def refuse(self):
+        raise AssertionError("the Clifford-group test needs no inverse()")
+
+    monkeypatch.setattr(CliffordElement, "inverse", refuse)
     one = CliffordElement.scalar(H, 1)
     q = QuadraticForm((1, -1))
     q4 = QuadraticForm((1, 1, 1, 1))
+    r4 = QuadraticForm((Fraction(1, 2), 1, -3, 1))
     cases = [
         (one + gen(H, 1), "not homogeneous"),
         (CliffordElement(H, {}), "zero is not invertible"),
@@ -235,6 +243,9 @@ def test_group_test_rejections():
         ((one + gen(q, 1) * gen(q, 2)) * Fraction(1, 2), "not invertible"),
         # invertible, but 2 + e1e2e3e4 has the norm 5 + 4 e1e2e3e4
         (CliffordElement.scalar(q4, 2) + volume_element(q4), "conjugation moves e1 outside V"),
+        # rational coefficients over a rational form, no scalar norm either
+        (CliffordElement.scalar(r4, Fraction(2, 3)) + gen(r4, 1) * gen(r4, 2) * Fraction(1, 2)
+         - gen(r4, 3) * gen(r4, 4) * Fraction(2, 3), "conjugation moves e1 outside V"),
     ]
     for a, reason in cases:
         assert clifford_group_test(a) == Membership(False, reason=reason)
@@ -314,6 +325,33 @@ def test_inverse_finds_non_units_and_units():
     assert inv == dense_inverse(a) and a * inv == 1
 
 
+def test_adjugate_is_a_scalar_two_sided_adjugate():
+    # a adj = adj a = det, a scalar, and det = 0 exactly for the elements the
+    # dense solve cannot invert; mixed, even and odd elements of rank <= 6,
+    # some made zero divisors as b (1 + w) with w a blade of square one
+    rng = random.Random(29)
+    values = [0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3)]
+    seen = set()
+    for case in range(90):
+        n = rng.choice([0, 1, 2, 3, 3, 4, 4, 5, 6])
+        q = QuadraticForm(tuple(rng.choice([1, -1, 2, -3, Fraction(1, 2)]) for _ in range(n)))
+        parity = rng.choice([None, 0, 1])
+        masks = [m for m in range(1 << n)
+                 if parity is None or bin(m).count("1") % 2 == parity] or [0]
+        a = CliffordElement(q, {rng.choice(masks): rng.choice(values)
+                                for _ in range(rng.randint(1, 5))})
+        ones = [w for w in range(1, 1 << n) if CliffordElement(q, {w: 1}) ** 2 == 1]
+        if ones and case % 3 == 0:
+            a = a * (CliffordElement(q, {rng.choice(ones): 1}) + 1)
+        adj, det = a.adjugate()
+        assert a * adj == det and adj * a == det
+        assert (det == 0) == (dense_inverse(a) is None)
+        norm = a * a.bar()
+        seen.add((det != 0, norm.is_scalar() and norm.coefficient(0) != 0))
+    # units with and without a scalar norm, and non-units
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
 def test_phi_homomorphism_on_members():
     rng = random.Random(3)
     q = QuadraticForm((1, -1, 2, -2))
@@ -321,7 +359,7 @@ def test_phi_homomorphism_on_members():
     while len(vectors) < 6:
         coords = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
         v = CliffordElement.from_vector(q, coords)
-        if v and v.spinorial_norm() != 0:
+        if (v * v.bar()).coefficient(0) != 0:
             vectors.append(v)
     for i in range(0, 6, 2):
         a, b = vectors[i], vectors[i + 1]
@@ -343,10 +381,9 @@ def test_isometry_is_the_product_of_reflections(monkeypatch):
     # c^2 q(v_1)...q(v_m); a rational content c clears denominators first.
     # A member's norm is a nonzero scalar, so no inverse is ever formed
     def refuse(self):
-        raise AssertionError("a member needs neither inverse() nor spinorial_norm()")
+        raise AssertionError("a member needs no inverse()")
 
     monkeypatch.setattr(CliffordElement, "inverse", refuse)
-    monkeypatch.setattr(CliffordElement, "spinorial_norm", refuse)
     rng = random.Random(11)
     entries = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
     contents = [1, Fraction(1, 2), Fraction(-2, 3), 3]
@@ -536,7 +573,7 @@ def test_spin_lift_preconditions():
 @given(elements(max_rank=3))
 @settings(max_examples=60)
 def test_element_text_roundtrip(a):
-    assert parse_element(format_element(a), a.form) == a
+    assert parse_element(str(a), a.form) == a
 
 
 def test_parse_element_examples():
@@ -551,7 +588,7 @@ def test_parse_element_double_digit_generators():
     q = QuadraticForm((1, -1) * 5)
     a = parse_element("e10 - e1e2", q)
     assert a.coefficient(1 << 9) == 1
-    assert parse_element(format_element(a), q) == a
+    assert parse_element(str(a), q) == a
 
 
 def test_cyclotomic_coefficients():
@@ -574,7 +611,7 @@ def test_cyclotomic_coefficients():
 ])
 def test_parse_element_applies_the_generator_order_sign(text, expect):
     q = QuadraticForm((1, -1, 2))
-    assert format_element(parse_element(text, q)) == expect
+    assert str(parse_element(text, q)) == expect
 
 
 def test_parse_element_matches_the_product_of_its_generators():

@@ -23,6 +23,11 @@ small_places = st.sampled_from([2, 3, 5, 7, 11, INF])
 def test_form_construction():
     q = QuadraticForm((1, Fraction(-2, 3)))
     assert q.rank == 2
+    # entries are stored once, as ints when integral: Clifford products
+    # contract with them directly
+    q = QuadraticForm((Fraction(4, 2), "-3", Fraction(1, 2)))
+    assert q.diag == (2, -3, Fraction(1, 2))
+    assert [type(a) for a in q.diag] == [int, int, Fraction]
     with pytest.raises(DegenerateFormError):
         QuadraticForm((1, 0))
 
