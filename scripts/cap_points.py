@@ -45,6 +45,7 @@ SLOW_INPUTS = [
     ("slow", "bott --expr L10000000 --k 2"),
     ("slow", "bott --expr L1000000 --k 2"),
     ("slow", "qf " + ",".join(["1"] * 2000)),
+    ("slow", "qf " + ",".join(["1"] * 2000) + " --primes 1000000000000000003"),
 ]
 
 

@@ -244,12 +244,21 @@ def hilbert_symbol(a, b, p) -> int:
     """(a, b)_p: 1 iff z^2 = a x^2 + b y^2 has a nontrivial Q_p (or real) zero.
 
     Standard valuation / Legendre-symbol case analysis; depends only on
-    the square classes of a and b.
+    the square classes of a and b.  Int and Fraction arguments are used as
+    they are; any other argument is read as a Fraction.
     """
-    a, b = Fraction(a), Fraction(b)
+    if not isinstance(a, (int, Fraction)):
+        a = Fraction(a)
+    if not isinstance(b, (int, Fraction)):
+        b = Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
     _check_place(p)
+    return _symbol(a, b, p)
+
+
+def _symbol(a, b, p) -> int:
+    """(a, b)_p for nonzero int or Fraction a and b at a checked place p."""
     if p == INF:
         return -1 if (a < 0 and b < 0) else 1
     alpha, u = _split(a, p)
@@ -286,13 +295,13 @@ def hasse_witt(q: QuadraticForm, p) -> int:
     """Product of (a_i, a_j)_p over i < j, as prod_j (a_1...a_(j-1), a_j)_p:
     the symbol is bimultiplicative (Serre, A Course in Arithmetic, III 1), so
     rank - 1 symbols, each prefix carried as its square-class representative.
-    The place is checked up front, so a rank-1 form, which takes no symbol,
-    refuses a bad place too."""
+    The place is checked once, up front, so a rank-1 form, which takes no
+    symbol, refuses a bad place too."""
     _check_place(p)
     d = q.diag
     out, prefix = 1, d[0] if d else 1
     for a in d[1:]:
-        out *= hilbert_symbol(prefix, a, p)
+        out *= _symbol(prefix, a, p)
         prefix = _square_class(prefix * a, p)
     return out
 

@@ -140,9 +140,12 @@ def _squarefree_int(n: int) -> int:
     return sign * out * n
 
 
-@lru_cache(maxsize=None)  # four distinct (p, e) in the symbols suite
-def _bitmask_tables(p: int, e: int):
-    mod = p ** e
+@lru_cache(maxsize=None)  # one entry per place: four in the symbols suite
+def _bitmask_tables(p: int):
+    # the squares and the unit squares mod p^e (the Hensel exponent e),
+    # bit v set for the residue v: every per-value mask of the oracle
+    # below is built from these two
+    mod = p ** (5 if p == 2 else 3)
     sq = unit_sq = 0
     for z in range(mod):
         v = z * z % mod
@@ -152,7 +155,48 @@ def _bitmask_tables(p: int, e: int):
     return mod, sq, unit_sq
 
 
-_oracle_cache: dict = {}
+def _values(c: int, p: int, mod: int):
+    """The residues c x^2 mod p^e over unit x and over non-unit x."""
+    unit, nonunit = set(), set()
+    for x in range(mod):
+        (unit if x % p else nonunit).add(c * x * x % mod)
+    return unit, nonunit
+
+
+@lru_cache(maxsize=None)  # one entry per (square-free a, p)
+def _a_masks(a: int, p: int):
+    """(W_u, W_n, W_nz): bit w of W_u is set iff w + a x^2 is a square for
+    some unit x, of W_n iff it is for some non-unit x, and of W_nz iff it
+    is a unit square for some non-unit x."""
+    mod, sq, unit_sq = _bitmask_tables(p)
+    full = (1 << mod) - 1
+
+    def rotated(mask, shift):
+        # bit w of the result is bit (w + shift) mod `mod` of `mask`
+        return ((mask >> shift) | (mask << (mod - shift))) & full
+
+    unit, nonunit = _values(a, p, mod)
+    w_u = w_n = w_nz = 0
+    for v in unit:
+        w_u |= rotated(sq, v)
+    for v in nonunit:
+        w_n |= rotated(sq, v)
+        w_nz |= rotated(unit_sq, v)
+    return w_u, w_n, w_nz
+
+
+@lru_cache(maxsize=None)  # one entry per (square-free b, p)
+def _b_masks(b: int, p: int):
+    """(b_all, b_unit, b_nonunit): the residues b y^2 over every y, over
+    unit y and over non-unit y."""
+    mod = _bitmask_tables(p)[0]
+    unit, nonunit = _values(b, p, mod)  # distinct residues: the sum of their bits is their union
+    b_unit = sum(1 << v for v in unit)
+    b_nonunit = sum(1 << v for v in nonunit)
+    return b_unit | b_nonunit, b_unit, b_nonunit
+
+
+_oracle_cache: dict = {}  # pair answers, keyed (a, b, p) after square-free reduction
 
 
 def hilbert_oracle(a: int, b: int, p) -> int:
@@ -161,8 +205,11 @@ def hilbert_oracle(a: int, b: int, p) -> int:
     The inputs are reduced to their square-free parts (both solubility
     and the symbol only depend on square classes), after which a
     primitive solution modulo p^3 (odd p) or 2^5 lifts by Hensel's lemma
-    and conversely; the search runs over all residues with rotated
-    bitmask tables.
+    and conversely.  The search runs over all residues, factored through
+    bitmasks built once per square-free value: a primitive zero has x a
+    unit (any y), or x a non-unit and y a unit (any z), or x and y
+    non-units and z a unit, so the pair is soluble iff W_u meets b_all,
+    W_n meets b_unit or W_nz meets b_nonunit (``_a_masks``, ``_b_masks``).
     """
     if p == INF:
         return -1 if (a < 0 and b < 0) else 1
@@ -171,35 +218,9 @@ def hilbert_oracle(a: int, b: int, p) -> int:
     hit = _oracle_cache.get(key)
     if hit is not None:
         return hit
-    e = 5 if p == 2 else 3
-    mod, sq, unit_sq = _bitmask_tables(p, e)
-    full = (1 << mod) - 1
-
-    def rotated(mask, shift):
-        # bit v of the result is bit (v + shift) mod `mod` of `mask`
-        shift %= mod
-        return ((mask >> shift) | (mask << (mod - shift))) & full
-
-    b_all = b_unit = b_nonunit = 0
-    for y in range(mod):
-        v = b * y * y % mod
-        b_all |= 1 << v
-        if y % p:
-            b_unit |= 1 << v
-        else:
-            b_nonunit |= 1 << v
-    soluble = False
-    for x in range(mod):
-        v = a * x * x % mod
-        if x % p:
-            if rotated(sq, v) & b_all:
-                soluble = True
-                break
-        else:
-            if rotated(sq, v) & b_unit or rotated(unit_sq, v) & b_nonunit:
-                soluble = True
-                break
-    out = 1 if soluble else -1
+    w_u, w_n, w_nz = _a_masks(a, p)
+    b_all, b_unit, b_nonunit = _b_masks(b, p)
+    out = 1 if (w_u & b_all or w_n & b_unit or w_nz & b_nonunit) else -1
     _oracle_cache[key] = out
     return out
 

@@ -245,3 +245,20 @@ def test_criterion_8_number_theory():
                 expected = -1 if (a < 0 and b < 0) else 1
                 assert hilbert_symbol(a, b, INF) == expected
     _report("8 number-theoretic layer", started, 30.0)
+
+
+def test_criterion_8_verify_oracle_matches_the_grid_search():
+    # verify's residue search, factored through per-value bitmasks, against
+    # the independent grid search, from cold caches
+    from spinbott import verify
+    started = time.perf_counter()
+    verify._oracle_cache.clear()
+    verify._a_masks.cache_clear()
+    verify._b_masks.cache_clear()
+    classes = sorted({_squarefree(n) for n in range(-20, 21) if n})
+    assert len(classes) == 26
+    for p in (2, 3, 5, 7):
+        for a in classes:
+            for b in classes:
+                assert verify.hilbert_oracle(a, b, p) == _numpy_oracle(a, b, p), (a, b, p)
+    _report("8 verify oracle against the grid search", started, 10.0)

@@ -1,5 +1,6 @@
 """Quadratic-form invariants: worked examples and number-theoretic properties."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -89,6 +90,32 @@ def test_hilbert_symbol_examples():
         hilbert_symbol(1, 1, 4)
 
 
+def test_hilbert_symbol_refuses_zero_before_checking_the_place():
+    with pytest.raises(ValueError, match="needs nonzero arguments") as err:
+        hilbert_symbol(0, 1, 4)
+    assert not isinstance(err.value, InvalidPlaceError)
+    with pytest.raises(ValueError, match="needs nonzero arguments"):
+        hilbert_symbol("1", "0/3", INF)
+
+
+def test_hilbert_symbol_reads_int_fraction_and_str_alike():
+    # ints and Fractions reach the kernel as they are, anything else as a
+    # Fraction: every spelling of a value gives the symbol of that Fraction
+    rng = random.Random(18)
+    spellings = (str, lambda x: f"{x.numerator}/{x.denominator}")
+    for _ in range(400):
+        a, b = (Fraction(rng.choice([1, -1]) * rng.randint(1, 200), rng.randint(1, 12))
+                for _ in range(2))
+        p = rng.choice([2, 3, 5, 7, 11, 13, INF])
+        expected = hilbert_symbol(a, b, p)
+        for spell in spellings:
+            assert hilbert_symbol(spell(a), spell(b), p) == expected, (a, b, p)
+        assert hilbert_symbol(str(a), b, p) == hilbert_symbol(a, str(b), p) == expected
+        if a.denominator == b.denominator == 1:
+            assert hilbert_symbol(int(a), int(b), p) == expected
+    assert hilbert_symbol("3/4", -1, 3) == hilbert_symbol(3, -1, 3) == -1
+
+
 def _trial_division_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
@@ -147,15 +174,36 @@ def test_hasse_witt_matches_the_pairwise_product():
 def test_hasse_witt_takes_at_most_rank_symbols_per_place(monkeypatch, rank):
     from spinbott import quadforms
     calls = []
-    real = quadforms.hilbert_symbol
-    monkeypatch.setattr(quadforms, "hilbert_symbol",
+    real = quadforms._symbol  # the unchecked kernel hasse_witt calls
+    monkeypatch.setattr(quadforms, "_symbol",
                         lambda a, b, p: calls.append(p) or real(a, b, p))
     rng = random.Random(rank)
     q = QuadraticForm(tuple(rng.choice([1, -2, 3, Fraction(-5, 7)]) for _ in range(rank)))
     for p in (INF, 2, 3, 7):
         calls.clear()
         hasse_witt(q, p)
-        assert len(calls) <= rank
+        assert len(calls) == rank - 1
+
+
+def test_hasse_witt_checks_its_place_once(monkeypatch, capsys):
+    # bug: every symbol of hasse_witt re-checked its place, 4,000 Miller-Rabin
+    # primality tests for a rank-2,000 form at 2 and at one large prime
+    from spinbott import cli, quadforms
+    primality, places = [], []
+    real_prime, real_hw = quadforms._is_prime, quadforms.hasse_witt
+
+    def hasse_witt_counted(q, p):
+        places.append(p)
+        return real_hw(q, p)
+
+    monkeypatch.setattr(quadforms, "_is_prime", lambda p: primality.append(p) or real_prime(p))
+    monkeypatch.setattr(quadforms, "hasse_witt", hasse_witt_counted)
+    monkeypatch.setattr(cli, "hasse_witt", hasse_witt_counted)
+    big = 1000000000000000003
+    assert cli.main(["qf", ",".join(["1"] * 2000), "--primes", str(big)]) == 0
+    assert json.loads(capsys.readouterr().out)["hasse"] == {str(big): 1}
+    assert len(places) == 3 and set(places) == {2, big, INF}
+    assert len(primality) <= len(places)
 
 
 def test_bw_class_examples():
@@ -270,14 +318,24 @@ def test_parse_format_roundtrip():
 
 
 def test_verify_oracle_builds_each_table_once():
-    # the exhaustive oracle's residue tables depend only on (p, e)
+    # the exhaustive oracle's residue tables depend only on the place, and
+    # its masks only on a square-free value and the place
     from spinbott import verify
+    tables = (verify._bitmask_tables, verify._a_masks, verify._b_masks)
     verify._oracle_cache.clear()
-    verify._bitmask_tables.cache_clear()
+    for table in tables:
+        table.cache_clear()
+    values = range(-6, 7)
     for p in (2, 3, 5, 7):
-        for a in range(-6, 7):
-            for b in range(-6, 7):
+        for a in values:
+            for b in values:
                 if a and b:
                     assert verify.hilbert_oracle(a, b, p) == hilbert_symbol(a, b, p)
     info = verify._bitmask_tables.cache_info()
     assert info.misses == info.currsize == 4
+    classes = {square_free_part(c) for c in values if c}
+    assert len(classes) == 10
+    for table in tables[1:]:
+        info = table.cache_info()
+        assert info.misses == info.currsize == 4 * len(classes)
+    assert len(verify._oracle_cache) == 4 * len(classes) ** 2
