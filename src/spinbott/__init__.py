@@ -19,7 +19,7 @@ from .modules import (AdamsCharacter, GradedModule, TensorPower,
                       opposite_module, spinor_rep, tensor_power, twist_rep)
 from .quadforms import (BWTriple, INF, QuadraticForm, bw_class, diagonalize,
                         discriminant, hasse_witt, hilbert_symbol, hyperbolic,
-                        is_orientable, parse_form, format_form, scale,
+                        is_orientable, parse_form, scale,
                         square_free_part)
 from .rings import (Cyclotomic, TruncatedPoly, cyclotomic_polynomial, euler_phi,
                     parse_cyclotomic, parse_truncated)

@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from .clifford import clifford_group_test, parse_element, spin_lift
@@ -53,7 +53,7 @@ def cmd_qf(args):
         "disc": triple.disc_class,
         "hasse_minus": list(triple.hasse_minus),
         "orientable": orientable,
-        "bw": triple.to_json(),
+        "bw": asdict(triple),
     }
     if witness is not None:
         payload["orientation_witness"] = str(witness)

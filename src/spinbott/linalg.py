@@ -2,10 +2,9 @@
 
 ``SparseOp`` holds a square operator by columns.  The signed permutations
 of the symmetric-group action are held in monomial form, a (perm, sign)
-pair of lists that composes by list indexing in O(dim); a monomial factor
-relabels or scales the columns of a general operator, and a general
-product costs the nonzeros touched.  There is no dense matrix and no
-elimination here.
+pair of lists; two of them compose by list indexing in O(dim), and every
+other product is one loop over columns that costs the nonzeros touched.
+There is no dense matrix and no elimination here.
 """
 
 from __future__ import annotations
@@ -57,32 +56,16 @@ class SparseOp:
     def compose(self, other: "SparseOp") -> "SparseOp":
         """self o other: column j is self applied to column j of other."""
         perm, sign = self.perm, self.sign
-        if other.perm is not None:
-            if perm is not None:
-                return SparseOp.monomial([perm[r] for r in other.perm],
-                                         [sign[r] * x for r, x in zip(other.perm, other.sign)])
-            return SparseOp({i: y * x for i, y in self._cols[r].items()}
-                            for r, x in zip(other.perm, other.sign))
-        if perm is not None:
-            return SparseOp({perm[r]: sign[r] * x for r, x in col.items()}
-                            for col in other._cols)
-        out = []
-        for col in other._cols:
+        if perm is not None and other.perm is not None:
+            return SparseOp.monomial([perm[r] for r in other.perm],
+                                     [sign[r] * x for r, x in zip(other.perm, other.sign)])
+        out, cols = [], self.cols
+        for col in other.cols:
             acc = {}
             for r, x in col.items():
-                for i, y in self._cols[r].items():
+                for i, y in cols[r].items():
                     acc[i] = acc.get(i, 0) + y * x
             out.append({i: v for i, v in acc.items() if v})
-        return SparseOp(out)
-
-    def __add__(self, other: "SparseOp") -> "SparseOp":
-        # other is read by entries, so a monomial summand keeps no cols
-        out = [dict(col) for col in self._cols] if self.perm is None else [
-            {r: x} for r, x in zip(self.perm, self.sign)]
-        for c, r, x in other.entries():
-            v = out[c].pop(r, 0) + x
-            if v:
-                out[c][r] = v
         return SparseOp(out)
 
     def scale(self, c) -> "SparseOp":

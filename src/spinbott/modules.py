@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -268,14 +267,23 @@ class TensorPower:
                                     self.base.form.diag * slots, self.dim)
         if failure:
             raise PresentationError(f"copy {failure}")
-        for delta, copies in zip(self.diag_gens, self.copy_gens):
-            # each copy moves one slot, so the k copies fill distinct rows
-            cols = [{} for _ in range(self.dim)]
-            for copy in copies:
-                for c, r, x in copy.entries():
-                    cols[c][r] = x
-            if list(delta.cols) != cols:
-                raise PresentationError("a diagonal generator is not the sum of its copies")
+        if any(delta != _sum_of_copies(copies, self.dim)
+               for delta, copies in zip(self.diag_gens, self.copy_gens)):
+            raise PresentationError("a diagonal generator is not the sum of its copies")
+
+
+def _sum_of_copies(copies, dim: int) -> SparseOp:
+    """The sum of operators with no nonzero in a common place, filled once
+    from their entries.  The k copies of a generator are such operators,
+    because each moves one slot and so reaches rows no other copy does;
+    PresentationError if two of them share a place."""
+    cols = [{} for _ in range(dim)]
+    for copy in copies:
+        for c, r, x in copy.entries():
+            if r in cols[c]:
+                raise PresentationError("two copies of a generator share an entry")
+            cols[c][r] = x
+    return SparseOp(cols)
 
 
 def tensor_power(module: GradedModule, k: int) -> TensorPower:
@@ -308,7 +316,7 @@ def tensor_power(module: GradedModule, k: int) -> TensorPower:
                                         [-s[x] if f else s[x] for x, f in zip(digits, flips)])
 
     copy_gens = tuple(zip(*(tuple(copies(a)) for a in range(k))))
-    diag_gens = tuple(functools.reduce(operator.add, cs) for cs in copy_gens)
+    diag_gens = tuple(_sum_of_copies(cs, dim) for cs in copy_gens)
     tp = TensorPower(module, k, tuple(gradings), copy_gens, diag_gens)
     tp.adjacents = tuple(tp.cycles((1,) * c + (2,) + (1,) * (k - c - 2)) for c in range(k - 1))
     tp.check()

@@ -49,7 +49,7 @@ class QuadraticForm:
         return len(self.diag)
 
     def __str__(self):
-        return format_form(self)
+        return ",".join(map(str, self.diag))
 
 
 def hyperbolic(m: int) -> QuadraticForm:
@@ -314,13 +314,6 @@ class BWTriple:
     disc_class: int
     hasse_minus: tuple
 
-    def to_json(self) -> dict:
-        return {
-            "rank_parity": self.rank_parity,
-            "disc_class": self.disc_class,
-            "hasse_minus": list(self.hasse_minus),
-        }
-
 
 def bw_class(q: QuadraticForm, prime_bound: int) -> BWTriple:
     """The (rank mod 2, disc class, Hasse-minus places) invariant triple.
@@ -366,10 +359,6 @@ def is_orientable(q: QuadraticForm):
 
 
 # -- textual form ------------------------------------------------------------
-
-def format_form(q: QuadraticForm) -> str:
-    return ",".join(map(str, q.diag))
-
 
 def parse_form(s: str) -> QuadraticForm:
     parts = [p.strip() for p in s.split(",") if p.strip()]

@@ -223,12 +223,15 @@ def euler_phi(k: int) -> int:
 
 
 def _exact(c):
-    """The stored form of a coefficient: an integral Fraction becomes its
-    numerator; an int, a proper Fraction or a ring element used as a
-    coefficient (a Cyclotomic entry may be one) is returned as it is."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
+    """The stored form of a coefficient: an int or a ring element used as a
+    coefficient (a Cyclotomic entry may be one) is kept as it is, anything
+    else (a float, a str) is read through Fraction, and an integral
+    Fraction becomes its numerator."""
+    if type(c) is int or isinstance(c, RingElement):
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _reduce_mod_phi(order: int, coeffs: dict) -> dict:
@@ -257,12 +260,13 @@ class Cyclotomic(RingElement):
         if order < 1:
             raise ValueError("order must be positive")
         check_cap("max_k", order, "cyclotomic order")
-        coeffs = dict(coeffs or {})
-        for p in coeffs:
+        clean = {}
+        for p, c in (coeffs or {}).items():
             if type(p) is not int or p < 0:
                 raise ValueError(f"power {p!r} of w is not a nonnegative int")
+            clean[p] = c if type(c) is int else _exact(c)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", _reduce_mod_phi(order, coeffs))
+        object.__setattr__(self, "coeffs", _reduce_mod_phi(order, clean))
 
     @classmethod
     def from_const(cls, order: int, c) -> "Cyclotomic":
@@ -307,16 +311,15 @@ class Cyclotomic(RingElement):
     def descend(self):
         """The rational (base-ring) value of a Galois-invariant element.
 
-        Checks invariance under every generator w -> w^j of the Galois
-        group; raises DescentError carrying the first violating j.
+        Over a torsion-free base ring the element is invariant exactly when
+        no power of w above 0 is left in its reduced form, so that is what
+        is read; the Galois group is walked only to name the first j with
+        galois(j) != self, which the DescentError carries.
         """
-        k = self.order
-        for j in range(2, k):
-            if gcd(j, k) == 1 and self.galois(j) != self:
-                raise DescentError(k, j)
         if self.coeffs.keys() - {0}:
-            # Cannot happen over a torsion-free base ring; guards bugs.
-            raise DescentError(k, 1)
+            k = self.order
+            raise DescentError(k, next((j for j in range(2, k)
+                                        if gcd(j, k) == 1 and self.galois(j) != self), 1))
         return self.coefficient(0)
 
     # -- text format: "1 - 2*w + w^2@3" -----------------------------------

@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import operator
 import re
 from fractions import Fraction
 
@@ -360,7 +359,7 @@ def test_sparse_operator_matches_dense_products():
     assert mat_scale(to_dense(product), s) == dense.u_matrix()
     a, b = tp.diag_gens
     assert to_dense(a.compose(b)) == mat_mul(to_dense(a), to_dense(b))
-    assert to_dense(a + b) == mat_add(to_dense(a), to_dense(b))
+    assert to_dense(a) == functools.reduce(mat_add, map(to_dense, tp.copy_gens[0]))
     assert from_dense(to_dense(a)) == a
     assert to_dense(a.scale(Fraction(3, 2))) == mat_scale(to_dense(a), Fraction(3, 2))
     cyc, u = tp.cycles((3,)), product
@@ -499,10 +498,18 @@ def test_copies_that_commute_across_slots_are_caught():
 
     copies = tuple(tuple(unsigned(c, a) for a, c in enumerate(cs)) for cs in tp.copy_gens)
     swaps = tuple(SparseOp.monomial(list(s.perm), [1] * dim) for s in tp.adjacents)
-    diag = tuple(functools.reduce(operator.add, cs) for cs in copies)
+    diag = tuple(modules._sum_of_copies(cs, dim) for cs in copies)
     bad = dataclasses.replace(tp, copy_gens=copies, diag_gens=diag, adjacents=swaps)
     with pytest.raises(PresentationError, match="copy generators .* do not anticommute"):
         bad.check()
+
+
+def test_copies_that_share_an_entry_are_refused():
+    tp = tensor_power(spinor_rep(1), 2)
+    copies = tp.copy_gens[0]
+    with pytest.raises(PresentationError, match="share an entry"):
+        modules._sum_of_copies((copies[0], copies[1], copies[0]), tp.dim)
+    assert modules._sum_of_copies(copies, tp.dim) == tp.diag_gens[0]
 
 
 # -- closed-form cycle traces: an oracle at every tensor dim up to 1024 ---------

@@ -77,6 +77,16 @@ def test_descend_examples():
     assert err.value.violating == 2
 
 
+def test_descend_reads_the_power_basis(monkeypatch):
+    # a rational value is read off the reduced form; no Galois image is built
+    def refuse(self, j):
+        raise AssertionError("galois called on a rational element")
+
+    monkeypatch.setattr(Cyclotomic, "galois", refuse)
+    assert Cyclotomic(5, {0: 3}).descend() == 3
+    assert Cyclotomic(5, {1: 1, 2: 1, 3: 1, 4: 1}).descend() == -1
+
+
 @given(cyclotomics(order=5), st.integers(1, 20), st.integers(1, 20))
 @settings(max_examples=60)
 def test_galois_composition(a, j1, j2):
@@ -334,6 +344,14 @@ def test_shared_ring_structure(name):
     assert x * 0 + 2 == 2 and 2 == x * 0 + 2
     assert x != 2 and (x == 2) is False
 
+    # a float or a str coefficient is read exactly, never stored as it is
+    for c in (0.5, "1/2"):
+        half = x._new({one: c})
+        stored = half.coefficient(one)
+        assert stored == Fraction(1, 2) and type(stored) is Fraction
+        assert "1/2" in str(half) and "0.5" not in str(half)
+        assert half * half == Fraction(1, 4)
+
     assert x ** 0 == 1 and x ** 1 == x and x ** 3 == x * x * x
     if isinstance(x, TruncatedPoly):
         assert x ** -1 * x == 1 and x ** -2 == (x ** -1) ** 2
@@ -447,6 +465,8 @@ def test_exact_rules():
     assert _exact(3) == 3 and type(_exact(3)) is int
     assert _exact(Fraction(6, 3)) == 2 and type(_exact(Fraction(6, 3))) is int
     assert type(_exact(Fraction(1, 2))) is Fraction
+    assert _exact(0.5) == _exact("1/2") == Fraction(1, 2) and type(_exact(0.5)) is Fraction
+    assert _exact(2.0) == 2 and type(_exact(2.0)) is int
     line = LineExpr.symbol(1)
     assert _exact(line) is line  # a ring element used as a coefficient
 
