@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the cap points and the known slow inputs, one cold process each.
+"""Time the cap points and the known slow inputs in cold processes.
 
 Usage: python scripts/cap_points.py   (writes BENCH_cap_points.json at the root)
 
@@ -7,12 +7,15 @@ The cap points are the commands of the CI "Cap points" step, read from
 .github/workflows/tests.yml with their timeouts; the stalls and slow inputs
 are those the ROADMAP lists, each under a 30 s timeout.  Every command runs
 as ``python -m spinbott.cli`` on the src/ of the checkout this script sits
-in, so a copy of another commit times its own code.  For each one the
-record holds the wall time, the child's peak RSS (``ru_maxrss``) and its
-exit code; a command killed at its timeout has exit null and timed_out
-true.  Each child's address space is capped at MEMORY_LIMIT_MB (RLIMIT_AS),
-so an input that would grow without bound fails instead of filling the
-host.
+in, so a copy of another commit times its own code.  A command that
+finishes runs RUNS times, in RUNS passes over the list so that its runs are
+spread over the whole session, and its record is the run of median wall
+time with the min and max wall beside it; a command killed at its timeout
+is run once.  A record holds the wall time, the child's peak RSS
+(``ru_maxrss``) and its exit code; a command killed at its timeout has exit
+null and timed_out true.  Each child's address space is capped at
+MEMORY_LIMIT_MB (RLIMIT_AS), so an input that would grow without bound
+fails instead of filling the host.
 """
 
 import json
@@ -31,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 STALL_TIMEOUT = 30
 MEMORY_LIMIT_MB = 1024
+RUNS = 3  # cold runs of each command that finishes
 
 # (group, command) for the inputs that neither finish nor refuse, and for
 # the slow ones that do finish, as the ROADMAP lists them
@@ -82,12 +86,20 @@ def run(command: str, timeout: int) -> dict:
 def main() -> int:
     todo = [("cap", t, cmd) for t, cmd in cap_points()]
     todo += [(group, STALL_TIMEOUT, cmd) for group, cmd in SLOW_INPUTS]
+    runs = [[] for _ in todo]
+    for sweep in range(RUNS):
+        for (group, timeout, command), done in zip(todo, runs):
+            if done and done[0]["timed_out"]:
+                continue  # a stall is run once
+            done.append(run(command, timeout))
+            print(f"{sweep + 1}/{RUNS} {group:5s} {done[-1]['wall_s']:8.2f} s "
+                  f"{done[-1]['peak_rss_mb']:8.1f} MB exit {done[-1]['exit']}  "
+                  f"{done[-1]['command']}", flush=True)
     points = []
-    for group, timeout, command in todo:
-        point = dict(group=group, **run(command, timeout))
-        print(f"{group:5s} {point['wall_s']:8.2f} s {point['peak_rss_mb']:8.1f} MB "
-              f"exit {point['exit']}  {point['command']}", flush=True)
-        points.append(point)
+    for (group, _, _), done in zip(todo, runs):
+        done.sort(key=lambda r: r["wall_s"])
+        points.append(dict(group=group, **done[len(done) // 2], runs=len(done),
+                           wall_min_s=done[0]["wall_s"], wall_max_s=done[-1]["wall_s"]))
     record = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus",

@@ -436,11 +436,15 @@ def braid_normalize(gens: list) -> tuple:
 def spin_lift(q: QuadraticForm, k: int) -> SpinLift:
     """Even square-one elements of C(V^k) inducing the adjacent swaps.
 
-    Each generator is the volume element of the antidiagonal copy of
-    (V, 2q) inside two adjacent summands.  The scalar relating the two
-    braid words is computed from the algebra itself and, when it is -1,
-    the even-indexed generators are corrected by it; all relations are
-    then verified as exact algebra identities.
+    Each generator g_c = s2 b_c is the volume element of the antidiagonal
+    copy of (V, 2q) inside summands c and c+1: s2 is the orientation
+    witness of (V, 2q) and b_c = prod_j (e_(cn+j) - e_((c+1)n+j)) has
+    integer coefficients.  The braid and commutation relations are
+    homogeneous in s2, so the scalar relating the two braid words, the
+    correction of the even-indexed generators when it is -1, and those
+    relations are computed on the b_c; the squares are checked as
+    s2^2 b_c^2 = 1.  Only the generators and the Clifford-group tests use
+    g_c itself.  Every relation is an exact algebra identity.
     """
     n = q.rank
     if k < 2:
@@ -456,16 +460,16 @@ def spin_lift(q: QuadraticForm, k: int) -> SpinLift:
     if not ok2:
         raise NotOrientableError("(V, 2q) must be orientable")
 
-    def lifted_swap(c: int) -> CliffordElement:
-        # volume element of the antidiagonal {(v, -v)} of copies c, c+1
-        out = CliffordElement.scalar(big, s2)
+    def antidiagonal(c: int) -> CliffordElement:
+        # b_c: the blade product of the antidiagonal {(v, -v)} of copies c, c+1
+        out = CliffordElement.scalar(big, 1)
         for j in range(n):
-            vec = (CliffordElement.generator(big, c * n + j + 1)
-                   - CliffordElement.generator(big, (c + 1) * n + j + 1))
-            out = out * vec
+            out = out * (CliffordElement.generator(big, c * n + j + 1)
+                         - CliffordElement.generator(big, (c + 1) * n + j + 1))
         return out
 
-    gens, lam = braid_normalize([lifted_swap(c) for c in range(k - 1)])
+    bs, lam = braid_normalize([antidiagonal(c) for c in range(k - 1)])
+    gens = [b * s2 for b in bs]
     one = CliffordElement.scalar(big, 1)
 
     def induces_swap(c, res) -> bool:
@@ -479,11 +483,11 @@ def spin_lift(q: QuadraticForm, k: int) -> SpinLift:
              for c, res in enumerate(map(clifford_group_test, gens))]
     return SpinLift(
         q, k, gens, lam,
-        squares_ok=all(g * g == one for g in gens),
-        braid_ok=all(gens[i] * gens[i + 1] * gens[i] == gens[i + 1] * gens[i] * gens[i + 1]
-                     for i in range(len(gens) - 1)),
-        commutation_ok=all(gens[i] * gens[j] == gens[j] * gens[i]
-                           for i in range(len(gens)) for j in range(i + 2, len(gens))),
+        squares_ok=all(b * b * (s2 * s2) == one for b in bs),
+        braid_ok=all(bs[i] * bs[i + 1] * bs[i] == bs[i + 1] * bs[i] * bs[i + 1]
+                     for i in range(len(bs) - 1)),
+        commutation_ok=all(bs[i] * bs[j] == bs[j] * bs[i]
+                           for i in range(len(bs)) for j in range(i + 2, len(bs))),
         matrices_ok=all(ok for _, _, ok in tests),
         norms=[norm for norm, _, _ in tests],
         in_spin=[spin for _, spin, _ in tests])

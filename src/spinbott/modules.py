@@ -86,9 +86,12 @@ class GradedModule:
 def volume_product(form: QuadraticForm, gens, dim) -> tuple:
     """(g_1 o ... o g_n, s): the product of the generators, on their own
     entries (ints for integer generators), and the orientation witness s of
-    ``volume_element(form)``; s times the product is the volume operator."""
+    ``volume_element(form)``; s times the product is the volume operator.
+    The product starts at g_1; no generators (a rank-0 form) give the
+    identity."""
     (s,) = volume_element(form).coeffs.values()
-    return functools.reduce(SparseOp.compose, gens, SparseOp.identity(dim)), s
+    product = functools.reduce(SparseOp.compose, gens) if gens else SparseOp.identity(dim)
+    return product, s
 
 
 def _relation_failure(gens, diag, dim) -> str | None:

@@ -234,20 +234,36 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _reduce_mod_phi(order: int, coeffs: dict) -> dict:
-    """``coeffs`` (consumed) reduced mod Phi_k: powers below phi(k), zeros
-    dropped.  Every power from the top down is visited, not only the keys
-    present at the start: reducing a high power creates lower ones."""
+@lru_cache(maxsize=None)
+def _phi_terms(order: int) -> tuple:
+    """(phi(k), the (t, coefficient) pairs of the nonzero terms of Phi_k
+    below its leading x^phi(k))."""
     phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    for top in range(max(coeffs, default=0), deg - 1, -1):
-        c = coeffs.pop(top, 0)
+    return len(phi) - 1, tuple((t, a) for t, a in enumerate(phi[:-1]) if a)
+
+
+def _reduce_mod_phi(order: int, coeffs: dict) -> dict:
+    """``coeffs`` reduced mod Phi_k: powers below phi(k), zeros dropped.
+
+    Phi_k divides x^k - 1, so the powers are first folded mod k; then only
+    the powers k - 1 down to phi(k) are cleared, from the top down (clearing
+    one creates lower ones), each by subtracting its coefficient times the
+    nonzero lower terms of Phi_k, shifted.  At a prime k that is one power.
+    """
+    folded: dict = {}
+    for p, c in coeffs.items():
+        p %= order
+        acc = folded.get(p)
+        folded[p] = c if acc is None else acc + c
+    deg, terms = _phi_terms(order)
+    for top in range(order - 1, deg - 1, -1):
+        c = folded.pop(top, 0)
         if c:
             base = top - deg
-            for t in range(deg):
-                if phi[t]:
-                    coeffs[base + t] = coeffs.get(base + t, 0) - c * phi[t]
-    return {p: _exact(c) for p, c in coeffs.items() if c}
+            for t, a in terms:
+                acc = folded.get(base + t)
+                folded[base + t] = -c * a if acc is None else acc - c * a
+    return {p: c if type(c) is int else _exact(c) for p, c in folded.items() if c}
 
 
 class Cyclotomic(RingElement):
@@ -291,8 +307,10 @@ class Cyclotomic(RingElement):
         coeffs: dict = {}
         for i, a in self.coeffs.items():
             for j, b in o.coeffs.items():
-                coeffs[i + j] = coeffs.get(i + j, 0) + a * b
-        return self._new(coeffs)
+                c = a * b
+                acc = coeffs.get(i + j)
+                coeffs[i + j] = c if acc is None else acc + c
+        return self._trusted(_reduce_mod_phi(self.order, coeffs))
 
     __rmul__ = __mul__
 
@@ -433,18 +451,38 @@ class TruncatedPoly(RingElement):
         return TruncatedPoly(self.nvars, coeffs)
 
     def __mul__(self, other):
+        """The product, over the pairs of terms on disjoint variables only
+        (a repeated variable gives xi^2 = 0).  A left term m1 reads its
+        partners among the submasks of its free variables, full ^ m1, when
+        there are fewer of those than right terms, each looked up; otherwise
+        it scans the right terms and skips those that meet m1.  Dense
+        operands over r variables so take 3^r steps instead of 4^r."""
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
+        right, full = o.coeffs, (1 << self.nvars) - 1
         coeffs: dict = {}
         for m1, c1 in self.coeffs.items():
-            for m2, c2 in o.coeffs.items():
-                if m1 & m2:
-                    continue  # repeated variable: xi^2 = 0
-                m = m1 | m2
-                coeffs[m] = coeffs.get(m, 0) + c1 * c2
+            free = full ^ m1
+            if 1 << free.bit_count() < len(right):
+                m2 = free
+                while True:
+                    c2 = right.get(m2)
+                    if c2 is not None:
+                        c = c1 * c2
+                        acc = coeffs.get(m1 | m2)
+                        coeffs[m1 | m2] = c if acc is None else acc + c
+                    if not m2:
+                        break
+                    m2 = (m2 - 1) & free
+            else:
+                for m2, c2 in right.items():
+                    if not m1 & m2:
+                        c = c1 * c2
+                        acc = coeffs.get(m1 | m2)
+                        coeffs[m1 | m2] = c if acc is None else acc + c
         return self._trusted(coeffs)
 
     __rmul__ = __mul__

@@ -563,6 +563,76 @@ def test_spin_lift_values_are_int_or_fraction(q, k):
             assert all(type(c) is int for g in fixed for c in g.coeffs.values())
 
 
+def _rational_spin_lift(q, k):
+    """spin_lift computed on the rational generators g_c = s2 b_c throughout:
+    the braid sign, the squares and every relation read off the g_c."""
+    from spinbott.clifford import SpinLift, braid_normalize
+    from spinbott.quadforms import is_orientable, scale
+    n, big = q.rank, QuadraticForm(q.diag * k)
+    _, s2 = is_orientable(scale(q, 2))
+    lifts = []
+    for c in range(k - 1):
+        g = CliffordElement.scalar(big, s2)
+        for j in range(n):
+            g = g * (gen(big, c * n + j + 1) - gen(big, (c + 1) * n + j + 1))
+        lifts.append(g)
+    gens, lam = braid_normalize(lifts)
+    one = CliffordElement.scalar(big, 1)
+    tests = [clifford_group_test(g) for g in gens]
+    swaps_ok = all(
+        res.member and res.degree == 0 and all(
+            img == {t + {c: n, c + 1: -n}.get(t // n, 0): 1} for t, img in enumerate(res.images))
+        for c, res in enumerate(tests))
+    return SpinLift(
+        q, k, gens, lam,
+        squares_ok=all(g * g == one for g in gens),
+        braid_ok=all(gens[i] * gens[i + 1] * gens[i] == gens[i + 1] * gens[i] * gens[i + 1]
+                     for i in range(len(gens) - 1)),
+        commutation_ok=all(gens[i] * gens[j] == gens[j] * gens[i]
+                           for i in range(len(gens)) for j in range(i + 2, len(gens))),
+        matrices_ok=swaps_ok, norms=[res.norm for res in tests],
+        in_spin=[res.in_spin for res in tests])
+
+
+# the spin-lift requests of the benchmark's algebra-cli round (a, -a with 2..6
+# copies, a, -a, b, -b with 2) and the rank-12 point of the CI cap step
+_SPIN_ENTRIES = (1, 2, 3, 5, 6, 7)
+SPIN_LIFT_POINTS = (
+    [((a, -a), c) for a in _SPIN_ENTRIES for c in range(2, 7)]
+    + [((a, -a, b, -b), 2) for a in _SPIN_ENTRIES for b in _SPIN_ENTRIES if a < b]
+    + [((1, -1, 1, -1, 1, -1), 2)])
+
+
+@pytest.mark.parametrize("diag, k", SPIN_LIFT_POINTS, ids=str)
+def test_spin_lift_matches_the_rational_generators(diag, k):
+    q = QuadraticForm(diag)
+    lift, expect = spin_lift(q, k), _rational_spin_lift(q, k)
+    assert lift == expect and lift.all_ok
+    stored = [[type(c) for c in g.coeffs.values()] for g in lift.generators]
+    assert stored == [[type(c) for c in g.coeffs.values()] for g in expect.generators]
+    assert [type(x) for x in lift.norms] == [type(x) for x in expect.norms]
+
+
+def test_spin_lift_with_a_wrong_witness_fails_its_squares(monkeypatch, capsys):
+    # a witness of (V, 2q) scaled by 2 makes every generator square to 4:
+    # the relations homogeneous in it still hold, the squares must not
+    import json
+    from spinbott import clifford
+    from spinbott.cli import main
+    true_orientable = clifford.is_orientable
+
+    def doubled_witness(q):
+        ok, s = true_orientable(q)
+        return ok, s and 2 * s
+
+    monkeypatch.setattr(clifford, "is_orientable", doubled_witness)
+    lift = spin_lift(H, 3)
+    assert not lift.squares_ok and lift.braid_ok and lift.commutation_ok
+    assert main(["spin-lift", "--form", "1,-1", "--copies", "3"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["squares_ok"] is False and payload["braid_ok"] is True
+
+
 def test_spin_lift_preconditions():
     with pytest.raises(ValueError):
         spin_lift(QuadraticForm((1,)), 2)

@@ -51,6 +51,8 @@ _REFUSED = [
     ((1, -1), (0, 1), (_X, _X), "generator 2 does not square to q_2"),
     ((1, 1), (0, 1), (_X, _X), "generators 1,2 do not anticommute"),
     ((1, -1), (1, 0), (_X, _Y), "volume element is not diag(1,-1) on E0+E1"),
+    # no generators: the volume operator is the identity
+    ((), (0, 1), (), "volume element is not diag(1,-1) on E0+E1"),
     # a generator too large, too small, or with a row outside E
     ((1, -1), (0, 1), spinor_rep(2).gens[:2], "generator 1 is not a 2 x 2 operator"),
     ((1, -1, 1, -1), (0, 1, 1, 0), spinor_rep(1).gens * 2,
@@ -62,10 +64,21 @@ _REFUSED = [
 
 @pytest.mark.parametrize("diag_, grading, gens, message", _REFUSED,
                          ids=["count", "blocks", "odd", "square", "anticommute", "volume",
-                              "too large", "too small", "row too large", "negative row"])
+                              "rank 0", "too large", "too small", "row too large", "negative row"])
 def test_graded_module_is_checked_when_built(diag_, grading, gens, message):
     with pytest.raises(PresentationError, match=f"^{re.escape(message)}$"):
         GradedModule(QuadraticForm(diag_), grading, gens)
+
+
+def test_volume_product_starts_at_the_first_generator(monkeypatch):
+    # n generators take n - 1 products; no generators give the identity
+    m, calls, compose = spinor_rep(3), [], SparseOp.compose
+    monkeypatch.setattr(SparseOp, "compose", lambda a, b: calls.append(1) or compose(a, b))
+    product, s = volume_product(m.form, m.gens, m.dim)
+    assert len(calls) == len(m.gens) - 1
+    assert product.scale(s) == m.grading_op()
+    product, s = volume_product(QuadraticForm(()), (), 3)
+    assert product == SparseOp.identity(3) and s == 1 and len(calls) == len(m.gens) - 1
 
 
 def test_twist_rep():

@@ -1,6 +1,7 @@
 """Exact coefficient domains: worked examples and ring-axiom properties."""
 
 import cmath
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -524,3 +525,93 @@ def test_storage_type_is_invisible(n, exps):
         assert a == b and b == a
         assert str(a) == str(b) and repr(a) == repr(b)
         assert parse(str(a)) == a
+
+
+# -- the products against their plain definitions --------------------------------
+
+def _long_division(order: int, coeffs: dict) -> dict:
+    """``coeffs`` reduced mod Phi_k by clearing every power from the top down
+    to phi(k), with no folding mod k first."""
+    phi = cyclotomic_polynomial(order)
+    deg, out = len(phi) - 1, dict(coeffs)
+    for top in range(max(out, default=0), deg - 1, -1):
+        c = out.pop(top, 0)
+        if c:
+            for t in range(deg):
+                out[top - deg + t] = out.get(top - deg + t, 0) - c * phi[t]
+    return {p: c for p, c in out.items() if c}
+
+
+def _plain_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def _random_cyclotomic_coeffs(rng, k, value):
+    """Reduced coefficients at a random density: none, one power, some, all."""
+    powers = range(euler_phi(k))
+    size = rng.choice((0, 1, len(powers) // 2, len(powers)))
+    return {p: value(rng) for p in rng.sample(powers, size)}
+
+
+def _assert_stored_exactly(coeffs: dict, expect: dict):
+    assert coeffs == expect
+    assert all(c and (type(c) is not Fraction or c.denominator != 1) for c in coeffs.values())
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_cyclotomic_product_matches_long_division(k):
+    rng = random.Random(k)
+
+    def rational(rng):
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+
+    for _ in range(12):
+        da = _random_cyclotomic_coeffs(rng, k, rational)
+        db = _random_cyclotomic_coeffs(rng, k, rational)
+        product = Cyclotomic(k, da) * Cyclotomic(k, db)
+        _assert_stored_exactly(product.coeffs, _long_division(k, _plain_product(da, db)))
+        # the constructor takes unreduced powers up to 3k
+        raw = {rng.randint(0, 3 * k): rational(rng) for _ in range(rng.randint(0, 8))}
+        _assert_stored_exactly(Cyclotomic(k, raw).coeffs, _long_division(k, raw))
+    # ring-element coefficients, as bott_cyclotomic takes them
+    lines = [LineExpr.symbol(1), LineExpr.symbol(2) * 2 - 1, LineExpr({(1, -1): Fraction(1, 2)})]
+    for _ in range(3):
+        da = _random_cyclotomic_coeffs(rng, k, lambda rng: rng.choice(lines))
+        db = _random_cyclotomic_coeffs(rng, k, lambda rng: rng.choice(lines + [3]))
+        product = Cyclotomic(k, da) * Cyclotomic(k, db)
+        assert product.coeffs == _long_division(k, _plain_product(da, db))
+
+
+def _pair_loop(a: TruncatedPoly, b: TruncatedPoly) -> dict:
+    out: dict = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            if not m1 & m2:
+                out[m1 | m2] = out.get(m1 | m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+@st.composite
+def truncated_pairs(draw):
+    """Two elements over 0..8 variables, each dense (every mask) or sparse."""
+    n = draw(st.integers(0, 8))
+
+    def operand():
+        if draw(st.booleans()):
+            values = draw(st.lists(fractions, min_size=1 << n, max_size=1 << n))
+            return TruncatedPoly(n, dict(enumerate(values)))
+        return TruncatedPoly(n, draw(st.dictionaries(st.integers(0, (1 << n) - 1),
+                                                     fractions, max_size=6)))
+    return operand(), operand()
+
+
+@given(truncated_pairs())
+@settings(max_examples=120, deadline=None)
+def test_truncated_product_matches_the_pair_loop(pair):
+    a, b = pair
+    _assert_stored_exactly((a * b).coeffs, _pair_loop(a, b))
+    _assert_stored_exactly((b * a).coeffs, _pair_loop(a, b))
