@@ -1,9 +1,13 @@
 """Exact blade arithmetic in the Clifford algebra of a diagonal rational form.
 
 Basis blades are indexed by bitmasks over the orthogonal basis e1..en.
-One kernel, ``_blade_product``, states e_a e_b = c e_(a xor b), c the
-merge sign times q_i for each shared index; every blade product here,
-every check of one and the spinor signs of ``modules`` call it.  Integral
+The structure constant of e_a e_b = c e_(a xor b), c the merge sign times
+q_i for each shared index, is stated once, in ``_blade_product``, from two
+helpers: ``_crossings(a)``, whose parity against b is the sign, and
+``_squares(diag)``, a memo per form of the product of the q_i over each
+overlap mask a & b.  The checks, the parser and the spinor signs of
+``modules`` call ``_blade_product``; the element product applies the same
+two helpers with each left blade's crossing mask taken once.  Integral
 coefficients are stored as ints (``rings._exact``), as are the integral
 entries of a form, so integral forms keep products on int arithmetic; a
 coefficient from another exact ring (a ``Cyclotomic``) passes through
@@ -24,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 
 from .config import FailedCheckError, check_cap
@@ -41,24 +46,45 @@ class NotOrientableError(ValueError):
     """The form has no volume element of square one over Q."""
 
 
-def _blade_product(a: int, b: int, diag, c=1):
-    """c times the structure constant of e_a e_b = x e_(a xor b): the sign of
-    the index crossings merging a with b, times diag[i] for each i in a and b."""
-    # bit j of x becomes the parity of the indices of a above j (suffix xor
-    # by doubling); the crossings are those with j in b
+def _crossings(a: int) -> int:
+    """Bit j set when an odd number of the indices of a lie above j: merging
+    e_a with e_b crosses an odd number of pairs exactly when bit j is set
+    for an odd number of j in b."""
     x = a >> 1
     shift = 1
-    while x >> shift:
+    while x >> shift:  # suffix xor by doubling
         x ^= x >> shift
         shift <<= 1
-    if _popcount(x & b) & 1:
+    return x
+
+
+class _Squares(dict):
+    """mask -> the product of diag[i] over the bits i of mask, each entry
+    computed on first use from the entry one bit shorter."""
+
+    __slots__ = ("diag",)
+
+    def __init__(self, diag):
+        super().__init__({0: 1})
+        self.diag = diag
+
+    def __missing__(self, mask):
+        low = mask & -mask
+        self[mask] = out = self[mask ^ low] * self.diag[low.bit_length() - 1]
+        return out
+
+
+_squares = lru_cache(maxsize=None)(_Squares)  # one memo per diagonal a process meets
+
+
+def _blade_product(a: int, b: int, squares: _Squares, c=1):
+    """c times the structure constant of e_a e_b = x e_(a xor b): the sign of
+    the index crossings merging a with b, times diag[i] for each i in a and
+    b, read from ``squares = _squares(diag)``."""
+    if _popcount(_crossings(a) & b) & 1:
         c = -c
     common = a & b
-    while common:
-        low = common & -common
-        c = c * diag[low.bit_length() - 1]
-        common ^= low
-    return c
+    return c * squares[common] if common else c
 
 
 class CliffordElement(RingElement):
@@ -109,13 +135,21 @@ class CliffordElement(RingElement):
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
-        diag = self.form.diag
+        squares = _squares(self.form.diag)
+        right = o.coeffs.items()
         coeffs: dict = {}
+        get = coeffs.get
         for m1, c1 in self.coeffs.items():
-            for m2, c2 in o.coeffs.items():
-                c = _blade_product(m1, m2, diag, c1 * c2)
+            cross = _crossings(m1)  # the rule of _blade_product, signed once per left blade
+            for m2, c2 in right:
+                c = c1 * c2
+                if _popcount(cross & m2) & 1:
+                    c = -c
+                common = m1 & m2
+                if common:
+                    c = c * squares[common]
                 m = m1 ^ m2
-                acc = coeffs.get(m)
+                acc = get(m)
                 coeffs[m] = c if acc is None else acc + c
         return self._trusted(coeffs)
 
@@ -235,6 +269,11 @@ def clifford_group_test(a: CliffordElement) -> Membership:
     scalar norm N(b) = b bar(b), so its adjugate is bar(b), det is N(b) and
     the norm is N(b) / L^2; any other adjugate whose images stay in V is a
     failed check.
+
+    Only the generators in the support of a (the union of its blade masks)
+    are conjugated: every other e_i anticommutes with each blade of a as
+    often as deg(a), so e_i b = (-1)^deg(a) b e_i and its image is e_i
+    itself.  The pairing check still reads every pair of images.
     """
     deg = a.degree()
     if deg is None:
@@ -248,8 +287,14 @@ def clifford_group_test(a: CliffordElement) -> Membership:
         return Membership(False, reason="not invertible")
     diag = a.form.diag
     sign = -1 if deg else 1
+    support = 0
+    for m in b.coeffs:
+        support |= m
     images = []
     for i in range(1, len(diag) + 1):
+        if not support >> (i - 1) & 1:
+            images.append({i - 1: 1})
+            continue
         img = b * CliffordElement.generator(a.form, i) * adj
         if any(_popcount(m) != 1 for m in img.coeffs):
             return Membership(False, reason=f"conjugation moves e{i} outside V")
@@ -286,8 +331,8 @@ def phi_gram(q: QuadraticForm, parity: int) -> dict:
         raise NotOrientableError("the top power is only trivialized for orientable forms")
     check_cap("max_dim", q.rank, "Clifford rank")
     top = (1 << q.rank) - 1
-    diag = q.diag
-    return {m: _blade_product(m, top ^ m, diag, s)
+    squares = _squares(q.diag)
+    return {m: _blade_product(m, top ^ m, squares, s)
             for m in range(top + 1) if _popcount(m) & 1 == parity}
 
 
@@ -315,18 +360,18 @@ def graded_tensor_check(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     """
     n1, n2 = q1.rank, q2.rank
     check_cap("max_dim", n1 + n2, "Clifford rank")
-    d1, d2 = q1.diag, q2.diag
-    dsum = d1 + d2
+    sq1, sq2 = _squares(q1.diag), _squares(q2.diag)
+    sqsum = _squares(q1.diag + q2.diag)
     for a1 in range(1 << n1):
         for b1 in range(1 << n2):
             left = a1 | (b1 << n1)
             for a2 in range(1 << n1):
                 # Koszul sign of moving b1 past a2
                 koszul = -1 if (_popcount(b1) & _popcount(a2) & 1) else 1
-                pa = _blade_product(a1, a2, d1, koszul)
+                pa = _blade_product(a1, a2, sq1, koszul)
                 for b2 in range(1 << n2):
-                    if (_blade_product(left, a2 | (b2 << n1), dsum)
-                            != _blade_product(b1, b2, d2, pa)):
+                    if (_blade_product(left, a2 | (b2 << n1), sqsum)
+                            != _blade_product(b1, b2, sq2, pa)):
                         return False
     return True
 
@@ -368,11 +413,12 @@ def untwist_iso(q: QuadraticForm, r: int) -> UntwistIso:
     [(top, s)] = volume_element(q).coeffs.items()
     ones = (1,) * r
     src = q.diag + ones  # the diagonal of V + <1>^r
+    squares, unit = _squares(q.diag), _squares(ones)
 
     def mul(x, y):  # the ungraded product of two signed blade pairs
         (v1, w1, c1), (v2, w2, c2) = x, y
         return (v1 ^ v2, w1 ^ w2,
-                _blade_product(w1, w2, ones, _blade_product(v1, v2, q.diag, c1 * c2)))
+                _blade_product(w1, w2, unit, _blade_product(v1, v2, squares, c1 * c2)))
 
     gens = [(1 << i, 0, 1) for i in range(n)] + [(top, 1 << j, s) for j in range(r)]
     # both sides of a relation land on the same mask pair: compare coefficients
@@ -498,6 +544,8 @@ _GEN_RE = re.compile(r"e(\d+)")
 
 
 def parse_element(s: str, form: QuadraticForm) -> CliffordElement:
+    squares = _squares(form.diag)
+
     def read(mask, coeff, blade):
         f, last = blade[0], 0
         for g in _GEN_RE.finditer(f):
@@ -510,7 +558,7 @@ def parse_element(s: str, form: QuadraticForm) -> CliffordElement:
             if mask & bit:
                 raise ValueError(f"repeated generator e{i}")
             # e_i moves left past the higher generators already read
-            coeff = _blade_product(mask, bit, form.diag, coeff)
+            coeff = _blade_product(mask, bit, squares, coeff)
             mask |= bit
         if last != len(f):
             raise ValueError(f"cannot parse blade {f!r}")

@@ -263,13 +263,13 @@ def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
     return result
 
 
-def _eval_at_minus_zeta(v: LambdaVector, k: int, r: int):
-    """G(-z^r) = sum_j lam^j (-1)^j w^(rj), with ring coefficients."""
-    coeffs = {0: 1}
+def _eval_at_minus_zeta(v: LambdaVector, k: int, r: int, shift: int = 0):
+    """G(-z^r) z^shift = sum_j lam^j (-1)^j w^(rj + shift), with ring coefficients."""
+    coeffs = {shift % k: 1}
     for j in range(1, v.rank + 1):
         val = v.lam(j)
         if val:
-            p = r * j % k
+            p = (r * j + shift) % k
             coeffs[p] = coeffs.get(p, 0) + (val if j % 2 == 0 else -val)
     return Cyclotomic(k, coeffs)
 
@@ -303,7 +303,8 @@ def serre_sqrt(v: LambdaVector, k: int) -> SerreSqrt:
     value = (-1)^(n(k-1)/4) * prod_{r=1..(k-1)/2} G(-z^r) z^(-nr/2),
     which squares to the Bott class.  Requires k odd and v self-dual of
     even rank; when n(k-1)/4 is not an integer the sign is omitted and the
-    result is flagged.
+    result is flagged.  Each z^(-nr/2) is a shift of the evaluation at r,
+    so each r costs one Cyclotomic product.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("k must be odd and at least 3")
@@ -314,8 +315,7 @@ def serre_sqrt(v: LambdaVector, k: int) -> SerreSqrt:
         raise ValueError("lambda vector is not self-dual")
     prod = Cyclotomic.from_const(k, 1)
     for r in range(1, (k - 1) // 2 + 1):
-        prod = prod * _eval_at_minus_zeta(v, k, r)
-        prod = prod * Cyclotomic.zeta(k, (-n * r // 2) % k)
+        prod = prod * _eval_at_minus_zeta(v, k, r, -n * r // 2)
     ambiguous = (n * (k - 1)) % 4 != 0
     if not ambiguous and (n * (k - 1) // 4) % 2 == 1:
         prod = -prod

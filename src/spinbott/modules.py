@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import SparseOp
-from .clifford import _blade_product, volume_element
+from .clifford import _blade_product, _squares, volume_element
 from .config import FailedCheckError, check_cap
 from .quadforms import QuadraticForm, hyperbolic, scale
 from .rings import Cyclotomic
@@ -120,11 +120,11 @@ def spinor_rep(m: int) -> GradedModule:
         raise ValueError("need at least one hyperbolic pair")
     dim = 1 << m
     check_cap("max_tensor", dim, "spinor dimension")
-    ones = (1,) * m
+    unit = _squares((1,) * m)
 
     def generator(i, minus):
         bit = 1 << i
-        signs = (_blade_product(bit, s, ones) for s in range(dim))
+        signs = (_blade_product(bit, s, unit) for s in range(dim))
         return SparseOp.monomial([s ^ bit for s in range(dim)],
                                  [-x if minus and s & bit else x for s, x in enumerate(signs)])
 

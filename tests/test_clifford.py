@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from dense_clifford import dense_inverse, dense_phi_gram, dense_untwist_bijective, det
 from dense_modules import mat_eq, mat_mul, mat_scale, transpose
 from spinbott.clifford import (CliffordElement, FormMismatchError, Membership,
-                               NotOrientableError, _blade_product, clifford_group_test,
-                               graded_tensor_check, pairing_det, parse_element, phi_gram,
-                               spin_lift, untwist_iso, volume_element)
+                               NotOrientableError, _blade_product, _squares,
+                               clifford_group_test, graded_tensor_check, pairing_det,
+                               parse_element, phi_gram, spin_lift, untwist_iso,
+                               volume_element)
 from spinbott.config import DEFAULT_CAPS, CapExceededError, Caps, FailedCheckError, caps_scope
 from spinbott.quadforms import QuadraticForm, hyperbolic, square_free_part
 
@@ -47,47 +48,66 @@ def test_mul_examples():
     assert (gen(H, 1) * gen(H, 2)) ** 2 == 1
 
 
+MERGE_FORMS = (QuadraticForm((1, -1, 2, -2, 3, -3)),
+               QuadraticForm((Fraction(1, 2), -3, Fraction(-2, 3), 2, Fraction(5, 4), -1)))
+
+
+def _merge_oracle(q, m1, m2):
+    """(mask, coeff) of e_m1 e_m2 from blades as index lists: bubble the
+    right factor into place and apply e_i e_i = q_i on collisions."""
+    seq = [i for i in range(6) if m1 >> i & 1] + [i for i in range(6) if m2 >> i & 1]
+    coeff = Fraction(1)
+    changed = True
+    while changed:
+        changed = False
+        for t in range(len(seq) - 1):
+            if seq[t] > seq[t + 1]:
+                seq[t], seq[t + 1] = seq[t + 1], seq[t]
+                coeff = -coeff
+                changed = True
+            elif seq[t] == seq[t + 1]:
+                coeff *= q.diag[seq[t]]
+                del seq[t:t + 2]
+                changed = True
+                break
+    mask = 0
+    for i in seq:
+        mask |= 1 << i
+    return mask, coeff
+
+
 def test_blade_product_against_merge_oracle():
-    # independent oracle: multiply blades as index lists, bubbling the
-    # right factor into place and applying e_i e_i = q_i on collisions;
-    # checked on the structure-constant kernel and on the element product,
-    # over an integral form and a form with proper-fraction entries
-    for q in (QuadraticForm((1, -1, 2, -2, 3, -3)),
-              QuadraticForm((Fraction(1, 2), -3, Fraction(-2, 3), 2, Fraction(5, 4), -1))):
-        _check_blade_products(q)
+    # independent oracle on single blades, checked on the structure-constant
+    # kernel and on the element product, over an integral form and a form
+    # with proper-fraction entries
+    for q in MERGE_FORMS:
+        rng = random.Random(13)
+        squares = _squares(q.diag)
+        for _ in range(300):
+            m1, m2 = rng.randrange(64), rng.randrange(64)
+            mask, coeff = _merge_oracle(q, m1, m2)
+            assert mask == m1 ^ m2
+            assert _blade_product(m1, m2, squares) == coeff
+            assert _blade_product(m1, m2, squares, Fraction(-2, 3)) == Fraction(-2, 3) * coeff
+            prod = CliffordElement(q, {m1: 1}) * CliffordElement(q, {m2: 1})
+            assert prod == CliffordElement(q, {mask: coeff})
 
 
-def _check_blade_products(q):
-    def oracle(m1, m2):
-        seq = [i for i in range(6) if m1 >> i & 1] + [i for i in range(6) if m2 >> i & 1]
-        coeff = Fraction(1)
-        changed = True
-        while changed:
-            changed = False
-            for t in range(len(seq) - 1):
-                if seq[t] > seq[t + 1]:
-                    seq[t], seq[t + 1] = seq[t + 1], seq[t]
-                    coeff = -coeff
-                    changed = True
-                elif seq[t] == seq[t + 1]:
-                    coeff *= q.diag[seq[t]]
-                    del seq[t:t + 2]
-                    changed = True
-                    break
-        mask = 0
-        for i in seq:
-            mask |= 1 << i
-        return mask, coeff
-
-    rng = random.Random(13)
-    for _ in range(300):
-        m1, m2 = rng.randrange(64), rng.randrange(64)
-        mask, coeff = oracle(m1, m2)
-        assert mask == m1 ^ m2
-        assert _blade_product(m1, m2, q.diag) == coeff
-        assert _blade_product(m1, m2, q.diag, Fraction(-2, 3)) == Fraction(-2, 3) * coeff
-        prod = CliffordElement(q, {m1: 1}) * CliffordElement(q, {m2: 1})
-        assert prod == CliffordElement(q, {mask: coeff})
+def test_multi_term_products_against_merge_oracle():
+    # products of random multi-term elements, expanded pair by pair through
+    # the oracle; the two forms of the same rank alternate in one process,
+    # so a product memo shared between them would show
+    rng = random.Random(29)
+    for step in range(120):
+        q = MERGE_FORMS[step % 2]
+        a, b = ({rng.randrange(64): Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                 for _ in range(rng.randint(1, 8))} for _ in range(2))
+        expect = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                mask, coeff = _merge_oracle(q, m1, m2)
+                expect[mask] = expect.get(mask, 0) + c1 * c2 * coeff
+        assert CliffordElement(q, a) * CliffordElement(q, b) == CliffordElement(q, expect)
 
 
 # -- coefficient storage: integral values as int, the rest as Fraction --------
@@ -253,12 +273,36 @@ def test_group_test_rejections(monkeypatch):
 
 def test_isometry_check_reads_every_pair(monkeypatch):
     # conjugating a "generator" that is always e1 gives images of the right
-    # lengths that are not orthogonal: only the off-diagonal pair fails
+    # lengths that are not orthogonal: only the off-diagonal pair fails.
+    # e1 e2 has both generators in its support, so both are conjugated
     q = QuadraticForm((1, 1))
+    a = gen(q, 1) * gen(q, 2)
     monkeypatch.setattr(CliffordElement, "generator",
                         classmethod(lambda cls, form, i: cls(form, {1: 1})))
     with pytest.raises(FailedCheckError, match="does not preserve the form"):
-        clifford_group_test(CliffordElement.scalar(q, 1))
+        clifford_group_test(a)
+
+
+def test_group_test_conjugates_only_the_support(monkeypatch):
+    # a spin-lift generator over 4 copies of a rank-2 form lives on copies
+    # c and c+1: only their 2n generators are conjugated, every other image
+    # is e_i itself, and the result is that of full conjugation
+    n, k, c = 2, 4, 1
+    g = spin_lift(H, k).generators[c]
+    built = []
+    make = CliffordElement.generator.__func__
+    monkeypatch.setattr(CliffordElement, "generator",
+                        classmethod(lambda cls, form, i: built.append(i) or make(cls, form, i)))
+    res = clifford_group_test(g)
+    assert built == list(range(c * n + 1, (c + 2) * n + 1))
+    assert all(res.images[i] == {i: 1} for i in range(n * k) if i // n not in (c, c + 1))
+    monkeypatch.undo()
+    inv = g.inverse()
+    full = []
+    for i in range(1, n * k + 1):
+        img = g * gen(g.form, i) * inv
+        full.append({m.bit_length() - 1: x for m, x in img.coeffs.items()})
+    assert res.member and res.degree == 0 and list(res.images) == full
 
 
 def test_member_without_a_scalar_norm_is_a_failed_check(monkeypatch):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from spinbott.lambda_bott import (LambdaVector, LineExpr,
                                   corrected_bott, line_to_lambda,
                                   parse_line_expr, serre_sqrt, sphere_formula,
                                   sum_of_powers, trivial_lambda_vector)
-from spinbott.rings import TruncatedPoly
+from spinbott.lambda_bott import SerreSqrt, _eval_at_minus_zeta
+from spinbott.rings import Cyclotomic, TruncatedPoly
 
 L1, L2, L3 = (LineExpr.symbol(i) for i in (1, 2, 3))
 
@@ -252,6 +254,29 @@ def test_serre_sqrt_squares_to_bott(k, m):
     root = serre_sqrt(v, k)
     assert root.value ** 2 == bott_cyclotomic(v, k)
     assert root.value == Fraction(k) ** m
+
+
+def _self_dual_vectors(m):
+    """Self-dual lambda vectors of rank 2m: lam^j = lam^(2m-j), lam^2m = 1."""
+    for head in ((comb(2 * m, j) for j in range(1, m + 1)), range(-1, m - 1),
+                 (Fraction(j, 2) for j in range(1, m + 1))):
+        head = tuple(head)
+        yield LambdaVector(2 * m, head + head[-2::-1] + (1,))
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_serre_sqrt_folds_the_twist_into_each_evaluation(m):
+    # the twist w^(-mr) rides in each evaluation; the old formula multiplied
+    # by it as a second Cyclotomic product per r (n = 2m, so n(k-1)/4 is whole)
+    for v in _self_dual_vectors(m):
+        assert v.is_self_dual()
+        for k in range(3, 32, 2):
+            old = Cyclotomic.from_const(k, 1)
+            for r in range(1, (k - 1) // 2 + 1):
+                old = old * _eval_at_minus_zeta(v, k, r) * Cyclotomic.zeta(k, -m * r)
+            if m * (k - 1) // 2 % 2:
+                old = -old
+            assert serre_sqrt(v, k) == SerreSqrt(old.descend(), False)
 
 
 def test_serre_sqrt_line_hyperbolic():
