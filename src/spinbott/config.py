@@ -2,8 +2,9 @@
 
 Every cap guards an exponential blow-up (2^n blades, (dim E)^k tensors,
 2^r truncated-polynomial terms, degree-phi(k) cyclotomic vectors, k-term
-Bott factors).  The caps in force live in one context-local scope, in the
-manner of ``decimal.localcontext``: everything computed inside
+Bott factors and the line expansions they multiply out to).  The caps in
+force live in one context-local scope, in the manner of
+``decimal.localcontext``: everything computed inside
 ``with caps_scope(Caps(max_k=64)):`` -- constructors and all the
 arithmetic that builds new values -- is checked against those caps, and
 leaving the block restores the caps that held before it.
@@ -36,6 +37,8 @@ class Caps:
     max_tensor: int = _cap(4096, "tensor dimension cap")
     max_vars: int = _cap(8, "truncated variable cap")
     max_k: int = _cap(32, "cyclotomic order and Bott order cap")
+    max_output_mb: int = _cap(256, "cap on the estimated size of a Bott line "
+                              "expansion, in MB, checked before it is built")
 
 
 DEFAULT_CAPS = Caps()

@@ -24,7 +24,7 @@ from operator import add as _add
 
 from .config import FailedCheckError, check_cap
 from .rings import (Cyclotomic, NotAUnitError, RingElement, TruncatedPoly,
-                    _exact, _parse_terms)
+                    _exact, _parse_terms, _product_mod_phi)
 
 
 class NotEffectiveError(ValueError):
@@ -41,6 +41,30 @@ def _strip(exps) -> tuple:
     while exps and exps[-1] == 0:
         exps.pop()
     return tuple(exps)
+
+
+def _line_product(left: dict, right: dict) -> dict:
+    """The product of two ``{exponent tuple: coeff}`` dicts with stripped
+    keys, the one product loop of ``LineExpr``.
+
+    Keys are stripped, so the longer key's tail is copied as it is and only
+    a sum of two keys of equal length can end in a cancelled 0.
+    """
+    right = [(e2, len(e2), c2) for e2, c2 in right.items()]
+    coeffs: dict = {}
+    get = coeffs.get
+    for e1, c1 in left.items():
+        n1 = len(e1)
+        for e2, n2, c2 in right:
+            e = tuple(map(_add, e1, e2))
+            if n1 > n2:
+                e += e1[n2:]
+            elif n1 < n2:
+                e += e2[n1:]
+            elif e and not e[-1]:
+                e = _strip(e)
+            coeffs[e] = get(e, 0) + c1 * c2
+    return coeffs
 
 
 class LineExpr(RingElement):
@@ -84,23 +108,7 @@ class LineExpr(RingElement):
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
-        # Keys are stripped, so the longer key's tail is copied as it is and
-        # only a sum of two keys of equal length can end in a cancelled 0.
-        right = [(e2, len(e2), c2) for e2, c2 in o.coeffs.items()]
-        coeffs: dict = {}
-        get = coeffs.get
-        for e1, c1 in self.coeffs.items():
-            n1 = len(e1)
-            for e2, n2, c2 in right:
-                e = tuple(map(_add, e1, e2))
-                if n1 > n2:
-                    e += e1[n2:]
-                elif n1 < n2:
-                    e += e2[n1:]
-                elif e and not e[-1]:
-                    e = _strip(e)
-                coeffs[e] = get(e, 0) + c1 * c2
-        return self._trusted(coeffs)
+        return self._trusted(_line_product(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -210,19 +218,68 @@ def adams_newton(v: LambdaVector, k: int):
 
 # -- Bott classes -------------------------------------------------------------
 
+def _geometric_power(k: int, m: int) -> list:
+    """The coefficients a_0..a_(m(k-1)) of (1 + t + ... + t^(k-1))^m.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7): a_0 = 1
+    and j a_j = sum_(i=1..min(k-1, j)) ((m+1) i - j) a_(j-i), the division
+    exact.  The sum is (m+1) s1 - j s0 over the window s0 = sum a_(j-i),
+    s1 = sum i a_(j-i), i = 1..k-1, which slides in O(1) per step.
+    """
+    a = [1]
+    s0 = s1 = 0
+    for j in range(1, m * (k - 1) + 1):
+        enter, leave = a[j - 1], a[j - k] if j >= k else 0
+        s1 += s0 + enter - k * leave
+        s0 += enter - leave
+        a.append(((m + 1) * s1 - j * s0) // j)
+    return a
+
+
+def _check_line_budget(monos, k: int) -> None:
+    """Refuse a line expansion whose estimated size exceeds max_output_mb.
+
+    It has at most T = prod (mult (k-1) + 1) monomials over the nontrivial
+    line monomials, and each coefficient at most B = ceil(sum mult log2 k)
+    bits, so it takes about T (B/8 + 100) bytes, 100 bytes being a dict
+    entry with its key tuple.  log2 k is rounded up at 10 binary places,
+    in integers: ceil(2^10 log2 k) is the bit length of k^(2^10) - 1.
+    """
+    terms, total = 1, 0
+    for exps, mult in monos:
+        total += mult
+        if exps:
+            terms *= mult * (k - 1) + 1
+    bits = -(-total * (k ** 1024 - 1).bit_length() >> 10)
+    check_cap("max_output_mb", -(-terms * (bits + 800) // 8_000_000),
+              "estimated line expansion (MB)")
+
+
 def bott_lines(x: LineExpr, k: int) -> LineExpr:
-    """Multiplicative class with value 1 + M + ... + M^(k-1) on each line monomial."""
+    """Multiplicative class with value 1 + M + ... + M^(k-1) on each line monomial.
+
+    Each monomial M of multiplicity m contributes (1 + M + ... + M^(k-1))^m,
+    whose coefficients come from Miller's power recurrence (Knuth, TAOCP
+    vol. 2, 4.7; see ``_geometric_power``) at the keys t * exps; the trivial
+    monomial contributes the constant k^m.  The factors multiply as plain
+    dicts and one LineExpr is built at the end.  An expansion estimated
+    above the max_output_mb cap is refused before any product.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     check_cap("max_k", k, "Bott order")
-    out = LineExpr.scalar(1)
-    for exps, mult in x.monomials():
-        # the factor's keys are t * exps, t < k; on the trivial line all k
-        # of them are (), so its factor is the constant k
-        factor = (LineExpr({tuple(t * e for e in exps): 1 for t in range(k)}) if exps
-                  else LineExpr.scalar(k))
-        out = out * factor ** mult
-    return out
+    monos = x.monomials()
+    _check_line_budget(monos, k)
+    out = {(): 1}
+    for exps, mult in monos:
+        if not exps:
+            scale = k ** mult
+            out = {e: c * scale for e, c in out.items()}
+            continue
+        factor = {(tuple(t * e for e in exps) if t else ()): a
+                  for t, a in enumerate(_geometric_power(k, mult))}
+        out = _line_product(out, factor)
+    return LineExpr.scalar(1)._trusted(out)
 
 
 def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
@@ -263,15 +320,29 @@ def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
     return result
 
 
-def _eval_at_minus_zeta(v: LambdaVector, k: int, r: int, shift: int = 0):
-    """G(-z^r) z^shift = sum_j lam^j (-1)^j w^(rj + shift), with ring coefficients."""
+def _eval_at_minus_zeta(v: LambdaVector, k: int, r: int, shift: int = 0) -> dict:
+    """G(-z^r) z^shift = sum_j lam^j (-1)^j w^(rj + shift), as a
+    ``{power mod k: coeff}`` dict with ring coefficients."""
     coeffs = {shift % k: 1}
     for j in range(1, v.rank + 1):
         val = v.lam(j)
         if val:
             p = (r * j + shift) % k
             coeffs[p] = coeffs.get(p, 0) + (val if j % 2 == 0 else -val)
-    return Cyclotomic(k, coeffs)
+    return {p: _exact(c) for p, c in coeffs.items() if c}
+
+
+def _product_at_minus_zeta(v: LambdaVector, k: int, rs, shift: int = 0) -> Cyclotomic:
+    """The product over r in rs of G(-z^r) z^(shift r), one factor at a time
+    through the Cyclotomic product loop, as one Cyclotomic.  The lambda
+    values pass through ``_exact`` once, so integral Fractions are summed
+    into the factors as ints."""
+    check_cap("max_k", k, "cyclotomic order")
+    v = LambdaVector(v.rank, tuple(map(_exact, v.lams)))
+    prod = {0: 1}
+    for r in rs:
+        prod = _product_mod_phi(k, prod, _eval_at_minus_zeta(v, k, r, shift * r))
+    return Cyclotomic(k, prod)
 
 
 def bott_cyclotomic(v: LambdaVector, k: int):
@@ -282,10 +353,7 @@ def bott_cyclotomic(v: LambdaVector, k: int):
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    prod = Cyclotomic.from_const(k, 1)
-    for r in range(1, k):
-        prod = prod * _eval_at_minus_zeta(v, k, r)
-    return prod.descend()
+    return _product_at_minus_zeta(v, k, range(1, k)).descend()
 
 
 @dataclass(frozen=True)
@@ -313,9 +381,7 @@ def serre_sqrt(v: LambdaVector, k: int) -> SerreSqrt:
         raise ValueError("rank must be even")
     if not v.is_self_dual():
         raise ValueError("lambda vector is not self-dual")
-    prod = Cyclotomic.from_const(k, 1)
-    for r in range(1, (k - 1) // 2 + 1):
-        prod = prod * _eval_at_minus_zeta(v, k, r, -n * r // 2)
+    prod = _product_at_minus_zeta(v, k, range(1, (k - 1) // 2 + 1), -n // 2)
     ambiguous = (n * (k - 1)) % 4 != 0
     if not ambiguous and (n * (k - 1) // 4) % 2 == 1:
         prod = -prod

@@ -266,6 +266,21 @@ def _reduce_mod_phi(order: int, coeffs: dict) -> dict:
     return {p: c if type(c) is int else _exact(c) for p, c in folded.items() if c}
 
 
+def _product_mod_phi(order: int, left: dict, right: dict) -> dict:
+    """The product of two ``{power: coeff}`` dicts reduced mod Phi_k, the
+    one product loop of ``Cyclotomic``.  The powers of either may run to
+    any nonnegative int: each product is summed at its power mod k, so at
+    most k partial sums are alive before the reduction."""
+    coeffs: dict = {}
+    for i, a in left.items():
+        for j, b in right.items():
+            c = a * b
+            p = (i + j) % order
+            acc = coeffs.get(p)
+            coeffs[p] = c if acc is None else acc + c
+    return _reduce_mod_phi(order, coeffs)
+
+
 class Cyclotomic(RingElement):
     """An element of Omega_k (x) R, reduced mod Phi_k: a sparse map power ->
     coefficient with every power below phi(k)."""
@@ -304,13 +319,7 @@ class Cyclotomic(RingElement):
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
-        coeffs: dict = {}
-        for i, a in self.coeffs.items():
-            for j, b in o.coeffs.items():
-                c = a * b
-                acc = coeffs.get(i + j)
-                coeffs[i + j] = c if acc is None else acc + c
-        return self._trusted(_reduce_mod_phi(self.order, coeffs))
+        return self._trusted(_product_mod_phi(self.order, self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 

@@ -331,6 +331,7 @@ def test_raised_caps_hold_through_the_whole_command(capsys, argv, key, value):
     ["--max-dim", "4", "spin-lift", "--form", "1,-1", "--copies", "3"],
     ["--max-dim", "2", "clifford-check", "--form", "1,-1,1", "--element", "e1"],
     ["--max-tensor", "8", "adams-module", "--m", "1", "--k", "4"],
+    ["--max-output-mb", "0", "bott", "--expr", "L1", "--k", "3"],
 ])
 def test_lowered_caps_refuse(capsys, argv):
     assert main(argv) == 2
@@ -395,12 +396,34 @@ def test_clifford_check_reads_generators_in_any_order(capsys):
     assert payload == {"member": False, "reason": "zero is not invertible"}
 
 
-def _cli_process(argv, stdout=subprocess.PIPE):
+def _cli_process(argv, stdout=subprocess.PIPE, timeout=120):
     """The CLI in a fresh interpreter with buffered stdout, its stderr captured."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-m", "spinbott.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, timeout=120)
+                          stderr=subprocess.PIPE, env=env, timeout=timeout)
+
+
+# an answer is pinned by the sha256 of its JSON (the four-line one is that
+# of the product by repeated squaring, and the coefficients of 1000*L1 are
+# those of (1 + t + ... + t^31)^1000 by repeated convolution); a refusal
+# by its estimate in MB
+@pytest.mark.parametrize("expr, k, code, pin", [
+    ("L1+L2+L3+L4", 32, 0, "ca8935460e467c54a8949f9b67b4f9080a93c86f8a70749a6bbc0f80e5a84702"),
+    ("1000*L1", 32, 0, "3c00ec8b9fffccebe5210e14c66b6edfde4832c0e36db07907b062d345fec8e3"),
+    ("L1+L2+L3+L4+L5+L6+L7+L8", 8, 2, "1729"),
+    ("100000*L1", 3, 2, "3985"),
+], ids=["four-lines-k32", "1000L1-k32", "eight-lines-k8", "100000L1-k3"])
+def test_line_expansions_answer_or_refuse_within_seconds(expr, k, code, pin):
+    # the answers are estimated at 108 and 23 MB; the refusals once died of
+    # a MemoryError and stalled
+    proc = _cli_process(["bott", "--expr", expr, "--k", str(k)], timeout=60)
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stderr == b"" and hashlib.sha256(proc.stdout).hexdigest() == pin
+    else:
+        assert proc.stdout == b"" and proc.stderr.decode().splitlines() == [
+            f"error: estimated line expansion (MB) {pin} exceeds cap max_output_mb=256"]
 
 
 def _into_closed_pipe(argv):

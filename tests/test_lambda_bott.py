@@ -14,7 +14,10 @@ from spinbott.lambda_bott import (LambdaVector, LineExpr,
                                   corrected_bott, line_to_lambda,
                                   parse_line_expr, serre_sqrt, sphere_formula,
                                   sum_of_powers, trivial_lambda_vector)
-from spinbott.lambda_bott import SerreSqrt, _eval_at_minus_zeta
+from spinbott import lambda_bott
+from spinbott.config import CapExceededError, Caps, caps_scope
+from spinbott.lambda_bott import (SerreSqrt, _check_line_budget, _eval_at_minus_zeta,
+                                  _geometric_power)
 from spinbott.rings import Cyclotomic, TruncatedPoly
 
 L1, L2, L3 = (LineExpr.symbol(i) for i in (1, 2, 3))
@@ -209,11 +212,51 @@ def _geometric(m, k):
 
 
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=3), st.integers(1, 7),
-       st.integers(1, 2))
+       st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
 def test_bott_lines_factor_is_geometric_sum(exps, k, mult):
     m = LineExpr.monomial(exps)
     assert bott_lines(LineExpr.monomial(exps, mult), k) == _geometric(m, k) ** mult
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_geometric_power_is_repeated_convolution(k):
+    # Miller's recurrence against (1 + t + ... + t^(k-1))^m multiplied out
+    power = [1]
+    for m in range(7):
+        got = _geometric_power(k, m)
+        assert got == power
+        assert sum(got) == k ** m and got == got[::-1]
+        nxt = [0] * (len(power) + k - 1)
+        for i, c in enumerate(power):
+            for t in range(k):
+                nxt[i + t] += c
+        power = nxt
+
+
+def test_bott_lines_refuses_an_expansion_over_budget_before_any_product(monkeypatch):
+    def no_product(*_):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(lambda_bott, "_line_product", no_product)
+    # the last is the constant 10^10, whose Bott class is the one coefficient 2^(10^10)
+    for text, k in (("L1+L2+L3+L4+L5+L6+L7+L8", 8), ("100000*L1", 3), ("10000000000", 2)):
+        with pytest.raises(CapExceededError, match="max_output_mb=256"):
+            bott_lines(parse_line_expr(text), k)
+    with caps_scope(Caps(max_output_mb=0)), pytest.raises(CapExceededError):
+        bott_lines(parse_line_expr("100*L1"), 32)
+
+
+@pytest.mark.parametrize("text, k, mb", [
+    ("L1+L2+L3+L4", 32, 108), ("1000*L1", 32, 23),
+    ("L1+L2+L3+L4+L5+L6+L7+L8", 8, 1729), ("100000*L1", 3, 3985),
+])
+def test_line_budget_estimates_the_sizing_points(text, k, mb):
+    # T (B/8 + 100) bytes, rounded up to MB, is just above a cap of mb - 1
+    with caps_scope(Caps(max_output_mb=mb - 1)), pytest.raises(CapExceededError):
+        _check_line_budget(parse_line_expr(text).monomials(), k)
+    with caps_scope(Caps(max_output_mb=mb)):
+        _check_line_budget(parse_line_expr(text).monomials(), k)
 
 
 # units of Q[x1..x3]/(xi^2) with positive constant terms, so every
@@ -235,7 +278,7 @@ def test_bott_virtual_factor_is_geometric_sum(exps, k):
     assert bott_virtual(-x, k, nvars=3, images=_UNITS) * factor == 1
 
 
-@given(effective_exprs(max_monomials=2), st.sampled_from([2, 3, 5]))
+@given(effective_exprs(max_monomials=2), st.sampled_from([2, 3, 4, 5, 6, 9, 12]))
 @settings(max_examples=30, deadline=None)
 def test_bott_cyclotomic_matches_lines(x, k):
     assert bott_cyclotomic(line_to_lambda(x), k) == bott_lines(x, k)
@@ -273,7 +316,8 @@ def test_serre_sqrt_folds_the_twist_into_each_evaluation(m):
         for k in range(3, 32, 2):
             old = Cyclotomic.from_const(k, 1)
             for r in range(1, (k - 1) // 2 + 1):
-                old = old * _eval_at_minus_zeta(v, k, r) * Cyclotomic.zeta(k, -m * r)
+                old = (old * Cyclotomic(k, _eval_at_minus_zeta(v, k, r))
+                       * Cyclotomic.zeta(k, -m * r))
             if m * (k - 1) // 2 % 2:
                 old = -old
             assert serre_sqrt(v, k) == SerreSqrt(old.descend(), False)
