@@ -272,12 +272,9 @@ def bott_lines(x: LineExpr, k: int) -> LineExpr:
     _check_line_budget(monos, k)
     out = {(): 1}
     for exps, mult in monos:
-        if not exps:
-            scale = k ** mult
-            out = {e: c * scale for e, c in out.items()}
-            continue
-        factor = {(tuple(t * e for e in exps) if t else ()): a
-                  for t, a in enumerate(_geometric_power(k, mult))}
+        factor = ({(tuple(t * e for e in exps) if t else ()): a
+                   for t, a in enumerate(_geometric_power(k, mult))} if exps
+                  else {(): k ** mult})
         out = _line_product(out, factor)
     return LineExpr.scalar(1)._trusted(out)
 
