@@ -44,13 +44,12 @@ REFERENCE = "sum(i * i for i in range(3_000_000))"
 
 # (group, timeout in s, command) for the inputs that neither finish nor
 # refuse, for those refused over a size cap that once stalled, and for the
-# slow ones that do finish, as the ROADMAP lists them.  A stall runs far
-# longer than its timeout (the big prime factor is hours of trial
-# division), and a slow input's timeout is about three times its longest
-# recorded run (the cyclotomic L1+L2+L3 at k = 32: 34.7 s), so no run ends
-# near it.
+# slow ones that do finish, as the ROADMAP lists them.  A slow input's
+# timeout is about three times its longest recorded run (the cyclotomic
+# L1+L2+L3 at k = 32: 34.7 s), so no run ends near it.
 SLOW_INPUTS = [
-    ("stall", 30, "qf 1,100000000000000000039"),
+    ("refused", 30, "qf 1,100000000000000000039"),
+    ("refused", 30, "bott --expr 15000*L1 --k 2"),
     ("refused", 30, "bott --expr 100000*L1 --k 3"),
     ("refused", 30, "bott --expr L1+L2+L3+L4+L5+L6+L7+L8 --k 8"),
     ("slow", 120, "bott --expr L1+L2+L3 --k 32 --mode cyclotomic"),

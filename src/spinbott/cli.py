@@ -2,19 +2,27 @@
 
 All machine output is JSON (exact values as strings); human-readable
 summaries derive from it.  Exit codes: 0 all good, 1 verification
-failure, 2 usage or parse error or an exceeded size cap.  The four cap
-flags hold for everything the command computes.
+failure, 2 usage or parse error or an exceeded size cap.  The cap flags
+hold for everything the command computes.
+
+The grammar is argparse's, read in one pass over one table (``COMMANDS``):
+cap flags come before the command; ``--name value`` and ``--name=value``
+both work, and after the command so does a unique prefix of a flag; ``--``
+ends the flags; a token that starts with ``-`` is a value only when it is a
+negative number or holds a space; a repeated flag keeps its last value; and
+``-h``/``--help`` prints the usage of spinbott, or of the command it follows.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
+from collections import namedtuple
 from dataclasses import asdict, fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .clifford import clifford_group_test, parse_element, spin_lift
 from .config import Caps, FailedCheckError, caps_scope
@@ -142,67 +150,181 @@ def cmd_verify(args):
     return report.to_json(), 0 if report.all_pass else 1
 
 
-@functools.cache  # built on the first call, once per process
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spinbott",
-        description="Exact Clifford-algebra, quadratic-form and Bott-class checks.",
-        allow_abbrev=False)
-    for cap in fields(Caps):
-        parser.add_argument("--" + cap.name.replace("_", "-"), type=int,
-                            default=cap.default, help=cap.metadata["help"])
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- the command table and the one pass over argv -----------------------------
 
-    p = sub.add_parser("qf", help="invariants of a diagonal quadratic form")
-    p.add_argument("diag", help="comma-separated rationals, e.g. 1,-1,2/3")
-    p.add_argument("--prime-bound", type=int, default=50)
-    p.add_argument("--primes", nargs="*", help="report Hasse symbols at these places")
-    p.set_defaults(func=cmd_qf)
+# A flag is a bare value (shape "positional") or the option --name, which
+# takes one value ("value", or "choice" of choices), the values up to the next
+# option ("list") or none ("switch", which sets True); type is int or str.
+Flag = namedtuple("Flag", "name shape type default required help choices",
+                  defaults=("value", str, None, False, "", ()))
+Command = namedtuple("Command", "func help flags")
+CAP_FLAGS = tuple(Flag(cap.name, type=int, default=cap.default, help=cap.metadata["help"])
+                  for cap in fields(Caps))
+HELP = Flag("help", "switch", help="print this help and exit")
+OUT = Flag("out", help="write the JSON to this file instead of stdout")
+COMMANDS = {
+    "qf": Command(cmd_qf, "invariants of a diagonal quadratic form", (
+        Flag("diag", "positional", required=True,
+             help="comma-separated rationals, e.g. 1,-1,2/3"),
+        Flag("prime_bound", type=int, default=50),
+        Flag("primes", "list", help="report Hasse symbols at these places"))),
+    "bott": Command(cmd_bott, "Bott classes of line expressions", (
+        Flag("expr", help="line expression, e.g. 'L1 + 2*L2^-1'"),
+        Flag("k", type=int, required=True),
+        Flag("mode", "choice", default="lines", choices=("lines", "cyclotomic", "sphere")),
+        Flag("r", type=int, help="sphere parameter (mode=sphere)"))),
+    "serre-sqrt": Command(cmd_serre_sqrt, "square root of the Bott class", (
+        Flag("lams", required=True, help="lambda vector, e.g. '2,1'"),
+        Flag("k", type=int, required=True))),
+    "clifford-check": Command(cmd_clifford_check, "Clifford group membership", (
+        Flag("form", required=True), Flag("element", required=True, help="e.g. '1 + 2*e1e2'"))),
+    "spin-lift": Command(cmd_spin_lift, "lift adjacent swaps to even square-one elements", (
+        Flag("form", required=True), Flag("copies", type=int, required=True))),
+    "adams-module": Command(cmd_adams_module, "module-level Adams operations and Bott class", (
+        Flag("m", type=int, required=True), Flag("k", type=int, required=True))),
+    "verify": Command(cmd_verify, "run a verification suite", (
+        Flag("suite", "choice", default="all", choices=("all",) + SUITES),
+        Flag("seed", type=int, default=0),
+        Flag("timings", "switch", default=False,
+             help="include wall-clock time (report no longer byte-reproducible)"))),
+}
+_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")  # a dash token argparse reads as a value
 
-    p = sub.add_parser("bott", help="Bott classes of line expressions")
-    p.add_argument("--expr", help="line expression, e.g. 'L1 + 2*L2^-1'")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=("lines", "cyclotomic", "sphere"), default="lines")
-    p.add_argument("--r", type=int, help="sphere parameter (mode=sphere)")
-    p.set_defaults(func=cmd_bott)
 
-    p = sub.add_parser("serre-sqrt", help="square root of the Bott class")
-    p.add_argument("--lams", required=True, help="lambda vector, e.g. '2,1'")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_serre_sqrt)
+def _option(flag: Flag) -> str:
+    return "--" + flag.name.replace("_", "-")
 
-    p = sub.add_parser("clifford-check", help="Clifford group membership")
-    p.add_argument("--form", required=True)
-    p.add_argument("--element", required=True, help="e.g. '1 + 2*e1e2'")
-    p.set_defaults(func=cmd_clifford_check)
 
-    p = sub.add_parser("spin-lift", help="lift adjacent swaps to even square-one elements")
-    p.add_argument("--form", required=True)
-    p.add_argument("--copies", type=int, required=True)
-    p.set_defaults(func=cmd_spin_lift)
+def _shown(flag: Flag) -> str:
+    option, meta = _option(flag), flag.name.upper()
+    return {"positional": meta, "switch": option, "list": f"{option} [{meta} ...]",
+            "choice": f"{option} {{{','.join(flag.choices)}}}"}.get(flag.shape, f"{option} {meta}")
 
-    p = sub.add_parser("adams-module", help="module-level Adams operations and Bott class")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_adams_module)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", default="all", choices=("all",) + SUITES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock time (report no longer byte-reproducible)")
-    p.set_defaults(func=cmd_verify)
-    for p in sub.choices.values():
-        p.add_argument("--out")
-    return parser
+def _help(prog: str, about: str, flags: tuple, commands: dict | None) -> str:
+    """The usage text of spinbott and its commands, or of one command."""
+    rows = [("-h, --help", HELP.help)] + [(_shown(f), " ".join(filter(None, [
+        f.help, "(required)" if f.required else None if f.default is None or f.shape ==
+        "switch" else f"(default: {f.default})"]))) for f in flags]
+    rows += [(name, c.help) for name, c in (commands or {}).items()]
+    return (f"usage: {prog} [FLAGS]{' COMMAND [FLAGS]' if commands else ''}\n\n{about}\n\n"
+            + "".join(f"  {a}\n{'':26}{b}\n" if len(a) > 22 else f"  {a:<24}{b}\n"
+                      for a, b in rows))
+
+
+def _read(token: str, options: dict, prefixes: bool):
+    """How argparse reads a token: None for a value, else (flag, the value
+    attached with '=' or None), the flag None for an unknown option."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return options[token], None
+    name, eq, attached = token.partition("=")
+    if eq and name in options:
+        return options[name], attached
+    if token[1] != "-":
+        if token[1] == "h":  # "-hh" repeats -h; any other tail is a value it refuses
+            return HELP, None if token.rstrip("h") == "-" else token[2:]
+    elif prefixes:  # after the command, a unique prefix names a flag
+        hits = [option for option in options if option.startswith(name)]
+        if len(hits) > 1:
+            raise UsageError(f"ambiguous option: {name} could match {', '.join(hits)}")
+        if hits:
+            return options[hits[0]], attached if eq else None
+    return None if _NUMBER.match(token) or " " in token else (None, None)
+
+
+def _pass(tokens: list, flags: tuple, args, prog: str, about: str, commands=None):
+    """Read tokens under flags into args as one argparse parser would, and
+    return the help text if -h/--help comes before any error.  At the top
+    (given the commands) the first value names the command, and the tokens
+    after it are read under that command's flags."""
+    options = {"-h": HELP, "--help": HELP}
+    options.update((_option(f), f) for f in flags if f.shape != "positional")
+    positionals = [f for f in flags if f.shape == "positional"]
+    reads, given, extras, i, n = [], set(), [], 0, len(tokens)
+    ended = False  # after --, every token is a value
+    for token in tokens:  # every token first: a bad prefix fails before any help
+        reads.append(None if ended else "--" if token == "--"
+                     else _read(token, options, commands is None))
+        ended = ended or token == "--"
+    for f in flags:
+        setattr(args, f.name, f.default)
+    while i < n:
+        if reads[i] is None or reads[i] == "--":
+            if commands is not None:
+                if tokens[i] not in commands:
+                    raise UsageError(f"invalid command {tokens[i]!r} "
+                                     f"(choose from {', '.join(commands)})")
+                args.command, args.func = tokens[i], commands[tokens[i]].func
+                shown = _pass(tokens[i + 1:], commands[tokens[i]].flags + (OUT,), args,
+                              f"{prog} {tokens[i]}", commands[tokens[i]].help)
+                if shown is None and extras:
+                    raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+                return shown
+            j = i + (reads[i] == "--")  # a positional takes a value, and a -- around it
+            if positionals and j < n and reads[j] is None:
+                flag = positionals.pop(0)
+                setattr(args, flag.name, tokens[j])
+                given.add(flag.name)
+                i = j + 1 + (j + 1 < n and reads[j + 1] == "--")
+            else:
+                extras.append(tokens[i])
+                i += 1
+            continue
+        flag, value = reads[i]
+        i += 1
+        if flag is None:
+            extras.append(tokens[i - 1])
+            continue
+        if flag.shape == "switch":
+            if value is not None:
+                raise UsageError(f"{_option(flag)} takes no value")
+            if flag is HELP:
+                return _help(prog, about, flags, commands)
+            value = True
+        elif value is not None:
+            value = [value] if flag.shape == "list" else value
+        else:
+            end = next((j for j in range(i, n) if reads[j] is not None), n)  # past the values
+            if flag.shape == "list":
+                value, i = tokens[i:end], end
+            elif end == i:
+                raise UsageError(f"{_option(flag)} expects one value")
+            else:
+                value, i = tokens[i], i + 1
+        try:
+            value = int(value) if flag.type is int else value
+        except ValueError:
+            raise UsageError(f"{_option(flag)}: invalid int value {value!r}") from None
+        if flag.choices and value not in flag.choices:
+            raise UsageError(f"{_option(flag)}: invalid choice {value!r}")
+        setattr(args, flag.name, value)
+        given.add(flag.name)
+    missing = [_shown(f) for f in flags if f.required and f.name not in given]
+    if missing or commands is not None:
+        raise UsageError(f"{prog} needs {', '.join(missing or ['a command'])}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return None
+
+
+def parse_args(argv):
+    """The values the command's handler reads from argv (``command``,
+    ``func``, the caps and the command's flags), or the help text when
+    -h/--help comes before any error.  A usage error raises UsageError."""
+    args = SimpleNamespace()
+    shown = _pass(list(argv), CAP_FLAGS, args, "spinbott",
+                  "Exact Clifford-algebra, quadratic-form and Bott-class checks.", COMMANDS)
+    return args if shown is None else shown
 
 
 def main(argv=None) -> int:
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # --help, or a usage error argparse reported
-            code = 2 if exc.code not in (0, None) else 0
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # -h/--help: the usage text is the output
+            sys.stdout.write(args)
+            code = 0
         else:
             with caps_scope(Caps(**{cap.name: getattr(args, cap.name)
                                     for cap in fields(Caps)})):

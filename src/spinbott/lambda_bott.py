@@ -1,4 +1,4 @@
-"""Lambda-ring engine: Adams operations, Bott classes, and the square root.
+"""Lambda-ring engine: Bott classes and their square root.
 
 K-classes come in two shapes with a one-way conversion between them:
 
@@ -7,8 +7,7 @@ K-classes come in two shapes with a one-way conversion between them:
 * ``LambdaVector`` -- a rank n together with the exterior powers
   (lam^1..lam^n) in some exact coefficient ring.
 
-On these the module computes Adams operations (exponent scaling on lines,
-Newton recursion on lambda vectors), the multiplicative Bott class (line
+On these the module computes the multiplicative Bott class (line
 product form and cyclotomic product form with Galois descent), the square
 root of the Bott class on self-dual even-rank classes, the corrected
 class, and the closed sphere-coefficient formulas checked against the
@@ -18,6 +17,7 @@ truncated-ring evaluation.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add as _add
@@ -183,39 +183,6 @@ def line_to_lambda(x: LineExpr) -> LambdaVector:
     return LambdaVector(len(monos), tuple(elems[1:]))
 
 
-# -- Adams operations ---------------------------------------------------------
-
-def adams_lines(x: LineExpr, k: int) -> LineExpr:
-    """psi^k on line combinations: every monomial exponent scaled by k."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    return LineExpr({_strip(tuple(e * k for e in exps)): c
-                     for exps, c in x.coeffs.items()})
-
-
-def adams_newton(v: LambdaVector, k: int):
-    """psi^k from lam^1..lam^k by the Newton recursion.
-
-    psi^1 = lam^1 and, for k >= 2,
-    psi^k = lam^1 psi^(k-1) - lam^2 psi^(k-2) + ... + (-1)^k lam^(k-1) psi^1
-            + (-1)^(k-1) k lam^k.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    psi: list = [None, v.lam(1)]
-    for i in range(2, k + 1):
-        acc = 0
-        for j in range(1, i):
-            term = v.lam(j)
-            if term and psi[i - j]:
-                acc = acc + (term * psi[i - j] if j % 2 == 1 else -(term * psi[i - j]))
-        top = v.lam(i)
-        if top:
-            acc = acc + (i * top if i % 2 == 1 else -(i * top))
-        psi.append(acc)
-    return psi[k]
-
-
 # -- Bott classes -------------------------------------------------------------
 
 def _geometric_power(k: int, m: int) -> list:
@@ -244,6 +211,11 @@ def _check_line_budget(monos, k: int) -> None:
     bits, so it takes about T (B/8 + 100) bytes, 100 bytes being a dict
     entry with its key tuple.  log2 k is rounded up at 10 binary places,
     in integers: ceil(2^10 log2 k) is the bit length of k^(2^10) - 1.
+
+    It also refuses an expansion that could not be printed: the M = sum mult
+    multiplicities give coefficients summing to k^M over at most T terms,
+    so when k^M // T >= 10^D some coefficient has more than D digits, D
+    being Python's int-to-str limit (no check when it is 0).
     """
     terms, total = 1, 0
     for exps, mult in monos:
@@ -253,6 +225,14 @@ def _check_line_budget(monos, k: int) -> None:
     bits = -(-total * (k ** 1024 - 1).bit_length() >> 10)
     check_cap("max_output_mb", -(-terms * (bits + 800) // 8_000_000),
               "estimated line expansion (MB)")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # k^M < 2^(M bits(k)) <= 2^(3D) < 10^D settles most expansions at once
+    if digits and total * k.bit_length() > 3 * digits:
+        floor = terms * 10 ** digits  # k^M // T >= 10^D exactly when k^M >= T 10^D
+        if total * (k.bit_length() - 1) >= floor.bit_length() or k ** total >= floor:
+            raise ValueError(f"the line expansion has a coefficient above the "
+                             f"{digits}-digit limit for printing an int "
+                             f"(PYTHONINTMAXSTRDIGITS raises it)")
 
 
 def bott_lines(x: LineExpr, k: int) -> LineExpr:

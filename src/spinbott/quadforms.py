@@ -2,15 +2,14 @@
 
 Rank, discriminant square class, Hasse-Witt invariant through Hilbert
 symbols, the orientability criterion with its square-root witness, and
-the standard constructors (hyperbolic, scaling, diagonalization of a
-Gram matrix).
+the standard constructors (hyperbolic, scaling).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .config import FailedCheckError
 from .rings import _exact
@@ -19,7 +18,7 @@ INF = "inf"  # the real place
 
 
 class DegenerateFormError(ValueError):
-    """The form (or scaling factor / Gram matrix) is singular."""
+    """The form (or a scaling factor) is singular."""
 
 
 class InvalidPlaceError(ValueError):
@@ -28,6 +27,10 @@ class InvalidPlaceError(ValueError):
 
 class IncompleteScanError(ValueError):
     """prime_bound misses a prime dividing some diagonal entry."""
+
+
+class UnfactoredError(ValueError):
+    """An entry has a factor that is neither split nor proved prime."""
 
 
 @dataclass(frozen=True)
@@ -76,17 +79,75 @@ def discriminant(q: QuadraticForm) -> Fraction:
 # -- square classes ---------------------------------------------------------
 
 def _factorize(n: int) -> dict:
-    """{prime: exponent} of an integer n >= 1, by trial division."""
+    """{prime: exponent} of an integer n >= 1: trial division below
+    TRIAL_BOUND, then ``_large_factors`` on what is left."""
     out: dict = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < TRIAL_BOUND:
         while n % d == 0:
             n //= d
             out[d] = out.get(d, 0) + 1
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    for p in _large_factors(n) if n > 1 else ():
+        out[p] = out.get(p, 0) + 1
     return out
+
+
+def _large_factors(n: int) -> list:
+    """The prime factors, with multiplicity, of an n > 1 with no factor
+    below TRIAL_BOUND: Miller-Rabin proves a prime below PRIME_PLACE_LIMIT
+    (a probable prime above it is refused), and Brent's rho splits a
+    composite, which is refused when rho runs out of steps."""
+    if n < TRIAL_BOUND ** 2:
+        return [n]
+    if _is_prime(n):
+        if n < PRIME_PLACE_LIMIT:
+            return [n]
+        raise UnfactoredError(f"factor {n} is not below the primality bound "
+                              f"{PRIME_PLACE_LIMIT}")
+    d = _brent_rho(n)
+    if d is None:
+        raise UnfactoredError(f"cannot factor {n}: Brent's rho found no factor "
+                              "within its step budget")
+    return _large_factors(d) + _large_factors(n // d)
+
+
+def _brent_rho(n: int):
+    """A proper factor of the odd composite n, or None when the budget of
+    steps x -> x^2 + c finds none: Brent's variant of Pollard's rho, with
+    the differences multiplied up and a gcd taken once per 128 steps
+    (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+    Algorithm 8.5.2).  The budget is RHO_BUDGET steps up to 128 bits and
+    shrinks as the steps grow dearer above that."""
+    budget = RHO_BUDGET * 128 // max(n.bit_length(), 128)
+    steps = 0
+    for c in range(1, 100):
+        x = y = ys = 2
+        q = g = r = 1
+        while g == 1 and steps < budget:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            steps += 2 * r
+            r *= 2
+        if g == 1:
+            return None
+        if g == n:  # the batch overshot: step through it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+    return None
 
 
 def square_free_part(x) -> int:
@@ -117,63 +178,6 @@ def rational_sqrt(x) -> Fraction:
     return Fraction(isqrt(x.numerator), isqrt(x.denominator))
 
 
-# -- diagonalization --------------------------------------------------------
-
-def diagonalize(gram, want_basis: bool = False):
-    """Diagonal form congruent to a symmetric nonsingular Gram matrix.
-
-    Returns the QuadraticForm, or (form, B) with B^T gram B diagonal when
-    ``want_basis`` is set.
-    """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    if any(len(row) != n for row in a):
-        raise ValueError("Gram matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("Gram matrix must be symmetric")
-
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def add_col(dst, src, f):
-        # basis change e_dst += f * e_src, applied congruently
-        for t in range(n):
-            a[t][dst] += f * a[t][src]
-        for t in range(n):
-            a[dst][t] += f * a[src][t]
-        for t in range(n):
-            basis[t][dst] += f * basis[t][src]
-
-    def swap_col(i, j):
-        for t in range(n):
-            a[t][i], a[t][j] = a[t][j], a[t][i]
-        for t in range(n):
-            a[i][t], a[j][t] = a[j][t], a[i][t]
-        for t in range(n):
-            basis[t][i], basis[t][j] = basis[t][j], basis[t][i]
-
-    for i in range(n):
-        if a[i][i] == 0:
-            j = next((t for t in range(i + 1, n) if a[t][t] != 0), None)
-            if j is not None:
-                swap_col(i, j)
-            else:
-                # all remaining diagonal zero; rows and columns before i are
-                # cleared, so a zero row i here makes the matrix singular
-                j = next((t for t in range(i + 1, n) if a[i][t] != 0), None)
-                if j is None:
-                    raise DegenerateFormError("singular Gram matrix")
-                add_col(i, j, Fraction(1))
-        pivot = a[i][i]
-        for j in range(i + 1, n):
-            if a[i][j]:
-                add_col(j, i, -a[i][j] / pivot)
-
-    form = QuadraticForm(tuple(a[i][i] for i in range(n)))
-    return (form, basis) if want_basis else form
-
-
 # -- Hilbert symbols and Hasse-Witt ------------------------------------------
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -181,6 +185,12 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # this bound (Sorenson and Webster, Math. Comp. 86 (2017)); places at or
 # above it are refused.
 PRIME_PLACE_LIMIT = 3317044064679887385961981
+# Entries are factored by trial division below TRIAL_BOUND, and Brent's rho
+# splits the rest.  It takes about sqrt(p) steps to find a prime factor p,
+# and a composite below PRIME_PLACE_LIMIT has one below 1.9e12, so RHO_BUDGET
+# steps cover them with room to spare.
+TRIAL_BOUND = 1000
+RHO_BUDGET = 1 << 22
 
 
 def _is_prime(p: int) -> bool:

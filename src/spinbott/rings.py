@@ -218,10 +218,6 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def euler_phi(k: int) -> int:
-    return len(cyclotomic_polynomial(k)) - 1
-
-
 def _exact(c):
     """The stored form of a coefficient: an int or a ring element used as a
     coefficient (a Cyclotomic entry may be one) is kept as it is, anything

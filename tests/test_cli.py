@@ -134,9 +134,8 @@ COMMANDS = {
 
 
 def test_every_command_has_a_request():
-    from spinbott.cli import build_parser
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    assert sorted(sub.choices) == sorted(COMMANDS)
+    from spinbott import cli
+    assert sorted(cli.COMMANDS) == sorted(COMMANDS)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -162,17 +161,19 @@ def test_out_file_holds_the_bytes_of_stdout(capsys, tmp_path, command):
 
 def test_every_cap_is_a_flag_with_its_default_and_help(capsys):
     import dataclasses
-    from spinbott.cli import build_parser
+    from spinbott.cli import CAP_FLAGS, parse_args
     from spinbott.config import Caps
-    flags = {a.dest: a for a in build_parser()._actions}
     assert main(["--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
-    for cap in dataclasses.fields(Caps):
-        flag = flags[cap.name]
-        assert flag.option_strings == ["--" + cap.name.replace("_", "-")]
-        assert flag.default == cap.default and flag.type is int
+    caps = dataclasses.fields(Caps)
+    assert [flag.name for flag in CAP_FLAGS] == [cap.name for cap in caps]
+    for cap, flag in zip(caps, CAP_FLAGS):
+        option = "--" + cap.name.replace("_", "-")
+        assert flag.shape == "value" and flag.default == cap.default and flag.type is int
+        assert getattr(parse_args(["qf", "1"]), cap.name) == cap.default
+        assert getattr(parse_args([option, "7", "qf", "1"]), cap.name) == 7
         assert cap.metadata["help"] in help_text
-        assert flag.option_strings[0] in help_text
+        assert option in help_text
 
 
 def test_line_symbol_zero_is_refused(capsys):
@@ -426,6 +427,22 @@ def test_line_expansions_answer_or_refuse_within_seconds(expr, k, code, pin):
             f"error: estimated line expansion (MB) {pin} exceeds cap max_output_mb=256"]
 
 
+def test_a_line_expansion_past_the_int_printing_limit_is_refused_before_any_product(capsys):
+    # 2^15000 / 15001 has more than 4,300 digits, so some coefficient of
+    # (1 + L1)^15000 does: this computed for 1.2 s, then failed to print
+    start = time.perf_counter()
+    assert main(["bott", "--expr", "15000*L1", "--k", "2"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "4300-digit limit" in captured.err
+
+
+def test_a_line_expansion_below_the_int_printing_limit_still_answers(capsys):
+    code, payload = run(capsys, "bott", "--expr", "14000*L1", "--k", "2")
+    assert code == 0 and payload["value"].startswith("1 + 14000*L1 + ")
+
+
 def _into_closed_pipe(argv):
     # the reader is gone before the command writes, as in `spinbott qf 1,1 | true`
     read_end, write_end = os.pipe()
@@ -468,13 +485,13 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     answers.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps([answers, cli.build_parser.cache_info().misses]))
+print(json.dumps([answers, "argparse" in sys.modules]))
 """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(requests)],
                           capture_output=True, env=env, timeout=120, check=True)
-    answers, parsers_built = json.loads(proc.stdout)
-    assert parsers_built == 1
+    answers, argparse_imported = json.loads(proc.stdout)
+    assert not argparse_imported
     assert [code for code, _, _ in answers] == [0, 2, 0, 0]
     for argv, answer in zip(requests, answers):
         fresh = _cli_process(argv)

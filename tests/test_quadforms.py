@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from dense_clifford import det
 from dense_modules import diag, mat_mul, transpose
+from dense_quadforms import diagonalize
 from spinbott.quadforms import (INF, PRIME_PLACE_LIMIT, BWTriple, DegenerateFormError,
                                 IncompleteScanError, InvalidPlaceError, _is_prime,
-                                QuadraticForm, bw_class, diagonalize, discriminant,
+                                QuadraticForm, bw_class, discriminant,
                                 hasse_witt, hilbert_symbol, hyperbolic,
                                 is_orientable, parse_form, scale, square_free_part)
 
@@ -204,6 +206,75 @@ def test_hasse_witt_checks_its_place_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["hasse"] == {str(big): 1}
     assert len(places) == 3 and set(places) == {2, big, INF}
     assert len(primality) <= len(places)
+
+
+def _trial_division(n, divisors):
+    """{prime: exponent} of n > 1 by division by the candidates in
+    increasing order; whatever is left above the last one is a prime."""
+    out = {}
+    for d in divisors:
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
+    return out | ({n: 1} if n > 1 else {})
+
+
+def test_factorize_matches_trial_division():
+    from spinbott.quadforms import _factorize
+    rng = random.Random(3)
+    # below 10^6 no cofactor reaches Brent's rho; above it, up to 10^10, rho
+    # splits the products of primes above the trial bound
+    for n in [rng.randint(2, 10 ** 6) for _ in range(200)] + [
+            rng.randint(10 ** 6, 10 ** 10) for _ in range(60)] + [1009 * 1013, 999983 ** 2]:
+        assert _factorize(n) == _trial_division(n, range(2, math.isqrt(n) + 1))
+
+
+def test_factorize_splits_above_the_primality_bound():
+    # both are above PRIME_PLACE_LIMIT, and trial division below 1000 misses
+    # 1009; trial division answered them, and Brent's rho splits them
+    from spinbott.quadforms import _factorize
+    p, q = 10000019, 1000000000000000003
+    assert _is_prime(p) and _is_prime(q) and 1009 * p * q > PRIME_PLACE_LIMIT
+    assert _factorize(1009 ** 9) == {1009: 9}
+    assert _factorize(1009 * p * q) == {1009: 1, p: 1, q: 1}
+
+
+def test_qf_of_two_primes_near_1e9_is_that_of_trial_division(capsys, monkeypatch):
+    from spinbott import cli, quadforms
+    p, q = 999999937, 1000000007
+    assert _is_prime(p) and _is_prime(q)
+    argv = ["qf", "--prime-bound", str(q), f"3,{p * q},-{2 * p}"]
+    assert cli.main(argv) == 0
+    answer = capsys.readouterr().out
+    monkeypatch.setattr(quadforms, "_factorize",
+                        lambda n: _trial_division(n, [*range(2, 1000), p, q]))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == answer
+    assert json.loads(answer)["disc"] == -6 * q
+
+
+def test_qf_entry_with_a_prime_factor_near_1e20_answers_or_refuses_in_seconds(capsys):
+    from spinbott import cli
+    big = 100000000000000000039  # prime; trial division stalled on it
+    start = time.perf_counter()
+    assert cli.main(["qf", f"1,{big}"]) == 2
+    assert capsys.readouterr().err == f"error: prime_bound 50 misses primes [{big}]\n"
+    assert cli.main(["qf", "--prime-bound", str(big), f"1,{big}"]) == 0
+    assert json.loads(capsys.readouterr().out)["disc"] == big
+    assert time.perf_counter() - start < 10
+
+
+def test_qf_entry_with_an_unprovable_factor_is_refused(capsys):
+    from spinbott import cli
+    start = time.perf_counter()
+    # a probable prime at or above the primality bound cannot be placed
+    assert cli.main(["qf", f"1,{2 ** 89 - 1}"]) == 2
+    assert "not below the primality bound" in capsys.readouterr().err
+    # two 25-digit primes: rho needs about 10^12 steps to split them
+    p, q = 2 ** 89 - 1, 10 ** 25 + 13
+    assert cli.main(["qf", f"1,{p * q}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot factor {p * q}")
+    assert time.perf_counter() - start < 30
 
 
 def test_bw_class_examples():

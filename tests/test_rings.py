@@ -16,8 +16,14 @@ from spinbott.linalg import SparseOp
 from spinbott.quadforms import QuadraticForm
 from spinbott.rings import (Cyclotomic, DescentError, GaloisActionError,
                             NotAUnitError, RingElement, RingMismatchError, TruncatedPoly,
-                            _exact, cyclotomic_polynomial, euler_phi, parse_cyclotomic,
+                            _exact, cyclotomic_polynomial, parse_cyclotomic,
                             parse_truncated)
+
+
+def euler_phi(k: int) -> int:
+    """phi(k), the degree of the k-th cyclotomic polynomial."""
+    return len(cyclotomic_polynomial(k)) - 1
+
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 orders = st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
