@@ -194,21 +194,18 @@ def opposite_module(module: GradedModule) -> GradedModule:
 
 # -- tensor powers with the sign-twisted symmetric-group action ---------------
 
-@dataclass
+@dataclass(frozen=True)
 class TensorPower:
-    """E^(x)k with diagonal Clifford generators and graded transpositions.
+    """E^(x)k as a graded space with the sign-twisted S_k action.
 
     Basis vectors are numbered in base d = dim E, slot 0 the leading digit;
-    the copies, swaps and class representatives are signed permutations
-    built from the digits, and each diagonal generator sums its k copies.
+    the swaps and class representatives are signed permutations built from
+    the digits.  The diagonal Clifford action is ``diagonal_generators``.
     """
 
     base: GradedModule
     k: int
     gradings: tuple        # gradings[m][h]: degree of basis vector h of E^(x)m, m = 0..k
-    copy_gens: tuple       # copy_gens[j][a]: generator j acting on slot a
-    diag_gens: tuple       # Delta(e_j) = sum over copies
-    adjacents: tuple = ()  # graded swap of slots (c, c+1), c = 0..k-2
 
     @property
     def grading(self) -> list:
@@ -236,43 +233,77 @@ class TensorPower:
             sign = [x * y for x in sign for _, y in run]
         return SparseOp.monomial(perm, sign)
 
-    def check(self) -> None:
-        """Raise PresentationError unless the twisted-action identities hold.
 
-        The graded swaps square to one, satisfy the braid relation, commute
-        at distance, and conjugate the copies as they permute slots, so they
-        commute with each diagonal generator (the sum of its copies) and
-        carry any two slots to slots 0 and 1.  The copies there satisfy the
-        Clifford relations, so all copies do, and the diagonal generators
-        square to k q_j and anticommute.
-        """
-        k, swaps = self.k, self.adjacents
-        ident = SparseOp.identity(self.dim)
-        if any(s.compose(s) != ident for s in swaps):
-            raise PresentationError("graded swap does not square to one")
-        for c in range(k - 2):
-            a, b = swaps[c], swaps[c + 1]
-            if a.compose(b).compose(a) != b.compose(a).compose(b):
-                raise PresentationError("graded swaps fail the braid relation")
-        for c1 in range(k - 1):
-            for c2 in range(c1 + 2, k - 1):
-                if swaps[c1].compose(swaps[c2]) != swaps[c2].compose(swaps[c1]):
-                    raise PresentationError("distant graded swaps do not commute")
-        for c, s in enumerate(swaps):
-            for copies in self.copy_gens:
-                for a, copy in enumerate(copies):
-                    moved = copies[c + 1 if a == c else c if a == c + 1 else a]
-                    if s.compose(copy) != moved.compose(s):
-                        raise PresentationError(
-                            "swaps do not commute with the diagonal action")
-        slots = min(k, 2)
-        failure = _relation_failure([cs[a] for a in range(slots) for cs in self.copy_gens],
-                                    self.base.form.diag * slots, self.dim)
-        if failure:
-            raise PresentationError(f"copy {failure}")
-        if any(delta != _sum_of_copies(copies, self.dim)
-               for delta, copies in zip(self.diag_gens, self.copy_gens)):
-            raise PresentationError("a diagonal generator is not the sum of its copies")
+def tensor_power(module: GradedModule, k: int) -> TensorPower:
+    """E^(x)k: the gradings of E^(x)0 .. E^(x)k, under the max_tensor cap."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    check_cap("max_tensor", module.dim ** k, "tensor dimension")
+    gradings = [[0]]
+    for _ in range(k):
+        gradings.append([p ^ x for p in gradings[-1] for x in module.grading])
+    return TensorPower(module, k, tuple(gradings))
+
+
+def diagonal_generators(tp: TensorPower) -> tuple:
+    """Delta_j, the sum over slots a of the copy of g_j on slot a, which acts
+    on digit a signed by the degree of the slots before it; the copies and
+    the adjacent swaps pass ``_check_action`` first."""
+    d, k, dim = tp.base.dim, tp.k, tp.dim
+
+    def copies(a):
+        w = d ** (k - 1 - a)
+        digits = [i // w % d for i in range(dim)]
+        flips = [tp.gradings[a][i // (w * d)] for i in range(dim)]
+        for gen in tp.base.gens:
+            if gen.perm is None:
+                yield SparseOp({i + (r - x) * w: -y if f else y
+                                for r, y in gen.cols[x].items()}
+                               for i, (x, f) in enumerate(zip(digits, flips)))
+            else:
+                p, s = gen.perm, gen.sign
+                yield SparseOp.monomial([i + (p[x] - x) * w for i, x in enumerate(digits)],
+                                        [-s[x] if f else s[x] for x, f in zip(digits, flips)])
+
+    copy_gens = tuple(zip(*(tuple(copies(a)) for a in range(k))))
+    swaps = tuple(tp.cycles((1,) * c + (2,) + (1,) * (k - c - 2)) for c in range(k - 1))
+    _check_action(tp, swaps, copy_gens)
+    return tuple(_sum_of_copies(cs, dim) for cs in copy_gens)
+
+
+def _check_action(tp: TensorPower, swaps, copy_gens) -> None:
+    """Raise PresentationError unless the twisted-action identities hold.
+
+    The graded swaps square to one, satisfy the braid relation, commute at
+    distance, and conjugate the copies (``copy_gens[j][a]``: g_j on slot a)
+    as they permute slots, so they commute with each diagonal generator (the
+    sum of its copies) and carry any two slots to slots 0 and 1.  The copies
+    there satisfy the Clifford relations, so all copies do, and the diagonal
+    generators square to k q_j and anticommute.
+    """
+    k = tp.k
+    ident = SparseOp.identity(tp.dim)
+    if any(s.compose(s) != ident for s in swaps):
+        raise PresentationError("graded swap does not square to one")
+    for c in range(k - 2):
+        a, b = swaps[c], swaps[c + 1]
+        if a.compose(b).compose(a) != b.compose(a).compose(b):
+            raise PresentationError("graded swaps fail the braid relation")
+    for c1 in range(k - 1):
+        for c2 in range(c1 + 2, k - 1):
+            if swaps[c1].compose(swaps[c2]) != swaps[c2].compose(swaps[c1]):
+                raise PresentationError("distant graded swaps do not commute")
+    for c, s in enumerate(swaps):
+        for copies in copy_gens:
+            for a, copy in enumerate(copies):
+                moved = copies[c + 1 if a == c else c if a == c + 1 else a]
+                if s.compose(copy) != moved.compose(s):
+                    raise PresentationError("swaps do not commute with the diagonal action")
+    slots = min(k, 2)
+    failure = _relation_failure([cs[a] for a in range(slots) for cs in copy_gens],
+                                tp.base.form.diag * slots, tp.dim)
+    if failure:
+        raise PresentationError(f"copy {failure}")
 
 
 def _sum_of_copies(copies, dim: int) -> SparseOp:
@@ -287,43 +318,6 @@ def _sum_of_copies(copies, dim: int) -> SparseOp:
                 raise PresentationError("two copies of a generator share an entry")
             cols[c][r] = x
     return SparseOp(cols)
-
-
-def tensor_power(module: GradedModule, k: int) -> TensorPower:
-    """Build E^(x)k and verify the twisted-action identities exactly.
-
-    The copy of generator j on slot a acts on digit a, signed by the degree
-    of the slots before it.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    d = module.dim
-    dim = d ** k
-    check_cap("max_tensor", dim, "tensor dimension")
-    gradings = [[0]]
-    for _ in range(k):
-        gradings.append([p ^ x for p in gradings[-1] for x in module.grading])
-
-    def copies(a):
-        w = d ** (k - 1 - a)
-        digits = [i // w % d for i in range(dim)]
-        flips = [gradings[a][i // (w * d)] for i in range(dim)]
-        for gen in module.gens:
-            if gen.perm is None:
-                yield SparseOp({i + (r - x) * w: -y if f else y
-                                for r, y in gen.cols[x].items()}
-                               for i, (x, f) in enumerate(zip(digits, flips)))
-            else:
-                p, s = gen.perm, gen.sign
-                yield SparseOp.monomial([i + (p[x] - x) * w for i, x in enumerate(digits)],
-                                        [-s[x] if f else s[x] for x, f in zip(digits, flips)])
-
-    copy_gens = tuple(zip(*(tuple(copies(a)) for a in range(k))))
-    diag_gens = tuple(_sum_of_copies(cs, dim) for cs in copy_gens)
-    tp = TensorPower(module, k, tuple(gradings), copy_gens, diag_gens)
-    tp.adjacents = tuple(tp.cycles((1,) * c + (2,) + (1,) * (k - c - 2)) for c in range(k - 1))
-    tp.check()
-    return tp
 
 
 # -- symmetric-group characters (Murnaghan-Nakayama) ---------------------------
@@ -591,7 +585,7 @@ def hermitian_bott_of(module: GradedModule, k: int) -> Fraction:
     if not is_end_iso(twist):
         raise PresentationError("twisted structure map is not bijective")
     reps, isotypic = isotypic_projectors(tp)
-    product, s = volume_product(twist.form, tp.diag_gens, tp.dim)
+    product, s = volume_product(twist.form, diagonal_generators(tp), tp.dim)
     traces = _block_traces(reps, tp.grading)
     vol_traces = _block_traces(reps, tp.grading, product)
     fact = math.factorial(k)

@@ -7,9 +7,10 @@ the standard constructors (hyperbolic, scaling).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .config import FailedCheckError
 from .rings import _exact
@@ -332,20 +333,23 @@ def bw_class(q: QuadraticForm, prime_bound: int) -> BWTriple:
     ``prime_bound`` must cover (checked): at any other prime the entries
     are units and every (a_i, a_j)_p is 1 (Serre, A Course in Arithmetic,
     III Thm. 1).  The count of -1 places is checked even (reciprocity).
+    The disc class is the discriminant's sign times its odd-exponent primes.
     """
-    support = set()
+    exponents = Counter()
     for a in q.diag:
-        support.update(_factorize(abs(a.numerator)), _factorize(a.denominator))
-    missing = [p for p in support if p > prime_bound]
+        exponents.update(_factorize(abs(a.numerator)))
+        exponents.update(_factorize(a.denominator))
+    missing = [p for p in exponents if p > prime_bound]
     if missing:
         raise IncompleteScanError(
             f"prime_bound {prime_bound} misses primes {sorted(missing)}")
-    minus = [p for p in sorted(support | {2}) if hasse_witt(q, p) == -1]
+    minus = [p for p in sorted({2, *exponents}) if hasse_witt(q, p) == -1]
     if hasse_witt(q, INF) == -1:
         minus.append(INF)
     if len(minus) % 2:
         raise FailedCheckError(f"Hasse-Witt is -1 at an odd number of places {minus}")
-    return BWTriple(q.rank % 2, square_free_part(discriminant(q)), tuple(minus))
+    disc = prod(p for p, e in exponents.items() if e % 2)
+    return BWTriple(q.rank % 2, -disc if discriminant(q) < 0 else disc, tuple(minus))
 
 
 # -- orientation -------------------------------------------------------------

@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -146,23 +147,43 @@ def test_derived_modules_match_the_entrywise_constructions(base):
         assert twist_rep(opp, k) == _twist_by_entries(opp, k)
 
 
+def _action(tp):
+    """(swaps, copy_gens, deltas) of ``diagonal_generators(tp)``: the adjacent
+    swaps and copies as ``_check_action`` received them, and the Delta_j."""
+    seen = []
+    check = modules._check_action
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modules, "_check_action", lambda *args: seen.append(args) or check(*args))
+        deltas = modules.diagonal_generators(tp)
+    ((_, swaps, copy_gens),) = seen
+    return swaps, copy_gens, deltas
+
+
+def test_tensor_power_holds_only_its_gradings():
+    tp = tensor_power(spinor_rep(1), 2)
+    assert [f.name for f in dataclasses.fields(tp)] == ["base", "k", "gradings"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tp.k = 3
+
+
 def test_tensor_power_invariants():
     m1 = spinor_rep(1)
     tp = tensor_power(m1, 2)
     assert tp.dim == 4
-    swap = to_dense(tp.adjacents[0])
+    swaps, _, deltas = _action(tp)
+    swap = to_dense(swaps[0])
     assert mat_mul(swap, swap) == identity(4)
     # graded swap fixes 00, exchanges 01/10, negates 11
     assert swap[3][3] == -1 and swap[0][0] == 1
     for j, q in enumerate(m1.form.diag):
-        gen = to_dense(tp.diag_gens[j])
+        gen = to_dense(deltas[j])
         sq = mat_mul(gen, gen)
         assert sq == mat_scale(identity(4), 2 * q)
 
 
 def test_tensor_power_braid():
     tp = tensor_power(spinor_rep(1), 3)
-    s1, s2 = (to_dense(s) for s in tp.adjacents)
+    s1, s2 = (to_dense(s) for s in _action(tp)[0])
     lhs = mat_mul(mat_mul(s1, s2), s1)
     rhs = mat_mul(mat_mul(s2, s1), s2)
     assert lhs == rhs
@@ -270,7 +291,8 @@ def test_morita_examples():
     twist = twist_rep(m1, 2)
     cases = [(m1.grading, *volume_product(m1.form, m1.gens, m1.dim), m1, 1),
              (double.grading, *volume_product(double.form, double.gens, double.dim), m1, 2),
-             (tp.grading, *volume_product(twist.form, tp.diag_gens, tp.dim), twist, 0)]
+             (tp.grading, *volume_product(twist.form, modules.diagonal_generators(tp), tp.dim),
+              twist, 0)]
     for grading, product, s, presentation, expected in cases:
         assert all(type(x) is int for _, _, x in product.entries())
         assert _virtual_rank(grading, product, s, presentation) == expected
@@ -364,15 +386,16 @@ def test_class_words_realize_their_cycle_types(k):
 def test_sparse_operator_matches_dense_products():
     tp = tensor_power(spinor_rep(1), 3)
     dense = dense_modules.tensor_power(spinor_rep(1), 3)
-    for sparse_gen, dense_gen in zip(tp.diag_gens, dense.diag_gens):
+    swaps, copy_gens, deltas = _action(tp)
+    for sparse_gen, dense_gen in zip(deltas, dense.diag_gens):
         assert to_dense(sparse_gen) == dense_gen
     assert to_dense(tp.cycles((3,))) == dense.cycle_matrix()
-    product, s = volume_product(scale(tp.base.form, 3), tp.diag_gens, tp.dim)
+    product, s = volume_product(scale(tp.base.form, 3), deltas, tp.dim)
     assert all(type(x) is int for _, _, x in product.entries())
     assert mat_scale(to_dense(product), s) == dense.u_matrix()
-    a, b = tp.diag_gens
+    a, b = deltas
     assert to_dense(a.compose(b)) == mat_mul(to_dense(a), to_dense(b))
-    assert to_dense(a) == functools.reduce(mat_add, map(to_dense, tp.copy_gens[0]))
+    assert to_dense(a) == functools.reduce(mat_add, map(to_dense, copy_gens[0]))
     assert from_dense(to_dense(a)) == a
     assert to_dense(a.scale(Fraction(3, 2))) == mat_scale(to_dense(a), Fraction(3, 2))
     cyc, u = tp.cycles((3,)), product
@@ -380,7 +403,7 @@ def test_sparse_operator_matches_dense_products():
     y = from_dense([[Fraction(5), Fraction(0)], [Fraction(7), Fraction(8)]])
     assert x.trace([True, False], y) == 19 and x.trace([False, True], y) == Fraction(-8, 3)
     for left, right in ((a, cyc), (cyc, b), (cyc, cyc), (cyc, u),
-                        (tp.adjacents[0], cyc.compose(a))):
+                        (swaps[0], cyc.compose(a))):
         prod = mat_mul(to_dense(left), to_dense(right))
         for block in (0, 1):
             keep = [g == block for g in tp.grading]
@@ -427,9 +450,10 @@ def test_class_representatives_and_cycle_powers_match_the_dense_matrices(m, k, o
     dense = dense_modules.tensor_power(module, k)
     for mu in partitions(k):
         assert to_dense(tp.cycles(mu)) == dense.perm_matrix(dense_modules.class_word(mu))
-    for j, (copies, dense_gen) in enumerate(zip(tp.copy_gens, dense.diag_gens)):
+    _, copy_gens, deltas = _action(tp)
+    for j, (copies, dense_gen) in enumerate(zip(copy_gens, dense.diag_gens)):
         assert [to_dense(c) for c in copies] == [dense.copy_gens[a][j] for a in range(k)]
-        assert to_dense(tp.diag_gens[j]) == dense_gen
+        assert to_dense(deltas[j]) == dense_gen
     t_pows, _ = modules.cycle_eigen_projectors(tp)
     power = identity(tp.dim)
     for op in t_pows:
@@ -447,33 +471,35 @@ def _flip_sign(op, column):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_a_flipped_sign_in_one_swap_is_caught(k):
     tp = tensor_power(spinor_rep(1), k)
-    for c, swap in enumerate(tp.adjacents):
+    swaps, copy_gens, _ = _action(tp)
+    for c, swap in enumerate(swaps):
         # a column the swap moves, and one it fixes (two equal factors)
         for column in (next(j for j, r in enumerate(swap.perm) if r != j), 0):
-            flipped = tp.adjacents[:c] + (_flip_sign(swap, column),) + tp.adjacents[c + 1:]
-            bad = dataclasses.replace(tp, adjacents=flipped)
+            flipped = swaps[:c] + (_flip_sign(swap, column),) + swaps[c + 1:]
             with pytest.raises(PresentationError):
-                bad.check()
+                modules._check_action(tp, flipped, copy_gens)
 
 
 @pytest.mark.parametrize("m, k", [(1, 2), (1, 3), (2, 2)])
-def test_one_wrong_diagonal_entry_is_caught(m, k):
+def test_one_wrong_copy_entry_is_caught(m, k):
     tp = tensor_power(spinor_rep(m), k)
-    tp.check()
-    for j, delta in enumerate(tp.diag_gens):
-        for change in ("negate", "drop", "add"):
-            cols = [dict(col) for col in delta.cols]
-            row, x = next(iter(cols[1].items()))
-            if change == "negate":
-                cols[1][row] = -x
-            elif change == "drop":
-                del cols[1][row]
-            else:
-                cols[1][1] = 1  # Delta never maps a basis vector to itself
-            bad = dataclasses.replace(tp, diag_gens=tp.diag_gens[:j] + (SparseOp(cols),)
-                                      + tp.diag_gens[j + 1:])
-            with pytest.raises(PresentationError, match="sum of its copies"):
-                bad.check()
+    swaps, copy_gens, _ = _action(tp)
+    modules._check_action(tp, swaps, copy_gens)
+    for j, copies in enumerate(copy_gens):
+        for a, copy in enumerate(copies):
+            for change in ("negate", "drop", "add"):
+                cols = [dict(col) for col in copy.cols]
+                row, x = next(iter(cols[1].items()))
+                if change == "negate":
+                    cols[1][row] = -x
+                elif change == "drop":
+                    del cols[1][row]
+                else:
+                    cols[1][1] = 1  # a copy never maps a basis vector to itself
+                bad = copies[:a] + (SparseOp(cols),) + copies[a + 1:]
+                with pytest.raises(PresentationError, match="swaps do not commute"):
+                    modules._check_action(tp, swaps,
+                                          copy_gens[:j] + (bad,) + copy_gens[j + 1:])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
@@ -493,7 +519,7 @@ def test_tensor_power_of_a_module_with_general_generators():
     assert any(g.perm is None for g in module.gens)
     tp = tensor_power(module, 2)
     dense = dense_modules.tensor_power(module, 2)
-    assert [to_dense(g) for g in tp.diag_gens] == list(dense.diag_gens)
+    assert [to_dense(g) for g in modules.diagonal_generators(tp)] == list(dense.diag_gens)
     assert hermitian_bott_of(module, 2) == 4
     assert adams_bar(module, 2) == adams_bar(base, 2)
     assert adams_character(module, 3) == adams_character(base, 3)
@@ -509,20 +535,34 @@ def test_copies_that_commute_across_slots_are_caught():
         before = [-1 if tp.gradings[a][i // d ** (tp.k - a)] else 1 for i in range(dim)]
         return SparseOp.monomial(list(range(dim)), before).compose(copy)
 
-    copies = tuple(tuple(unsigned(c, a) for a, c in enumerate(cs)) for cs in tp.copy_gens)
-    swaps = tuple(SparseOp.monomial(list(s.perm), [1] * dim) for s in tp.adjacents)
-    diag = tuple(modules._sum_of_copies(cs, dim) for cs in copies)
-    bad = dataclasses.replace(tp, copy_gens=copies, diag_gens=diag, adjacents=swaps)
+    swaps, copy_gens, _ = _action(tp)
+    copies = tuple(tuple(unsigned(c, a) for a, c in enumerate(cs)) for cs in copy_gens)
+    ungraded = tuple(SparseOp.monomial(list(s.perm), [1] * dim) for s in swaps)
     with pytest.raises(PresentationError, match="copy generators .* do not anticommute"):
-        bad.check()
+        modules._check_action(tp, ungraded, copies)
 
 
 def test_copies_that_share_an_entry_are_refused():
     tp = tensor_power(spinor_rep(1), 2)
-    copies = tp.copy_gens[0]
+    _, copy_gens, deltas = _action(tp)
+    copies = copy_gens[0]
     with pytest.raises(PresentationError, match="share an entry"):
         modules._sum_of_copies((copies[0], copies[1], copies[0]), tp.dim)
-    assert modules._sum_of_copies(copies, tp.dim) == tp.diag_gens[0]
+    assert modules._sum_of_copies(copies, tp.dim) == deltas[0]
+
+
+@pytest.mark.parametrize("m, k", [(1, 2), (1, 3), (2, 2)])
+def test_one_report_builds_and_checks_the_diagonal_action_once(monkeypatch, m, k):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(modules, name)
+        return lambda *args: calls.update([name]) or real(*args)
+
+    for name in ("diagonal_generators", "_check_action", "_sum_of_copies"):
+        monkeypatch.setattr(modules, name, counted(name))
+    adams_module_report(m, k)
+    assert calls == {"diagonal_generators": 1, "_check_action": 1, "_sum_of_copies": 2 * m}
 
 
 # -- closed-form cycle traces: an oracle at every tensor dim up to 1024 ---------

@@ -321,6 +321,26 @@ def test_bw_class_checks_the_product_formula(monkeypatch):
         bw_class(QuadraticForm((-1, -1)), 10)
 
 
+def test_bw_class_disc_matches_the_square_free_part_of_the_discriminant():
+    # the disc class comes from the entries' own factorizations
+    rng = random.Random(24)
+    for _ in range(3000):
+        q = QuadraticForm(tuple(Fraction(rng.choice([-1, 1]) * rng.randint(1, 500),
+                                         rng.randint(1, 60))
+                                for _ in range(rng.randint(1, 5))))
+        assert bw_class(q, 500).disc_class == square_free_part(discriminant(q)), q
+
+
+def test_qf_of_a_squared_prime_near_1e20_answers_without_factoring_the_square(capsys):
+    # rho cannot split the square of the prime in the discriminant
+    from spinbott import cli
+    big = 100000000000000000039
+    start = time.perf_counter()
+    assert cli.main(["qf", "--prime-bound", str(big), f"{big},{big}"]) == 0
+    assert json.loads(capsys.readouterr().out)["disc"] == 1
+    assert time.perf_counter() - start < 10
+
+
 def test_orientability():
     for m in (1, 2, 3):
         ok, s = is_orientable(hyperbolic(m))
