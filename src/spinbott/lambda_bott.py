@@ -20,7 +20,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add as _add
 
 from .config import FailedCheckError, check_cap
 from .rings import (Cyclotomic, NotAUnitError, RingElement, TruncatedPoly,
@@ -36,48 +35,154 @@ class FormulaMismatchError(FailedCheckError):
     """The two sphere-computation paths disagree."""
 
 
-def _strip(exps) -> tuple:
-    exps = list(exps)
-    while exps and exps[-1] == 0:
-        exps.pop()
-    return tuple(exps)
+class ExponentRangeError(ValueError):
+    """A line exponent of magnitude 2^70 or more: the packed key has no room
+    for it."""
+
+
+# A monomial L1^e1 ... Ln^en is stored as the one int key sum e_i 2^(72(i-1)),
+# its exponents being signed digits of 72 bits: a zero exponent adds nothing,
+# so 0 is the constant monomial and trailing zeros vanish, and the product of
+# two monomials is the sum of their keys.  Every stored exponent is below 2^70
+# in magnitude, so a sum of two stays inside half a digit and never carries
+# into its neighbour.  CPython hashes an int mod 2^61 - 1, where 2^72 is 2^11,
+# so a key hashes as sum e_i 2^(11(i-1)): distinct for |e_i| < 2^10 over up to
+# five symbols, where a digit of 64 bits (2^64 being 8) would collide.
+_BITS = 72
+_BYTES = _BITS // 8
+_LIMIT = 1 << 70
+_HALF = 1 << 71
+_PAIRED_TERMS = 1 << 16
+
+
+def _digits(n: int, value: int) -> int:
+    """``value`` in each of the n digits of a key."""
+    return int.from_bytes(value.to_bytes(_BYTES, "little") * n, "little")
+
+
+def _out_of_range(e: int) -> ExponentRangeError:
+    return ExponentRangeError(f"line exponent {e} is not below 2^70 in magnitude")
+
+
+def _pack(exps) -> int:
+    """The key of an exponent sequence, through bytes: one digit per exponent."""
+    n = len(exps)
+    raw = bytearray(_BYTES * n)
+    try:
+        raw[::_BYTES] = exps  # bytes, or every exponent in 0..255
+        return int.from_bytes(raw, "little")
+    except ValueError:
+        pass
+    for e in exps:
+        if not -_LIMIT < e < _LIMIT:
+            raise _out_of_range(e)
+    raw = b"".join((e + _HALF).to_bytes(_BYTES, "little") for e in exps)
+    return int.from_bytes(raw, "little") - _digits(n, _HALF)
+
+
+def _exponent_bytes(key: int):
+    """The exponents of a key as bytes when every one is in 0..255, else None.
+
+    Such a key's digits are the low bytes of its 9-byte digits, every other
+    byte being zero; the bytes sort as the exponent tuples do.
+    """
+    if key < 0:
+        return None
+    raw = key.to_bytes(_BYTES * (-(-key.bit_length() // _BITS)), "little")
+    low = raw[::_BYTES]
+    return low if raw.count(0) - low.count(0) == len(raw) - len(low) else None
+
+
+def _unpack(key: int) -> tuple:
+    """The exponent tuple of a key, with no trailing zeros, through bytes."""
+    low = _exponent_bytes(key)
+    return tuple(low) if low is not None else _signed_exponents(key)
+
+
+def _signed_exponents(key: int) -> tuple:
+    """The exponent tuple of any key, read digit by digit after a bias of
+    2^71 per digit has made every digit nonnegative.
+
+    A key of n symbols has |key| between 2^(72(n-1)-1) and 2^(72(n-1)+71),
+    so its bit length names n, and a key below 2^71 in magnitude is the
+    exponent of L1.
+    """
+    if -_HALF < key < _HALF:
+        return (key,) if key else ()
+    n = abs(key).bit_length() // _BITS + 1
+    raw = (key + _digits(n, _HALF)).to_bytes(_BYTES * n, "little")
+    return tuple([int.from_bytes(raw[i:i + _BYTES], "little") - _HALF
+                  for i in range(0, len(raw), _BYTES)])
+
+
+def _largest_exponent(key: int) -> int:
+    """The largest |exponent| of a key.  Exponents that are bytes are read
+    without their zeros, so a key of millions of symbols but few factors
+    is read at once."""
+    low = _exponent_bytes(key)
+    if low is None:
+        return max(map(abs, _signed_exponents(key)))
+    return max(low.translate(None, b"\0"), default=0)
+
+
+def _within(keys, bit: int) -> bool:
+    """Whether every exponent e of every key (each below 2^71 in magnitude)
+    has -2^bit <= e < 2^bit: one add and one AND per key.
+
+    A digit e of key + 2^bit per digit is e + 2^bit, which is in range
+    exactly when no bit from 2^(bit+1) up is set in its digit (an e below
+    the range borrows and sets the top bit of its digit).
+    """
+    top = max(max(keys, default=0), -min(keys, default=0))
+    n = top.bit_length() // _BITS + 1
+    low, high = _digits(n, 1 << bit), _digits(n, (1 << _BITS) - (2 << bit))
+    for key in keys:
+        if (key + low) & high:
+            return False
+    return True
+
+
+def _check_exponents(keys) -> None:
+    """Raise ExponentRangeError unless every exponent of every key is below
+    2^70 in magnitude: e and -e both in [-2^70, 2^70)."""
+    keys = list(keys)
+    if not (_within(keys, 70) and _within([-key for key in keys], 70)):
+        e = max((e for key in keys for e in _unpack(key)), key=abs)
+        raise _out_of_range(e)
 
 
 def _line_product(left: dict, right: dict) -> dict:
-    """The product of two ``{exponent tuple: coeff}`` dicts with stripped
-    keys, the one product loop of ``LineExpr``.
+    """The product of two ``{key: coeff}`` dicts, the one product loop of
+    ``LineExpr``: the key of a product of monomials is the sum of theirs.
 
-    Keys are stripped, so the longer key's tail is copied as it is and only
-    a sum of two keys of equal length can end in a cancelled 0.
+    The callers keep every exponent of the operands below 2^70 in
+    magnitude, so no digit of a sum carries.
     """
-    right = [(e2, len(e2), c2) for e2, c2 in right.items()]
+    right = right.items()
     coeffs: dict = {}
     get = coeffs.get
     for e1, c1 in left.items():
-        n1 = len(e1)
-        for e2, n2, c2 in right:
-            e = tuple(map(_add, e1, e2))
-            if n1 > n2:
-                e += e1[n2:]
-            elif n1 < n2:
-                e += e2[n1:]
-            elif e and not e[-1]:
-                e = _strip(e)
+        for e2, c2 in right:
+            e = e1 + e2
             coeffs[e] = get(e, 0) + c1 * c2
     return coeffs
 
 
 class LineExpr(RingElement):
-    """Linear combination of Laurent monomials in line symbols L1, L2, ..."""
+    """Linear combination of Laurent monomials in line symbols L1, L2, ...
+
+    The constructor, ``monomial`` and ``coefficient`` take exponent tuples;
+    ``coeffs`` is keyed by the packed int of each monomial (see ``_pack``).
+    """
 
     __slots__ = ("coeffs",)
     _ONE = ()
 
     def __init__(self, coeffs=None):
-        # keys equal after stripping name one monomial: their coefficients add
+        # tuples equal after stripping name one key: their coefficients add
         clean = {}
         for exps, c in (coeffs or {}).items():
-            key = _strip(exps)
+            key = _pack(exps)
             clean[key] = clean.get(key, 0) + (c if type(c) is int else Fraction(c))
         object.__setattr__(self, "coeffs", {e: c if type(c) is int else _exact(c)
                                             for e, c in clean.items() if c})
@@ -91,7 +196,7 @@ class LineExpr(RingElement):
         """L_i, 1-based."""
         if i < 1:
             raise ValueError("line symbols are 1-based")
-        return cls({(0,) * (i - 1) + (1,): 1})
+        return cls.scalar(1)._trusted({1 << _BITS * (i - 1): 1})
 
     @classmethod
     def monomial(cls, exps, c=1) -> "LineExpr":
@@ -108,26 +213,62 @@ class LineExpr(RingElement):
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
-        return self._trusted(_line_product(self.coeffs, o.coeffs))
+        coeffs = _line_product(self.coeffs, o.coeffs)
+        # operands below 2^68 leave the product below 2^69; else check it
+        if not _within([*self.coeffs, *o.coeffs], 68):
+            _check_exponents(coeffs)
+        return self._trusted(coeffs)
 
     __rmul__ = __mul__
 
+    def coefficient(self, monomial):
+        return super().coefficient(_pack(monomial))
+
     @property
     def nsymbols(self) -> int:
-        return max((len(e) for e in self.coeffs), default=0)
+        top = max(map(abs, self.coeffs), default=0)
+        return top and top.bit_length() // _BITS + 1
 
     def is_effective(self) -> bool:
         return all(c > 0 and c.denominator == 1 for c in self.coeffs.values())
 
-    def monomials(self):
-        """(exponent tuple, multiplicity) pairs; effective input only."""
+    def _multiplicities(self) -> list:
+        """(key, multiplicity) pairs; effective input only."""
         if not self.is_effective():
             raise NotEffectiveError("expression has negative or fractional coefficients")
-        return [(e, int(c)) for e, c in sorted(self.coeffs.items())]
+        return [(key, int(c)) for key, c in self.coeffs.items()]
+
+    def monomials(self):
+        """(exponent tuple, multiplicity) pairs in tuple order; effective input only."""
+        return sorted((_unpack(key), mult) for key, mult in self._multiplicities())
+
+    def _terms(self):
+        """Each term's exponents, decoded once, with its coefficient, in
+        tuple order: as bytes when every exponent of the expression is in
+        0..255, which sort as the tuples would in under half their memory,
+        and as tuples otherwise.  Up to _PAIRED_TERMS terms are sorted as
+        (exponents, coefficient) pairs; past that each coefficient is looked
+        up by packing the exponents again, which saves a pair per term (56
+        bytes, a quarter of the peak of a million-term expansion)."""
+        coeffs = self.coeffs
+        if max(map(abs, coeffs), default=0) < _HALF:  # L1 alone: a key is its exponent
+            keys = sorted(filter(None, coeffs))
+            if 0 in coeffs:
+                keys.insert(0, 0)  # the constant's () sorts first
+            return (((key,), coeffs[key]) for key in keys)
+        keys = None
+        if min(coeffs) >= 0:  # a negative key has a negative exponent
+            keys = list(map(_exponent_bytes, coeffs))
+        if keys is None or None in keys:
+            keys = list(map(_signed_exponents, coeffs))
+        if len(keys) <= _PAIRED_TERMS:
+            return sorted(zip(keys, coeffs.values()))
+        keys.sort()
+        return ((exps, coeffs[_pack(exps)]) for exps in keys)
 
     def _var(self, exps):
-        return "*".join(f"L{i}" if e == 1 else f"L{i}^{e}"
-                        for i, e in enumerate(exps, start=1) if e)
+        return "*".join([f"L{i}" if e == 1 else f"L{i}^{e}"
+                         for i, e in enumerate(exps, start=1) if e])
 
 
 @dataclass(frozen=True)
@@ -170,11 +311,11 @@ def trivial_lambda_vector(n: int) -> LambdaVector:
 def line_to_lambda(x: LineExpr) -> LambdaVector:
     """Elementary-symmetric expansion of an effective sum of line monomials."""
     monos = []
-    for exps, mult in x.monomials():
-        monos.extend([exps] * mult)
+    for key, mult in x._multiplicities():
+        monos.extend([key] * mult)
     elems = [LineExpr.scalar(1)]
-    for exps in monos:  # multiply out prod (1 + t M)
-        m = LineExpr.monomial(exps)
+    for key in monos:  # multiply out prod (1 + t M)
+        m = LineExpr.scalar(1)._trusted({key: 1})
         nxt = [elems[0]]
         for j in range(1, len(elems) + 1):
             prev = elems[j] if j < len(elems) else LineExpr.scalar(0)
@@ -209,7 +350,7 @@ def _check_line_budget(monos, k: int) -> None:
     It has at most T = prod (mult (k-1) + 1) monomials over the nontrivial
     line monomials, and each coefficient at most B = ceil(sum mult log2 k)
     bits, so it takes about T (B/8 + 100) bytes, 100 bytes being a dict
-    entry with its key tuple.  log2 k is rounded up at 10 binary places,
+    entry with its key.  log2 k is rounded up at 10 binary places,
     in integers: ceil(2^10 log2 k) is the bit length of k^(2^10) - 1.
 
     It also refuses an expansion that could not be printed: the M = sum mult
@@ -218,9 +359,9 @@ def _check_line_budget(monos, k: int) -> None:
     being Python's int-to-str limit (no check when it is 0).
     """
     terms, total = 1, 0
-    for exps, mult in monos:
+    for key, mult in monos:
         total += mult
-        if exps:
+        if key:
             terms *= mult * (k - 1) + 1
     bits = -(-total * (k ** 1024 - 1).bit_length() >> 10)
     check_cap("max_output_mb", -(-terms * (bits + 800) // 8_000_000),
@@ -240,23 +381,31 @@ def bott_lines(x: LineExpr, k: int) -> LineExpr:
 
     Each monomial M of multiplicity m contributes (1 + M + ... + M^(k-1))^m,
     whose coefficients come from Miller's power recurrence (Knuth, TAOCP
-    vol. 2, 4.7; see ``_geometric_power``) at the keys t * exps; the trivial
+    vol. 2, 4.7; see ``_geometric_power``) at the keys t * key; the trivial
     monomial contributes the constant k^m.  The factors multiply as plain
     dicts and one LineExpr is built at the end.  An expansion estimated
-    above the max_output_mb cap is refused before any product.
+    above the max_output_mb cap, or whose exponents could reach 2^70 (the
+    sum of m (k-1) max|e| over the monomials), is refused before any
+    product.
     """
     if k < 1:
         raise ValueError("k must be positive")
     check_cap("max_k", k, "Bott order")
-    monos = x.monomials()
+    monos = x._multiplicities()
     _check_line_budget(monos, k)
-    out = {(): 1}
-    for exps, mult in monos:
-        factor = ({(tuple(t * e for e in exps) if t else ()): a
-                   for t, a in enumerate(_geometric_power(k, mult))} if exps
-                  else {(): k ** mult})
-        out = _line_product(out, factor)
-    return LineExpr.scalar(1)._trusted(out)
+    reach = sum(mult * _largest_exponent(key) for key, mult in monos)
+    if (k - 1) * reach >= _LIMIT:
+        raise ExponentRangeError(f"the Bott class of order {k} could reach a line exponent "
+                                 f"of {(k - 1) * reach}, not below 2^70 in magnitude")
+    out = None
+    for key, mult in monos:
+        # the first power of the key is the key itself, so a key of millions
+        # of symbols is held once
+        factor = ({key if t == 1 else t * key: a
+                   for t, a in enumerate(_geometric_power(k, mult))} if key
+                  else {0: k ** mult})
+        out = factor if out is None else _line_product(out, factor)
+    return LineExpr.scalar(1)._trusted(out or {0: 1})
 
 
 def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
@@ -274,9 +423,9 @@ def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
         images = {i: TruncatedPoly.const(r, 1) + TruncatedPoly.var(r, i)
                   for i in range(1, r + 1)}
 
-    def image_of(exps) -> TruncatedPoly:
+    def image_of(key) -> TruncatedPoly:
         out = TruncatedPoly.const(r, 1)
-        for i, e in enumerate(exps, start=1):
+        for i, e in enumerate(_unpack(key), start=1):
             if e:
                 if i not in images:
                     raise ValueError(f"no image for line symbol L{i}")
@@ -284,10 +433,10 @@ def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
         return out
 
     result = TruncatedPoly.const(r, 1)
-    for exps, c in sorted(x.coeffs.items()):
+    for key, c in x.coeffs.items():
         if c.denominator != 1:
             raise NotEffectiveError("virtual evaluation needs integer multiplicities")
-        m = image_of(exps)
+        m = image_of(key)
         if not m.is_unit():
             raise NotAUnitError("a line symbol maps to a non-unit of the ambient ring")
         factor = TruncatedPoly.const(r, 1)
@@ -410,14 +559,27 @@ def sphere_formula(r: int, k: int) -> Fraction:
 _LINE_RE = re.compile(r"L(\d+)(?:\^(-?\d+))?")
 
 
-def _read_line(exps, coeff, sym):
+def _read_line(factors, coeff, sym):
     i = int(sym[1])
     if i < 1:
         raise ValueError("line symbols are 1-based")
-    exps = list(exps) + [0] * (i - len(exps))
-    exps[i - 1] += int(sym[2] or 1)
-    return _strip(exps), coeff
+    return factors + ((i, int(sym[2] or 1)),), coeff
 
 
 def parse_line_expr(s: str) -> LineExpr:
-    return LineExpr(_parse_terms(s, _LINE_RE, _read_line, ()))
+    """A LineExpr from its text.  A term's factors are read as (symbol,
+    exponent) pairs, and its key is packed directly as the sum of
+    e 2^(72(i-1)) over its symbols, with no dense exponent tuple."""
+    coeffs: dict = {}
+    for factors, c in _parse_terms(s, _LINE_RE, _read_line, ()).items():
+        exps: dict = {}
+        for i, e in factors:
+            exps[i] = exps.get(i, 0) + e
+        key = 0
+        for i, e in exps.items():
+            if not -_LIMIT < e < _LIMIT:
+                raise _out_of_range(e)
+            digit = e << _BITS * (i - 1)
+            key = key + digit if key else digit  # no copy of a lone digit
+        coeffs[key] = coeffs.get(key, 0) + c
+    return LineExpr.scalar(1)._trusted(coeffs)

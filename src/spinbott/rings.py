@@ -63,14 +63,15 @@ class RingElement:
     order, a variable count, a form), ``_new`` (an element of the same
     ring from coefficients), its own ``__mul__``/``__rmul__`` and ``_var``
     (the text of a monomial, '' for the constants).  The printed text is
-    written once here, its terms sorted by ``_order`` (by monomial when
-    None); a repr shows ``_repr_ring`` before that text.  Ints and
-    Fractions coerce to constants; an operand from another ring raises the
-    subclass's ``_mismatch`` error.  Values are immutable.  Arithmetic on
-    elements of one ring builds its result with ``_trusted``, which skips
-    the checking constructor.  A dict coefficient may itself be a ring
-    element (a ``Cyclotomic`` over ``LineExpr``): the constants stay plain
-    ints, so no ring needs to carry the zero of its coefficients.
+    written once here from ``_terms``, the (monomial, coefficient) terms
+    sorted by the key ``_order`` (by monomial when None); a repr shows
+    ``_repr_ring`` before that text.
+    Ints and Fractions coerce to constants; an operand from another ring
+    raises the subclass's ``_mismatch`` error.  Values are immutable.
+    Arithmetic on elements of one ring builds its result with ``_trusted``,
+    which skips the checking constructor.  A dict coefficient may itself be
+    a ring element (a ``Cyclotomic`` over ``LineExpr``): the constants stay
+    plain ints, so no ring needs to carry the zero of its coefficients.
     """
 
     __slots__ = ()
@@ -168,10 +169,16 @@ class RingElement:
     _order = None
     _repr_ring = ""
 
+    def _terms(self):
+        """(monomial as ``_var`` reads it, coefficient) of every term, in
+        print order: the (monomial, coefficient) items sorted by ``_order``
+        (by monomial when None; monomials are distinct)."""
+        return sorted(self.coeffs.items(), key=self._order)
+
     def __str__(self):
         text = ""
-        for m in sorted(self.coeffs, key=self._order):
-            c, mono = self.coeffs[m], self._var(m)
+        for m, c in self._terms():
+            mono = self._var(m)
             a = -c if c < 0 else c
             body = str(a) if not mono else mono if a == 1 else f"{a}*{mono}"
             text += f" {'-' if c < 0 else '+'} {body}"
@@ -183,8 +190,9 @@ class RingElement:
         return f"{type(self).__name__}({self._repr_ring}{str(self)!r})"
 
 
-def _by_degree(m: int):
+def _by_degree(term):
     """The term order of the bitmask rings: by degree, then by mask."""
+    m = term[0]
     return m.bit_count(), m
 
 

@@ -8,14 +8,14 @@ splitting principle) are stated through these two.
 
 from __future__ import annotations
 
-from spinbott.lambda_bott import LambdaVector, LineExpr
+from spinbott.lambda_bott import LambdaVector, LineExpr, _unpack
 
 
 def adams_lines(x: LineExpr, k: int) -> LineExpr:
     """psi^k on line combinations: every monomial exponent scaled by k."""
     if k < 1:
         raise ValueError("k must be positive")
-    return LineExpr({tuple(e * k for e in exps): c for exps, c in x.coeffs.items()})
+    return LineExpr({tuple(e * k for e in _unpack(key)): c for key, c in x.coeffs.items()})
 
 
 def adams_newton(v: LambdaVector, k: int):

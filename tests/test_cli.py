@@ -176,6 +176,27 @@ def test_every_cap_is_a_flag_with_its_default_and_help(capsys):
         assert option in help_text
 
 
+@pytest.mark.parametrize("expr, k", [
+    (f"L1^{2 ** 70}", 2), (f"L2^-{2 ** 70}", 2), (f"L1^{2 ** 100}", 2),
+    (f"L1^{2 ** 70 - 1}*L1", 2), (f"L1^{2 ** 70 - 1}", 3),
+])
+def test_line_exponent_of_two_to_the_seventy_is_refused(capsys, expr, k):
+    # a packed key has room for exponents below 2^70 in magnitude; above it a
+    # digit would carry into the next symbol's
+    assert main(["bott", "--expr", expr, "--k", str(k)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "line exponent" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.endswith(" not below 2^70 in magnitude\n")
+
+
+def test_line_exponent_below_two_to_the_seventy_is_kept(capsys):
+    top = 2 ** 70 - 1
+    code, payload = run(capsys, "bott", "--expr", f"L1^{top}*L3^-{top}", "--k", "2")
+    assert code == 0 and payload["value"] == f"1 + L1^{top}*L3^-{top}"
+
+
 def test_line_symbol_zero_is_refused(capsys):
     # "L0" once parsed as the constant 1, and this printed the value 3
     assert main(["bott", "--expr", "L0", "--k", "3"]) == 2

@@ -18,8 +18,9 @@ from spinbott.lambda_bott import (LambdaVector, LineExpr,
                                   sum_of_powers, trivial_lambda_vector)
 from spinbott import lambda_bott
 from spinbott.config import CapExceededError, Caps, caps_scope
-from spinbott.lambda_bott import (SerreSqrt, _check_line_budget, _eval_at_minus_zeta,
-                                  _geometric_power)
+from spinbott.lambda_bott import (ExponentRangeError, SerreSqrt, _check_line_budget,
+                                  _eval_at_minus_zeta, _exponent_bytes, _geometric_power,
+                                  _pack, _unpack)
 from spinbott.rings import Cyclotomic, TruncatedPoly
 
 L1, L2, L3 = (LineExpr.symbol(i) for i in (1, 2, 3))
@@ -68,13 +69,18 @@ def test_adams_lines_multiplicative(x, y, k):
 
 # -- the product against the padded product it replaced -------------------------
 
+def decoded(x):
+    """The coefficients of x keyed by exponent tuples."""
+    return {_unpack(key): c for key, c in x.coeffs.items()}
+
+
 def padded_product(x, y):
     """Independent oracle: pad both operands' exponent tuples to one length,
     add them entrywise and let the checking constructor strip the keys."""
     n = max(x.nsymbols, y.nsymbols)
     coeffs: dict = {}
-    for e1, c1 in x.coeffs.items():
-        for e2, c2 in y.coeffs.items():
+    for e1, c1 in decoded(x).items():
+        for e2, c2 in decoded(y).items():
             e = tuple(a + b for a, b in zip(e1 + (0,) * (n - len(e1)),
                                             e2 + (0,) * (n - len(e2))))
             coeffs[e] = coeffs.get(e, 0) + c1 * c2
@@ -83,7 +89,7 @@ def padded_product(x, y):
 
 def _assert_stored_form(x):
     # keys stripped, integral coefficients stored as int
-    for e, c in x.coeffs.items():
+    for e, c in decoded(x).items():
         assert not e or e[-1] != 0
         assert c and type(c) is (int if c.denominator == 1 else Fraction)
 
@@ -114,8 +120,141 @@ def test_product_pinned_cases():
     ]
     for (a, b), expect in cases:
         prod = a * b
-        assert prod.coeffs == expect == padded_product(a, b).coeffs
+        assert decoded(prod) == expect == decoded(padded_product(a, b))
         _assert_stored_form(prod)
+
+
+# -- packed keys ------------------------------------------------------------------
+
+LIMIT = 2 ** 70  # every stored exponent is below this in magnitude
+
+exponents = st.one_of(st.integers(-3, 3), st.integers(-300, 300),
+                      st.integers(-LIMIT + 1, LIMIT - 1))
+
+
+def stripped(exps):
+    exps = list(exps)
+    while exps and exps[-1] == 0:
+        exps.pop()
+    return tuple(exps)
+
+
+@given(st.lists(exponents, max_size=6), st.integers(0, 3))
+@settings(max_examples=200)
+def test_packed_key_round_trip(exps, zeros):
+    key = _pack(exps)
+    assert _unpack(key) == stripped(exps)
+    assert _pack(exps + [0] * zeros) == key  # trailing zeros add nothing
+    assert _pack(_unpack(key)) == key
+    assert LineExpr.monomial(exps).nsymbols == len(stripped(exps))
+    low = _exponent_bytes(key)
+    assert (low is not None) == all(0 <= e <= 255 for e in exps)
+    assert low is None or tuple(low) == stripped(exps)
+
+
+@given(st.lists(exponents, max_size=5), st.lists(exponents, max_size=5))
+@settings(max_examples=200)
+def test_keys_of_unequal_length_are_equal_exactly_when_the_tuples_strip_equal(a, b):
+    assert (_pack(a) == _pack(b)) == (stripped(a) == stripped(b))
+    # the sum of two keys is the key of the padded entrywise sum
+    n = max(len(a), len(b))
+    total = [x + y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+    assert _unpack(_pack(a) + _pack(b)) == stripped(total)
+
+
+def test_keys_of_many_symbols_round_trip():
+    for exps in [(0,) * 29999 + (1,), (3,) * 5000, (0,) * 5000 + (-1,),
+                 (2 ** 69,) + (0,) * 3000 + (7,), (-5,) * 3000]:
+        assert _unpack(_pack(exps)) == exps
+    x = parse_line_expr("L30000")
+    assert list(x.coeffs) == [1 << 72 * 29999] and x.nsymbols == 30000
+    assert str(x) == "L30000"
+
+
+@st.composite
+def wide_line_exprs(draw):
+    """Line expressions whose exponents reach 2^68, so a product of two is
+    still below 2^70."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        exps = tuple(draw(st.lists(st.integers(-2 ** 68, 2 ** 68), max_size=3)))
+        terms[exps] = draw(st.integers(-3, 3))
+    return LineExpr(terms)
+
+
+@given(wide_line_exprs(), wide_line_exprs())
+@settings(max_examples=100)
+def test_product_of_wide_exponents_matches_the_padded_product(x, y):
+    assert decoded(x * y) == decoded(padded_product(x, y))
+    assert parse_line_expr(str(x * y)) == x * y
+
+
+def test_hash_of_small_keys_is_spread():
+    # 2^72 is 2^11 mod 2^61 - 1, so a key hashes as sum e_i 2^(11(i-1));
+    # CPython hashes -1 as -2, the one collision among these keys
+    for bound, n in ((12, 3), (3, 5)):
+        keys = [_pack(e) for e in product(range(-bound, bound + 1), repeat=n)]
+        hashes = {}
+        for key in keys:
+            hashes.setdefault(hash(key), []).append(_unpack(key))
+        collided = [sorted(v) for v in hashes.values() if len(v) > 1]
+        assert collided == [[(-2,), (-1,)]]
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ({(1,): 1, (): 1, (-1,): 1}, "1 + L1^-1 + L1"),  # () sorts before (-1,)
+    ({(300,): 1, (2,): -2, (-300,): 3}, "3*L1^-300 - 2*L1^2 + L1^300"),
+    ({(0, 1): 1, (1,): 1, (1, -1): 1, (): 2}, "2 + L2 + L1 + L1*L2^-1"),
+    ({(0, 1): 1, (1,): 1, (2,): 1, (3, 4): 1}, "L2 + L1 + L1^2 + L1^3*L2^4"),
+])
+def test_terms_print_in_the_order_of_their_exponent_tuples(coeffs, text):
+    assert str(LineExpr(coeffs)) == text
+
+
+@given(st.one_of(line_exprs(), wide_line_exprs(), line_exprs(nsyms=1)))
+@settings(max_examples=150)
+def test_terms_print_in_tuple_order_whatever_their_keys(x):
+    # oracle: each term printed alone, joined in the order of the tuples
+    terms = sorted(decoded(x).items())
+    text = " + ".join(str(LineExpr({e: c})) for e, c in terms).replace(" + -", " - ")
+    assert str(x) == (text or "0")
+
+
+def test_printing_packs_the_exponents_back_past_the_paired_terms(monkeypatch):
+    xs = [bott_lines(L1 + L2 + L3, 4), bott_lines(L1 + LineExpr.monomial((-1, 2)), 5),
+          LineExpr({(300,): 2, (0, 1): -1, (): 3})]
+    texts = [str(x) for x in xs]
+    monkeypatch.setattr(lambda_bott, "_PAIRED_TERMS", 0)
+    assert [str(x) for x in xs] == texts
+
+
+def test_coefficient_reads_an_exponent_tuple():
+    x = LineExpr({(1, 0, 2): 3, (): 5})
+    assert x.coefficient((1, 0, 2)) == x.coefficient((1, 0, 2, 0)) == 3
+    assert x.coefficient(()) == 5 and x.coefficient((2,)) == 0
+
+
+def test_exponents_of_magnitude_two_to_the_seventy_are_refused():
+    m = LineExpr.monomial((2 ** 60,))
+    just_below = LineExpr.monomial((0, LIMIT - 1))
+    for make in (lambda: LineExpr.monomial((LIMIT,)),
+                 lambda: LineExpr({(1, -LIMIT): 1}),
+                 lambda: LineExpr.monomial((2 ** 69,)) * LineExpr.monomial((2 ** 69,)),
+                 lambda: LineExpr.monomial((-2 ** 69,)) ** 2,
+                 lambda: just_below * L2,
+                 lambda: m ** 1024,
+                 lambda: bott_lines(just_below, 3),
+                 lambda: bott_lines(LineExpr.monomial((2 ** 66,), 8), 3),
+                 lambda: parse_line_expr(f"L1^{LIMIT}"),
+                 lambda: parse_line_expr(f"L1^{LIMIT - 1}*L1"),
+                 lambda: parse_line_expr(f"L1^{2 ** 100}")):
+        with pytest.raises(ExponentRangeError, match="not below 2\\^70"):
+            make()
+    # the largest exponents that are kept
+    assert _unpack(_pack((LIMIT - 1, 1 - LIMIT))) == (LIMIT - 1, 1 - LIMIT)
+    assert m ** 1023 == LineExpr.monomial((1023 * 2 ** 60,))
+    assert str(bott_lines(just_below, 2)) == f"1 + L2^{LIMIT - 1}"
+    assert str(parse_line_expr(f"L1^{LIMIT - 1}*L1^-1")) == f"L1^{LIMIT - 2}"
 
 
 @pytest.mark.parametrize("coeffs, text", [
