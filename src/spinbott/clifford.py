@@ -118,10 +118,6 @@ class CliffordElement(RingElement):
             raise ValueError(f"e{i} out of range for rank {form.rank}")
         return cls(form, {1 << (i - 1): 1})
 
-    @classmethod
-    def from_vector(cls, form: QuadraticForm, coords) -> "CliffordElement":
-        return cls(form, {1 << i: c for i, c in enumerate(coords)})
-
     # -- ring structure ----------------------------------------------------
 
     _ring = property(lambda self: self.form)

@@ -38,7 +38,8 @@ class Caps:
     max_vars: int = _cap(8, "truncated variable cap")
     max_k: int = _cap(32, "cyclotomic order and Bott order cap")
     max_output_mb: int = _cap(256, "cap on the estimated size of a Bott line "
-                              "expansion, in MB, checked before it is built")
+                              "expansion or of a line symbol's key, in MB, "
+                              "checked before it is built")
 
 
 DEFAULT_CAPS = Caps()

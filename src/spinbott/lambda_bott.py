@@ -45,14 +45,15 @@ class ExponentRangeError(ValueError):
 # so 0 is the constant monomial and trailing zeros vanish, and the product of
 # two monomials is the sum of their keys.  Every stored exponent is below 2^70
 # in magnitude, so a sum of two stays inside half a digit and never carries
-# into its neighbour.  CPython hashes an int mod 2^61 - 1, where 2^72 is 2^11,
-# so a key hashes as sum e_i 2^(11(i-1)): distinct for |e_i| < 2^10 over up to
-# five symbols, where a digit of 64 bits (2^64 being 8) would collide.
+# into its neighbour; each LineExpr carries a bound on its exponents so that
+# this holds without reading its keys.  CPython hashes an int mod 2^61 - 1,
+# where 2^72 is 2^11, so a key hashes as sum e_i 2^(11(i-1)): distinct for
+# |e_i| < 2^10 over up to five symbols, where a digit of 64 bits (2^64 being
+# 8) would collide.
 _BITS = 72
 _BYTES = _BITS // 8
 _LIMIT = 1 << 70
 _HALF = 1 << 71
-_PAIRED_TERMS = 1 << 16
 
 
 def _digits(n: int, value: int) -> int:
@@ -115,48 +116,35 @@ def _signed_exponents(key: int) -> tuple:
                   for i in range(0, len(raw), _BYTES)])
 
 
-def _largest_exponent(key: int) -> int:
-    """The largest |exponent| of a key.  Exponents that are bytes are read
-    without their zeros, so a key of millions of symbols but few factors
-    is read at once."""
-    low = _exponent_bytes(key)
-    if low is None:
-        return max(map(abs, _signed_exponents(key)))
-    return max(low.translate(None, b"\0"), default=0)
-
-
-def _within(keys, bit: int) -> bool:
-    """Whether every exponent e of every key (each below 2^71 in magnitude)
-    has -2^bit <= e < 2^bit: one add and one AND per key.
-
-    A digit e of key + 2^bit per digit is e + 2^bit, which is in range
-    exactly when no bit from 2^(bit+1) up is set in its digit (an e below
-    the range borrows and sets the top bit of its digit).
-    """
-    top = max(max(keys, default=0), -min(keys, default=0))
-    n = top.bit_length() // _BITS + 1
-    low, high = _digits(n, 1 << bit), _digits(n, (1 << _BITS) - (2 << bit))
+def _scan(keys) -> int:
+    """The largest |exponent| of keys whose bound reached 2^70 (no digit of
+    them carried), or ExponentRangeError if it is 2^70 or more.  Exponents
+    that are bytes are read without their zeros, so a key of millions of
+    symbols but few factors is read at once."""
+    top = 0
     for key in keys:
-        if (key + low) & high:
-            return False
-    return True
+        low = _exponent_bytes(key)
+        top = max(top, max(map(abs, _signed_exponents(key))) if low is None
+                  else max(low.translate(None, b"\0"), default=0))
+    if top >= _LIMIT:
+        raise _out_of_range(max((e for key in keys for e in _unpack(key)), key=abs))
+    return top
 
 
-def _check_exponents(keys) -> None:
-    """Raise ExponentRangeError unless every exponent of every key is below
-    2^70 in magnitude: e and -e both in [-2^70, 2^70)."""
-    keys = list(keys)
-    if not (_within(keys, 70) and _within([-key for key in keys], 70)):
-        e = max((e for key in keys for e in _unpack(key)), key=abs)
-        raise _out_of_range(e)
+def _symbol_index(i: int) -> int:
+    """i, once L_i is 1-based and its key's 9 i bytes are within max_output_mb."""
+    if i < 1:
+        raise ValueError("line symbols are 1-based")
+    check_cap("max_output_mb", -(-_BYTES * i // 1_000_000), f"key of line symbol L{i} (MB)")
+    return i
 
 
 def _line_product(left: dict, right: dict) -> dict:
     """The product of two ``{key: coeff}`` dicts, the one product loop of
     ``LineExpr``: the key of a product of monomials is the sum of theirs.
 
-    The callers keep every exponent of the operands below 2^70 in
-    magnitude, so no digit of a sum carries.
+    Every exponent of the operands is below 2^70 in magnitude, so no
+    digit of a sum carries.
     """
     right = right.items()
     coeffs: dict = {}
@@ -173,19 +161,25 @@ class LineExpr(RingElement):
 
     The constructor, ``monomial`` and ``coefficient`` take exponent tuples;
     ``coeffs`` is keyed by the packed int of each monomial (see ``_pack``).
+    ``bound`` is at least every |exponent|: set where exponents are read,
+    the sum of the operands' bounds in a product, the larger of the two in a
+    sum, kept by negation and scaling.  Only a product whose bound reaches
+    2^70 reads its keys, for the true bound (see ``_scan``).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "bound")
     _ONE = ()
 
     def __init__(self, coeffs=None):
         # tuples equal after stripping name one key: their coefficients add
-        clean = {}
+        clean, bound = {}, 0
         for exps, c in (coeffs or {}).items():
             key = _pack(exps)
+            bound = max(bound, max(map(abs, exps), default=0))
             clean[key] = clean.get(key, 0) + (c if type(c) is int else Fraction(c))
         object.__setattr__(self, "coeffs", {e: c if type(c) is int else _exact(c)
                                             for e, c in clean.items() if c})
+        object.__setattr__(self, "bound", bound)
 
     @classmethod
     def scalar(cls, c) -> "LineExpr":
@@ -194,9 +188,7 @@ class LineExpr(RingElement):
     @classmethod
     def symbol(cls, i: int) -> "LineExpr":
         """L_i, 1-based."""
-        if i < 1:
-            raise ValueError("line symbols are 1-based")
-        return cls.scalar(1)._trusted({1 << _BITS * (i - 1): 1})
+        return cls.scalar(1)._bounded({1 << _BITS * (_symbol_index(i) - 1): 1}, 1)
 
     @classmethod
     def monomial(cls, exps, c=1) -> "LineExpr":
@@ -207,6 +199,20 @@ class LineExpr(RingElement):
     def _new(self, coeffs) -> "LineExpr":
         return LineExpr(coeffs)
 
+    def _bounded(self, coeffs, bound) -> "LineExpr":
+        """``_trusted`` with the bound of the new coefficients."""
+        out = self._trusted(coeffs)
+        object.__setattr__(out, "bound", bound)
+        return out
+
+    def __add__(self, other):
+        out = super().__add__(other)
+        if out is not NotImplemented:
+            object.__setattr__(out, "bound", max(self.bound, getattr(other, "bound", 0)))
+        return out
+
+    __radd__ = __add__
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
@@ -214,10 +220,8 @@ class LineExpr(RingElement):
         if o is NotImplemented:
             return NotImplemented
         coeffs = _line_product(self.coeffs, o.coeffs)
-        # operands below 2^68 leave the product below 2^69; else check it
-        if not _within([*self.coeffs, *o.coeffs], 68):
-            _check_exponents(coeffs)
-        return self._trusted(coeffs)
+        bound = self.bound + o.bound
+        return self._bounded(coeffs, bound if bound < _LIMIT else _scan(coeffs))
 
     __rmul__ = __mul__
 
@@ -243,30 +247,21 @@ class LineExpr(RingElement):
         return sorted((_unpack(key), mult) for key, mult in self._multiplicities())
 
     def _terms(self):
-        """Each term's exponents, decoded once, with its coefficient, in
-        tuple order: as bytes when every exponent of the expression is in
-        0..255, which sort as the tuples would in under half their memory,
-        and as tuples otherwise.  Up to _PAIRED_TERMS terms are sorted as
-        (exponents, coefficient) pairs; past that each coefficient is looked
-        up by packing the exponents again, which saves a pair per term (56
-        bytes, a quarter of the peak of a million-term expansion)."""
+        """(key, coefficient) of every term, in the order of the exponent
+        tuples.  The keys sort by their exponents as bytes, which order as
+        the tuples do in under half their memory; a key with an exponent
+        outside 0..255 reads as None, which does not compare, and then they
+        sort by the tuples.  ``_var`` decodes each key again as its term
+        prints, so nothing per term outlives the sort but the key."""
         coeffs = self.coeffs
-        if max(map(abs, coeffs), default=0) < _HALF:  # L1 alone: a key is its exponent
-            keys = sorted(filter(None, coeffs))
-            if 0 in coeffs:
-                keys.insert(0, 0)  # the constant's () sorts first
-            return (((key,), coeffs[key]) for key in keys)
-        keys = None
-        if min(coeffs) >= 0:  # a negative key has a negative exponent
-            keys = list(map(_exponent_bytes, coeffs))
-        if keys is None or None in keys:
-            keys = list(map(_signed_exponents, coeffs))
-        if len(keys) <= _PAIRED_TERMS:
-            return sorted(zip(keys, coeffs.values()))
-        keys.sort()
-        return ((exps, coeffs[_pack(exps)]) for exps in keys)
+        try:
+            keys = sorted(coeffs, key=_exponent_bytes)
+        except TypeError:
+            keys = sorted(coeffs, key=_unpack)
+        return ((key, coeffs[key]) for key in keys)
 
-    def _var(self, exps):
+    def _var(self, key):
+        exps = _exponent_bytes(key) or _signed_exponents(key)  # _unpack, with no tuple copy
         return "*".join([f"L{i}" if e == 1 else f"L{i}^{e}"
                          for i, e in enumerate(exps, start=1) if e])
 
@@ -315,7 +310,7 @@ def line_to_lambda(x: LineExpr) -> LambdaVector:
         monos.extend([key] * mult)
     elems = [LineExpr.scalar(1)]
     for key in monos:  # multiply out prod (1 + t M)
-        m = LineExpr.scalar(1)._trusted({key: 1})
+        m = x._bounded({key: 1}, x.bound)
         nxt = [elems[0]]
         for j in range(1, len(elems) + 1):
             prev = elems[j] if j < len(elems) else LineExpr.scalar(0)
@@ -384,28 +379,32 @@ def bott_lines(x: LineExpr, k: int) -> LineExpr:
     vol. 2, 4.7; see ``_geometric_power``) at the keys t * key; the trivial
     monomial contributes the constant k^m.  The factors multiply as plain
     dicts and one LineExpr is built at the end.  An expansion estimated
-    above the max_output_mb cap, or whose exponents could reach 2^70 (the
-    sum of m (k-1) max|e| over the monomials), is refused before any
-    product.
+    above the max_output_mb cap is refused before any product, and so is a
+    factor whose exponents reach 2^70 (m (k - 1) max|e| of its monomial);
+    the running product is read for its largest exponent only when the
+    bounds of its factors add up to 2^70.
     """
     if k < 1:
         raise ValueError("k must be positive")
     check_cap("max_k", k, "Bott order")
     monos = x._multiplicities()
     _check_line_budget(monos, k)
-    reach = sum(mult * _largest_exponent(key) for key, mult in monos)
-    if (k - 1) * reach >= _LIMIT:
-        raise ExponentRangeError(f"the Bott class of order {k} could reach a line exponent "
-                                 f"of {(k - 1) * reach}, not below 2^70 in magnitude")
-    out = None
+    out, bound = None, 0
     for key, mult in monos:
+        reach = mult * (k - 1) * _scan((key,))
+        if reach >= _LIMIT:
+            raise ExponentRangeError(f"the Bott class of order {k} could reach a line "
+                                     f"exponent of {reach}, not below 2^70 in magnitude")
         # the first power of the key is the key itself, so a key of millions
         # of symbols is held once
         factor = ({key if t == 1 else t * key: a
                    for t, a in enumerate(_geometric_power(k, mult))} if key
                   else {0: k ** mult})
         out = factor if out is None else _line_product(out, factor)
-    return LineExpr.scalar(1)._trusted(out or {0: 1})
+        bound += reach
+        if bound >= _LIMIT:
+            bound = _scan(out)
+    return x._bounded(out or {0: 1}, bound)
 
 
 def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
@@ -560,17 +559,14 @@ _LINE_RE = re.compile(r"L(\d+)(?:\^(-?\d+))?")
 
 
 def _read_line(factors, coeff, sym):
-    i = int(sym[1])
-    if i < 1:
-        raise ValueError("line symbols are 1-based")
-    return factors + ((i, int(sym[2] or 1)),), coeff
+    return factors + ((_symbol_index(int(sym[1])), int(sym[2] or 1)),), coeff
 
 
 def parse_line_expr(s: str) -> LineExpr:
     """A LineExpr from its text.  A term's factors are read as (symbol,
     exponent) pairs, and its key is packed directly as the sum of
     e 2^(72(i-1)) over its symbols, with no dense exponent tuple."""
-    coeffs: dict = {}
+    coeffs, bound = {}, 0
     for factors, c in _parse_terms(s, _LINE_RE, _read_line, ()).items():
         exps: dict = {}
         for i, e in factors:
@@ -579,7 +575,8 @@ def parse_line_expr(s: str) -> LineExpr:
         for i, e in exps.items():
             if not -_LIMIT < e < _LIMIT:
                 raise _out_of_range(e)
+            bound = max(bound, abs(e))
             digit = e << _BITS * (i - 1)
             key = key + digit if key else digit  # no copy of a lone digit
         coeffs[key] = coeffs.get(key, 0) + c
-    return LineExpr.scalar(1)._trusted(coeffs)
+    return LineExpr.scalar(1)._bounded(coeffs, bound)

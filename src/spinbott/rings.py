@@ -303,15 +303,6 @@ class Cyclotomic(RingElement):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", _reduce_mod_phi(order, clean))
 
-    @classmethod
-    def from_const(cls, order: int, c) -> "Cyclotomic":
-        return cls(order, {0: c})
-
-    @classmethod
-    def zeta(cls, order: int, power: int = 1) -> "Cyclotomic":
-        """w^power, reduced."""
-        return cls(order, {power % order: 1})
-
     _ring = property(lambda self: self.order)
 
     def _new(self, coeffs) -> "Cyclotomic":

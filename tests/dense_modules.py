@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from builders import cyclotomic_const, zeta
 from dense_clifford import rank
 from spinbott.clifford import CliffordElement, volume_element
 from spinbott.linalg import SparseOp
@@ -326,12 +327,12 @@ def cycle_eigen_projectors(tp: TensorPower):
     if not mat_eq(mat_mul(t_pows[-1], cyc), identity(dim)):
         raise PresentationError("cycle operator order is not k")
 
-    zero = Cyclotomic.from_const(k, 0)
+    zero = cyclotomic_const(k, 0)
     projectors = []
     for j in range(k):
         acc = [[zero] * dim for _ in range(dim)]
         for l in range(k):
-            scalar = Cyclotomic.zeta(k, (-j * l) % k) * Fraction(1, k)
+            scalar = zeta(k, (-j * l) % k) * Fraction(1, k)
             acc = _cyc_add(acc, _cyc_scaled(t_pows[l], scalar))
         projectors.append(acc)
 
@@ -345,7 +346,7 @@ def cycle_eigen_projectors(tp: TensorPower):
     total = projectors[0]
     for p in projectors[1:]:
         total = _cyc_add(total, p)
-    if not _cyc_mat_eq(total, [[Cyclotomic.from_const(k, 1 if r == c else 0)
+    if not _cyc_mat_eq(total, [[cyclotomic_const(k, 1 if r == c else 0)
                                 for c in range(dim)] for r in range(dim)]):
         raise PresentationError("eigenprojectors do not resolve the identity")
     return projectors

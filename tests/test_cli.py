@@ -205,6 +205,37 @@ def test_line_symbol_zero_is_refused(capsys):
     assert captured.err == "error: line symbols are 1-based\n"
 
 
+def test_a_bott_class_whose_exponents_stay_below_two_to_the_seventy_answers(capsys):
+    # its two factors each reach 2^69; a bound summed over all monomials
+    # reached 2^70 and refused it
+    e = 2 ** 69
+    code, payload = run(capsys, "bott", "--expr", f"L1^{e}+L2^{e}", "--k", "2")
+    assert code == 0
+    assert payload["value"] == f"1 + L2^{e} + L1^{e} + L1^{e}*L2^{e}"
+
+
+@pytest.mark.parametrize("argv, pin", [
+    (["--expr", f"L1^{2 ** 68}+3*L2", "--k", "3"],
+     "f6ac8c55a72142d3211686877d1120580b65e02dbafc61b379cf151ef6adf903"),
+    (["--mode", "cyclotomic", "--expr", "L1000000+L3", "--k", "3"],
+     "7e259651908448583fc1f9a283ecda72d7942fd2ea6535a783879be678435897"),
+], ids=["wide-exponent-k3", "cyclotomic-index-million"])
+def test_line_classes_near_the_exponent_and_index_limits_answer_as_before(capsys, argv, pin):
+    # the sha256 of the JSON the packed keys with a summed bound printed
+    assert main(["bott", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pin
+
+
+def test_a_line_symbol_whose_key_exceeds_the_output_cap_is_refused_at_once(capsys):
+    # its key of 9 bytes per symbol (540 MB) raised MemoryError after 1.4 s
+    start = time.perf_counter()
+    assert main(["bott", "--expr", "L60000000", "--k", "2"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: key of line symbol L60000000 (MB) 540 exceeds cap max_output_mb=256\n")
+
+
 def test_serre_sqrt(capsys):
     code, payload = run(capsys, "serre-sqrt", "--lams", "2,1", "--k", "3")
     assert code == 0

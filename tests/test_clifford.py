@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import clifford_vector, zeta
 from dense_clifford import dense_inverse, dense_phi_gram, dense_untwist_bijective, det
 from dense_modules import mat_eq, mat_mul, mat_scale, transpose
 from spinbott.clifford import (CliffordElement, FormMismatchError, Membership,
@@ -402,7 +403,7 @@ def test_phi_homomorphism_on_members():
     vectors = []
     while len(vectors) < 6:
         coords = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
-        v = CliffordElement.from_vector(q, coords)
+        v = clifford_vector(q, coords)
         if (v * v.bar()).coefficient(0) != 0:
             vectors.append(v)
     for i in range(0, 6, 2):
@@ -445,7 +446,7 @@ def test_isometry_is_the_product_of_reflections(monkeypatch):
             qv = sum(di * vi * vi for di, vi in zip(d, v))
             if qv == 0:
                 continue
-            a = a * CliffordElement.from_vector(q, v)
+            a = a * clifford_vector(q, v)
             expect = mat_mul(expect, reflection(d, v))
             norm, count = norm * qv, count + 1
         if a.is_scalar():
@@ -708,7 +709,7 @@ def test_parse_element_double_digit_generators():
 def test_cyclotomic_coefficients():
     # blade coefficients may live in any exact coefficient ring
     from spinbott.rings import Cyclotomic
-    w = Cyclotomic.zeta(3)
+    w = zeta(3)
     a = CliffordElement(H, {0b01: w})
     b = CliffordElement(H, {0b10: w})
     prod = a * b

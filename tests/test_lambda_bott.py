@@ -2,7 +2,7 @@
 
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 from math import comb
 
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adams_oracles import adams_lines, adams_newton
+from builders import cyclotomic_const, zeta
 from spinbott.lambda_bott import (LambdaVector, LineExpr,
                                   NotEffectiveError,
                                   bott_cyclotomic, bott_lines, bott_virtual,
@@ -220,14 +221,6 @@ def test_terms_print_in_tuple_order_whatever_their_keys(x):
     assert str(x) == (text or "0")
 
 
-def test_printing_packs_the_exponents_back_past_the_paired_terms(monkeypatch):
-    xs = [bott_lines(L1 + L2 + L3, 4), bott_lines(L1 + LineExpr.monomial((-1, 2)), 5),
-          LineExpr({(300,): 2, (0, 1): -1, (): 3})]
-    texts = [str(x) for x in xs]
-    monkeypatch.setattr(lambda_bott, "_PAIRED_TERMS", 0)
-    assert [str(x) for x in xs] == texts
-
-
 def test_coefficient_reads_an_exponent_tuple():
     x = LineExpr({(1, 0, 2): 3, (): 5})
     assert x.coefficient((1, 0, 2)) == x.coefficient((1, 0, 2, 0)) == 3
@@ -255,6 +248,72 @@ def test_exponents_of_magnitude_two_to_the_seventy_are_refused():
     assert m ** 1023 == LineExpr.monomial((1023 * 2 ** 60,))
     assert str(bott_lines(just_below, 2)) == f"1 + L2^{LIMIT - 1}"
     assert str(parse_line_expr(f"L1^{LIMIT - 1}*L1^-1")) == f"L1^{LIMIT - 2}"
+
+
+def largest_exponent(x):
+    return max((abs(e) for exps in decoded(x) for e in exps), default=0)
+
+
+@st.composite
+def reaching_line_exprs(draw):
+    """Line expressions whose exponents reach 2^69, so that the bounds of a
+    product add up to 2^70 and its keys are read."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        exps = tuple(draw(st.lists(st.one_of(st.integers(-3, 3),
+                                             st.integers(-2 ** 69, 2 ** 69),
+                                             st.sampled_from([2 ** 69, -2 ** 69])),
+                                   max_size=3)))
+        terms[exps] = draw(st.integers(-3, 3))
+    return LineExpr(terms)
+
+
+any_line_exprs = st.one_of(line_exprs(), wide_line_exprs(), reaching_line_exprs())
+
+
+@given(any_line_exprs, reaching_line_exprs(), effective_exprs(), st.integers(-3, 3),
+       st.integers(0, 5))
+@settings(max_examples=150)
+def test_the_bound_is_at_least_every_exponent(x, y, z, c, n):
+    values = [x, y, x + y, x - y, 2 - x, -x, c * x, x * Fraction(c, 2), parse_line_expr(str(x)),
+              *line_to_lambda(z).lams]
+    for make in (lambda: [x * y], lambda: [x ** n], lambda: [y * x * x],
+                 lambda: (Cyclotomic(3, {0: x, 1: y}) * Cyclotomic(3, {0: y, 1: 1})).coeffs.values()):
+        try:
+            values.extend(make())
+        except ExponentRangeError:
+            pass
+    for v in values:
+        if isinstance(v, LineExpr):
+            assert v.bound >= largest_exponent(v)
+    sums = [abs(a + b) for e1 in decoded(x) for e2 in decoded(y)
+            for a, b in zip_longest(e1, e2, fillvalue=0)]
+    if x.bound + y.bound < LIMIT:  # no key is read: the bound is the sum
+        assert (x * y).bound == x.bound + y.bound
+    elif max(sums, default=0) >= LIMIT:  # refused exactly where an exponent reaches 2^70
+        with pytest.raises(ExponentRangeError):
+            x * y
+    else:  # the keys read are every sum of two, cancelled or not
+        assert (x * y).bound == max(sums, default=0)
+
+
+def test_a_product_that_reaches_the_bound_reads_its_exponents():
+    e = 2 ** 69
+    big = LineExpr.monomial((e,)) + LineExpr.monomial((0, e))
+    assert big.bound == e
+    # the bounds add up to 2^70, so the keys of L2 + L1^-e*L2^(e+1) are read
+    assert (big * LineExpr.monomial((-e, 1))).bound == e + 1
+    assert (LineExpr.monomial((e,)) * LineExpr.monomial((-e,))).bound == 0
+    assert bott_lines(big, 2).bound == e
+
+
+def test_a_line_symbol_key_is_checked_against_the_output_cap_before_it_is_built():
+    # the key of L_i takes 9 i bytes; max_output_mb=1 admits 999,999 of them
+    with caps_scope(Caps(max_output_mb=1)):
+        assert LineExpr.symbol(111111).nsymbols == parse_line_expr("L111111").nsymbols == 111111
+        for make in (lambda: LineExpr.symbol(111112), lambda: parse_line_expr("1 + L111112")):
+            with pytest.raises(CapExceededError, match="key of line symbol L111112 \\(MB\\) 2"):
+                make()
 
 
 @pytest.mark.parametrize("coeffs, text", [
@@ -458,10 +517,10 @@ def test_serre_sqrt_folds_the_twist_into_each_evaluation(m):
     for v in _self_dual_vectors(m):
         assert v.is_self_dual()
         for k in range(3, 32, 2):
-            old = Cyclotomic.from_const(k, 1)
+            old = cyclotomic_const(k, 1)
             for r in range(1, (k - 1) // 2 + 1):
                 old = (old * Cyclotomic(k, _eval_at_minus_zeta(v, k, r))
-                       * Cyclotomic.zeta(k, -m * r))
+                       * zeta(k, -m * r))
             if m * (k - 1) // 2 % 2:
                 old = -old
             assert serre_sqrt(v, k) == SerreSqrt(old.descend(), False)
