@@ -43,17 +43,20 @@ RUNS = 3  # cold runs of each command
 REFERENCE = "sum(i * i for i in range(3_000_000))"
 
 # (group, timeout in s, command) for the inputs that neither finish nor
-# refuse, for those refused over a size cap that once stalled, and for the
-# slow ones that do finish, as the ROADMAP lists them.  A slow input's
-# timeout is about three times its longest recorded run (the cyclotomic
-# L1+L2+L3 at k = 32: 34.7 s), so no run ends near it.
+# refuse (a stall is killed at its timeout in every pass), for those refused
+# over a size cap that once stalled, and for the slow ones that do finish, as
+# the ROADMAP lists them.  A slow input's timeout is about three times its
+# longest recorded run, so no run ends near it.
 SLOW_INPUTS = [
     ("refused", 30, "qf 1,100000000000000000039"),
     ("refused", 30, "bott --expr 15000*L1 --k 2"),
     ("refused", 30, "bott --expr 100000*L1 --k 3"),
     ("refused", 30, "bott --expr L1+L2+L3+L4+L5+L6+L7+L8 --k 8"),
+    ("refused", 30, "bott --mode cyclotomic --expr 100000*L1 --k 3"),
+    ("refused", 30, "bott --mode cyclotomic --expr L1+L2+L3+L4+L5+L6+L7+L8 --k 8"),
     ("refused", 30, "bott --expr L60000000 --k 2"),
-    ("slow", 120, "bott --expr L1+L2+L3 --k 32 --mode cyclotomic"),
+    ("stall", 30, "bott --mode cyclotomic --expr 300*L1 --k 30"),
+    ("slow", 30, "bott --mode cyclotomic --expr 300*L1 --k 32"),
     ("slow", 30, "bott --expr L10000000 --k 2"),
     ("slow", 30, "qf " + ",".join(["1"] * 2000)),
     ("slow", 30, "qf " + ",".join(["1"] * 2000) + " --primes 1000000000000000003"),

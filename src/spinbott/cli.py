@@ -26,8 +26,9 @@ from types import SimpleNamespace
 
 from .clifford import clifford_group_test, parse_element, spin_lift
 from .config import Caps, FailedCheckError, caps_scope
-from .lambda_bott import (LambdaVector, bott_cyclotomic, bott_lines, bott_virtual,
-                          line_to_lambda, parse_line_expr, serre_sqrt, sphere_formula)
+from .lambda_bott import (LambdaVector, _check_line_budget, bott_cyclotomic, bott_lines,
+                          bott_virtual, line_to_lambda, parse_line_expr, serre_sqrt,
+                          sphere_formula)
 from .modules import adams_module_report
 from .quadforms import bw_class, hasse_witt, is_orientable, parse_form, INF
 from .verify import run_suite, SUITES
@@ -82,6 +83,8 @@ def cmd_bott(args):
         raise UsageError(f"mode={args.mode} needs --expr")
     expr = parse_line_expr(args.expr)
     if args.mode == "cyclotomic":
+        # the class is the line expansion, refused as line mode refuses it
+        _check_line_budget(expr._multiplicities(), args.k)
         value = bott_cyclotomic(line_to_lambda(expr), args.k)
         return {"value": str(value), "ring": "descended from the cyclotomic extension",
                 "sign_ambiguous": False}, 0

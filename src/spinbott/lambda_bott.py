@@ -20,10 +20,11 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, gcd
 
 from .config import FailedCheckError, check_cap
-from .rings import (Cyclotomic, NotAUnitError, RingElement, TruncatedPoly,
-                    _exact, _parse_terms, _product_mod_phi)
+from .rings import (_BITS, NotAUnitError, RingElement, TruncatedPoly, _descend, _exact,
+                    _galois, _line_product, _parse_terms, _reduce_mod_phi)
 
 
 class NotEffectiveError(ValueError):
@@ -49,8 +50,8 @@ class ExponentRangeError(ValueError):
 # this holds without reading its keys.  CPython hashes an int mod 2^61 - 1,
 # where 2^72 is 2^11, so a key hashes as sum e_i 2^(11(i-1)): distinct for
 # |e_i| < 2^10 over up to five symbols, where a digit of 64 bits (2^64 being
-# 8) would collide.
-_BITS = 72
+# 8) would collide.  ``_BITS`` lives in rings, whose cyclotomic reduction
+# reads the digit below the symbols (see "the cyclotomic form" below).
 _BYTES = _BITS // 8
 _LIMIT = 1 << 70
 _HALF = 1 << 71
@@ -137,23 +138,6 @@ def _symbol_index(i: int) -> int:
         raise ValueError("line symbols are 1-based")
     check_cap("max_output_mb", -(-_BYTES * i // 1_000_000), f"key of line symbol L{i} (MB)")
     return i
-
-
-def _line_product(left: dict, right: dict) -> dict:
-    """The product of two ``{key: coeff}`` dicts, the one product loop of
-    ``LineExpr``: the key of a product of monomials is the sum of theirs.
-
-    Every exponent of the operands is below 2^70 in magnitude, so no
-    digit of a sum carries.
-    """
-    right = right.items()
-    coeffs: dict = {}
-    get = coeffs.get
-    for e1, c1 in left.items():
-        for e2, c2 in right:
-            e = e1 + e2
-            coeffs[e] = get(e, 0) + c1 * c2
-    return coeffs
 
 
 class LineExpr(RingElement):
@@ -247,21 +231,24 @@ class LineExpr(RingElement):
         return sorted((_unpack(key), mult) for key, mult in self._multiplicities())
 
     def _terms(self):
-        """(key, coefficient) of every term, in the order of the exponent
-        tuples.  The keys sort by their exponents as bytes, which order as
-        the tuples do in under half their memory; a key with an exponent
-        outside 0..255 reads as None, which does not compare, and then they
-        sort by the tuples.  ``_var`` decodes each key again as its term
-        prints, so nothing per term outlives the sort but the key."""
+        """(monomial, coefficient) of every term, in the order of the
+        exponent tuples.  The keys sort by their exponents as bytes, which
+        order as the tuples do in under half their memory, and ``_var``
+        decodes each key again as its term prints; a key with an exponent
+        outside 0..255 reads as None, which does not compare, and then the
+        (tuple, key) pairs sort, each key decoded once, and the tuple is
+        the monomial that prints."""
         coeffs = self.coeffs
         try:
             keys = sorted(coeffs, key=_exponent_bytes)
         except TypeError:
-            keys = sorted(coeffs, key=_unpack)
+            return ((exps, coeffs[key]) for exps, key in
+                    sorted([(_unpack(key), key) for key in coeffs]))
         return ((key, coeffs[key]) for key in keys)
 
-    def _var(self, key):
-        exps = _exponent_bytes(key) or _signed_exponents(key)  # _unpack, with no tuple copy
+    def _var(self, m):
+        # a key, decoded as _unpack does with no tuple copy, or its tuple
+        exps = m if type(m) is tuple else _exponent_bytes(m) or _signed_exponents(m)
         return "*".join([f"L{i}" if e == 1 else f"L{i}^{e}"
                          for i, e in enumerate(exps, start=1) if e])
 
@@ -299,24 +286,33 @@ class LambdaVector:
 
 def trivial_lambda_vector(n: int) -> LambdaVector:
     """Lambda vector of the trivial rank-n class: binomial coefficients."""
-    from math import comb
     return LambdaVector(n, tuple(Fraction(comb(n, j)) for j in range(1, n + 1)))
 
 
 def line_to_lambda(x: LineExpr) -> LambdaVector:
-    """Elementary-symmetric expansion of an effective sum of line monomials."""
+    """Elementary-symmetric expansion of an effective sum of line monomials.
+
+    prod (1 + t M) is multiplied out on plain ``{key: coeff}`` dicts, e_j
+    gaining e_(j-1) with every key moved by that of M, and one LineExpr is
+    built per e_j at the end.  The bound of e_j grows by x.bound a step;
+    only a step whose bound reaches 2^70 reads its keys (see ``_scan``).
+    The coefficients are positive, so none cancels.
+    """
     monos = []
     for key, mult in x._multiplicities():
         monos.extend([key] * mult)
-    elems = [LineExpr.scalar(1)]
+    elems, bounds = [{0: 1}], [0]
     for key in monos:  # multiply out prod (1 + t M)
-        m = x._bounded({key: 1}, x.bound)
-        nxt = [elems[0]]
-        for j in range(1, len(elems) + 1):
-            prev = elems[j] if j < len(elems) else LineExpr.scalar(0)
-            nxt.append(prev + elems[j - 1] * m)
-        elems = nxt
-    return LambdaVector(len(monos), tuple(elems[1:]))
+        elems.append({})
+        bounds.append(0)
+        for j in range(len(elems) - 1, 0, -1):
+            acc, bound = elems[j], bounds[j - 1] + x.bound
+            get = acc.get
+            for e, c in elems[j - 1].items():
+                e += key
+                acc[e] = get(e, 0) + c
+            bounds[j] = max(bounds[j], bound) if bound < _LIMIT else _scan(acc)
+    return LambdaVector(len(monos), tuple(x._bounded(e, b) for e, b in zip(elems[1:], bounds[1:])))
 
 
 # -- Bott classes -------------------------------------------------------------
@@ -438,47 +434,157 @@ def bott_virtual(x: LineExpr, k: int, nvars: int | None = None,
         m = image_of(key)
         if not m.is_unit():
             raise NotAUnitError("a line symbol maps to a non-unit of the ambient ring")
-        factor = TruncatedPoly.const(r, 1)
-        for _ in range(k - 1):  # Horner: 1 + m (1 + m (1 + ...))
-            factor = factor * m + 1
-        result = result * factor ** int(c)
+        result = result * _geometric_series(m, k) ** int(c)
     return result
 
 
-def _eval_at_minus_zeta(v: LambdaVector, k: int, r: int, shift: int = 0) -> dict:
-    """G(-z^r) z^shift = sum_j lam^j (-1)^j w^(rj + shift), as a
-    ``{power mod k: coeff}`` dict with ring coefficients."""
+def _geometric_series(m: TruncatedPoly, k: int) -> TruncatedPoly:
+    """1 + m + ... + m^(k-1) in Q[x1..xr]/(xi^2), by the binomial theorem.
+
+    m = u + n with u its constant term and n nilpotent (n^(r+1) = 0), so
+    the sum is sum_j S_j n^j with S_j = sum_(t=j..k-1) C(t, j) u^(t-j),
+    j < min(k, r + 1): min(k, r + 1) - 2 products for the powers of n, where
+    Horner's rule takes k - 1.
+    """
+    u = m.coefficient(0)
+    n = m - u
+    out = TruncatedPoly.const(m.nvars, sum(u ** t for t in range(k)))
+    power = n
+    for j in range(1, min(k, m.nvars + 1)):
+        if j > 1:
+            power = power * n
+        if not power:
+            break
+        out = out + power * sum(comb(t, j) * u ** (t - j) for t in range(j, k))
+    return out
+
+
+# -- the cyclotomic form --------------------------------------------------------
+#
+# An element of Q(w) (x) line expressions, w a primitive k-th root of unity,
+# is one flat {p + (line key << _BITS): coeff} dict (see rings._BITS): a
+# product is the keys-add loop ``_line_product`` followed by the one reduction
+# mod Phi_k, ``rings._reduce_mod_phi``, and no LineExpr is built per
+# coefficient.  A rational lambda value is the line key 0.
+
+def _flat_lams(v: LambdaVector):
+    """(terms, bound, lines): terms[j-1] the (line key << _BITS, (-1)^j c)
+    pairs of lam^j, bound the largest bound of a LineExpr lam^j, and lines
+    whether some lam^j is a LineExpr, whose Bott class is then a LineExpr."""
+    terms, bound, lines = [], 0, False
+    for j, lam in enumerate(v.lams, start=1):
+        if isinstance(lam, LineExpr):
+            lines, bound = True, max(bound, lam.bound)
+            items = lam.coeffs.items()
+        else:
+            items = ((0, _exact(lam)),) if lam else ()
+        terms.append([(key << _BITS, -c if j % 2 else c) for key, c in items])
+    return terms, bound, lines
+
+
+def _eval_at_minus_zeta(terms, k: int, r: int, shift: int = 0) -> dict:
+    """G(-w^r) w^shift = sum_j lam^j (-1)^j w^(rj + shift), its powers below k,
+    as a flat dict of the ``_flat_lams`` terms."""
     coeffs = {shift % k: 1}
-    for j in range(1, v.rank + 1):
-        val = v.lam(j)
-        if val:
-            p = (r * j + shift) % k
-            coeffs[p] = coeffs.get(p, 0) + (val if j % 2 == 0 else -val)
-    return {p: _exact(c) for p, c in coeffs.items() if c}
+    get = coeffs.get
+    for j, pairs in enumerate(terms, start=1):
+        p = (r * j + shift) % k
+        for line, c in pairs:
+            e = line + p if p else line  # a key of a million symbols is copied only to move
+            coeffs[e] = get(e, 0) + c
+    return {e: c for e, c in coeffs.items() if c}
 
 
-def _product_at_minus_zeta(v: LambdaVector, k: int, rs, shift: int = 0) -> Cyclotomic:
-    """The product over r in rs of G(-z^r) z^(shift r), one factor at a time
-    through the Cyclotomic product loop, as one Cyclotomic.  The lambda
-    values pass through ``_exact`` once, so integral Fractions are summed
-    into the factors as ints."""
-    check_cap("max_k", k, "cyclotomic order")
-    v = LambdaVector(v.rank, tuple(map(_exact, v.lams)))
-    prod = {0: 1}
+def _flat_product(k: int, left: dict, right: dict, bound: int):
+    """(left * right reduced mod Phi_k, its bound): ``bound`` is the sum of
+    the operands' bounds, and only when it reaches 2^70 are the line keys of
+    the product read for the true one (see ``_scan``)."""
+    prod = _reduce_mod_phi(k, _line_product(left, right))
+    return prod, bound if bound < _LIMIT else _scan([key >> _BITS for key in prod])
+
+
+def _product_at_minus_zeta(terms, bound: int, k: int, rs, shift: int = 0):
+    """(the product over r in rs of G(-w^r) w^(shift r), reduced mod Phi_k,
+    its bound): one factor at a time through the flat loop, the factor, of
+    at most rank + 1 powers, in its outer loop."""
+    prod = total = None
     for r in rs:
-        prod = _product_mod_phi(k, prod, _eval_at_minus_zeta(v, k, r, shift * r))
-    return Cyclotomic(k, prod)
+        factor = _eval_at_minus_zeta(terms, k, r, shift * r)
+        prod, total = ((factor, bound) if prod is None
+                       else _flat_product(k, factor, prod, total + bound))
+    # a factor's powers run to k - 1; a product has reduced them
+    return prod if len(rs) > 1 else _reduce_mod_phi(k, prod), total
+
+
+def _halving_chain(n: int, units: list) -> list:
+    """g_1..g_e in (Z/n)^*, of order a power of 2, each outside H = <g_1..g_(i-1)>
+    with its square inside, so <H, g_i> = H u g_i H has twice the elements of H
+    and the last is the whole group.  Each g_i is 1 mod the largest divisor of
+    n it can be: H is then, as far as it can be, the kernel of
+    (Z/n)^* -> (Z/d)^*, whose fixed field Q(w^(n/d)) is sparse in the powers
+    of w when every prime of n divides d."""
+    group, chain = {1}, []
+    while len(group) < len(units):
+        g = max((g for g in units if g not in group and g * g % n in group),
+                key=lambda g: (gcd(g - 1, n), -g))
+        chain.append(g)
+        group |= {h * g % n for h in group}
+    return chain
+
+
+def _norm(terms, bound: int, n: int):
+    """(N(G(-w)) = the product of G(-w^s) over s in (Z/n)^*, reduced mod Phi_n,
+    its bound).
+
+    Where phi(n) is a power of 2 it is a norm tower: N <- N sigma_g(N) over
+    the ``_halving_chain`` (the doubling chain of Itoh and Tsujii, Inform. and
+    Comput. 78 (1988) 171-177, on a chain of index-2 subgroups; norms are
+    transitive, Washington, Introduction to Cyclotomic Fields, GTM 83), which
+    leaves N fixed by one subgroup more at each of its log2 phi(n) products.
+    Elsewhere the conjugates multiply in sequence.
+    """
+    units = [s for s in range(1, n) if gcd(s, n) == 1]
+    if len(units) & (len(units) - 1):
+        return _product_at_minus_zeta(terms, bound, n, units)
+    prod, chain = _eval_at_minus_zeta(terms, n, 1), _halving_chain(n, units)
+    for g in chain:
+        prod, bound = _flat_product(n, prod, _galois(n, prod, g), 2 * bound)
+    return prod if chain else _reduce_mod_phi(n, prod), bound
+
+
+def _value(coeffs: dict, bound: int, lines: bool):
+    """The class of a descended ``{line key: coeff}`` product: a LineExpr when
+    some lambda value was one, else its rational constant."""
+    if lines:
+        return LineExpr.scalar(1)._bounded(coeffs, bound)
+    c = coeffs.get(0, 0)
+    return _exact(c) if c else Fraction(0)
 
 
 def bott_cyclotomic(v: LambdaVector, k: int):
-    """The Bott class as the product of G(-z^r) over r = 1..k-1, descended.
+    """The Bott class as the product of G(-w^r) over r = 1..k-1, descended.
 
-    The product is Galois-invariant, so the descent to the base ring must
-    succeed; failure signals inconsistent input or a genuine bug.
+    The r with gcd(r, k) = d form one Galois orbit, whose product is the
+    norm from Q(w_n), n = k/d, of G(-w_n) (see ``_norm``); each orbit's
+    product is computed in order n and descends on its own, and the
+    descended values multiply as line expressions.  A norm is
+    Galois-invariant, so every descent must succeed; failure signals a
+    genuine bug.  The bound of the class is the sum of its factors' bounds.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    return _product_at_minus_zeta(v, k, range(1, k)).descend()
+    check_cap("max_k", k, "cyclotomic order")
+    terms, bound, lines = _flat_lams(v)
+    out, total = None, 0
+    for n in range(2, k + 1):
+        if k % n == 0:
+            norm, reach = _norm(terms, bound, n)
+            orbit = _descend(n, norm)
+            out = orbit if out is None else _line_product(out, orbit)
+            total += reach
+            if total >= _LIMIT:
+                total = _scan(out)
+    return _value(out, total, lines)
 
 
 @dataclass(frozen=True)
@@ -497,7 +603,7 @@ def serre_sqrt(v: LambdaVector, k: int) -> SerreSqrt:
     which squares to the Bott class.  Requires k odd and v self-dual of
     even rank; when n(k-1)/4 is not an integer the sign is omitted and the
     result is flagged.  Each z^(-nr/2) is a shift of the evaluation at r,
-    so each r costs one Cyclotomic product.
+    so each r costs one product on the flat loop.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("k must be odd and at least 3")
@@ -506,11 +612,13 @@ def serre_sqrt(v: LambdaVector, k: int) -> SerreSqrt:
         raise ValueError("rank must be even")
     if not v.is_self_dual():
         raise ValueError("lambda vector is not self-dual")
-    prod = _product_at_minus_zeta(v, k, range(1, (k - 1) // 2 + 1), -n // 2)
+    check_cap("max_k", k, "cyclotomic order")
+    terms, bound, lines = _flat_lams(v)
+    prod, bound = _product_at_minus_zeta(terms, bound, k, range(1, (k - 1) // 2 + 1), -n // 2)
     ambiguous = (n * (k - 1)) % 4 != 0
     if not ambiguous and (n * (k - 1) // 4) % 2 == 1:
-        prod = -prod
-    return SerreSqrt(prod.descend(), ambiguous)
+        prod = {e: -c for e, c in prod.items()}
+    return SerreSqrt(_value(_descend(k, prod), bound, lines), ambiguous)
 
 
 def corrected_bott(rho_k, v: LambdaVector, k: int):
@@ -534,10 +642,13 @@ def sphere_formula(r: int, k: int) -> Fraction:
     """Sphere coefficient: [1 + 2^r + ... + (k-1)^r] / k^r on the top class.
 
     Path one expands the Bott class of the product line symbol L1...Lr in
-    the truncated ring (a k-term geometric series of binomial products)
-    and normalizes its top coefficient by k^r, the value of the class on
-    the rank companion.  Path two is the closed power sum.  The two must
-    agree exactly; a mismatch raises.
+    the truncated ring (the geometric series 1 + m + ... + m^(k-1) of
+    m = (1 + x1)...(1 + xr), summed by the binomial theorem over the powers
+    of its nilpotent part; see ``_geometric_series``) and normalizes its
+    top coefficient by k^r, the value of the class on the rank companion.
+    Path two is the closed power sum sum_j j^r, which the binomial sums
+    do not use, so the two are independent.  They must agree exactly; a
+    mismatch raises.
     """
     if r < 1:
         raise ValueError("r must be positive")

@@ -238,51 +238,104 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+# A key of the Cyclotomic reduction holds the power p of w in its low digit
+# of _BITS bits, p < 2^71: a plain Cyclotomic's key is its power, and an
+# element of Q(w) (x) line expressions (see lambda_bott) is keyed
+# p + (line key << _BITS), so the product of two terms adds their keys.
+_BITS = 72
+_POWER = (1 << _BITS) - 1
+
+
+def _line_product(left: dict, right: dict) -> dict:
+    """The product of two ``{key: coeff}`` dicts whose keys add, the one
+    product loop of ``LineExpr`` and ``Cyclotomic``: the key of a product
+    of two terms is the sum of theirs."""
+    right = right.items()
+    coeffs: dict = {}
+    get = coeffs.get
+    for e1, c1 in left.items():
+        for e2, c2 in right:
+            e = e1 + e2
+            coeffs[e] = get(e, 0) + c1 * c2
+    return coeffs
+
+
 @lru_cache(maxsize=None)
-def _phi_terms(order: int) -> tuple:
-    """(phi(k), the (t, coefficient) pairs of the nonzero terms of Phi_k
-    below its leading x^phi(k))."""
+def _power_rows(order: int) -> tuple:
+    """(phi(k), rows): rows[q] holds the (t - q, a) terms of w^q mod Phi_k,
+    every t below phi(k), for q < 2k, so a key of power q moves by t - q.
+    w^q for q >= k is w^(q - k); a power from phi(k) to k - 1 is
+    w^(q - phi) times x^phi(k) = -(the lower terms of Phi_k), each a row
+    already made."""
     phi = cyclotomic_polynomial(order)
-    return len(phi) - 1, tuple((t, a) for t, a in enumerate(phi[:-1]) if a)
+    deg = len(phi) - 1
+    rows: list = []
+    for q in range(2 * order):
+        if q < deg:
+            rows.append(((q, 1),))
+        elif q >= order:
+            rows.append(rows[q - order])
+        else:
+            acc: dict = {}
+            for t, a in enumerate(phi[:-1]):
+                for s, b in rows[q - deg + t]:
+                    acc[s] = acc.get(s, 0) - a * b
+            rows.append(tuple((s, c) for s, c in sorted(acc.items()) if c))
+    return deg, tuple(tuple((t - q, a) for t, a in row) for q, row in enumerate(rows))
 
 
 def _reduce_mod_phi(order: int, coeffs: dict) -> dict:
-    """``coeffs`` reduced mod Phi_k: powers below phi(k), zeros dropped.
-
-    Phi_k divides x^k - 1, so the powers are first folded mod k; then only
-    the powers k - 1 down to phi(k) are cleared, from the top down (clearing
-    one creates lower ones), each by subtracting its coefficient times the
-    nonzero lower terms of Phi_k, shifted.  At a prime k that is one power.
-    """
-    folded: dict = {}
-    for p, c in coeffs.items():
-        p %= order
-        acc = folded.get(p)
-        folded[p] = c if acc is None else acc + c
-    deg, terms = _phi_terms(order)
-    for top in range(order - 1, deg - 1, -1):
-        c = folded.pop(top, 0)
+    """``coeffs`` reduced mod Phi_k, zeros dropped and coefficients stored as
+    ``_exact`` does: every key's power of w (its low digit, below 2k) below
+    phi(k).  The keys of ``coeffs`` are distinct, so a power below phi(k)
+    is stored at once; a higher one is then replaced by its row of
+    ``_power_rows``, the rest of the key unchanged, and only the entries
+    that are no int or zero are read again."""
+    deg, rows = _power_rows(order)
+    out, high = {}, []
+    for key, c in coeffs.items():
+        p = key & _POWER
+        if p < deg:
+            if c:
+                out[key] = c if type(c) is int else _exact(c)
+        else:
+            high.append((key, c, rows[p]))
+    if not high:
+        return out
+    get = out.get
+    for key, c, row in high:
+        for step, a in row:
+            e = key + step
+            out[e] = get(e, 0) + (c if a == 1 else -c if a == -1 else a * c)
+    for e, c in [(e, c) for e, c in out.items() if type(c) is not int or not c]:
         if c:
-            base = top - deg
-            for t, a in terms:
-                acc = folded.get(base + t)
-                folded[base + t] = -c * a if acc is None else acc - c * a
-    return {p: c if type(c) is int else _exact(c) for p, c in folded.items() if c}
+            out[e] = _exact(c)
+        else:
+            del out[e]
+    return out
 
 
-def _product_mod_phi(order: int, left: dict, right: dict) -> dict:
-    """The product of two ``{power: coeff}`` dicts reduced mod Phi_k, the
-    one product loop of ``Cyclotomic``.  The powers of either may run to
-    any nonnegative int: each product is summed at its power mod k, so at
-    most k partial sums are alive before the reduction."""
-    coeffs: dict = {}
-    for i, a in left.items():
-        for j, b in right.items():
-            c = a * b
-            p = (i + j) % order
-            acc = coeffs.get(p)
-            coeffs[p] = c if acc is None else acc + c
-    return _reduce_mod_phi(order, coeffs)
+def _galois(order: int, coeffs: dict, j: int) -> dict:
+    """The image of ``coeffs`` under w -> w^j, gcd(j, k) = 1, unreduced: each
+    power p below k goes to p j mod k, a bijection, so no two keys meet."""
+    out = {}
+    for key, c in coeffs.items():
+        p = key & _POWER
+        out[key + (p * j % order - p) if p else key] = c
+    return out
+
+
+def _descend(order: int, coeffs: dict) -> dict:
+    """The ``{rest of key: coeff}`` value of a reduced, Galois-invariant
+    ``coeffs``.  Over a torsion-free base ring the element is invariant
+    exactly when no key holds a power of w above 0, so that is what is
+    read; the Galois group is walked only to name the first j with
+    galois(j) != self, which the DescentError carries."""
+    if any(key & _POWER for key in coeffs):
+        raise DescentError(order, next(
+            (j for j in range(2, order) if gcd(j, order) == 1
+             and _reduce_mod_phi(order, _galois(order, coeffs, j)) != coeffs), 1))
+    return {key >> _BITS: c for key, c in coeffs.items()}
 
 
 class Cyclotomic(RingElement):
@@ -295,11 +348,17 @@ class Cyclotomic(RingElement):
         if order < 1:
             raise ValueError("order must be positive")
         check_cap("max_k", order, "cyclotomic order")
-        clean = {}
+        clean, far, top = {}, [], 2 * order
         for p, c in (coeffs or {}).items():
             if type(p) is not int or p < 0:
                 raise ValueError(f"power {p!r} of w is not a nonnegative int")
-            clean[p] = c if type(c) is int else _exact(c)
+            if p < top:
+                clean[p] = c if type(c) is int else _exact(c)
+            else:
+                far.append((p, c))
+        for p, c in far:  # w^k = 1: folded to below k, where a power may repeat
+            p %= order
+            clean[p] = clean.get(p, 0) + (c if type(c) is int else _exact(c))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", _reduce_mod_phi(order, clean))
 
@@ -314,7 +373,7 @@ class Cyclotomic(RingElement):
         o = self._match(other)
         if o is NotImplemented:
             return NotImplemented
-        return self._trusted(_product_mod_phi(self.order, self.coeffs, o.coeffs))
+        return self._trusted(_reduce_mod_phi(self.order, _line_product(self.coeffs, o.coeffs)))
 
     __rmul__ = __mul__
 
@@ -328,21 +387,12 @@ class Cyclotomic(RingElement):
         j %= k
         if j == 1:
             return self
-        return Cyclotomic(k, {i * j % k: c for i, c in self.coeffs.items()})
+        return self._trusted(_reduce_mod_phi(k, _galois(k, self.coeffs, j)))
 
     def descend(self):
-        """The rational (base-ring) value of a Galois-invariant element.
-
-        Over a torsion-free base ring the element is invariant exactly when
-        no power of w above 0 is left in its reduced form, so that is what
-        is read; the Galois group is walked only to name the first j with
-        galois(j) != self, which the DescentError carries.
-        """
-        if self.coeffs.keys() - {0}:
-            k = self.order
-            raise DescentError(k, next((j for j in range(2, k)
-                                        if gcd(j, k) == 1 and self.galois(j) != self), 1))
-        return self.coefficient(0)
+        """The rational (base-ring) value of a Galois-invariant element, or
+        DescentError naming the first j with galois(j) != self."""
+        return _descend(self.order, self.coeffs).get(0, Fraction(0))
 
     # -- text format: "1 - 2*w + w^2@3" -----------------------------------
 

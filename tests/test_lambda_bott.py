@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adams_oracles import adams_lines, adams_newton
+from bott_oracles import (bott_cyclotomic_sequential, bott_virtual_horner, eval_at_minus_zeta,
+                          serre_sqrt_sequential)
 from builders import cyclotomic_const, zeta
 from spinbott.lambda_bott import (LambdaVector, LineExpr,
                                   NotEffectiveError,
@@ -17,12 +19,11 @@ from spinbott.lambda_bott import (LambdaVector, LineExpr,
                                   corrected_bott, line_to_lambda,
                                   parse_line_expr, serre_sqrt, sphere_formula,
                                   sum_of_powers, trivial_lambda_vector)
-from spinbott import lambda_bott
+from spinbott import cli, lambda_bott, rings
 from spinbott.config import CapExceededError, Caps, caps_scope
 from spinbott.lambda_bott import (ExponentRangeError, SerreSqrt, _check_line_budget,
-                                  _eval_at_minus_zeta, _exponent_bytes, _geometric_power,
-                                  _pack, _unpack)
-from spinbott.rings import Cyclotomic, TruncatedPoly
+                                  _exponent_bytes, _geometric_power, _pack, _unpack)
+from spinbott.rings import _BITS, Cyclotomic, DescentError, TruncatedPoly, _descend
 
 L1, L2, L3 = (LineExpr.symbol(i) for i in (1, 2, 3))
 
@@ -278,7 +279,10 @@ def test_the_bound_is_at_least_every_exponent(x, y, z, c, n):
     values = [x, y, x + y, x - y, 2 - x, -x, c * x, x * Fraction(c, 2), parse_line_expr(str(x)),
               *line_to_lambda(z).lams]
     for make in (lambda: [x * y], lambda: [x ** n], lambda: [y * x * x],
-                 lambda: (Cyclotomic(3, {0: x, 1: y}) * Cyclotomic(3, {0: y, 1: 1})).coeffs.values()):
+                 lambda: (Cyclotomic(3, {0: x, 1: y})
+                          * Cyclotomic(3, {0: y, 1: 1})).coeffs.values(),
+                 lambda: [bott_cyclotomic(LambdaVector(2, (x, y)), 2 + n)],
+                 lambda: [bott_cyclotomic(line_to_lambda(z), 2 + n)]):
         try:
             values.extend(make())
         except ExponentRangeError:
@@ -447,6 +451,18 @@ def test_bott_lines_refuses_an_expansion_over_budget_before_any_product(monkeypa
         bott_lines(parse_line_expr("100*L1"), 32)
 
 
+def test_cyclotomic_mode_refuses_an_expansion_over_budget_before_any_product(monkeypatch, capsys):
+    def no_product(*_):
+        raise AssertionError("a product was formed")
+
+    for module, name in ((lambda_bott, "_line_product"), (rings, "_line_product"),
+                         (cli, "line_to_lambda")):
+        monkeypatch.setattr(module, name, no_product)
+    for text, k in (("L1+L2+L3+L4+L5+L6+L7+L8", 8), ("100000*L1", 3)):
+        assert cli.main(["bott", "--mode", "cyclotomic", "--expr", text, "--k", str(k)]) == 2
+        assert "max_output_mb=256" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, k, mb", [
     ("L1+L2+L3+L4", 32, 108), ("1000*L1", 32, 23),
     ("L1+L2+L3+L4+L5+L6+L7+L8", 8, 1729), ("100000*L1", 3, 3985),
@@ -481,6 +497,38 @@ def test_bott_virtual_factor_is_geometric_sum(exps, k):
     assert bott_virtual(-x, k, nvars=3, images=_UNITS) * factor == 1
 
 
+@given(line_exprs(), st.integers(1, 12), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_bott_virtual_matches_horners_rule(x, k, custom):
+    # negative multiplicities are inverses; the custom images have constant
+    # terms 1, 2 and 1/2, so the binomial sums S_j carry powers of u
+    images = _UNITS if custom else None
+    assert bott_virtual(x, k, nvars=3, images=images) == bott_virtual_horner(x, k, 3, images)
+
+
+@pytest.mark.parametrize("k", range(2, 33))
+def test_bott_cyclotomic_matches_the_sequential_product(k):
+    # orbit norms, towers where phi(n) is a power of 2, against the product
+    # of the k - 1 factors one at a time; the line classes against bott_lines too
+    numeric = LambdaVector(4, (Fraction(1, 2), -3, Fraction(1, 2), 1))  # self-dual
+    assert bott_cyclotomic(numeric, k) == bott_cyclotomic_sequential(numeric, k)
+    for text in ("L1", "2*L1", "L1+L2^-1", "L1*L2+L3"):
+        x = parse_line_expr(text)
+        got = bott_cyclotomic(line_to_lambda(x), k)
+        assert got == bott_cyclotomic_sequential(line_to_lambda(x), k) == bott_lines(x, k)
+        assert got.bound >= largest_exponent(got)
+
+
+def test_descent_refuses_a_flat_element_that_is_not_invariant():
+    line = 1 << _BITS  # the key of L1, above the power digit
+    assert _descend(5, {line: 3, 0: 1}) == {1: 3, 0: 1}
+    for coeffs, j in (({line + 1: 1}, 2), ({0: 1, 2 * line + 3: -1}, 2),
+                      ({line: 1, 1: 1, 2: 1, 3: 1, 4: 1}, 2)):
+        with pytest.raises(DescentError) as err:
+            _descend(7, coeffs)
+        assert err.value.violating == j and err.value.order == 7
+
+
 @given(effective_exprs(max_monomials=2), st.sampled_from([2, 3, 4, 5, 6, 9, 12]))
 @settings(max_examples=30, deadline=None)
 def test_bott_cyclotomic_matches_lines(x, k):
@@ -513,17 +561,19 @@ def _self_dual_vectors(m):
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_serre_sqrt_folds_the_twist_into_each_evaluation(m):
     # the twist w^(-mr) rides in each evaluation; the old formula multiplied
-    # by it as a second Cyclotomic product per r (n = 2m, so n(k-1)/4 is whole)
+    # by it as a second Cyclotomic product per r (n = 2m, so n(k-1)/4 is whole),
+    # and the sequential oracle takes the twisted factors one at a time
     for v in _self_dual_vectors(m):
         assert v.is_self_dual()
         for k in range(3, 32, 2):
             old = cyclotomic_const(k, 1)
             for r in range(1, (k - 1) // 2 + 1):
-                old = (old * Cyclotomic(k, _eval_at_minus_zeta(v, k, r))
+                old = (old * Cyclotomic(k, eval_at_minus_zeta(v, k, r))
                        * zeta(k, -m * r))
             if m * (k - 1) // 2 % 2:
                 old = -old
-            assert serre_sqrt(v, k) == SerreSqrt(old.descend(), False)
+            assert serre_sqrt(v, k) == SerreSqrt(old.descend(), False) \
+                == serre_sqrt_sequential(v, k)
 
 
 def test_serre_sqrt_line_hyperbolic():
