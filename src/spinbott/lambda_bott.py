@@ -20,6 +20,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 
 from .config import FailedCheckError, check_cap
@@ -167,16 +168,20 @@ class LineExpr(RingElement):
 
     @classmethod
     def scalar(cls, c) -> "LineExpr":
-        return cls({(): c})
+        return cls.monomial((), c)
 
     @classmethod
     def symbol(cls, i: int) -> "LineExpr":
         """L_i, 1-based."""
-        return cls.scalar(1)._bounded({1 << _BITS * (_symbol_index(i) - 1): 1}, 1)
+        return _ZERO._bounded({1 << _BITS * (_symbol_index(i) - 1): 1}, 1)
 
     @classmethod
     def monomial(cls, exps, c=1) -> "LineExpr":
-        return cls({tuple(exps): c})
+        """c L1^e1 ... Ln^en, its one key packed directly: the constructor's
+        value, with a coefficient read as it reads one."""
+        exps = tuple(exps)
+        return _ZERO._bounded({_pack(exps): c if type(c) is int else Fraction(c)},
+                              max(map(abs, exps), default=0))
 
     _ring = None  # one ring: every line symbol is available to every expression
 
@@ -251,6 +256,9 @@ class LineExpr(RingElement):
         exps = m if type(m) is tuple else _exponent_bytes(m) or _signed_exponents(m)
         return "*".join([f"L{i}" if e == 1 else f"L{i}^{e}"
                          for i, e in enumerate(exps, start=1) if e])
+
+
+_ZERO = LineExpr()  # a LineExpr made from no operand is built by its _bounded
 
 
 @dataclass(frozen=True)
@@ -335,14 +343,20 @@ def _geometric_power(k: int, m: int) -> list:
     return a
 
 
+@lru_cache(maxsize=None)
+def _log2_ceil_1024(k: int) -> int:
+    """ceil(2^10 log2 k), in integers: the bit length of k^(2^10) - 1."""
+    return (k ** 1024 - 1).bit_length()
+
+
 def _check_line_budget(monos, k: int) -> None:
     """Refuse a line expansion whose estimated size exceeds max_output_mb.
 
     It has at most T = prod (mult (k-1) + 1) monomials over the nontrivial
     line monomials, and each coefficient at most B = ceil(sum mult log2 k)
     bits, so it takes about T (B/8 + 100) bytes, 100 bytes being a dict
-    entry with its key.  log2 k is rounded up at 10 binary places,
-    in integers: ceil(2^10 log2 k) is the bit length of k^(2^10) - 1.
+    entry with its key.  log2 k is rounded up at 10 binary places
+    (``_log2_ceil_1024``, computed once per k).
 
     It also refuses an expansion that could not be printed: the M = sum mult
     multiplicities give coefficients summing to k^M over at most T terms,
@@ -354,7 +368,7 @@ def _check_line_budget(monos, k: int) -> None:
         total += mult
         if key:
             terms *= mult * (k - 1) + 1
-    bits = -(-total * (k ** 1024 - 1).bit_length() >> 10)
+    bits = -(-total * _log2_ceil_1024(k) >> 10)
     check_cap("max_output_mb", -(-terms * (bits + 800) // 8_000_000),
               "estimated line expansion (MB)")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -374,11 +388,14 @@ def bott_lines(x: LineExpr, k: int) -> LineExpr:
     whose coefficients come from Miller's power recurrence (Knuth, TAOCP
     vol. 2, 4.7; see ``_geometric_power``) at the keys t * key; the trivial
     monomial contributes the constant k^m.  The factors multiply as plain
-    dicts and one LineExpr is built at the end.  An expansion estimated
-    above the max_output_mb cap is refused before any product, and so is a
-    factor whose exponents reach 2^70 (m (k - 1) max|e| of its monomial);
+    dicts and one LineExpr is built at the end, whose positive int
+    coefficients ``_trusted`` keeps without a rebuild.  An expansion estimated above
+    the max_output_mb cap is refused before any product, and so is a factor
+    whose exponents reach 2^70, m (k - 1) max|e| of its monomial.  A
+    factor's reach is first taken from the bound of x, m (k - 1) x.bound,
+    and its key is read for max|e| (``_scan``) only when that reaches 2^70;
     the running product is read for its largest exponent only when the
-    bounds of its factors add up to 2^70.
+    reaches of its factors add up to 2^70.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -387,7 +404,9 @@ def bott_lines(x: LineExpr, k: int) -> LineExpr:
     _check_line_budget(monos, k)
     out, bound = None, 0
     for key, mult in monos:
-        reach = mult * (k - 1) * _scan((key,))
+        reach = mult * (k - 1) * x.bound
+        if reach >= _LIMIT:
+            reach = mult * (k - 1) * _scan((key,))
         if reach >= _LIMIT:
             raise ExponentRangeError(f"the Bott class of order {k} could reach a line "
                                      f"exponent of {reach}, not below 2^70 in magnitude")
@@ -556,7 +575,7 @@ def _value(coeffs: dict, bound: int, lines: bool):
     """The class of a descended ``{line key: coeff}`` product: a LineExpr when
     some lambda value was one, else its rational constant."""
     if lines:
-        return LineExpr.scalar(1)._bounded(coeffs, bound)
+        return _ZERO._bounded(coeffs, bound)
     c = coeffs.get(0, 0)
     return _exact(c) if c else Fraction(0)
 
@@ -690,4 +709,4 @@ def parse_line_expr(s: str) -> LineExpr:
             digit = e << _BITS * (i - 1)
             key = key + digit if key else digit  # no copy of a lone digit
         coeffs[key] = coeffs.get(key, 0) + c
-    return LineExpr.scalar(1)._bounded(coeffs, bound)
+    return _ZERO._bounded(coeffs, bound)

@@ -220,7 +220,20 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+_PRIME_PLACES: set = set()  # the int places _check_place has passed, per process
+
+
 def _check_place(p):
+    """Refuse a place that is neither INF nor a prime below PRIME_PLACE_LIMIT.
+
+    The primality test runs once per place per process: an int place that
+    passed is remembered in ``_PRIME_PLACES``, and is then passed at once.
+    A refused place, a non-int and a bool (even the bool True, equal to 1)
+    are never remembered, so they raise the same InvalidPlaceError on every
+    call.
+    """
+    if type(p) is int and p in _PRIME_PLACES:
+        return
     if p == INF:
         return
     if isinstance(p, int) and p >= PRIME_PLACE_LIMIT:
@@ -228,6 +241,8 @@ def _check_place(p):
                                 f"{PRIME_PLACE_LIMIT}")
     if not isinstance(p, int) or not _is_prime(p):
         raise InvalidPlaceError(f"{p!r} is neither a prime nor {INF!r}")
+    if type(p) is int:
+        _PRIME_PLACES.add(p)
 
 
 def _valuation(n: int, p: int):
@@ -306,7 +321,8 @@ def hasse_witt(q: QuadraticForm, p) -> int:
     """Product of (a_i, a_j)_p over i < j, as prod_j (a_1...a_(j-1), a_j)_p:
     the symbol is bimultiplicative (Serre, A Course in Arithmetic, III 1), so
     rank - 1 symbols, each prefix carried as its square-class representative.
-    The place is checked once, up front, so a rank-1 form, which takes no
+    The place is checked up front (its primality test runs once per place
+    per process, see ``_check_place``), so a rank-1 form, which takes no
     symbol, refuses a bad place too."""
     _check_place(p)
     d = q.diag

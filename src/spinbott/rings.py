@@ -54,6 +54,9 @@ class DescentError(ValueError):
         self.violating = violating
 
 
+_INT = frozenset((int,))  # the one coefficient type _trusted keeps without a rebuild
+
+
 class RingElement:
     """The ring structure shared by every exact ring element of the package.
 
@@ -68,15 +71,21 @@ class RingElement:
     ``_repr_ring`` before that text.
     Ints and Fractions coerce to constants; an operand from another ring
     raises the subclass's ``_mismatch`` error.  Values are immutable.
-    Arithmetic on elements of one ring builds its result with ``_trusted``,
-    which skips the checking constructor.  A dict coefficient may itself be
-    a ring element (a ``Cyclotomic`` over ``LineExpr``): the constants stay
-    plain ints, so no ring needs to carry the zero of its coefficients.
+    Arithmetic on elements of one ring builds its result with ``_trusted``
+    from a dict made for that result, and skips the checking constructor.
+    A dict coefficient may itself be a ring element (a ``Cyclotomic`` over
+    ``LineExpr``): the constants stay plain ints, so no ring needs to carry
+    the zero of its coefficients.
     """
 
     __slots__ = ()
     _mismatch = RingMismatchError
     _ONE = 0  # the monomial of the constants
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the slots ``_trusted`` copies from an operand: all but the coefficients
+        cls._ring_slots = tuple(name for name in cls.__slots__ if name != "coeffs")
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} values are immutable")
@@ -85,17 +94,23 @@ class RingElement:
         return self._new({self._ONE: c})
 
     def _trusted(self, coeffs):
-        """An element of this ring from coefficients computed out of
-        operands of this ring: zeros are dropped and integral Fractions
-        become ints, but no key is re-checked, because the operands' keys
-        passed the checking constructor (in range, caps held, stripped)
-        and sums, scalings and products keep them so."""
+        """An element of this ring from a dict of coefficients built for it
+        out of operands of this ring, taken over as it is, not copied: no
+        key is re-checked, because the operands' keys passed the checking
+        constructor (in range, caps held, stripped) and sums, scalings and
+        products keep them so.  The dict is kept when every value is a
+        nonzero int, read in C: the types first, so that the truth test never
+        reaches a ring-element coefficient (whose ``__bool__`` is Python code
+        and whose ``== 0`` builds a constant).  Otherwise it is rebuilt
+        with the zeros dropped and each value stored as ``_exact`` does
+        (an integral Fraction becomes an int)."""
         out = object.__new__(type(self))
-        for name in self.__slots__:
-            if name != "coeffs":
-                object.__setattr__(out, name, getattr(self, name))
-        object.__setattr__(out, "coeffs", {m: c if type(c) is int else _exact(c)
-                                           for m, c in coeffs.items() if c})
+        for name in self._ring_slots:
+            object.__setattr__(out, name, getattr(self, name))
+        values = coeffs.values()
+        if not (_INT.issuperset(map(type, values)) and all(values)):
+            coeffs = {m: c if type(c) is int else _exact(c) for m, c in coeffs.items() if c}
+        object.__setattr__(out, "coeffs", coeffs)
         return out
 
     def _match(self, other):
@@ -176,11 +191,31 @@ class RingElement:
         return sorted(self.coeffs.items(), key=self._order)
 
     def __str__(self):
-        text = ""
+        """The terms in print order, each as its sign, then the absolute
+        value of its coefficient (omitted when it is 1 and a monomial
+        follows) and the monomial.  Each distinct int coefficient value is
+        converted to decimal once per call: the conversion of a big int is
+        quadratic in its size, and a Bott class repeats its coefficients
+        (the expansion of m L1 is palindromic).  The memo, kept for the
+        call, maps a value to the span of its digits in the text so far,
+        so a repeat is a copy of that span and no digits are held twice."""
+        text, spans = "", {}
         for m, c in self._terms():
             mono = self._var(m)
             a = -c if c < 0 else c
-            body = str(a) if not mono else mono if a == 1 else f"{a}*{mono}"
+            if mono and a == 1:
+                body = mono
+            elif type(a) is int:
+                span = spans.get(a)
+                if span is None:
+                    digits = str(a)
+                    start = len(text) + 3  # the digits follow the sign, " + " or " - "
+                    spans[a] = start, start + len(digits)
+                else:
+                    digits = text[span[0]:span[1]]
+                body = f"{digits}*{mono}" if mono else digits
+            else:
+                body = f"{a}*{mono}" if mono else str(a)
             text += f" {'-' if c < 0 else '+'} {body}"
         if not text:
             return "0"

@@ -673,3 +673,76 @@ def test_line_expr_distributive(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert (x + y) * z == x * z + y * z
     assert x * (y - z) == x * y - x * z
+
+
+def test_bott_lines_reads_no_key_below_the_bound(monkeypatch):
+    # each factor's reach is m (k - 1) x.bound; no key is read below 2^70
+    def no_scan(keys):
+        raise AssertionError("a key was read")
+
+    cases = [(text, k) for text in ("L1", "3*L1 + 2*L2^-1 + 5", "L1*L2^2 + 2*L3")
+             for k in (1, 2, 3, 7, 32)] + [(f"L1^{2 ** 69}", 1), (f"L1^{2 ** 69}", 2)]
+    expected = {(text, k): bott_lines(parse_line_expr(text), k) for text, k in cases}
+    monkeypatch.setattr(lambda_bott, "_scan", no_scan)
+    for (text, k), value in expected.items():
+        assert bott_lines(parse_line_expr(text), k) == value
+
+
+def test_bott_lines_scans_and_refuses_only_where_the_bound_reaches_two_to_the_seventy(monkeypatch):
+    e = 2 ** 69
+    scanned = []
+    real_scan = lambda_bott._scan
+    monkeypatch.setattr(lambda_bott, "_scan", lambda keys: scanned.append(len(keys)) or
+                        real_scan(keys))
+    # each factor of L1^e + L2^e reaches 2^69; the product reaches 2^70 and is read
+    assert str(bott_lines(parse_line_expr(f"L1^{e}+L2^{e}"), 2)) == \
+        f"1 + L2^{e} + L1^{e} + L1^{e}*L2^{e}"
+    assert scanned == [4]
+    # the bound of L1 + L2^e puts the reach of L1 at 2^70, so its key is read
+    # and found to reach 2; the factor of L2^e then reaches 2^70 and is refused
+    for text, k, reach in ((f"L1^{e}", 3, 2 * e), (f"L1 + L2^{e}", 3, 2 * e),
+                           (f"L1^{e - 1}", 5, 4 * (e - 1))):
+        scanned.clear()
+        with pytest.raises(ExponentRangeError) as err:
+            bott_lines(parse_line_expr(text), k)
+        assert str(err.value) == (f"the Bott class of order {k} could reach a line "
+                                  f"exponent of {reach}, not below 2^70 in magnitude")
+        assert scanned and set(scanned) == {1}
+
+
+def test_line_budget_takes_its_log_constant_once_per_k():
+    for k in range(1, 33):
+        assert lambda_bott._log2_ceil_1024(k) == (k ** 1024 - 1).bit_length()
+    # the refusals read the same with the constant cached
+    for _ in range(2):
+        with pytest.raises(CapExceededError) as err:
+            _check_line_budget(parse_line_expr("100000*L1").monomials(), 3)
+        assert str(err.value) == "estimated line expansion (MB) 3985 exceeds cap max_output_mb=256"
+        if sys.get_int_max_str_digits() == 4300:
+            with pytest.raises(ValueError) as err:
+                _check_line_budget(parse_line_expr("15000*L1").monomials(), 2)
+            assert str(err.value) == ("the line expansion has a coefficient above the "
+                                      "4300-digit limit for printing an int "
+                                      "(PYTHONINTMAXSTRDIGITS raises it)")
+        _check_line_budget(parse_line_expr("14000*L1").monomials(), 2)
+
+
+@pytest.mark.parametrize("c", [1, -3, 0, True, False, Fraction(3, 1), Fraction(-1, 2),
+                               Fraction(0), 0.5, 0.0, -2.0, "2", "1/3", "0", "-0/5"])
+def test_monomial_and_scalar_store_what_the_constructor_stores(c):
+    for exps in ((), (0,), (2,), (1, 0, -3), (0, 0), (2 ** 69, -1)):
+        fast, checked = LineExpr.monomial(exps, c), LineExpr({exps: c})
+        assert fast.coeffs == checked.coeffs and fast.bound == checked.bound
+        assert [type(v) for v in fast.coeffs.values()] == \
+            [type(v) for v in checked.coeffs.values()]
+        assert str(fast) == str(checked)
+    scalar = LineExpr.scalar(c)
+    assert scalar.coeffs == LineExpr({(): c}).coeffs and scalar.bound == 0
+
+
+def test_monomial_keeps_the_constructors_errors():
+    for exps, c, error in (((2 ** 70,), 1, ExponentRangeError), ((1,), "x", ValueError),
+                           ((1,), None, TypeError), ((-2 ** 70, 1), "x", ExponentRangeError)):
+        for make in (lambda: LineExpr.monomial(exps, c), lambda: LineExpr({exps: c})):
+            with pytest.raises(error):
+                make()

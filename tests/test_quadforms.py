@@ -430,3 +430,44 @@ def test_verify_oracle_builds_each_table_once():
         info = table.cache_info()
         assert info.misses == info.currsize == 4 * len(classes)
     assert len(verify._oracle_cache) == 4 * len(classes) ** 2
+
+
+def test_each_place_is_tested_prime_once_per_process(monkeypatch):
+    from spinbott import quadforms
+    tested = []
+    real_prime = quadforms._is_prime
+    monkeypatch.setattr(quadforms, "_PRIME_PLACES", set())
+    monkeypatch.setattr(quadforms, "_is_prime", lambda p: tested.append(p) or real_prime(p))
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    rng = random.Random(5)
+    for _ in range(2000):
+        a, b = rng.choice([-1, 1]) * rng.randint(1, 500), rng.randint(1, 500)
+        p = rng.choice(primes + [INF])
+        assert hilbert_symbol(a, b, p) == hilbert_symbol(b, a, p)
+    assert sorted(tested) == primes
+    hasse_witt(QuadraticForm((1, 2, 3)), 1000000000000000003)
+    hasse_witt(QuadraticForm((1, 2, 3)), 1000000000000000003)
+    assert tested[len(primes):] == [1000000000000000003]
+
+
+@pytest.mark.parametrize("place, message", [
+    (4, "4 is neither a prime nor 'inf'"),
+    (1, "1 is neither a prime nor 'inf'"),
+    (-3, "-3 is neither a prime nor 'inf'"),
+    (True, "True is neither a prime nor 'inf'"),
+    (2.0, "2.0 is neither a prime nor 'inf'"),
+    ("2", "'2' is neither a prime nor 'inf'"),
+    (PRIME_PLACE_LIMIT, f"place {PRIME_PLACE_LIMIT} is not below the primality bound "
+                        f"{PRIME_PLACE_LIMIT}"),
+])
+def test_a_refused_place_is_refused_on_every_call(monkeypatch, place, message):
+    from spinbott import quadforms
+    monkeypatch.setattr(quadforms, "_PRIME_PLACES", set())
+    assert (hilbert_symbol(3, 5, 2), hilbert_symbol(3, 5, 3)) == (1, -1)  # 2 and 3 remembered
+    for _ in range(3):
+        for call in (lambda: hilbert_symbol(3, 5, place),
+                     lambda: hasse_witt(QuadraticForm((3,)), place)):
+            with pytest.raises(InvalidPlaceError) as err:
+                call()
+            assert str(err.value) == message
+    assert quadforms._PRIME_PLACES == {2, 3}

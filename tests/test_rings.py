@@ -624,3 +624,83 @@ def test_truncated_product_matches_the_pair_loop(pair):
     a, b = pair
     _assert_stored_exactly((a * b).coeffs, _pair_loop(a, b))
     _assert_stored_exactly((b * a).coeffs, _pair_loop(a, b))
+
+
+def test_trusted_drops_the_zeros_of_a_cancelling_product():
+    L1 = LineExpr.symbol(1)
+    square = (L1 + 1) * (L1 - 1)  # the L1 terms cancel
+    assert {_unpack(key): c for key, c in square.coeffs.items()} == {(2,): 1, (): -1}
+    assert str(square) == "-1 + L1^2"
+    assert ((L1 + 1) - (L1 + 1)).coeffs == {} and (L1 * 0).coeffs == {}
+    form = QuadraticForm((1, -1))
+    e1 = CliffordElement(form, {1: 1})
+    assert ((e1 + 1) * (e1 - 1)).coeffs == {}  # e1^2 = 1
+
+
+def test_trusted_stores_integral_fractions_as_ints():
+    half = Fraction(1, 2)
+    for value in (LineExpr({(1,): half}) + LineExpr({(1,): half}),
+                  Cyclotomic(5, {1: half, 2: Fraction(3, 2)}) * 2,
+                  -TruncatedPoly(2, {1: half, 3: Fraction(-5, 2)}) * Fraction(2),
+                  CliffordElement(QuadraticForm((1, 3)), {0: half, 3: half}) * 4):
+        assert value.coeffs and all(type(c) is int for c in value.coeffs.values())
+
+
+def test_trusted_reads_no_ring_element_coefficient_of_a_cyclotomic(monkeypatch):
+    L1, L2 = LineExpr.symbol(1), LineExpr.symbol(2)
+    a = Cyclotomic(3, {0: L1, 1: L2})
+    b = Cyclotomic(3, {0: L2, 1: 1})
+    product, difference = a * b, a - a
+
+    def no_compare(self, other):
+        raise AssertionError("a ring-element coefficient was compared")
+
+    # the type test comes first, so no ring-element coefficient is compared with 0
+    monkeypatch.setattr(LineExpr, "__eq__", no_compare)
+    assert (a * b).coeffs.keys() == product.coeffs.keys() and not a - a
+    monkeypatch.undo()
+    assert product == Cyclotomic(3, {0: L1 * L2 - L2, 1: L2 * L2 + L1 - L2})
+    assert difference.coeffs == {} and (a * 3 - a * 2) == a
+
+
+def test_no_result_shares_its_dict_with_an_operand():
+    L1, L2 = LineExpr.symbol(1), LineExpr.symbol(2)
+    half = Fraction(1, 2)
+    operands = [(L1 + 2 * L2, L1 - L2), (L1, L1),
+                (Cyclotomic(5, {1: 2, 3: 1}), Cyclotomic(5, {0: 1, 4: 3})),
+                (Cyclotomic(4, {0: L1, 1: 1}), Cyclotomic(4, {1: L2})),
+                (TruncatedPoly(3, {1: 2, 6: 1}), TruncatedPoly(3, {0: 1, 4: half})),
+                (CliffordElement(QuadraticForm((1, -2)), {1: 1, 2: 3}),
+                 CliffordElement(QuadraticForm((1, -2)), {0: 2, 3: 1}))]
+    for a, b in operands:
+        results = [a + b, a - b, -a, a * b, b * a, a * 3, a * half, a + 0, a ** 2, 0 + a]
+        if isinstance(a, Cyclotomic):
+            results.append(a.galois(2 if a.order % 2 else 3))
+        for r in results:
+            assert r.coeffs is not a.coeffs and r.coeffs is not b.coeffs
+        assert len({id(r.coeffs) for r in results}) == len(results)
+
+
+def test_text_converts_each_distinct_int_coefficient_once(monkeypatch):
+    from spinbott import rings
+    from spinbott.lambda_bott import bott_lines
+    # the class of 30 L1 at k = 5 is palindromic, so its coefficients repeat
+    values = [bott_lines(parse_line_expr("30*L1"), 5),
+              bott_lines(parse_line_expr("3*L1 + 2*L2 - 0"), 4) * -1 + Fraction(1, 3),
+              TruncatedPoly(3, {0: Fraction(-1, 2), 1: Fraction(1, 2), 2: 1, 3: -1, 7: 2})]
+    texts = []
+    for x in values:  # the text term by term, with no memo
+        text = ""
+        for m, c in x._terms():
+            mono, a = x._var(m), abs(c)
+            body = str(a) if not mono else mono if a == 1 else f"{a}*{mono}"
+            text += f" {'-' if c < 0 else '+'} {body}"
+        texts.append(text[3:] if text[1] == "+" else "-" + text[3:])
+    converted = []
+    monkeypatch.setattr(rings, "str", lambda a: converted.append(a) or str(a), raising=False)
+    for x, text in zip(values, texts):
+        converted.clear()
+        assert x.__str__() == text
+        distinct = {abs(c) for m, c in x._terms()
+                    if type(c) is int and (not x._var(m) or abs(c) != 1)}
+        assert sorted(a for a in converted if type(a) is int) == sorted(distinct)
