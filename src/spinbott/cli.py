@@ -20,12 +20,11 @@ import os
 import re
 import sys
 from collections import namedtuple
-from dataclasses import asdict, fields
 from fractions import Fraction
 from types import SimpleNamespace
 
 from .clifford import clifford_group_test, parse_element, spin_lift
-from .config import Caps, FailedCheckError, caps_scope
+from .config import CAP_TABLE, Caps, FailedCheckError, caps_scope
 from .lambda_bott import (LambdaVector, _check_line_budget, bott_cyclotomic, bott_lines,
                           bott_virtual, line_to_lambda, parse_line_expr, serre_sqrt,
                           sphere_formula)
@@ -39,15 +38,17 @@ class UsageError(ValueError):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
         try:
             with open(out, "w") as fh:
                 fh.write(text)
+                fh.write("\n")
         except OSError as exc:
             raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
 # Each command returns its JSON payload and its exit code.
@@ -62,7 +63,7 @@ def cmd_qf(args):
         "disc": triple.disc_class,
         "hasse_minus": list(triple.hasse_minus),
         "orientable": orientable,
-        "bw": asdict(triple),
+        "bw": triple._asdict(),
     }
     if witness is not None:
         payload["orientation_witness"] = str(witness)
@@ -161,8 +162,8 @@ def cmd_verify(args):
 Flag = namedtuple("Flag", "name shape type default required help choices",
                   defaults=("value", str, None, False, "", ()))
 Command = namedtuple("Command", "func help flags")
-CAP_FLAGS = tuple(Flag(cap.name, type=int, default=cap.default, help=cap.metadata["help"])
-                  for cap in fields(Caps))
+CAP_FLAGS = tuple(Flag(name, type=int, default=default, help=help)
+                  for name, default, help in CAP_TABLE)
 HELP = Flag("help", "switch", help="print this help and exit")
 OUT = Flag("out", help="write the JSON to this file instead of stdout")
 COMMANDS = {
@@ -329,8 +330,7 @@ def main(argv=None) -> int:
             sys.stdout.write(args)
             code = 0
         else:
-            with caps_scope(Caps(**{cap.name: getattr(args, cap.name)
-                                    for cap in fields(Caps)})):
+            with caps_scope(Caps._make(getattr(args, name) for name in Caps._fields)):
                 payload, code = args.func(args)
             _emit(payload, args.out)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -26,7 +26,7 @@ untwisting map is certified by a permutation check on signed blade pairs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -233,17 +233,13 @@ def volume_element(q: QuadraticForm) -> CliffordElement:
 
 # -- Clifford group membership ------------------------------------------------
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(namedtuple("Membership", "member reason degree images norm in_spin",
+                            defaults=("", None, None, None, False))):
     """Outcome of the Clifford-group test; a member's ``images[c]`` is the
-    image of e_(c+1) under its isometry, as {t: coeff} with t 0-based."""
+    image of e_(c+1) under its isometry, as {t: coeff} with t 0-based, and
+    a non-member has a ``reason``."""
 
-    member: bool
-    reason: str = ""
-    degree: int | None = None
-    images: tuple | None = None
-    norm: Fraction | None = None
-    in_spin: bool = False
+    __slots__ = ()
 
     def rows(self) -> list:
         """Dense rows: row r, column c is the coefficient of e_(r+1) in img(e_(c+1))."""
@@ -374,8 +370,7 @@ def graded_tensor_check(q1: QuadraticForm, q2: QuadraticForm) -> bool:
 
 # -- untwisting: C(V + <1>^r) ~ C(V) (x) C^{0,r}, ungraded tensor -------------
 
-@dataclass(frozen=True)
-class UntwistIso:
+class UntwistIso(namedtuple("UntwistIso", "form r gen_images relations_ok bijective")):
     """Verified untwisting map onto the ungraded tensor with C^{0,r}.
 
     ``gen_images[i]`` is the image of the i-th source generator as a map
@@ -383,11 +378,7 @@ class UntwistIso:
     are the original generators, the last r the adjoined unit ones.
     """
 
-    form: QuadraticForm
-    r: int
-    gen_images: tuple
-    relations_ok: bool
-    bijective: bool
+    __slots__ = ()
 
 
 def untwist_iso(q: QuadraticForm, r: int) -> UntwistIso:
@@ -434,20 +425,11 @@ def untwist_iso(q: QuadraticForm, r: int) -> UntwistIso:
 
 # -- lifting transpositions to the spinorial level -----------------------------
 
-@dataclass(frozen=True)
-class SpinLift:
+class SpinLift(namedtuple("SpinLift", "form copies generators lambda_sign squares_ok "
+                                      "braid_ok commutation_ok matrices_ok norms in_spin")):
     """Lifted transposition generators in C(V^k) with their relation report."""
 
-    form: QuadraticForm
-    copies: int
-    generators: list
-    lambda_sign: Fraction
-    squares_ok: bool
-    braid_ok: bool
-    commutation_ok: bool
-    matrices_ok: bool
-    norms: list
-    in_spin: list
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:

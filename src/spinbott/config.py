@@ -12,9 +12,9 @@ leaving the block restores the caps that held before it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 
 
 class CapExceededError(ValueError):
@@ -25,21 +25,23 @@ class FailedCheckError(Exception):
     """An exact identity that a computation checks does not hold."""
 
 
-def _cap(default: int, help: str):
-    return field(default=default, metadata={"help": help})
+# (name, default, help) of each cap, in flag order: the fields of Caps and
+# the CLI flags --max-... with their help
+CAP_TABLE = (
+    ("max_dim", 12, "blade rank cap"),
+    ("max_tensor", 4096, "tensor dimension cap"),
+    ("max_vars", 8, "truncated variable cap"),
+    ("max_k", 32, "cyclotomic order and Bott order cap"),
+    ("max_output_mb", 256, "cap on the estimated size of a Bott line expansion or of a "
+     "line symbol's key, in MB, checked before it is built"),
+)
 
 
-@dataclass(frozen=True)
-class Caps:
-    """The size caps; each field is a CLI flag ``--max-...`` with its help."""
+class Caps(namedtuple("Caps", [name for name, _, _ in CAP_TABLE],
+                      defaults=[default for _, default, _ in CAP_TABLE])):
+    """The size caps, one field per row of ``CAP_TABLE``."""
 
-    max_dim: int = _cap(12, "blade rank cap")
-    max_tensor: int = _cap(4096, "tensor dimension cap")
-    max_vars: int = _cap(8, "truncated variable cap")
-    max_k: int = _cap(32, "cyclotomic order and Bott order cap")
-    max_output_mb: int = _cap(256, "cap on the estimated size of a Bott line "
-                              "expansion or of a line symbol's key, in MB, "
-                              "checked before it is built")
+    __slots__ = ()
 
 
 DEFAULT_CAPS = Caps()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -261,17 +261,17 @@ class LineExpr(RingElement):
 _ZERO = LineExpr()  # a LineExpr made from no operand is built by its _bounded
 
 
-@dataclass(frozen=True)
-class LambdaVector:
+class LambdaVector(namedtuple("LambdaVector", "rank lams")):
     """Rank n plus the exterior powers lam^1..lam^n in an exact ring."""
 
-    rank: int
-    lams: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 0 or len(self.lams) != self.rank:
+    def __new__(cls, rank, lams):
+        if rank < 0 or len(lams) != rank:
             raise ValueError("need exactly rank many lambda values")
-        object.__setattr__(self, "lams", tuple(self.lams))
+        return super().__new__(cls, rank, tuple(lams))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def lam(self, j: int):
         if j == 0:
@@ -415,7 +415,7 @@ def bott_lines(x: LineExpr, k: int) -> LineExpr:
         factor = ({key if t == 1 else t * key: a
                    for t, a in enumerate(_geometric_power(k, mult))} if key
                   else {0: k ** mult})
-        out = factor if out is None else _line_product(out, factor)
+        out = factor if out is None else _line_product(factor, out)  # the few terms outside
         bound += reach
         if bound >= _LIMIT:
             bound = _scan(out)
@@ -606,13 +606,11 @@ def bott_cyclotomic(v: LambdaVector, k: int):
     return _value(out, total, lines)
 
 
-@dataclass(frozen=True)
-class SerreSqrt:
+class SerreSqrt(namedtuple("SerreSqrt", "value sign_ambiguous")):
     """Square root of the Bott class; sign_ambiguous marks a skipped
     normalization sign (the exponent n(k-1)/4 was not an integer)."""
 
-    value: object
-    sign_ambiguous: bool
+    __slots__ = ()
 
 
 def serre_sqrt(v: LambdaVector, k: int) -> SerreSqrt:

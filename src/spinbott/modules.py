@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .linalg import SparseOp
@@ -34,8 +33,7 @@ class PresentationError(FailedCheckError):
     """Module dimensions are inconsistent with the supplied presentation."""
 
 
-@dataclass(frozen=True)
-class GradedModule:
+class GradedModule(namedtuple("GradedModule", "form grading gens")):
     """A graded space E with odd generators for a diagonal form.
 
     ``grading[i]`` is the degree (0 or 1) of the i-th basis vector; each
@@ -45,26 +43,28 @@ class GradedModule:
     All of this is checked when the module is built.
     """
 
-    form: QuadraticForm
-    grading: tuple
-    gens: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.gens) != self.form.rank:
+    def __new__(cls, form, grading, gens):
+        self = super().__new__(cls, form, grading, gens)
+        if len(gens) != form.rank:
             raise PresentationError("need one generator per form entry")
         if self.dims[0] == 0 or self.dims[1] == 0:
             raise PresentationError("both graded blocks must be nonzero")
-        g, dim = self.grading, self.dim
-        for i, gen in enumerate(self.gens):
+        g, dim = grading, self.dim
+        for i, gen in enumerate(gens):
             if len(gen.cols) != dim or any(not 0 <= r < dim for col in gen.cols for r in col):
                 raise PresentationError(f"generator {i + 1} is not a {dim} x {dim} operator")
             if any(g[r] == g[c] for c, col in enumerate(gen.cols) for r in col):
                 raise PresentationError(f"generator {i + 1} is not odd")
-        failure = _relation_failure(self.gens, self.form.diag, dim)
+        failure = _relation_failure(gens, form.diag, dim)
         if failure:
             raise PresentationError(failure)
         if self.volume_op() != self.grading_op():
             raise PresentationError("volume element is not diag(1,-1) on E0+E1")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     @property
     def dim(self) -> int:
@@ -194,18 +194,16 @@ def opposite_module(module: GradedModule) -> GradedModule:
 
 # -- tensor powers with the sign-twisted symmetric-group action ---------------
 
-@dataclass(frozen=True)
-class TensorPower:
+class TensorPower(namedtuple("TensorPower", "base k gradings")):
     """E^(x)k as a graded space with the sign-twisted S_k action.
 
     Basis vectors are numbered in base d = dim E, slot 0 the leading digit;
     the swaps and class representatives are signed permutations built from
     the digits.  The diagonal Clifford action is ``diagonal_generators``.
+    ``gradings[m][h]`` is the degree of basis vector h of E^(x)m, m = 0..k.
     """
 
-    base: GradedModule
-    k: int
-    gradings: tuple        # gradings[m][h]: degree of basis vector h of E^(x)m, m = 0..k
+    __slots__ = ()
 
     @property
     def grading(self) -> list:
@@ -379,12 +377,11 @@ def _weigh(weights, denominator, traces) -> list:
 
 # -- Adams via eigenmodules of the cycle --------------------------------------
 
-@dataclass(frozen=True)
-class VirtualCyclotomicModule:
-    """Graded dimensions of the cycle eigenmodules, one pair per eigenvalue."""
+class VirtualCyclotomicModule(namedtuple("VirtualCyclotomicModule", "order graded_dims")):
+    """Graded dimensions of the cycle eigenmodules, one pair per eigenvalue:
+    ``graded_dims`` is ((d0, d1), ...) for the eigenvalues w^0 .. w^(k-1)."""
 
-    order: int
-    graded_dims: tuple  # ((d0, d1), ...) for eigenvalues w^0 .. w^(k-1)
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(d0 + d1 for d0, d1 in self.graded_dims)
@@ -474,19 +471,10 @@ def adams_bar(module: GradedModule, k: int) -> VirtualCyclotomicModule:
 
 # -- Adams via characters of the symmetric group -------------------------------
 
-@dataclass(frozen=True)
-class IsotypicPiece:
-    partition: tuple
-    dim: int
-    char_at_cycle: int
-    graded_mult: tuple  # multiplicity of the irreducible in each block
-
-
-@dataclass(frozen=True)
-class AdamsCharacter:
-    k: int
-    pieces: tuple
-    psi_graded: tuple  # (psi on block 0, psi on block 1)
+# graded_mult: the multiplicity of the irreducible in each block
+IsotypicPiece = namedtuple("IsotypicPiece", "partition dim char_at_cycle graded_mult")
+# psi_graded: (psi on block 0, psi on block 1)
+AdamsCharacter = namedtuple("AdamsCharacter", "k pieces psi_graded")
 
 
 def isotypic_projectors(tp: TensorPower):

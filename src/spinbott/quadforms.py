@@ -7,8 +7,7 @@ the standard constructors (hyperbolic, scaling).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -34,19 +33,20 @@ class UnfactoredError(ValueError):
     """An entry has a factor that is neither split nor proved prime."""
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(namedtuple("QuadraticForm", "diag")):
     """<a1, ..., an> with every ai a nonzero rational, stored as an int
     when integral (``rings._exact``): the factors Clifford products
     contract with."""
 
-    diag: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        entries = tuple(_exact(Fraction(a)) for a in self.diag)
+    def __new__(cls, diag):
+        entries = tuple(_exact(Fraction(a)) for a in diag)
         if any(a == 0 for a in entries):
             raise DegenerateFormError("diagonal entries must be nonzero")
-        object.__setattr__(self, "diag", entries)
+        return super().__new__(cls, entries)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     @property
     def rank(self) -> int:
@@ -245,19 +245,23 @@ def _check_place(p):
         _PRIME_PLACES.add(p)
 
 
-def _valuation(n: int, p: int):
-    v = 0
-    while n % p == 0:
-        n //= p
+def _square_int(a) -> int:
+    """An integer in the square class of the rational a: a itself when it is
+    an int, else its numerator times its denominator (a times a square)."""
+    if type(a) is int:
+        return a
+    if not isinstance(a, Fraction):
+        a = Fraction(a)
+    return a.numerator * a.denominator
+
+
+def _split(x: int, p):
+    """(v, u) with x = p^v * u: u the signed unit part of the nonzero
+    integer x at the prime p."""
+    u, v = abs(x), 0
+    while not u % p:
+        u //= p
         v += 1
-    return v, n
-
-
-def _split(a, p):
-    """(v, u) with a = p^v * u times a square: u the signed unit part of the
-    integer numerator * denominator of the nonzero rational a at the prime p."""
-    x = a.numerator * a.denominator  # a times the square of its denominator
-    v, u = _valuation(abs(x), p)
     return v, (u if x > 0 else -u)
 
 
@@ -270,45 +274,41 @@ def hilbert_symbol(a, b, p) -> int:
     """(a, b)_p: 1 iff z^2 = a x^2 + b y^2 has a nontrivial Q_p (or real) zero.
 
     Standard valuation / Legendre-symbol case analysis; depends only on
-    the square classes of a and b.  Int and Fraction arguments are used as
-    they are; any other argument is read as a Fraction.
+    the square classes of a and b, so each is first replaced by an integer
+    of its class (``_square_int``; an argument that is neither int nor
+    Fraction is read as a Fraction).
     """
-    if not isinstance(a, (int, Fraction)):
-        a = Fraction(a)
-    if not isinstance(b, (int, Fraction)):
-        b = Fraction(b)
-    if a == 0 or b == 0:
+    a, b = _square_int(a), _square_int(b)
+    if not (a and b):
         raise ValueError("Hilbert symbol needs nonzero arguments")
-    _check_place(p)
+    if not (type(p) is int and p in _PRIME_PLACES):
+        _check_place(p)
     return _symbol(a, b, p)
 
 
 def _symbol(a, b, p) -> int:
-    """(a, b)_p for nonzero int or Fraction a and b at a checked place p."""
+    """(a, b)_p for nonzero ints a and b at a checked place p."""
     if p == INF:
         return -1 if (a < 0 and b < 0) else 1
     alpha, u = _split(a, p)
     beta, v = _split(b, p)
     if p == 2:
-        def eps(x):
-            return ((x - 1) // 2) % 2
-
-        def omega(x):
-            return ((x * x - 1) // 8) % 2
-
-        e = eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)
-        return -1 if e % 2 else 1
-    e = alpha * beta * (((p - 1) // 2) % 2)
-    s = (-1) ** (e % 2)
-    if beta % 2:
+        # eps(u) eps(v) + alpha omega(v) + beta omega(u) mod 2, for the odd u
+        # and v: eps(x) = (x - 1)/2 mod 2 is bit 1 of x, and omega(x) =
+        # (x^2 - 1)/8 mod 2 is 1 iff x is 3 or 5 mod 8, bit 2 of x + 2
+        e = (u & v) >> 1 ^ alpha & (v + 2) >> 2 ^ beta & (u + 2) >> 2
+        return -1 if e & 1 else 1
+    # (-1)^(alpha beta (p - 1)/2), (p - 1)/2 odd iff bit 1 of p is set
+    s = -1 if alpha & beta & p >> 1 & 1 else 1
+    if beta & 1:
         s *= _legendre(u, p)
-    if alpha % 2:
+    if alpha & 1:
         s *= _legendre(v, p)
     return s
 
 
-def _square_class(a, p) -> int:
-    """An integer in the square class of the nonzero rational a at the place
+def _square_class(a: int, p) -> int:
+    """An integer in the square class of the nonzero integer a at the place
     p: its sign at INF; else p^(v_p(a) mod 2) times its unit part, reduced
     mod 8 at 2 and mod p at an odd p."""
     if p == INF:
@@ -325,7 +325,7 @@ def hasse_witt(q: QuadraticForm, p) -> int:
     per process, see ``_check_place``), so a rank-1 form, which takes no
     symbol, refuses a bad place too."""
     _check_place(p)
-    d = q.diag
+    d = [_square_int(a) for a in q.diag]
     out, prefix = 1, d[0] if d else 1
     for a in d[1:]:
         out *= _symbol(prefix, a, p)
@@ -333,13 +333,10 @@ def hasse_witt(q: QuadraticForm, p) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class BWTriple:
+class BWTriple(namedtuple("BWTriple", "rank_parity disc_class hasse_minus")):
     """Rank parity, discriminant square class, places with Hasse-Witt -1."""
 
-    rank_parity: int
-    disc_class: int
-    hasse_minus: tuple
+    __slots__ = ()
 
 
 def bw_class(q: QuadraticForm, prime_bound: int) -> BWTriple:

@@ -198,28 +198,29 @@ class RingElement:
         quadratic in its size, and a Bott class repeats its coefficients
         (the expansion of m L1 is palindromic).  The memo, kept for the
         call, maps a value to the span of its digits in the text so far,
-        so a repeat is a copy of that span and no digits are held twice."""
+        so a repeat is a copy of that span and no digits are held twice.
+        The first term's sign is "-" or nothing, every later one's " - " or
+        " + ", so the text is built once and never copied whole."""
         text, spans = "", {}
         for m, c in self._terms():
             mono = self._var(m)
             a = -c if c < 0 else c
+            sign = (" - " if text else "-") if c < 0 else (" + " if text else "")
             if mono and a == 1:
                 body = mono
             elif type(a) is int:
                 span = spans.get(a)
                 if span is None:
                     digits = str(a)
-                    start = len(text) + 3  # the digits follow the sign, " + " or " - "
+                    start = len(text) + len(sign)  # the digits follow the sign
                     spans[a] = start, start + len(digits)
                 else:
                     digits = text[span[0]:span[1]]
                 body = f"{digits}*{mono}" if mono else digits
             else:
                 body = f"{a}*{mono}" if mono else str(a)
-            text += f" {'-' if c < 0 else '+'} {body}"
-        if not text:
-            return "0"
-        return text[3:] if text[1] == "+" else "-" + text[3:]  # "-a + b", "a - b"
+            text += sign + body
+        return text or "0"
 
     def __repr__(self):
         return f"{type(self).__name__}({self._repr_ring}{str(self)!r})"

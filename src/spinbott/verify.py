@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 from .clifford import (CliffordElement, clifford_group_test, graded_tensor_check,
                        pairing_det, phi_gram, spin_lift, untwist_iso, volume_element)
@@ -23,12 +23,14 @@ from .modules import adams_module_report, hermitian_bott, opposite_form_check
 from .quadforms import INF, QuadraticForm, _is_prime, hilbert_symbol, square_free_part
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    seed: int
-    cases: list = field(default_factory=list)
-    elapsed: float | None = None
+class VerificationReport(SimpleNamespace):
+    """A suite's name, seed and cases, and its wall-clock seconds
+    (``elapsed``, set after the run when it is timed)."""
+
+    def __init__(self, suite: str, seed: int, cases: list | None = None,
+                 elapsed: float | None = None):
+        super().__init__(suite=suite, seed=seed, cases=[] if cases is None else cases,
+                         elapsed=elapsed)
 
     @property
     def passed(self) -> int:
@@ -75,11 +77,13 @@ def _guarded(cid: str, statement: str, inputs, expected, thunk) -> dict:
 # -- spheres: closed sphere coefficients and the line-class axioms ------------
 
 def _random_effective(rng: random.Random, nsyms: int = 3) -> LineExpr:
-    out = LineExpr.scalar(0)
+    # one or two monomials, a repeated one's coefficients added (by the
+    # constructor where two tuples pack to one key)
+    terms: dict = {}
     for _ in range(rng.randint(1, 2)):
         exps = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, nsyms)))
-        out = out + LineExpr.monomial(exps, rng.randint(1, 2))
-    return out
+        terms[exps] = terms.get(exps, 0) + rng.randint(1, 2)
+    return LineExpr(terms)
 
 
 def suite_spheres(seed: int) -> list:

@@ -14,11 +14,10 @@ import argparse
 import contextlib
 import functools
 import io
-from dataclasses import fields
 
 from spinbott.cli import (cmd_adams_module, cmd_bott, cmd_clifford_check, cmd_qf,
                           cmd_serre_sqrt, cmd_spin_lift, cmd_verify)
-from spinbott.config import Caps
+from spinbott.config import CAP_TABLE
 from spinbott.verify import SUITES
 
 
@@ -28,9 +27,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinbott",
         description="Exact Clifford-algebra, quadratic-form and Bott-class checks.",
         allow_abbrev=False)
-    for cap in fields(Caps):
-        parser.add_argument("--" + cap.name.replace("_", "-"), type=int,
-                            default=cap.default, help=cap.metadata["help"])
+    for name, default, help in CAP_TABLE:
+        parser.add_argument("--" + name.replace("_", "-"), type=int,
+                            default=default, help=help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("qf", help="invariants of a diagonal quadratic form")

@@ -160,19 +160,19 @@ def test_out_file_holds_the_bytes_of_stdout(capsys, tmp_path, command):
 
 
 def test_every_cap_is_a_flag_with_its_default_and_help(capsys):
-    import dataclasses
     from spinbott.cli import CAP_FLAGS, parse_args
-    from spinbott.config import Caps
+    from spinbott.config import CAP_TABLE, Caps
     assert main(["--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
-    caps = dataclasses.fields(Caps)
-    assert [flag.name for flag in CAP_FLAGS] == [cap.name for cap in caps]
-    for cap, flag in zip(caps, CAP_FLAGS):
-        option = "--" + cap.name.replace("_", "-")
-        assert flag.shape == "value" and flag.default == cap.default and flag.type is int
-        assert getattr(parse_args(["qf", "1"]), cap.name) == cap.default
-        assert getattr(parse_args([option, "7", "qf", "1"]), cap.name) == 7
-        assert cap.metadata["help"] in help_text
+    assert [flag.name for flag in CAP_FLAGS] == [name for name, _, _ in CAP_TABLE]
+    assert list(Caps._fields) == [name for name, _, _ in CAP_TABLE]
+    for (name, default, help), flag in zip(CAP_TABLE, CAP_FLAGS):
+        option = "--" + name.replace("_", "-")
+        assert flag.shape == "value" and flag.default == default and flag.type is int
+        assert Caps._field_defaults[name] == default
+        assert getattr(parse_args(["qf", "1"]), name) == default
+        assert getattr(parse_args([option, "7", "qf", "1"]), name) == 7
+        assert help in help_text
         assert option in help_text
 
 
@@ -548,3 +548,24 @@ print(json.dumps([answers, "argparse" in sys.modules]))
     for argv, answer in zip(requests, answers):
         fresh = _cli_process(argv)
         assert answer == [fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()]
+
+
+def test_the_cli_imports_no_dataclasses_and_the_records_keep_their_defaults():
+    from spinbott.cli import CAP_FLAGS
+    from spinbott.clifford import Membership
+    from spinbott.config import DEFAULT_CAPS, Caps
+    script = ("import sys, spinbott.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          timeout=60, check=True)
+    assert proc.stdout == b"[]\n"
+    assert Caps() == DEFAULT_CAPS
+    assert Caps._fields == tuple(flag.name for flag in CAP_FLAGS) == (
+        "max_dim", "max_tensor", "max_vars", "max_k", "max_output_mb")
+    assert tuple(DEFAULT_CAPS) == (12, 4096, 8, 32, 256)
+    refused = Membership(False, reason="x")
+    assert (refused.member, refused.reason, refused.degree, refused.images, refused.norm,
+            refused.in_spin) == (False, "x", None, None, None, False)
+    assert repr(refused) == ("Membership(member=False, reason='x', degree=None, "
+                             "images=None, norm=None, in_spin=False)")

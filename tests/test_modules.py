@@ -1,6 +1,5 @@
 """Graded Clifford modules, tensor powers, both Adams routes, the reduction."""
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -17,7 +16,7 @@ from dense_modules import (clifford_action_matrix, diag, from_dense, identity, m
 from spinbott import modules
 from spinbott.clifford import CliffordElement, volume_element
 from spinbott.linalg import SparseOp
-from spinbott.modules import (GradedModule, PresentationError, adams_bar,
+from spinbott.modules import (GradedModule, PresentationError, TensorPower, adams_bar,
                               adams_character, adams_module_report,
                               hermitian_bott, hermitian_bott_of, is_end_iso,
                               opposite_form_check, opposite_module, partitions,
@@ -161,9 +160,23 @@ def _action(tp):
 
 def test_tensor_power_holds_only_its_gradings():
     tp = tensor_power(spinor_rep(1), 2)
-    assert [f.name for f in dataclasses.fields(tp)] == ["base", "k", "gradings"]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert TensorPower._fields == ("base", "k", "gradings")
+    with pytest.raises(AttributeError):
         tp.k = 3
+
+
+def test_checked_records_check_through_replace():
+    from spinbott.lambda_bott import LambdaVector
+    from spinbott.quadforms import DegenerateFormError
+    m1 = spinor_rep(1)
+    assert m1._replace(grading=m1.grading) == m1
+    with pytest.raises(PresentationError, match="one generator per form entry"):
+        m1._replace(gens=())
+    with pytest.raises(DegenerateFormError):
+        QuadraticForm((1, -1))._replace(diag=(1, 0))
+    assert QuadraticForm((1,))._replace(diag=("1/2", 2.0)).diag == (Fraction(1, 2), 2)
+    with pytest.raises(ValueError, match="rank many"):
+        LambdaVector(1, (2,))._replace(rank=2)
 
 
 def test_tensor_power_invariants():

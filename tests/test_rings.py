@@ -681,6 +681,42 @@ def test_no_result_shares_its_dict_with_an_operand():
         assert len({id(r.coeffs) for r in results}) == len(results)
 
 
+def _text_term_by_term(x) -> str:
+    """The text of x with no memo: every term after its " + " or " - ",
+    the first term's then cut to "" or "-"."""
+    text = ""
+    for m, c in x._terms():
+        mono, a = x._var(m), abs(c)
+        body = str(a) if not mono else mono if a == 1 else f"{a}*{mono}"
+        text += f" {'-' if c < 0 else '+'} {body}"
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def test_text_is_the_term_by_term_text():
+    rng = random.Random(29)
+    q = QuadraticForm((1, -1, 2))
+    values = [LineExpr(), Cyclotomic(7, {}), CliffordElement(q, {}),
+              LineExpr({(): -1}), Cyclotomic(7, {3: -5}), CliffordElement(q, {6: -1}),
+              LineExpr({(1,): 1}), Cyclotomic(7, {0: Fraction(2, 3)}), CliffordElement(q, {0: 4})]
+    for _ in range(300):
+        coeffs = [rng.choice((-1, 1)) * rng.choice((1, 2, 10 ** 30, Fraction(3, 7)))
+                  for _ in range(rng.randint(1, 4))]
+        values.append(LineExpr({tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 3))): c
+                                for c in coeffs}))
+        values.append(Cyclotomic(7, {rng.randrange(6): c for c in coeffs}))
+        values.append(CliffordElement(q, {rng.randrange(8): c for c in coeffs}))
+    texts = [RingElement.__str__(x) for x in values]  # a Cyclotomic then adds its "@7"
+    assert texts == [_text_term_by_term(x) for x in values]
+    assert texts[:9] == ["0", "0", "0", "-1", "-5*w^3", "-e2e3", "L1", "2/3", "4"]
+    # leading negative terms and single terms, of all three rings
+    for ring in (LineExpr, Cyclotomic, CliffordElement):
+        mine = [t for x, t in zip(values, texts) if type(x) is ring and x]
+        assert any(t.startswith("-") for t in mine) and any(" " not in t for t in mine)
+        assert any(t.startswith("-") and " - " in t for t in mine)
+
+
 def test_text_converts_each_distinct_int_coefficient_once(monkeypatch):
     from spinbott import rings
     from spinbott.lambda_bott import bott_lines
@@ -688,14 +724,7 @@ def test_text_converts_each_distinct_int_coefficient_once(monkeypatch):
     values = [bott_lines(parse_line_expr("30*L1"), 5),
               bott_lines(parse_line_expr("3*L1 + 2*L2 - 0"), 4) * -1 + Fraction(1, 3),
               TruncatedPoly(3, {0: Fraction(-1, 2), 1: Fraction(1, 2), 2: 1, 3: -1, 7: 2})]
-    texts = []
-    for x in values:  # the text term by term, with no memo
-        text = ""
-        for m, c in x._terms():
-            mono, a = x._var(m), abs(c)
-            body = str(a) if not mono else mono if a == 1 else f"{a}*{mono}"
-            text += f" {'-' if c < 0 else '+'} {body}"
-        texts.append(text[3:] if text[1] == "+" else "-" + text[3:])
+    texts = [_text_term_by_term(x) for x in values]
     converted = []
     monkeypatch.setattr(rings, "str", lambda a: converted.append(a) or str(a), raising=False)
     for x, text in zip(values, texts):
