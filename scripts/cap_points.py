@@ -42,6 +42,17 @@ MEMORY_LIMIT_MB = 1024
 RUNS = 3  # cold runs of each command
 REFERENCE = "sum(i * i for i in range(3_000_000))"
 
+
+def even_blades(rank: int, skip=()) -> str:
+    """'+'-joined text of the nonzero even blades e_i...e_j of rank ``rank``,
+    but those in ``skip``."""
+    blades = ("".join(f"e{i + 1}" for i in range(rank) if m >> i & 1)
+              for m in range(1, 1 << rank) if m.bit_count() % 2 == 0)
+    return "+".join(b for b in blades if b not in skip)
+
+
+RANK12 = "--form 1,2,3,5,7,11,13,17,19,23,29,31 --element "
+
 # (group, timeout in s, command) for the inputs that neither finish nor
 # refuse (a stall is killed at its timeout in every pass), for those refused
 # over a size cap that once stalled, and for the slow ones that do finish, as
@@ -60,6 +71,10 @@ SLOW_INPUTS = [
     ("slow", 30, "bott --expr L10000000 --k 2"),
     ("slow", 30, "qf " + ",".join(["1"] * 2000)),
     ("slow", 30, "qf " + ",".join(["1"] * 2000) + " --primes 1000000000000000003"),
+    # the sum of all 2,048 even blades is a member; 2 plus every even blade
+    # but e1e2e3e4 is not, and its adjugate runs Shirokov's recursion
+    ("slow", 30, "clifford-check " + RANK12 + "1+" + even_blades(12)),
+    ("stall", 30, "clifford-check " + RANK12 + "2+" + even_blades(12, skip=("e1e2e3e4",))),
 ]
 
 

@@ -16,7 +16,9 @@ reversal involution, the adjugate and inverse, Clifford-group
 membership with the induced isometry, volume elements, the
 top-coefficient bilinear forms on the even/odd parts, the graded-tensor
 and untwisting isomorphism checks, and the lifting of symmetric-group
-transpositions to even elements of square one.
+transpositions to even elements of square one.  Membership is read from
+the intertwining equation b e_i = v_i b, so a member costs one dense
+product, its norm b bar(b), and no conjugate b e_i b^-1 is formed.
 
 No dense matrix is eliminated here: adjugates outside the Clifford group
 come from Shirokov's characteristic-polynomial recursion (2021), and the
@@ -256,16 +258,19 @@ def clifford_group_test(a: CliffordElement) -> Membership:
 
     Conjugation does not see scalars, so it runs on b = L a, L the lcm of
     the coefficient denominators, and on the integer adjugate (adj, det) of
-    b: det = 0 is no unit, and the images are (-1)^deg(a) b e_i adj, divided
-    by det once.  Over a nondegenerate form every member has a nonzero
+    b: det = 0 is no unit, and the image of e_i is (-1)^deg(a) b e_i adj
+    divided by det.  Over a nondegenerate form every member has a nonzero
     scalar norm N(b) = b bar(b), so its adjugate is bar(b), det is N(b) and
     the norm is N(b) / L^2; any other adjugate whose images stay in V is a
     failed check.
 
-    Only the generators in the support of a (the union of its blade masks)
-    are conjugated: every other e_i anticommutes with each blade of a as
-    often as deg(a), so e_i b = (-1)^deg(a) b e_i and its image is e_i
-    itself.  The pairing check still reads every pair of images.
+    No b e_i adj is formed: ``_intertwine`` reads its vector part w and
+    accepts e_i only when w b = s b e_i for a nonzero scalar s, the
+    intertwining equation, so a member costs one dense product, N(b).  Only
+    the generators in the support of a (the union of its blade masks) are
+    tested: every other e_i anticommutes with each blade of a as often as
+    deg(a), so e_i b = (-1)^deg(a) b e_i and its image is e_i itself.  The
+    pairing check covers every pair of images (``_preserves``).
     """
     deg = a.degree()
     if deg is None:
@@ -273,7 +278,7 @@ def clifford_group_test(a: CliffordElement) -> Membership:
     if not a.coeffs:
         return Membership(False, reason="zero is not invertible")
     den = lcm(*(c.denominator for c in a.coeffs.values()))
-    b = a * den
+    b = a._trusted({m: den // c.denominator * c.numerator for m, c in a.coeffs.items()})
     adj, det = b.adjugate()
     if not det:
         return Membership(False, reason="not invertible")
@@ -282,26 +287,87 @@ def clifford_group_test(a: CliffordElement) -> Membership:
     support = 0
     for m in b.coeffs:
         support |= m
+    squares = _squares(diag)
+    # for each support index t, adj signed for a left factor that differs
+    # from each of its blades k in e_t alone: column_t[k ^ e_t] is adj[k] times
+    # the structure constant of e_(k ^ e_t) e_k
+    columns = []
+    for t in range(len(diag)):
+        if support >> t & 1:
+            e = 1 << t
+            columns.append((t, {k ^ e: _blade_product(k ^ e, k, squares, d)
+                                for k, d in adj.coeffs.items()}))
     images = []
-    for i in range(1, len(diag) + 1):
-        if not support >> (i - 1) & 1:
-            images.append({i - 1: 1})
+    for i in range(len(diag)):
+        if not support >> i & 1:
+            images.append({i: 1})
             continue
-        img = b * CliffordElement.generator(a.form, i) * adj
-        if any(_popcount(m) != 1 for m in img.coeffs):
-            return Membership(False, reason=f"conjugation moves e{i} outside V")
-        images.append({m.bit_length() - 1: _exact(Fraction(sign * c, det))
-                       for m, c in img.coeffs.items()})
+        w = _intertwine(b.coeffs, i, columns, squares)
+        if w is None:
+            return Membership(False, reason=f"conjugation moves e{i + 1} outside V")
+        images.append({t: _exact(Fraction(sign * c, det)) for t, c in w.items()})
     if adj != b.bar():
         raise FailedCheckError("a member has no scalar norm a bar(a)")
-    for i, x in enumerate(images):
-        for j, y in enumerate(images[i:], i):
-            pair = sum(c * diag[t] * y[t] for t, c in x.items() if t in y)  # b(img_i, img_j)
-            if pair != (diag[i] if i == j else 0):
-                raise FailedCheckError("matrix does not preserve the form")
+    if not _preserves(images, diag):
+        raise FailedCheckError("matrix does not preserve the form")
     norm = _exact(Fraction(det, den * den))
     return Membership(True, degree=deg, images=tuple(images), norm=norm,
                       in_spin=(deg == 0 and norm == 1))
+
+
+def _preserves(images: list, diag: tuple) -> bool:
+    """b(img_i, img_j) = q_i when i = j and 0 otherwise, for every pair.
+
+    b(img_i, img_j) is the sum over the shared coordinates t of
+    q_t img_i[t] img_j[t], so it is summed coordinate by coordinate over
+    the images with that coordinate, and a pair absent from the sums is 0.
+    """
+    rows: dict = {}
+    for i, x in enumerate(images):
+        for t, c in x.items():
+            rows.setdefault(t, []).append((i, c))
+    gram: dict = {}
+    for t, row in rows.items():
+        for k, (i, c) in enumerate(row):
+            c *= diag[t]
+            for j, d in row[k:]:
+                gram[i, j] = gram.get((i, j), 0) + c * d
+    return (all(gram.get((i, i)) == q for i, q in enumerate(diag))
+            and not any(v for (i, j), v in gram.items() if i != j))
+
+
+def _intertwine(b: dict, i: int, columns: list, squares: _Squares) -> dict | None:
+    """The vector part w of x adj, x = b e_i (0-based i), as {t: coeff}, when
+    w b = s x for a nonzero scalar s; None when no such s exists.
+
+    b, adj and e_i lie in the subalgebra on the support, so w lives on the
+    support indices t, and its coefficient at e_t is the sum over the blades
+    m of x of x[m] column_t[m], for the pairs (t, column_t) of ``columns``.
+    If w b = s x then x adj = w b adj / s = (det / s) w is a vector, whose
+    vector part is w itself, so s = det and x adj = w; conversely x adj = w
+    gives w b = x adj b = det x.  So w is returned exactly when b e_i adj
+    lies in V, after |support| |b| lookups and (|w| + 1) |b| blade products.
+    """
+    bit = 1 << i
+    x = {m ^ bit: _blade_product(m, bit, squares, c) for m, c in b.items()}
+    w = {}
+    for t, column in columns:
+        acc = 0
+        for m, c in x.items():
+            d = column.get(m)
+            if d is not None:
+                acc += c * d
+        if acc:
+            w[t] = acc
+    wb: dict = {}
+    for t, c in w.items():
+        e = 1 << t
+        for m, d in b.items():
+            wb[e ^ m] = wb.get(e ^ m, 0) + _blade_product(e, m, squares, c * d)
+    m0 = next(iter(x))  # w b = s x for s = wb[m0] / x[m0], compared without dividing
+    x0, s0 = x[m0], wb.get(m0, 0)
+    same = {m: v * x0 for m, v in wb.items() if v} == {m: c * s0 for m, c in x.items()}
+    return w if same else None
 
 
 # -- the even/odd top-coefficient bilinear forms ------------------------------

@@ -101,15 +101,19 @@ class RingElement:
         products keep them so.  The dict is kept when every value is a
         nonzero int, read in C: the types first, so that the truth test never
         reaches a ring-element coefficient (whose ``__bool__`` is Python code
-        and whose ``== 0`` builds a constant).  Otherwise it is rebuilt
-        with the zeros dropped and each value stored as ``_exact`` does
-        (an integral Fraction becomes an int)."""
+        and whose ``== 0`` builds a constant).  An all-int dict with a
+        cancelled term only has its zeros deleted; any other is rebuilt with
+        the zeros dropped and each value stored as ``_exact`` does (an integral
+        Fraction becomes an int)."""
         out = object.__new__(type(self))
         for name in self._ring_slots:
             object.__setattr__(out, name, getattr(self, name))
         values = coeffs.values()
-        if not (_INT.issuperset(map(type, values)) and all(values)):
+        if not _INT.issuperset(map(type, values)):
             coeffs = {m: c if type(c) is int else _exact(c) for m, c in coeffs.items() if c}
+        elif not all(values):
+            for m in [m for m, c in coeffs.items() if not c]:
+                del coeffs[m]
         object.__setattr__(out, "coeffs", coeffs)
         return out
 

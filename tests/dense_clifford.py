@@ -7,18 +7,23 @@ replaced: the inverse solves a x = 1 in the regular representation on the
 2^n blade basis, and bijectivity is the rank of the 2^(n+r) blade images
 as columns.  ``phi_gram`` returns a signed pairing; the oracle here is the
 full Gram matrix of the top-coefficient form, read off element products,
-with its determinant by elimination.  ``rank``, ``solve`` and ``det`` are
-plain Gaussian elimination and live only here, so a bug in the sparse code
-cannot be shared with its oracle.  It costs 8^n and is meant for n <= 8
-only.
+with its determinant by elimination.  ``dense_group_test`` is the
+conjugation path that the intertwining test of ``clifford_group_test``
+replaced: the image of each support generator is the product b e_i adj,
+formed in full.  ``rank``, ``solve`` and ``det`` are plain Gaussian
+elimination and live only here, so a bug in the sparse code cannot be
+shared with its oracle.  It costs 8^n and is meant for n <= 8 only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from spinbott.clifford import CliffordElement
+from spinbott.clifford import CliffordElement, Membership
+from spinbott.config import FailedCheckError
 from spinbott.quadforms import QuadraticForm, is_orientable
+from spinbott.rings import _exact
 
 
 def rank(a) -> int:
@@ -105,6 +110,54 @@ def dense_inverse(a: CliffordElement) -> CliffordElement | None:
     inv = CliffordElement(a.form, dict(enumerate(x)))
     assert a * inv == 1 and inv * a == 1
     return inv
+
+
+def dense_group_test(a: CliffordElement) -> Membership:
+    """``clifford_group_test`` by conjugation: the image of each generator
+    e_i in the support of b = L a is (-1)^deg(a) b e_i adj / det, two
+    element products, and a member needs every one of them in V."""
+    deg = a.degree()
+    if deg is None:
+        return Membership(False, reason="not homogeneous")
+    if not a.coeffs:
+        return Membership(False, reason="zero is not invertible")
+    den = lcm(*(c.denominator for c in a.coeffs.values()))
+    b = a * den
+    adj, scalar = b.adjugate()
+    if not scalar:
+        return Membership(False, reason="not invertible")
+    diag = a.form.diag
+    sign = -1 if deg else 1
+    support = 0
+    for m in b.coeffs:
+        support |= m
+    images = []
+    for i in range(1, len(diag) + 1):
+        if not support >> (i - 1) & 1:
+            images.append({i - 1: 1})
+            continue
+        img = b * CliffordElement.generator(a.form, i) * adj
+        if any(bin(m).count("1") != 1 for m in img.coeffs):
+            return Membership(False, reason=f"conjugation moves e{i} outside V")
+        images.append({m.bit_length() - 1: _exact(Fraction(sign * c, scalar))
+                       for m, c in img.coeffs.items()})
+    if adj != b.bar():
+        raise FailedCheckError("a member has no scalar norm a bar(a)")
+    if not dense_preserves(images, diag):
+        raise FailedCheckError("matrix does not preserve the form")
+    norm = _exact(Fraction(scalar, den * den))
+    return Membership(True, degree=deg, images=tuple(images), norm=norm,
+                      in_spin=(deg == 0 and norm == 1))
+
+
+def dense_preserves(images, diag) -> bool:
+    """b(img_i, img_j) = q_i when i = j and 0 otherwise, pair by pair."""
+    for i, x in enumerate(images):
+        for j, y in enumerate(images[i:], i):
+            pair = sum(c * diag[t] * y[t] for t, c in x.items() if t in y)  # b(img_i, img_j)
+            if pair != (diag[i] if i == j else 0):
+                return False
+    return True
 
 
 def dense_untwist_bijective(q: QuadraticForm, r: int, gen_images) -> bool:

@@ -306,8 +306,10 @@ def test_failed_cayley_hamilton_is_a_failed_check(capsys, monkeypatch):
 def test_failed_isometry_check_is_a_failed_check(capsys, monkeypatch):
     # bug: a conjugation that did not preserve the form raised ValueError,
     # which exits 2 as a refused input; it is a failed check and exits 1.
-    # The fault: N(b) = b bar(b) read at half its value, so every image
-    # b e_i bar(b) / N(b) comes out twice too long
+    # The fault: N(b) = b bar(b) read at half its value.  The intertwining
+    # equation does not read it, so e1 and e2 still pass as staying in V, and
+    # every image w / N(b), w the vector part of b e_i bar(b), comes out
+    # twice too long
     from spinbott.clifford import CliffordElement
     true_coefficient = CliffordElement.coefficient
     monkeypatch.setattr(CliffordElement, "coefficient",

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import clifford_vector, zeta
-from dense_clifford import dense_inverse, dense_phi_gram, dense_untwist_bijective, det
+from dense_clifford import (dense_group_test, dense_inverse, dense_phi_gram, dense_preserves,
+                            dense_untwist_bijective, det)
 from dense_modules import mat_eq, mat_mul, mat_scale, transpose
+from spinbott import clifford
 from spinbott.clifford import (CliffordElement, FormMismatchError, Membership,
                                NotOrientableError, _blade_product, _squares,
                                clifford_group_test, graded_tensor_check, pairing_det,
@@ -246,18 +249,13 @@ def test_group_test_examples():
     assert res.rows() == [[0, -1], [-1, 0]]
 
 
-def test_group_test_rejections(monkeypatch):
-    # one element per non-member branch, each with its reason; the test takes
-    # the adjugate of the integer multiple b = L a and never forms an inverse
-    def refuse(self):
-        raise AssertionError("the Clifford-group test needs no inverse()")
-
-    monkeypatch.setattr(CliffordElement, "inverse", refuse)
+def rejection_cases() -> list:
+    """(element, reason): one element per non-member branch."""
     one = CliffordElement.scalar(H, 1)
     q = QuadraticForm((1, -1))
     q4 = QuadraticForm((1, 1, 1, 1))
     r4 = QuadraticForm((Fraction(1, 2), 1, -3, 1))
-    cases = [
+    return [
         (one + gen(H, 1), "not homogeneous"),
         (CliffordElement(H, {}), "zero is not invertible"),
         # 1 + e1e2 squares to 2(1 + e1e2), and its norm is the scalar 0
@@ -268,34 +266,43 @@ def test_group_test_rejections(monkeypatch):
         (CliffordElement.scalar(r4, Fraction(2, 3)) + gen(r4, 1) * gen(r4, 2) * Fraction(1, 2)
          - gen(r4, 3) * gen(r4, 4) * Fraction(2, 3), "conjugation moves e1 outside V"),
     ]
-    for a, reason in cases:
+
+
+def test_group_test_rejections(monkeypatch):
+    # each non-member branch with its reason; the test takes the adjugate of
+    # the integer multiple b = L a and never forms an inverse
+    def refuse(self):
+        raise AssertionError("the Clifford-group test needs no inverse()")
+
+    monkeypatch.setattr(CliffordElement, "inverse", refuse)
+    for a, reason in rejection_cases():
         assert clifford_group_test(a) == Membership(False, reason=reason)
 
 
 def test_isometry_check_reads_every_pair(monkeypatch):
-    # conjugating a "generator" that is always e1 gives images of the right
-    # lengths that are not orthogonal: only the off-diagonal pair fails.
-    # e1 e2 has both generators in its support, so both are conjugated
+    # an image step that always answers with the image of e1 gives images of
+    # the right lengths that are not orthogonal: only the off-diagonal pair
+    # fails.  e1 e2 has both generators in its support, so both are solved for
     q = QuadraticForm((1, 1))
     a = gen(q, 1) * gen(q, 2)
-    monkeypatch.setattr(CliffordElement, "generator",
-                        classmethod(lambda cls, form, i: cls(form, {1: 1})))
+    intertwine = clifford._intertwine
+    monkeypatch.setattr(clifford, "_intertwine", lambda b, i, *rest: intertwine(b, 0, *rest))
     with pytest.raises(FailedCheckError, match="does not preserve the form"):
         clifford_group_test(a)
 
 
 def test_group_test_conjugates_only_the_support(monkeypatch):
     # a spin-lift generator over 4 copies of a rank-2 form lives on copies
-    # c and c+1: only their 2n generators are conjugated, every other image
+    # c and c+1: only their 2n generators are solved for, every other image
     # is e_i itself, and the result is that of full conjugation
     n, k, c = 2, 4, 1
     g = spin_lift(H, k).generators[c]
-    built = []
-    make = CliffordElement.generator.__func__
-    monkeypatch.setattr(CliffordElement, "generator",
-                        classmethod(lambda cls, form, i: built.append(i) or make(cls, form, i)))
+    solved = []
+    intertwine = clifford._intertwine
+    monkeypatch.setattr(clifford, "_intertwine",
+                        lambda b, i, *rest: solved.append(i) or intertwine(b, i, *rest))
     res = clifford_group_test(g)
-    assert built == list(range(c * n + 1, (c + 2) * n + 1))
+    assert solved == list(range(c * n, (c + 2) * n))
     assert all(res.images[i] == {i: 1} for i in range(n * k) if i // n not in (c, c + 1))
     monkeypatch.undo()
     inv = g.inverse()
@@ -329,6 +336,168 @@ def test_group_test_solve_fallback():
     assert inv == (CliffordElement.scalar(q, 2) - volume_element(q)) * Fraction(1, 3)
     res = clifford_group_test(a)
     assert not res.member and "outside V" in res.reason
+
+
+# -- the intertwining test against the conjugation oracle ----------------------
+
+def assert_same_membership(a):
+    """clifford_group_test(a) is dense_group_test(a): every field, each value
+    of the same type, or the same failed check."""
+    try:
+        want = dense_group_test(a)
+    except FailedCheckError as err:
+        with pytest.raises(FailedCheckError, match=re.escape(str(err))):
+            clifford_group_test(a)
+        return want
+    got = clifford_group_test(a)
+    assert got == want
+    assert repr(got.norm) == repr(want.norm)
+    assert ([repr(sorted(img.items())) for img in got.images or ()]
+            == [repr(sorted(img.items())) for img in want.images or ()])
+    return got
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_group_test_matches_conjugation_on_random_elements(seed):
+    # homogeneous elements of rank <= 6 over int and Fraction forms: products
+    # c v_1...v_m of random vectors (members, or zero divisors when a vector
+    # is isotropic) and random sums of blades of one parity
+    rng = random.Random(seed)
+    entries = ([1, -1, 2, -3, 5], [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    values = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    reasons = set()
+    for case in range(60):
+        n = rng.randint(1, 6)
+        q = QuadraticForm(tuple(rng.choice(entries[case % 2]) for _ in range(n)))
+        if case % 3:
+            a = CliffordElement.scalar(q, rng.choice([1, 2, Fraction(-1, 2)]))
+            for _ in range(rng.randint(1, 4)):
+                a = a * clifford_vector(q, [rng.randint(-2, 2) for _ in range(n)])
+        else:
+            parity = rng.randint(0, 1)
+            masks = [m for m in range(1 << n) if bin(m).count("1") % 2 == parity]
+            a = CliffordElement(q, {rng.choice(masks): rng.choice(values)
+                                    for _ in range(rng.randint(1, 4))})
+        res = assert_same_membership(a)
+        reasons.add(res.reason.split(" e")[0] if res.reason else "member")
+    assert {"member", "conjugation moves"} <= reasons
+
+
+def test_group_test_matches_conjugation_on_the_rejections():
+    for a, _ in rejection_cases():
+        assert_same_membership(a)
+
+
+def test_group_test_matches_conjugation_on_cli_shapes():
+    # clifford-check of a + b e_i e_j at ranks 4..10: a unit unless
+    # a^2 + b^2 q_i q_j = 0, which three non-units force by their q_j
+    rng = random.Random(5)
+    entries = (1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7)
+    shapes = [(n, True) for n in range(4, 11) for _ in range(3)] + [(n, False) for n in (4, 6, 8)]
+    for n, unit in shapes:
+        q = [Fraction(rng.choice(entries)) for _ in range(n)]
+        i, j = sorted(rng.sample(range(n), 2))
+        a, b = rng.choice((1, -1)) * rng.randint(1, 5), rng.choice((1, -1)) * rng.randint(1, 5)
+        if not unit:
+            q[j] = Fraction(-a * a, b * b) / q[i]
+        elif a * a + b * b * q[i] * q[j] == 0:
+            q[j] = -q[j]
+        form = QuadraticForm(tuple(q))
+        res = assert_same_membership(CliffordElement(form, {0: a, 1 << i | 1 << j: b}))
+        assert res.member == unit
+
+
+@pytest.mark.parametrize("forms, copies", [
+    ([(a, -a) for a in (1, 2, 3, 5, 6, 7)], range(2, 7)),
+    ([(a, -a, b, -b) for a, b in itertools.combinations((1, 2, 3, 5, 6, 7), 2)], [2])])
+def test_group_test_matches_conjugation_on_spin_lift_generators(forms, copies):
+    for entries in forms:
+        for k in copies:
+            for g in spin_lift(QuadraticForm(entries), k).generators:
+                assert assert_same_membership(g).member
+
+
+def test_pairing_check_matches_the_pairwise_loop():
+    # the images of members, half of them with one entry set to another
+    # value (0 included, or a new coordinate), and random sparse images: the
+    # row-wise sums agree with the pair-by-pair loop, over int and Fraction
+    # forms
+    rng = random.Random(17)
+    values = [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+    verdicts = set()
+    for case in range(300):
+        n = rng.randint(1, 6)
+        diag = tuple(rng.choice([1, -1, 2, -3, Fraction(1, 2)]) for _ in range(n))
+        q = QuadraticForm(diag)
+        images = None
+        if case % 2:
+            v = [rng.randint(-2, 2) for _ in range(n)]
+            if sum(d * x * x for d, x in zip(diag, v)):
+                res = clifford_group_test(clifford_vector(q, v) * rng.choice([1, 3]))
+                images = [dict(img) for img in res.images]
+                c, t = rng.randrange(n), rng.randrange(n)
+                if case % 4 == 1:
+                    images[c][t] = rng.choice(values)
+        if images is None:
+            images = [{t: rng.choice(values[1:])
+                       for t in rng.sample(range(n), rng.randint(0, min(2, n)))}
+                      for _ in range(n)]
+        verdict = dense_preserves(images, diag)
+        assert clifford._preserves(images, diag) == verdict, (diag, images)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def dense_even_member(rank: int) -> CliffordElement:
+    """The sum of every even blade over 1, 2, 3, 5, ..., a member."""
+    q = QuadraticForm((1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)[:rank])
+    return CliffordElement(q, {m: 1 for m in range(1 << rank) if bin(m).count("1") % 2 == 0})
+
+
+def test_group_test_matches_conjugation_on_a_dense_member():
+    assert assert_same_membership(dense_even_member(8)).member
+
+
+def test_member_test_forms_one_dense_product(monkeypatch):
+    # the rank-8 member of all 128 even blades: its one element product is
+    # N(b), 128 x 128 terms.  Signing adj for the n support indices takes
+    # n |b| blade products, and each support generator at most 3 n |b|
+    # blade products and column lookups (b e_i, the vector part w of
+    # b e_i adj, w b)
+    a = dense_even_member(8)
+    n, size = a.form.rank, len(a.coeffs)
+    products, blades, lookups, per_generator = [], [0], [0], []
+    mul, blade, intertwine = CliffordElement.__mul__, clifford._blade_product, clifford._intertwine
+
+    class Column(dict):
+        def get(self, key, default=None):
+            lookups[0] += 1
+            return dict.get(self, key, default)
+
+    def counted_mul(self, other):
+        if isinstance(other, CliffordElement):
+            products.append((len(self.coeffs), len(other.coeffs)))
+        return mul(self, other)
+
+    def counted_blade(*args):
+        blades[0] += 1
+        return blade(*args)
+
+    def counted_intertwine(b, i, columns, squares):
+        start = blades[0], lookups[0]
+        out = intertwine(b, i, [(t, Column(column)) for t, column in columns], squares)
+        per_generator.append((blades[0] - start[0], lookups[0] - start[1]))
+        return out
+
+    monkeypatch.setattr(CliffordElement, "__mul__", counted_mul)
+    monkeypatch.setattr(clifford, "_blade_product", counted_blade)
+    monkeypatch.setattr(clifford, "_intertwine", counted_intertwine)
+    res = clifford_group_test(a)
+    assert res.member and res.degree == 0
+    assert products == [(size, size)]
+    assert len(per_generator) == n
+    assert all(p + q <= 3 * n * size for p, q in per_generator)
+    assert blades[0] - sum(p for p, _ in per_generator) == n * size
 
 
 @st.composite

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import cyclotomic_const, zeta
+from spinbott import rings
 from spinbott.clifford import CliffordElement, FormMismatchError, parse_element
 from spinbott.config import CapExceededError, Caps, caps_scope
 from spinbott.lambda_bott import LineExpr, _unpack, parse_line_expr
@@ -635,6 +636,24 @@ def test_trusted_drops_the_zeros_of_a_cancelling_product():
     form = QuadraticForm((1, -1))
     e1 = CliffordElement(form, {1: 1})
     assert ((e1 + 1) * (e1 - 1)).coeffs == {}  # e1^2 = 1
+
+
+def test_trusted_drops_cancelled_int_terms_without_exact(monkeypatch):
+    # an all-int result with a cancelled term loses its zeros and nothing
+    # else: no value goes through _exact
+    form = QuadraticForm((1, 1))
+    e1, e2 = CliffordElement(form, {1: 1}), CliffordElement(form, {2: 1})
+    L1 = LineExpr.symbol(1)
+
+    def refuse(c):
+        raise AssertionError("an all-int dict went through _exact")
+
+    monkeypatch.setattr(rings, "_exact", refuse)
+    product = (e1 + e2) * (e1 - e2)  # e1^2 - e2^2 cancels, -2 e1e2 stays
+    assert product.coeffs == {3: -2} and all(type(c) is int for c in product.coeffs.values())
+    square = (L1 + 1) * (L1 - 1)
+    assert sorted(square.coeffs.values()) == [-1, 1] and len(square.coeffs) == 2
+    assert (e1 + e2 - e2).coeffs == {1: 1}
 
 
 def test_trusted_stores_integral_fractions_as_ints():
