@@ -66,7 +66,7 @@ SLOW_INPUTS = [
     ("refused", 30, "bott --mode cyclotomic --expr 100000*L1 --k 3"),
     ("refused", 30, "bott --mode cyclotomic --expr L1+L2+L3+L4+L5+L6+L7+L8 --k 8"),
     ("refused", 30, "bott --expr L60000000 --k 2"),
-    ("stall", 30, "bott --mode cyclotomic --expr 300*L1 --k 30"),
+    ("slow", 30, "bott --mode cyclotomic --expr 300*L1 --k 30"),
     ("slow", 30, "bott --mode cyclotomic --expr 300*L1 --k 32"),
     ("slow", 30, "bott --expr L10000000 --k 2"),
     ("slow", 30, "qf " + ",".join(["1"] * 2000)),

@@ -8,7 +8,7 @@ from .clifford import (CliffordElement, Membership, SpinLift,
                        clifford_group_test, graded_tensor_check, pairing_det,
                        parse_element, phi_gram, spin_lift, untwist_iso, volume_element)
 from .config import Caps, CapExceededError, DEFAULT_CAPS, FailedCheckError, caps_scope
-from .lambda_bott import (LambdaVector, LineExpr, SerreSqrt, bott_cyclotomic, bott_lines,
+from .lambda_bott import (LambdaVector, LineExpr, bott_cyclotomic, bott_lines,
                           bott_virtual, corrected_bott, line_to_lambda, parse_line_expr,
                           serre_sqrt, sphere_formula, sum_of_powers, trivial_lambda_vector)
 from .modules import (AdamsCharacter, GradedModule, TensorPower,

@@ -103,11 +103,11 @@ def cmd_serre_sqrt(args):
     root = serre_sqrt(v, args.k)
     square = bott_cyclotomic(v, args.k)
     return {
-        "value": str(root.value),
+        "value": str(root),
         "squares_to": str(square),
-        "square_checks": root.value ** 2 == square,
+        "square_checks": root ** 2 == square,
         "ring": "rational",
-        "sign_ambiguous": root.sign_ambiguous,
+        "sign_ambiguous": False,
     }, 0
 
 

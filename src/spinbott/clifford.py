@@ -574,8 +574,9 @@ def spin_lift(q: QuadraticForm, k: int) -> SpinLift:
     return SpinLift(
         q, k, gens, lam,
         squares_ok=all(b * b * (s2 * s2) == one for b in bs),
+        # braid_normalize proved the first pair's relation and fixed its sign
         braid_ok=all(bs[i] * bs[i + 1] * bs[i] == bs[i + 1] * bs[i] * bs[i + 1]
-                     for i in range(len(bs) - 1)),
+                     for i in range(1, len(bs) - 1)),
         commutation_ok=all(bs[i] * bs[j] == bs[j] * bs[i]
                            for i in range(len(bs)) for j in range(i + 2, len(bs))),
         matrices_ok=all(ok for _, _, ok in tests),

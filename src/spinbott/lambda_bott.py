@@ -8,10 +8,11 @@ K-classes come in two shapes with a one-way conversion between them:
   (lam^1..lam^n) in some exact coefficient ring.
 
 On these the module computes the multiplicative Bott class (line
-product form and cyclotomic product form with Galois descent), the square
-root of the Bott class on self-dual even-rank classes, the corrected
-class, and the closed sphere-coefficient formulas checked against the
-truncated-ring evaluation.
+product form, and the cyclotomic product form taken as Bott's cannibalistic
+class from Adams operations), the square root of the Bott class on
+self-dual even-rank classes (a product in the cyclotomic extension, then
+descended), the corrected class, and the closed sphere-coefficient formulas
+checked against the truncated-ring evaluation.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 
 from .config import FailedCheckError, check_cap
 from .rings import (_BITS, NotAUnitError, RingElement, TruncatedPoly, _descend, _exact,
-                    _galois, _line_product, _parse_terms, _reduce_mod_phi)
+                    _line_product, _parse_terms, _reduce_mod_phi)
 
 
 class NotEffectiveError(ValueError):
@@ -480,100 +481,87 @@ def _geometric_series(m: TruncatedPoly, k: int) -> TruncatedPoly:
 
 # -- the cyclotomic form --------------------------------------------------------
 #
-# An element of Q(w) (x) line expressions, w a primitive k-th root of unity,
-# is one flat {p + (line key << _BITS): coeff} dict (see rings._BITS): a
-# product is the keys-add loop ``_line_product`` followed by the one reduction
-# mod Phi_k, ``rings._reduce_mod_phi``, and no LineExpr is built per
-# coefficient.  A rational lambda value is the line key 0.
+# A lambda value is a flat {line key: coeff} dict (a rational one the line key
+# 0), and every product is the keys-add loop ``_line_product``.  The square
+# root's half product lives in Q(w) (x) line expressions, w a primitive k-th
+# root of unity: one flat {p + (line key << _BITS): coeff} dict (see
+# rings._BITS), each product reduced mod Phi_k once (``_reduce_mod_phi``).
 
 def _flat_lams(v: LambdaVector):
-    """(terms, bound, lines): terms[j-1] the (line key << _BITS, (-1)^j c)
-    pairs of lam^j, bound the largest bound of a LineExpr lam^j, and lines
+    """(g, bound, lines): g[j] the {line key: (-1)^j c} dict of lam^j,
+    g[0] = {0: 1}, bound the largest bound of a LineExpr lam^j, and lines
     whether some lam^j is a LineExpr, whose Bott class is then a LineExpr."""
-    terms, bound, lines = [], 0, False
+    g, bound, lines = [{0: 1}], 0, False
     for j, lam in enumerate(v.lams, start=1):
         if isinstance(lam, LineExpr):
             lines, bound = True, max(bound, lam.bound)
             items = lam.coeffs.items()
         else:
             items = ((0, _exact(lam)),) if lam else ()
-        terms.append([(key << _BITS, -c if j % 2 else c) for key, c in items])
-    return terms, bound, lines
+        g.append({key: -c if j % 2 else c for key, c in items})
+    return g, bound, lines
 
 
-def _eval_at_minus_zeta(terms, k: int, r: int, shift: int = 0) -> dict:
-    """G(-w^r) w^shift = sum_j lam^j (-1)^j w^(rj + shift), its powers below k,
-    as a flat dict of the ``_flat_lams`` terms."""
-    coeffs = {shift % k: 1}
-    get = coeffs.get
-    for j, pairs in enumerate(terms, start=1):
-        p = (r * j + shift) % k
-        for line, c in pairs:
-            e = line + p if p else line  # a key of a million symbols is copied only to move
-            coeffs[e] = get(e, 0) + c
-    return {e: c for e, c in coeffs.items() if c}
+def _class_bound(g: list, bound: int, factors: int) -> int:
+    """A bound on the exponents of a product of ``factors`` evaluations of
+    G: factors * bound, or where that reaches 2^70 factors times the largest
+    |exponent| of the lambda values, read once (``_scan``), refused with
+    ExponentRangeError if it still reaches 2^70, before any product.  The
+    keys of the product then stay exact whatever the keys on the way."""
+    reach = factors * bound
+    if reach >= _LIMIT:
+        reach = factors * _scan([key for gj in g for key in gj])
+        if reach >= _LIMIT:
+            raise _out_of_range(reach)
+    return reach
 
 
-def _flat_product(k: int, left: dict, right: dict, bound: int):
-    """(left * right reduced mod Phi_k, its bound): ``bound`` is the sum of
-    the operands' bounds, and only when it reaches 2^70 are the line keys of
-    the product read for the true one (see ``_scan``)."""
-    prod = _reduce_mod_phi(k, _line_product(left, right))
-    return prod, bound if bound < _LIMIT else _scan([key >> _BITS for key in prod])
+def _cannibalistic(g: list, p: int):
+    """(theta^p(y), the g of psi^p y) for a prime p and the g of y, of rank r.
 
-
-def _product_at_minus_zeta(terms, bound: int, k: int, rs, shift: int = 0):
-    """(the product over r in rs of G(-w^r) w^(shift r), reduced mod Phi_k,
-    its bound): one factor at a time through the flat loop, the factor, of
-    at most rank + 1 powers, in its outer loop."""
-    prod = total = None
-    for r in rs:
-        factor = _eval_at_minus_zeta(terms, k, r, shift * r)
-        prod, total = ((factor, bound) if prod is None
-                       else _flat_product(k, factor, prod, total + bound))
-    # a factor's powers run to k - 1; a product has reduced them
-    return prod if len(rs) > 1 else _reduce_mod_phi(k, prod), total
-
-
-def _halving_chain(n: int, units: list) -> list:
-    """g_1..g_e in (Z/n)^*, of order a power of 2, each outside H = <g_1..g_(i-1)>
-    with its square inside, so <H, g_i> = H u g_i H has twice the elements of H
-    and the last is the whole group.  Each g_i is 1 mod the largest divisor of
-    n it can be: H is then, as far as it can be, the kernel of
-    (Z/n)^* -> (Z/d)^*, whose fixed field Q(w^(n/d)) is sparse in the powers
-    of w when every prime of n divides d."""
-    group, chain = {1}, []
-    while len(group) < len(units):
-        g = max((g for g in units if g not in group and g * g % n in group),
-                key=lambda g: (gcd(g - 1, n), -g))
-        chain.append(g)
-        group |= {h * g % n for h in group}
-    return chain
-
-
-def _norm(terms, bound: int, n: int):
-    """(N(G(-w)) = the product of G(-w^s) over s in (Z/n)^*, reduced mod Phi_n,
-    its bound).
-
-    Where phi(n) is a power of 2 it is a norm tower: N <- N sigma_g(N) over
-    the ``_halving_chain`` (the doubling chain of Itoh and Tsujii, Inform. and
-    Comput. 78 (1988) 171-177, on a chain of index-2 subgroups; norms are
-    transitive, Washington, Introduction to Cyclotomic Fields, GTM 83), which
-    leaves N fixed by one subgroup more at each of its log2 phi(n) products.
-    Elsewhere the conjugates multiply in sequence.
+    With h(t) = sum_j g_j t^j = prod_i (1 - a_i t), the a_i the roots of y:
+    the power sums P_m = sum_i a_i^m, m <= p r, follow from Newton's
+    identities, P_m = -m g_m - sum_(i=1..min(m-1, r)) g_i P_(m-i); the roots
+    of psi^p y are the a_i^p, so its g is a_m = -(1/m) sum_(i<m) a_i P_(p(m-i)),
+    the division exact; and prod_(r=1..p-1) h(w^r t) = A(t^p)/h(t), A(s) =
+    sum_m a_m s^m, is q with q_n = [p | n] a_(n/p) - sum_(j=1..min(n, r)) g_j
+    q_(n-j).  theta^p(y) = q(1), and q has degree r(p - 1): its top r
+    coefficients must be zero, the check that the division was exact.  Each
+    sum is formed in one dict, every product added into it in place.
     """
-    units = [s for s in range(1, n) if gcd(s, n) == 1]
-    if len(units) & (len(units) - 1):
-        return _product_at_minus_zeta(terms, bound, n, units)
-    prod, chain = _eval_at_minus_zeta(terms, n, 1), _halving_chain(n, units)
-    for g in chain:
-        prod, bound = _flat_product(n, prod, _galois(n, prod, g), 2 * bound)
-    return prod if chain else _reduce_mod_phi(n, prod), bound
+    r = len(g) - 1
+    minus = [{e: -c for e, c in gj.items()} for gj in g]
+    sums = [None]
+    for m in range(1, p * r + 1):
+        acc = {e: m * c for e, c in minus[m].items()} if m <= r else {}
+        for i in range(1, min(m - 1, r) + 1):
+            _line_product(minus[i], sums[m - i], acc)
+        sums.append({e: c for e, c in acc.items() if c})
+    psi = [{0: 1}]
+    for m in range(1, r + 1):
+        acc: dict = {}
+        for i in range(m):
+            _line_product(psi[i], sums[p * (m - i)], acc)
+        psi.append({e: -c // m if type(c) is int and not c % m else Fraction(-c, m)
+                    for e, c in acc.items() if c})
+    q: list = []
+    for n in range(p * r + 1):
+        acc = dict(psi[n // p]) if n % p == 0 else {}
+        for j in range(1, min(n, r) + 1):
+            _line_product(minus[j], q[n - j], acc)
+        q.append({e: c for e, c in acc.items() if c})
+    if any(q[r * (p - 1) + 1:]):
+        raise FailedCheckError(f"lambda_(-1) of psi^{p} is not divisible by lambda_(-1)")
+    theta: dict = {}
+    for qn in q[:r * (p - 1) + 1]:
+        for e, c in qn.items():
+            theta[e] = theta.get(e, 0) + c
+    return theta, psi
 
 
 def _value(coeffs: dict, bound: int, lines: bool):
-    """The class of a descended ``{line key: coeff}`` product: a LineExpr when
-    some lambda value was one, else its rational constant."""
+    """The class of a ``{line key: coeff}`` product: a LineExpr when some
+    lambda value was one, else its rational constant."""
     if lines:
         return _ZERO._bounded(coeffs, bound)
     c = coeffs.get(0, 0)
@@ -581,46 +569,41 @@ def _value(coeffs: dict, bound: int, lines: bool):
 
 
 def bott_cyclotomic(v: LambdaVector, k: int):
-    """The Bott class as the product of G(-w^r) over r = 1..k-1, descended.
+    """The Bott class prod_(r=1..k-1) G(-w^r), as theta^k = lambda_(-1)(psi^k v)
+    / lambda_(-1)(v) (Atiyah and Tall, Topology 8 (1969)).
 
-    The r with gcd(r, k) = d form one Galois orbit, whose product is the
-    norm from Q(w_n), n = k/d, of G(-w_n) (see ``_norm``); each orbit's
-    product is computed in order n and descends on its own, and the
-    descended values multiply as line expressions.  A norm is
-    Galois-invariant, so every descent must succeed; failure signals a
-    genuine bug.  The bound of the class is the sum of its factors' bounds.
+    prod_(r=0..k-1) G(-w^r t) = A_k(t^k), A_k(s) = sum_j (-1)^j lam^j(psi^k v)
+    s^j, and the r = 0 factor is G(-t), so the class is A_k(t^k)/G(-t) at
+    t = 1, with no root of unity.  k splits into primes by the cocycle
+    theta^(ab)(v) = theta^a(v) theta^b(psi^a v), each prime one
+    ``_cannibalistic`` step, and the factors multiply on flat dicts.  The
+    bound of the class is (k - 1) times that of the lambda values (see
+    ``_class_bound``).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     check_cap("max_k", k, "cyclotomic order")
-    terms, bound, lines = _flat_lams(v)
-    out, total = None, 0
-    for n in range(2, k + 1):
-        if k % n == 0:
-            norm, reach = _norm(terms, bound, n)
-            orbit = _descend(n, norm)
-            out = orbit if out is None else _line_product(out, orbit)
-            total += reach
-            if total >= _LIMIT:
-                total = _scan(out)
-    return _value(out, total, lines)
+    g, bound, lines = _flat_lams(v)
+    bound = _class_bound(g, bound, k - 1)
+    out, p = None, 2
+    while k > 1:
+        while k % p:
+            p += 1
+        k //= p
+        theta, g = _cannibalistic(g, p)
+        out = theta if out is None else _line_product(out, theta)
+    return _value(out, bound, lines)
 
 
-class SerreSqrt(namedtuple("SerreSqrt", "value sign_ambiguous")):
-    """Square root of the Bott class; sign_ambiguous marks a skipped
-    normalization sign (the exponent n(k-1)/4 was not an integer)."""
-
-    __slots__ = ()
-
-
-def serre_sqrt(v: LambdaVector, k: int) -> SerreSqrt:
+def serre_sqrt(v: LambdaVector, k: int):
     """Galois-invariant square root of the Bott class of a self-dual class.
 
     value = (-1)^(n(k-1)/4) * prod_{r=1..(k-1)/2} G(-z^r) z^(-nr/2),
     which squares to the Bott class.  Requires k odd and v self-dual of
-    even rank; when n(k-1)/4 is not an integer the sign is omitted and the
-    result is flagged.  Each z^(-nr/2) is a shift of the evaluation at r,
-    so each r costs one product on the flat loop.
+    even rank, so n(k-1)/4 is an integer.  Each z^(-nr/2) is a shift of the
+    evaluation at r, G(-z^r) z^(-nr/2) = sum_j lam^j (-1)^j z^(r(j - n/2)),
+    so each r costs one product on the flat loop, reduced mod Phi_k; a half
+    product is no norm, so its descent is checked.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("k must be odd and at least 3")
@@ -630,18 +613,24 @@ def serre_sqrt(v: LambdaVector, k: int) -> SerreSqrt:
     if not v.is_self_dual():
         raise ValueError("lambda vector is not self-dual")
     check_cap("max_k", k, "cyclotomic order")
-    terms, bound, lines = _flat_lams(v)
-    prod, bound = _product_at_minus_zeta(terms, bound, k, range(1, (k - 1) // 2 + 1), -n // 2)
-    ambiguous = (n * (k - 1)) % 4 != 0
-    if not ambiguous and (n * (k - 1) // 4) % 2 == 1:
-        prod = {e: -c for e, c in prod.items()}
-    return SerreSqrt(_value(_descend(k, prod), bound, lines), ambiguous)
+    g, bound, lines = _flat_lams(v)
+    bound = _class_bound(g, bound, (k - 1) // 2)
+    prod = {0: (-1) ** (n * (k - 1) // 4)}
+    for r in range(1, (k - 1) // 2 + 1):
+        factor: dict = {}
+        for j, gj in enumerate(g):
+            power = r * (j - n // 2) % k
+            for line, c in gj.items():
+                e = (line << _BITS) + power
+                factor[e] = factor.get(e, 0) + c
+        prod = _reduce_mod_phi(k, _line_product(factor, prod))
+    return _value(_descend(k, prod), bound, lines)
 
 
 def corrected_bott(rho_k, v: LambdaVector, k: int):
     """The corrected class rho_k / sqrt of the Bott class of the underlying
     module; its square is one on the classes where it is defined."""
-    root = serre_sqrt(v, k).value
+    root = serre_sqrt(v, k)
     if isinstance(root, (int, Fraction)):
         if root == 0:
             raise NotAUnitError("square root vanishes")

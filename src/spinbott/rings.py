@@ -286,12 +286,13 @@ _BITS = 72
 _POWER = (1 << _BITS) - 1
 
 
-def _line_product(left: dict, right: dict) -> dict:
+def _line_product(left: dict, right: dict, coeffs: dict | None = None) -> dict:
     """The product of two ``{key: coeff}`` dicts whose keys add, the one
     product loop of ``LineExpr`` and ``Cyclotomic``: the key of a product
-    of two terms is the sum of theirs."""
+    of two terms is the sum of theirs.  Given ``coeffs``, the product is
+    added into it in place."""
     right = right.items()
-    coeffs: dict = {}
+    coeffs = {} if coeffs is None else coeffs
     get = coeffs.get
     for e1, c1 in left.items():
         for e2, c2 in right:

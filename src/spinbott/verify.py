@@ -387,10 +387,10 @@ def suite_serre(seed: int) -> list:
             rho = bott_cyclotomic(v, k)
             cases.append(_case(f"serre-square-{name}",
                                "the square root squares to the Bott class",
-                               {"rank": 2 * m, "k": k}, rho, root.value ** 2))
+                               {"rank": 2 * m, "k": k}, rho, root ** 2))
             cases.append(_case(f"serre-hyperbolic-{name}",
                                "sqrt on m hyperbolic planes equals k^m",
-                               {"rank": 2 * m, "k": k}, Fraction(k) ** m, root.value))
+                               {"rank": 2 * m, "k": k}, Fraction(k) ** m, root))
             rbar = corrected_bott(Fraction(k) ** m, v, k)
             cases.append(_case(f"corrected-trivial-{name}",
                                "corrected class is one on hyperbolic classes",
@@ -408,7 +408,7 @@ def suite_serre(seed: int) -> list:
             f"serre-line-hyperbolic-k{k}",
             "sqrt on a line hyperbolic plane is sigma^((k-1)/2) times bott(L)",
             {"k": k}, sigma * bott_lines(LineExpr.symbol(1), k),
-            serre_sqrt(hl, k).value))
+            serre_sqrt(hl, k)))
     return cases
 
 

@@ -1,14 +1,15 @@
 """The Bott classes by their first algorithms, kept for the tests as oracles.
 
-``spinbott.lambda_bott`` takes the cyclotomic product orbit by orbit, each a
-norm (a tower of Galois conjugates where phi(n) is a power of 2), on flat
-``{p + (line key << 72): coeff}`` dicts, and sums each truncated-ring
-geometric series by the binomial theorem.  These compute the same classes
-the plain way: ``bott_cyclotomic_sequential`` multiplies G(-w^r) over
-r = 1..k-1 one factor at a time on ``{power: coeff}`` dicts whose
-coefficients are the lambda values themselves, each product reduced mod
-Phi_k by clearing the powers k - 1 down to phi(k), and reads the constant
-term; ``serre_sqrt_sequential`` is its twisted half product; and
+``spinbott.lambda_bott`` takes the cyclotomic product as Bott's
+cannibalistic class theta^k from Adams operations, with no root of unity,
+takes the square root's half product on flat ``{p + (line key << 72):
+coeff}`` dicts, and sums each truncated-ring geometric series by the
+binomial theorem.  These compute the same classes the plain way:
+``bott_cyclotomic_sequential`` multiplies G(-w^r) over r = 1..k-1 one
+factor at a time on ``{power: coeff}`` dicts whose coefficients are the
+lambda values themselves, each product reduced mod Phi_k by clearing the
+powers k - 1 down to phi(k), and reads the constant term;
+``serre_sqrt_sequential`` is its twisted half product; and
 ``bott_virtual_horner`` sums 1 + m + ... + m^(k-1) by Horner's rule.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from spinbott.lambda_bott import LambdaVector, LineExpr, SerreSqrt, _unpack
+from spinbott.lambda_bott import LambdaVector, LineExpr, _unpack
 from spinbott.rings import TruncatedPoly, cyclotomic_polynomial
 
 
@@ -76,15 +77,14 @@ def bott_cyclotomic_sequential(v: LambdaVector, k: int):
     return _descended(k, _product_at_minus_zeta(v, k, range(1, k)))
 
 
-def serre_sqrt_sequential(v: LambdaVector, k: int) -> SerreSqrt:
+def serre_sqrt_sequential(v: LambdaVector, k: int):
     """(-1)^(n(k-1)/4) prod_(r=1..(k-1)/2) G(-w^r) w^(-nr/2), descended; k odd,
-    v self-dual of even rank n."""
+    v self-dual of even rank n, so n(k-1)/4 is an integer."""
     n = v.rank
     prod = _product_at_minus_zeta(v, k, range(1, (k - 1) // 2 + 1), -n // 2)
-    ambiguous = (n * (k - 1)) % 4 != 0
-    if not ambiguous and (n * (k - 1) // 4) % 2 == 1:
+    if (n * (k - 1) // 4) % 2 == 1:
         prod = {p: -c for p, c in prod.items()}
-    return SerreSqrt(_descended(k, prod), ambiguous)
+    return _descended(k, prod)
 
 
 def bott_virtual_horner(x: LineExpr, k: int, nvars: int | None = None,

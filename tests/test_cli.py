@@ -89,13 +89,40 @@ def test_bott_lines(capsys):
 
 
 def test_bott_cyclotomic_mode_agrees_with_lines_at_the_order_cap(capsys):
-    # k = 32 is the max_k cap: the cyclotomic product and its descent there
+    # k = 32 is the max_k cap: five steps of order 2 there
     values = []
     for mode in ("cyclotomic", "lines"):
         code, payload = run(capsys, "bott", "--expr", "2*L1", "--k", "32", "--mode", mode)
         assert code == 0
         values.append(payload["value"])
     assert values[0] == values[1]
+
+
+@pytest.mark.parametrize("expr, k", [
+    ("L1+L2+L3", 31), ("3*L1+L2", 31),
+    # power sums past 2^70 on the way, a class below it
+    ("L1^590295810358705651712+L2^590295810358705651712", 2),
+    ("50*L1^9223372036854775808", 3),
+    ("L1^38083600668303590433", 32),  # its top exponent is 2^70 - 1
+])
+def test_bott_cyclotomic_mode_answers_as_line_mode(capsys, expr, k):
+    # a prime order is one step of p r^2 products: the orbit product of the
+    # k - 1 conjugates took 40 s on the first
+    start = time.perf_counter()
+    code, payload = run(capsys, "bott", "--mode", "cyclotomic", "--expr", expr, "--k", str(k))
+    assert code == 0 and time.perf_counter() - start < 10
+    assert payload["ring"] == "descended from the cyclotomic extension"
+    code, lines = run(capsys, "bott", "--expr", expr, "--k", str(k))
+    assert code == 0 and payload["value"] == lines["value"]
+
+
+def test_bott_cyclotomic_mode_refuses_a_class_reaching_two_to_the_seventy(capsys):
+    # 31 times the exponent is 2^70 + 30: refused before any product
+    assert main(["bott", "--mode", "cyclotomic", "--expr", "L1^38083600668303590434",
+                 "--k", "32"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: line exponent 1180591620717411303454 is not below 2^70 in magnitude\n")
 
 
 def test_bott_sphere(capsys):

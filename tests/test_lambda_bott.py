@@ -20,8 +20,8 @@ from spinbott.lambda_bott import (LambdaVector, LineExpr,
                                   parse_line_expr, serre_sqrt, sphere_formula,
                                   sum_of_powers, trivial_lambda_vector)
 from spinbott import cli, lambda_bott, rings
-from spinbott.config import CapExceededError, Caps, caps_scope
-from spinbott.lambda_bott import (ExponentRangeError, SerreSqrt, _check_line_budget,
+from spinbott.config import CapExceededError, Caps, FailedCheckError, caps_scope
+from spinbott.lambda_bott import (ExponentRangeError, _check_line_budget,
                                   _exponent_bytes, _geometric_power, _pack, _unpack)
 from spinbott.rings import _BITS, Cyclotomic, DescentError, TruncatedPoly, _descend
 
@@ -508,8 +508,9 @@ def test_bott_virtual_matches_horners_rule(x, k, custom):
 
 @pytest.mark.parametrize("k", range(2, 33))
 def test_bott_cyclotomic_matches_the_sequential_product(k):
-    # orbit norms, towers where phi(n) is a power of 2, against the product
-    # of the k - 1 factors one at a time; the line classes against bott_lines too
+    # theta^k from Adams operations, one step per prime of k, against the
+    # product of the k - 1 factors G(-w^r) one at a time in Q(w); the line
+    # classes against bott_lines too
     numeric = LambdaVector(4, (Fraction(1, 2), -3, Fraction(1, 2), 1))  # self-dual
     assert bott_cyclotomic(numeric, k) == bott_cyclotomic_sequential(numeric, k)
     for text in ("L1", "2*L1", "L1+L2^-1", "L1*L2+L3"):
@@ -517,6 +518,31 @@ def test_bott_cyclotomic_matches_the_sequential_product(k):
         got = bott_cyclotomic(line_to_lambda(x), k)
         assert got == bott_cyclotomic_sequential(line_to_lambda(x), k) == bott_lines(x, k)
         assert got.bound >= largest_exponent(got)
+
+
+def test_a_class_that_could_reach_two_to_the_seventy_is_refused_before_any_product(monkeypatch):
+    def no_product(*_):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(lambda_bott, "_line_product", no_product)
+    # (k - 1) B = 4 * 2^69: the class 1 - M + M^2 - M^3 + M^4 of M = lam^2
+    # reaches 2^71, where power sums with unchecked keys overflowed
+    v = LambdaVector(2, (LineExpr(), parse_line_expr("L1^-1*L2^590295810358705651712")))
+    with pytest.raises(ExponentRangeError):
+        bott_cyclotomic(v, 5)
+
+
+def test_an_inexact_adams_quotient_is_a_failed_check(monkeypatch):
+    real = lambda_bott._line_product
+
+    def skewed(left, right, coeffs=None):  # one more on the constant term of every product
+        out = real(left, right, coeffs)
+        out[0] = out.get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(lambda_bott, "_line_product", skewed)
+    with pytest.raises(FailedCheckError, match="not divisible"):
+        bott_cyclotomic(trivial_lambda_vector(2), 3)
 
 
 def test_descent_refuses_a_flat_element_that_is_not_invariant():
@@ -538,16 +564,16 @@ def test_bott_cyclotomic_matches_lines(x, k):
 def test_serre_sqrt_hyperbolic_plane():
     v = trivial_lambda_vector(2)  # lambda vector (2, 1)
     root = serre_sqrt(v, 3)
-    assert root.value == 3 and not root.sign_ambiguous
-    assert root.value ** 2 == bott_cyclotomic(v, 3) == 9
+    assert root == 3
+    assert root ** 2 == bott_cyclotomic(v, 3) == 9
 
 
 @pytest.mark.parametrize("k,m", list(product((3, 5, 7), (1, 2, 3))))
 def test_serre_sqrt_squares_to_bott(k, m):
     v = trivial_lambda_vector(2 * m)
     root = serre_sqrt(v, k)
-    assert root.value ** 2 == bott_cyclotomic(v, k)
-    assert root.value == Fraction(k) ** m
+    assert root ** 2 == bott_cyclotomic(v, k)
+    assert root == Fraction(k) ** m
 
 
 def _self_dual_vectors(m):
@@ -572,8 +598,7 @@ def test_serre_sqrt_folds_the_twist_into_each_evaluation(m):
                        * zeta(k, -m * r))
             if m * (k - 1) // 2 % 2:
                 old = -old
-            assert serre_sqrt(v, k) == SerreSqrt(old.descend(), False) \
-                == serre_sqrt_sequential(v, k)
+            assert serre_sqrt(v, k) == old.descend() == serre_sqrt_sequential(v, k)
 
 
 def test_serre_sqrt_line_hyperbolic():
@@ -581,7 +606,7 @@ def test_serre_sqrt_line_hyperbolic():
     v = LambdaVector(2, (L1 + LineExpr.monomial((-1,)), LineExpr.scalar(1)))
     for k in (3, 5):
         sigma = LineExpr.monomial((-1,)) ** ((k - 1) // 2)
-        assert serre_sqrt(v, k).value == sigma * bott_lines(L1, k)
+        assert serre_sqrt(v, k) == sigma * bott_lines(L1, k)
 
 
 @st.composite
@@ -606,8 +631,8 @@ def test_serre_sqrt_random_hyperbolic(monos, k):
     v = line_to_lambda(w + dual)
     assert v.is_self_dual()
     root = serre_sqrt(v, k)
-    assert root.value ** 2 == bott_cyclotomic(v, k)
-    assert root.value == sigma ** ((k - 1) // 2) * bott_lines(w, k)
+    assert root ** 2 == bott_cyclotomic(v, k)
+    assert root == sigma ** ((k - 1) // 2) * bott_lines(w, k)
 
 
 def test_serre_sqrt_preconditions():
